@@ -7,15 +7,16 @@ harness for finite-horizon CMDPs with a single cost constraint.
 from .acceptance import CheckResult, run_checks
 from .core import (MixturePolicy, Policy, TabularCmdp, ValueTable, Violation,
                    evaluate_mixture, evaluate_policy, greedy_backup,
-                   instance_hash, load_instance, normalize_transition_rows,
-                   save_instance, slater_constant, validate_cmdp)
+                   instance_hash, load_instance, load_policy,
+                   normalize_transition_rows, save_instance, save_policy,
+                   slater_constant, validate_cmdp)
 from .generate import GenSpec, GenerationError, generate, preset, preset_names
 from .harness import (RunRecord, Row, Verdict, check_final_policy,
                       compute_metrics, emit_report, read_run_csv,
                       render_charts, write_run_csv)
-from .learner import (RELAXED, STRICT, DualState, EmpiricalModel, EpisodeLog,
+from .learner import (RELAXED, STRICT, EmpiricalModel, EpisodeLog,
                       LearnerConfig, LearnerResult, ScaleMultipliers,
-                      compute_bonus, derive_config, dual_step,
+                      compute_bonus, derive_config, grid_index,
                       lagrangian_greedy_backup, policy_value_bounds,
                       primal_dual_episode, record_transition, round_to_grid,
                       run_learner)

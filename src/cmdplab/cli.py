@@ -14,16 +14,15 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .acceptance import run_checks
 from .core import (
-    MixturePolicy,
-    Policy,
+    _mixture_json,
     evaluate_mixture,
     instance_hash,
     load_instance,
+    load_policy,
     save_instance,
+    save_policy,
     slater_constant,
 )
 from .generate import GenSpec, generate, preset, preset_names
@@ -57,37 +56,6 @@ def _load_env(args):
     if getattr(args, "instance", None):
         return load_instance(args.instance)
     raise SystemExit("an instance is required: --preset NAME or --instance FILE")
-
-
-def _mixture_json(mix: MixturePolicy, m) -> dict:
-    return {
-        "S": m.num_states,
-        "A": m.num_actions,
-        "H": m.horizon,
-        "components": [
-            {"weight": w, "rule": p.rule.tolist()} for w, p in mix.components
-        ],
-    }
-
-
-def save_policy(mix: MixturePolicy, m, path) -> None:
-    with open(path, "w") as f:
-        json.dump(_mixture_json(mix, m), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def load_policy(path, m) -> MixturePolicy:
-    with open(path) as f:
-        doc = json.load(f)
-    if (doc["S"], doc["A"], doc["H"]) != (m.num_states, m.num_actions,
-                                          m.horizon):
-        raise SystemExit(
-            f"policy dims ({doc['S']}, {doc['A']}, {doc['H']}) do not match "
-            f"instance ({m.num_states}, {m.num_actions}, {m.horizon})")
-    comps = tuple(
-        (c["weight"], Policy(np.asarray(c["rule"], dtype=float)))
-        for c in doc["components"])
-    return MixturePolicy(comps)
 
 
 # ---------------------------------------------------------------------------

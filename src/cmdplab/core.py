@@ -75,9 +75,11 @@ class TabularCmdp:
         object.__setattr__(self, "cost", _frozen(self.cost))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Policy:
-    """Non-stationary randomized Markov policy: rule[h][s] is a distribution over actions."""
+    """Non-stationary randomized Markov policy: rule[h][s] is a distribution over actions.
+
+    Equality and hashing are by value: the rule's shape and bytes."""
 
     rule: np.ndarray  # (H, S, A)
 
@@ -85,6 +87,15 @@ class Policy:
         if np.ndim(self.rule) != 3:
             raise ValueError(f"policy rule must be (H, S, A), got shape {np.shape(self.rule)}")
         object.__setattr__(self, "rule", _frozen(self.rule))
+
+    def _key(self):
+        return self.rule.shape, self.rule.tobytes()
+
+    def __eq__(self, other):
+        return isinstance(other, Policy) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @classmethod
     def from_actions(cls, actions, num_actions: int) -> "Policy":
@@ -105,7 +116,7 @@ class Policy:
             problems.append("negative action probability")
         bad = np.abs(self.rule.sum(axis=2) - 1.0) > PROB_TOL
         for h, s in zip(*np.nonzero(bad)):
-            problems.append(f"rule row (h={h}, s={s}) sums to {self.rule[h, s].sum()!r}")
+            problems.append(f"rule row (h={h}, s={s}) sums to {float(self.rule[h, s].sum())!r}")
         return problems
 
 
@@ -312,6 +323,45 @@ def load_instance(path) -> TabularCmdp:
         m.num_states, m.num_actions, m.horizon,
         normalize_transition_rows(m.transition), m.reward, m.cost,
         m.budget, m.initial_state)
+
+
+# ---------------------------------------------------------------------------
+# Policy files: {"S":, "A":, "H":, "components": [{"weight":, "rule": [h][s][a]}]}
+
+
+def _mixture_json(mix: MixturePolicy, m: TabularCmdp) -> dict:
+    return {"S": m.num_states, "A": m.num_actions, "H": m.horizon,
+            "components": [{"weight": w, "rule": p.rule.tolist()}
+                           for w, p in mix.components]}
+
+
+def save_policy(mix: MixturePolicy, m: TabularCmdp, path) -> None:
+    with open(path, "w") as f:
+        json.dump(_mixture_json(mix, m), f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def load_policy(path, m: TabularCmdp) -> MixturePolicy:
+    """Read a policy file for instance m; ValueError if its dimensions or
+    rule shapes differ from m's or a rule fails Policy.validate."""
+    with open(path) as f:
+        doc = json.load(f)
+    if (doc["S"], doc["A"], doc["H"]) != (m.num_states, m.num_actions,
+                                          m.horizon):
+        raise ValueError(
+            f"policy dims ({doc['S']}, {doc['A']}, {doc['H']}) do not match "
+            f"instance ({m.num_states}, {m.num_actions}, {m.horizon})")
+    comps = []
+    for j, c in enumerate(doc["components"]):
+        p = Policy(np.asarray(c["rule"], dtype=float))
+        problems = p.validate()
+        if p.rule.shape != (m.horizon, m.num_states, m.num_actions):
+            problems = [f"rule shape {p.rule.shape}"]
+        if problems:
+            raise ValueError(f"invalid policy {path}, component {j}: "
+                             + "; ".join(problems))
+        comps.append((c["weight"], p))
+    return MixturePolicy(tuple(comps))
 
 
 def instance_hash(m: TabularCmdp) -> str:

@@ -1,12 +1,11 @@
 """Random instance generation with a pinned budget slack, plus fixed presets.
 
 generate() draws Dirichlet transition rows and uniform reward/cost tables,
-then sets the budget to (min-cost value + zeta_target) so the generated
-instance's slater_constant comes back equal to zeta_target exactly. Exactness
-is arranged in floating point by nudging the budget within a few ulps until
-b - v_min reproduces the target bit-for-bit; draws where no representable
-budget exists are rejected and retried (each retry is a fresh deterministic
-draw from the same seeded stream).
+then makes action 0 free at every (h, s). The cheapest policy therefore has
+cost value exactly 0.0, so setting the budget b = zeta_target makes the
+generated instance's slater_constant equal zeta_target bit-for-bit, with no
+rounding to correct and no redraw. A zeta_target above H is rejected
+with GenerationError.
 
 Presets are small hand-analyzed instances; their exact optima are derived in
 the docstrings and frozen in the test suite.

@@ -1,8 +1,8 @@
 """Measurement harness: ground-truth metrics, verdicts, and report files.
 
 compute_metrics replays a learner run against the exact solution: every
-episode mixture is evaluated on the true kernel (values cached per component
-policy, which the learner shares across episodes), giving cumulative regret
+episode mixture is evaluated on the true kernel (values cached per distinct
+component policy, keyed by the policy's value), giving cumulative regret
 sum(V* - V_r) and constraint violation max(0, sum(V_c - b)). Verdicts apply
 the relaxed / strict acceptance predicates to the final averaged policy.
 
@@ -77,14 +77,14 @@ class Verdict:
 
 
 def _policy_values(m: TabularCmdp, mix: MixturePolicy, cache: dict):
-    """Exact (reward, cost) of a mixture, caching per component policy identity."""
+    """Exact (reward, cost) of a mixture, caching per component policy."""
     r_total = c_total = 0.0
     for w, p in mix.components:
-        got = cache.get(id(p))
+        got = cache.get(p)
         if got is None:
             got = (evaluate_policy(m.transition, m.reward, p).initial(m.initial_state),
                    evaluate_policy(m.transition, m.cost, p).initial(m.initial_state))
-            cache[id(p)] = got
+            cache[p] = got
         r_total += w * got[0]
         c_total += w * got[1]
     return r_total, c_total

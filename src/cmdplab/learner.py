@@ -4,9 +4,11 @@ Each episode runs T inner iterations against the current empirical model:
 the primal step does one greedy backward induction on the Lagrangian stage
 (optimistic reward minus lambda times pessimistic cost), and the dual step
 moves lambda by eta * (pessimistic cost value - shifted budget), projected
-onto a finite grid {0, eps1, 2*eps1, ..., U}. The episode's behavior policy
-is the uniform mixture of the T greedy policies; one trajectory is sampled
-from it and folded into the counts.
+onto a finite grid {0, eps1, 2*eps1, ..., U} and carried as the grid index
+i (lambda = i * eps1). The episode's behavior policy is the uniform mixture
+of the T greedy policies; one trajectory is sampled from it and folded into
+the counts. The final policy weights each distinct greedy policy by the
+iterations it was played / (K T).
 
 Confidence bonuses are Bernstein-style:
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -328,51 +330,24 @@ def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig)
 # Dual ascent on the grid.
 
 
-@dataclass(frozen=True)
-class DualState:
-    """Current dual variable plus the grid it lives on."""
-
-    lam: float
-    grid_step: float  # eps1
-    cap: float  # U, an exact multiple of grid_step
-    eta: float
-
-    @classmethod
-    def initial(cls, cfg: LearnerConfig) -> "DualState":
-        return cls(0.0, cfg.grid_step, cfg.dual_cap, cfg.eta)
+def grid_index(lam_raw: float, grid_step: float, cap: float) -> int:
+    """Clamp to [0, cap], then round to the nearest grid multiple (midpoints
+    down); returns the multiple's index i, so the grid point is i * grid_step."""
+    top = int(round(cap / grid_step))
+    if lam_raw <= 0.0:
+        return 0
+    if lam_raw >= cap:
+        return top
+    x = lam_raw / grid_step
+    i = math.floor(x)
+    if x - i > 0.5:
+        i += 1
+    return min(i, top)
 
 
 def round_to_grid(lam_raw: float, grid_step: float, cap: float) -> float:
-    """Clamp to [0, cap], then round to the nearest grid multiple (midpoints down)."""
-    if lam_raw <= 0.0:
-        return 0.0
-    if lam_raw >= cap:
-        return cap
-    x = lam_raw / grid_step
-    idx = math.floor(x)
-    if x - idx > 0.5:
-        idx += 1
-    idx = min(idx, int(round(cap / grid_step)))
-    return idx * grid_step
-
-
-def dual_step(state: DualState, v_c_hat: float, b_prime: float) -> DualState:
-    """One projected ascent step: lam <- grid(lam + eta * (v_c_hat - b_prime))."""
-    raw = state.lam + state.eta * (v_c_hat - b_prime)
-    return replace(state, lam=round_to_grid(raw, state.grid_step, state.cap))
-
-
-def _uniform_mixture(policies) -> MixturePolicy:
-    """Uniform mixture with identical components (by identity) merged."""
-    groups = {}
-    for p in policies:
-        entry = groups.get(id(p))
-        if entry is None:
-            groups[id(p)] = [p, 1]
-        else:
-            entry[1] += 1
-    n = len(policies)
-    return MixturePolicy(tuple((count / n, p) for p, count in groups.values()))
+    """The grid point grid_index picks, as a multiplier value."""
+    return grid_index(lam_raw, grid_step, cap) * grid_step
 
 
 def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
@@ -380,28 +355,31 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
     """Run the T inner primal-dual iterations against the fixed model.
 
     Returns (mixture of the T greedy policies, lambda trace, trace of the
-    pessimistic cost values the dual saw). `cache` memoizes backups by lambda
-    (valid until the model changes); since lambda lives on a finite grid this
-    collapses repeated iterations to dictionary hits.
+    pessimistic cost values the dual saw); the mixture has one component per
+    visited grid index, weighted by visits / T. `cache` memoizes backups by
+    grid index (valid until the model changes), so repeated iterations
+    collapse to dictionary hits.
     """
     if cache is None:
         cache = {}
-    state = DualState.initial(cfg)
     lam_trace = np.empty(cfg.iters)
     vc_trace = np.empty(cfg.iters)
-    policies = []
+    visits: dict = {}
+    i = 0
     for t in range(cfg.iters):
-        hit = cache.get(state.lam)
+        lam = i * cfg.grid_step
+        hit = cache.get(i)
         if hit is None:
-            hit = lagrangian_greedy_backup(model, reward, cost, state.lam, cfg)
-            cache[state.lam] = hit
-        pi, _, vc = hit
-        v_c_hat = float(vc.values[0, initial_state])
-        lam_trace[t] = state.lam
+            hit = cache[i] = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+        v_c_hat = float(hit[2].values[0, initial_state])
+        lam_trace[t] = lam
         vc_trace[t] = v_c_hat
-        policies.append(pi)
-        state = dual_step(state, v_c_hat, b_prime)
-    return _uniform_mixture(policies), lam_trace, vc_trace
+        visits[i] = visits.get(i, 0) + 1
+        i = grid_index(lam + cfg.eta * (v_c_hat - b_prime), cfg.grid_step,
+                       cfg.dual_cap)
+    mixture = MixturePolicy(tuple(
+        (n / cfg.iters, cache[j][0]) for j, n in visits.items()))
+    return mixture, lam_trace, vc_trace
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +433,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
     cache: dict = {}
     logs = []
-    weight_by_id: dict = {}
+    plays: dict = {}  # Policy -> iterations it was played, over all episodes
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
         mixture, lam_trace, vc_trace = primal_dual_episode(
@@ -469,14 +447,10 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         if touched:
             cache.clear()
         for w, p in mixture.components:
-            entry = weight_by_id.get(id(p))
-            if entry is None:
-                weight_by_id[id(p)] = [p, w]
-            else:
-                entry[1] += w
+            plays[p] = plays.get(p, 0) + round(w * cfg.iters)  # w = n / T exactly
         wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0
         logs.append(EpisodeLog(k, mixture, lam_trace, vc_trace,
                                int(model.counts.epochs.sum()), wall))
     final = MixturePolicy(tuple(
-        (w / cfg.episodes, p) for p, w in weight_by_id.values()))
+        (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
     return LearnerResult(final, logs, model, cfg, seed)

@@ -1,13 +1,14 @@
 """End-to-end command-line flows using main() directly."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from cmdplab import instance_hash, load_instance, slater_constant
-from cmdplab.cli import load_policy, main, save_policy
-from cmdplab import MixturePolicy, Policy, preset
+from cmdplab import (MixturePolicy, Policy, instance_hash, load_instance,
+                     load_policy, preset, save_policy, slater_constant)
+from cmdplab.cli import main
 
 
 def run_cli(capsys, *argv):
@@ -145,6 +146,20 @@ def test_train_reproducible_run_csv(tmp_path, capsys):
         tmp_path / "b" / "run.csv").read_bytes()
 
 
+def test_train_run_csv_pinned_hash(tmp_path, capsys):
+    # two_state_chain moves are deterministic, so this digest does not depend
+    # on the order of floating-point sums; the dual is active from episode 4
+    code, _ = run_cli(capsys, "train", "--preset", "two_state_chain",
+                      "--epsilon", "0.1", "--bonus-scale", "0",
+                      "--dual-cap", "4", "--grid-step", "0.00390625",
+                      "-T", "20", "-K", "200", "--seed", "1", "--no-charts",
+                      "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+    assert digest == (
+        "a0b56423622d56cf1628df8e5eb5eacdb25a977abbf07a7eae0dc09b600309f4")
+
+
 # ---------------------------------------------------------------------------
 # evaluate / report / suite.
 
@@ -173,8 +188,17 @@ def test_policy_round_trip_and_dim_check(tmp_path):
     assert np.allclose(back.weights(), [0.25, 0.75])
     for (w1, p1), (w2, p2) in zip(mix.components, back.components):
         assert np.array_equal(p1.rule, p2.rule)
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="dims"):
         load_policy(path, preset("two_state_chain"))  # wrong dimensions
+    doc = json.loads(path.read_text())
+    doc["components"][0]["rule"][1][2] = [0.5, 0.25]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"row \(h=1, s=2\) sums to 0.75"):
+        load_policy(path, m)
+    doc["components"][0]["rule"] = [[[1.0, 0.0]] * 3] * 2  # H = 2, not 3
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=r"rule shape \(2, 3, 2\)"):
+        load_policy(path, m)
 
 
 def test_report_rerenders_charts(tmp_path, capsys):

@@ -185,6 +185,20 @@ def test_policy_validate_flags_bad_rows():
     assert any("negative" in p for p in neg.validate())
 
 
+def test_policy_equality_and_hash_are_by_value():
+    a = Policy.from_actions([[1, 0], [0, 1]], 2)
+    b = Policy(a.rule.copy())
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != Policy.from_actions([[1, 0], [0, 0]], 2)
+    # same bytes under a different shape is a different policy
+    flat = Policy(a.rule.reshape(1, 4, 2))
+    assert flat.rule.tobytes() == a.rule.tobytes()
+    assert flat != a
+    assert a != a.rule.tolist()
+
+
 def test_policy_rule_must_be_three_dimensional():
     with pytest.raises(ValueError):
         Policy(np.ones((2, 2)))

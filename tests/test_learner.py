@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdplab import (DualState, EmpiricalModel, LearnerConfig, Policy,
-                     ScaleMultipliers, compute_bonus, derive_config, dual_step,
-                     evaluate_policy, lagrangian_greedy_backup,
+from cmdplab import (EmpiricalModel, LearnerConfig, Policy, ScaleMultipliers,
+                     compute_bonus, derive_config, evaluate_policy, grid_index,
+                     lagrangian_greedy_backup,
                      policy_value_bounds, preset, primal_dual_episode,
                      record_transition, round_to_grid, run_learner,
                      solve_unconstrained)
@@ -134,19 +134,11 @@ def test_round_to_grid_properties(lam, step_pow):
     assert abs(out - clamped) <= step / 2 + 1e-15
 
 
-def test_dual_step_hand_case():
-    # 0.5 + 0.2 * (1.3 - 0.4) = 0.68 -> nearest multiple of 0.25 is 0.75
-    st0 = DualState(lam=0.5, grid_step=0.25, cap=1.0, eta=0.2)
-    assert dual_step(st0, 1.3, 0.4).lam == 0.75
+def test_grid_index_hand_case():
+    # 0.5 + 0.2 * (1.3 - 0.4) = 0.68 -> nearest multiple of 0.25 is 0.75 = 3 steps
+    assert grid_index(0.5 + 0.2 * (1.3 - 0.4), 0.25, 1.0) == 3
     # negative drift floors at zero
-    assert dual_step(st0, 0.0, 10.0).lam == 0.0
-
-
-def test_dual_state_initial_is_zero():
-    cfg = exact_log_config()
-    st0 = DualState.initial(cfg)
-    assert st0.lam == 0.0
-    assert (st0.grid_step, st0.cap, st0.eta) == (cfg.grid_step, cfg.dual_cap, cfg.eta)
+    assert grid_index(0.5 + 0.2 * (0.0 - 10.0), 0.25, 1.0) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +322,7 @@ def test_backup_cache_is_reused_and_consistent():
     model = EmpiricalModel.from_kernel(m.transition)
     cache = {}
     out1 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45, cache)
-    assert set(cache) <= {i * 0.125 for i in range(17)}
+    assert set(cache) <= set(range(17))
     out2 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45, cache)
     assert np.array_equal(out1[1], out2[1])
     assert np.array_equal(out1[2], out2[2])
@@ -381,6 +373,26 @@ def test_run_learner_final_policy_averages_episodes():
     # every component weight is a multiple of 1/(K*T)
     scaled = res.final_policy.weights() * (8 * 4)
     assert np.allclose(scaled, np.round(scaled), atol=1e-9)
+
+
+def test_run_learner_final_mixture_merges_equal_policies():
+    # each distinct policy appears once, weighted by the iterations it was
+    # played over all episodes, divided once by K*T
+    m = preset("two_state_chain")
+    cfg = LearnerConfig.make(2, 2, 2, episodes=60, iters=20, dual_cap=4.0,
+                             grid_step=0.125, delta=0.1, mode="relaxed",
+                             shift=0.05, bonus_scale=0.0)
+    res = run_learner(m, cfg, seed=1)
+    plays = {}
+    for log in res.episodes:
+        for w, p in log.mixture.components:
+            key = p.rule.tobytes()
+            plays[key] = plays.get(key, 0) + round(w * cfg.iters)
+    final = res.final_policy.components
+    keys = [p.rule.tobytes() for _, p in final]
+    assert len(set(keys)) == len(keys) == len(plays)
+    for w, p in final:
+        assert w == plays[p.rule.tobytes()] / (60 * 20)
 
 
 def test_run_learner_validates_inputs():
