@@ -5,7 +5,8 @@ transition kernel P[h][s][a][s'], per-step reward and cost tables in [0, 1],
 a cost budget b, and a fixed initial state. Values are computed by exact
 backward recursion; mixtures of policies are evaluated as weighted averages of
 component values (the mixing draw happens once per episode, so the identity is
-exact, not an approximation).
+exact, not an approximation). One backward-induction kernel serves
+evaluate_policy, greedy_backup and both of the learner's clipped sweeps.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,9 +166,11 @@ class ValueTable:
 def validate_cmdp(m: TabularCmdp) -> list[Violation]:
     """Check every structural invariant; returns all breaches with location and magnitude.
 
-    Checked: array shapes against the declared (S, A, H), transition rows are
-    distributions within PROB_TOL, reward/cost entries inside [0, 1], budget
-    inside (0, H], initial state inside range. An empty list means valid.
+    Checked: array shapes against the declared (S, A, H) and finite table
+    entries (a breach of either ends the check: NaN defeats every later
+    comparison), then transition rows are distributions within PROB_TOL,
+    reward/cost entries inside [0, 1], budget inside (0, H], initial state
+    inside range. An empty list means valid.
     """
     out = []
     s_, a_, h_ = m.num_states, m.num_actions, m.horizon
@@ -186,7 +189,10 @@ def validate_cmdp(m: TabularCmdp) -> list[Violation]:
     for name, (got, want) in shapes.items():
         if got != want:
             bad("shape", None, 0.0, f"{name} shape {got} does not match declared {want}")
-    if any(got != want for got, want in shapes.values()):
+    for name, table in (("P", m.transition), ("r", m.reward), ("c", m.cost)):
+        for loc in map(tuple, np.argwhere(~np.isfinite(table)).tolist()):
+            bad("non_finite", loc, np.inf, f"{name} entry {loc} = {table[loc]} is not finite")
+    if out:
         return out
 
     neg = np.minimum(m.transition, 0.0)
@@ -216,6 +222,29 @@ def normalize_transition_rows(kernel: np.ndarray) -> np.ndarray:
     return kernel / kernel.sum(axis=3, keepdims=True)
 
 
+def _backward_induction(q_step, shape, rule=None, score=None):
+    """Backward induction over k stacked value tables; shape is (k, H, S).
+
+    q_step(h, v_next) maps the (k, S) values of step h + 1 to the (k, S, A)
+    Q-tables of step h. Each table is averaged over rule[h] when a `rule` is
+    given, else read at the per-state argmax of score(q) (ties go to the
+    lowest action). Returns the (H, S) actions (None with a rule) and the
+    (k, H + 1, S) values, whose row H is zero.
+    """
+    num_tables, horizon, num_states = shape
+    v = np.zeros((num_tables, horizon + 1, num_states))
+    actions = None if rule is not None else np.zeros((horizon, num_states), dtype=int)
+    rows = np.arange(num_states)
+    for h in range(horizon - 1, -1, -1):
+        q = q_step(h, v[:, h + 1])
+        if rule is not None:
+            v[:, h] = np.einsum("sa,ksa->ks", rule[h], q)
+        else:
+            actions[h] = best = score(q).argmax(axis=1)
+            v[:, h] = q[:, rows, best]
+    return actions, v
+
+
 def evaluate_policy(kernel: np.ndarray, stage: np.ndarray, policy: Policy) -> ValueTable:
     """Exact value of `policy` for stage table g: V_h(s) = E[ sum_{t>=h} g_t ].
 
@@ -225,12 +254,9 @@ def evaluate_policy(kernel: np.ndarray, stage: np.ndarray, policy: Policy) -> Va
     if kernel.ndim != 4 or stage.shape != kernel.shape[:3] or policy.rule.shape != kernel.shape[:3]:
         raise ValueError(
             f"shape mismatch: kernel {kernel.shape}, stage {stage.shape}, policy {policy.rule.shape}")
-    horizon, s_, _ = stage.shape
-    v = np.zeros((horizon + 1, s_))
-    for h in range(horizon - 1, -1, -1):
-        q = stage[h] + kernel[h] @ v[h + 1]
-        v[h] = np.einsum("sa,sa->s", policy.rule[h], q)
-    return ValueTable(v)
+    _, v = _backward_induction(lambda h, v: (stage[h] + kernel[h] @ v[0])[None],
+                               (1,) + stage.shape[:2], rule=policy.rule)
+    return ValueTable(v[0])
 
 
 def evaluate_mixture(m: TabularCmdp, stage: np.ndarray, mix: MixturePolicy) -> float:
@@ -243,17 +269,12 @@ def evaluate_mixture(m: TabularCmdp, stage: np.ndarray, mix: MixturePolicy) -> f
 def greedy_backup(kernel: np.ndarray, stage: np.ndarray, maximize: bool = True):
     """Unconstrained backward induction; returns ((H, S) action table, (H+1, S) values).
 
-    Ties resolve to the lowest action index (numpy argmax/argmin semantics).
+    Ties resolve to the lowest action index (numpy argmax semantics).
     """
-    horizon, s_, _ = stage.shape
-    v = np.zeros((horizon + 1, s_))
-    actions = np.zeros((horizon, s_), dtype=int)
-    for h in range(horizon - 1, -1, -1):
-        q = stage[h] + kernel[h] @ v[h + 1]
-        a = q.argmax(axis=1) if maximize else q.argmin(axis=1)
-        actions[h] = a
-        v[h] = q[np.arange(s_), a]
-    return actions, v
+    actions, v = _backward_induction(
+        lambda h, v: (stage[h] + kernel[h] @ v[0])[None], (1,) + stage.shape[:2],
+        score=(lambda q: q[0]) if maximize else (lambda q: -q[0]))
+    return actions, v[0]
 
 
 def slater_constant(m: TabularCmdp):
@@ -292,9 +313,18 @@ def save_instance(m: TabularCmdp, path) -> None:
         f.write("\n")
 
 
+def _int_field(raw: dict, key: str) -> int:
+    """raw[key] as an int; booleans and non-integral numbers raise ValueError."""
+    x = raw[key]
+    if type(x) is int or type(x) is float and x.is_integer():
+        return int(x)
+    raise ValueError(f"field {key!r} must be an integer, got {x!r}")
+
+
 def load_instance(path) -> TabularCmdp:
     """Read, validate, and renormalize an instance file.
 
+    S, A, H and s1 must be integers (an integral float like 2.0 is accepted).
     Any validation violation rejects the file. Transition rows are
     renormalized exactly once here so downstream arithmetic sees rows that
     sum to 1 at machine precision.
@@ -303,14 +333,14 @@ def load_instance(path) -> TabularCmdp:
         with open(path) as f:
             raw = json.load(f)
         m = TabularCmdp(
-            num_states=int(raw["S"]),
-            num_actions=int(raw["A"]),
-            horizon=int(raw["H"]),
+            num_states=_int_field(raw, "S"),
+            num_actions=_int_field(raw, "A"),
+            horizon=_int_field(raw, "H"),
             transition=np.asarray(raw["P"], dtype=float),
             reward=np.asarray(raw["r"], dtype=float),
             cost=np.asarray(raw["c"], dtype=float),
             budget=float(raw["b"]),
-            initial_state=int(raw["s1"]),
+            initial_state=_int_field(raw, "s1"),
         )
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"malformed instance file {path}: {e}") from e
@@ -319,10 +349,7 @@ def load_instance(path) -> TabularCmdp:
         head = "; ".join(str(p) for p in problems[:5])
         more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         raise ValueError(f"invalid instance {path}: {head}{more}")
-    return TabularCmdp(
-        m.num_states, m.num_actions, m.horizon,
-        normalize_transition_rows(m.transition), m.reward, m.cost,
-        m.budget, m.initial_state)
+    return replace(m, transition=normalize_transition_rows(m.transition))
 
 
 # ---------------------------------------------------------------------------

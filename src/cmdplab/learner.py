@@ -18,7 +18,9 @@ Confidence bonuses are Bernstein-style:
 with c1 = 460/9, c2 = 544/9, delta' = delta / (200 S A H^2 K^2), and n the
 size of the batch behind the current empirical row. Optimistic reward backups
 clip at H, pessimistic cost backups clip at 0, and state-action pairs with no
-built batch default to the extremes (H for reward, 0 for cost).
+built batch default to the extremes (H for reward, 0 for cost). Both sweeps
+build these Q-tables for all pairs at once and run core's backward-induction
+kernel, the one behind evaluate_policy and greedy_backup.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
 total visit count crosses a power of two, using only the transitions observed
@@ -36,10 +38,12 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .core import MixturePolicy, Policy, TabularCmdp, ValueTable
+from .core import (MixturePolicy, Policy, TabularCmdp, ValueTable,
+                   _backward_induction)
 from .simulate import episode_stream, sample_mixture_episode
 
 BONUS_C1 = 460.0 / 9.0
@@ -253,40 +257,34 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     return True
 
 
-def compute_bonus(p_hat, v_next, n: int, cfg: LearnerConfig) -> float:
-    """Bernstein bonus for one (h, s, a) row against the value vector v_next."""
-    if n < 1:
+def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
+    """Bernstein bonus of kernel rows p_hat (..., S) against the value vector v_next.
+
+    n is the batch size behind each row, broadcast against p_hat's leading
+    axes; every n must be >= 1 (a built batch). A single row gives a float.
+    """
+    n = np.asarray(n)
+    if (n < 1).any():
         raise ValueError(f"bonus needs a built batch (n >= 1), got n={n}")
-    p_hat = np.asarray(p_hat, dtype=float)
-    v_next = np.asarray(v_next, dtype=float)
-    mean = float(p_hat @ v_next)
-    var = max(float(p_hat @ (v_next * v_next)) - mean * mean, 0.0)
+    p_hat, v_next = np.asarray(p_hat, dtype=float), np.asarray(v_next, dtype=float)
+    mean = p_hat @ v_next
+    var = np.maximum(p_hat @ (v_next * v_next) - mean * mean, 0.0)
     log_term = cfg.log_inv_delta_prime
-    return cfg.bonus_scale * (cfg.c1 * math.sqrt(var * log_term / n)
-                              + cfg.c2 * cfg.horizon * log_term / n)
+    bonus = cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
+                               + cfg.c2 * cfg.horizon * log_term / n)
+    return float(bonus) if bonus.ndim == 0 else bonus
 
 
-def _q_tables(model, reward, cost, cfg, vr_next, vc_next, h):
-    """Clipped optimistic-reward / pessimistic-cost action values at step h."""
-    horizon, s_, a_ = reward.shape
-    qr = np.empty((s_, a_))
-    qc = np.empty((s_, a_))
-    batch_size = model.counts.batch_size
-    for s in range(s_):
-        for a in range(a_):
-            n = int(batch_size[h, s, a])
-            if n == 0:
-                qr[s, a] = horizon  # optimistic default for unseen pairs
-                qc[s, a] = 0.0
-                continue
-            p = model.kernel[h, s, a]
-            qr[s, a] = min(
-                reward[h, s, a] + compute_bonus(p, vr_next, n, cfg) + p @ vr_next,
-                float(horizon))
-            qc[s, a] = max(
-                cost[h, s, a] - compute_bonus(p, vc_next, n, cfg) + p @ vc_next,
-                0.0)
-    return qr, qc
+def _q_tables(model, reward, cost, cfg, h, v_next):
+    """Clipped optimistic-reward and pessimistic-cost Q-tables at step h,
+    stacked (2, S, A) from the (2, S) next-step values."""
+    horizon = float(reward.shape[0])
+    p, n = model.kernel[h], model.counts.batch_size[h]
+    vr, vc = v_next
+    n1 = np.maximum(n, 1)  # unbuilt pairs (n = 0) take the defaults below
+    qr = np.minimum(reward[h] + compute_bonus(p, vr, n1, cfg) + p @ vr, horizon)
+    qc = np.maximum(cost[h] - compute_bonus(p, vc, n1, cfg) + p @ vc, 0.0)
+    return np.stack((np.where(n == 0, horizon, qr), np.where(n == 0, 0.0, qc)))
 
 
 def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig):
@@ -296,18 +294,9 @@ def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig
     cost ValueTable); the tables hold the values of the returned policy, with
     ties going to the lowest action index.
     """
-    horizon, s_, a_ = reward.shape
-    vr = np.zeros((horizon + 1, s_))
-    vc = np.zeros((horizon + 1, s_))
-    actions = np.zeros((horizon, s_), dtype=int)
-    rng_s = np.arange(s_)
-    for h in range(horizon - 1, -1, -1):
-        qr, qc = _q_tables(model, reward, cost, cfg, vr[h + 1], vc[h + 1], h)
-        best = (qr - lam * qc).argmax(axis=1)
-        actions[h] = best
-        vr[h] = qr[rng_s, best]
-        vc[h] = qc[rng_s, best]
-    return Policy.from_actions(actions, a_), ValueTable(vr), ValueTable(vc)
+    actions, v = _backward_induction(partial(_q_tables, model, reward, cost, cfg),
+                                     (2,) + reward.shape[:2], score=lambda q: q[0] - lam * q[1])
+    return Policy.from_actions(actions, reward.shape[2]), ValueTable(v[0]), ValueTable(v[1])
 
 
 def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig):
@@ -316,14 +305,9 @@ def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig)
     Same clipped backups as the greedy sweep, but combined with the policy's
     own action distribution; used to check the optimism guarantee.
     """
-    horizon, s_, a_ = reward.shape
-    vr = np.zeros((horizon + 1, s_))
-    vc = np.zeros((horizon + 1, s_))
-    for h in range(horizon - 1, -1, -1):
-        qr, qc = _q_tables(model, reward, cost, cfg, vr[h + 1], vc[h + 1], h)
-        vr[h] = np.einsum("sa,sa->s", policy.rule[h], qr)
-        vc[h] = np.einsum("sa,sa->s", policy.rule[h], qc)
-    return ValueTable(vr), ValueTable(vc)
+    _, v = _backward_induction(partial(_q_tables, model, reward, cost, cfg),
+                               (2,) + reward.shape[:2], rule=policy.rule)
+    return ValueTable(v[0]), ValueTable(v[1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ distinct, well-separated streams, so episodes may be sampled out of order or
 in parallel and still reproduce bit-identically.
 
 Categorical draws invert the CDF in ascending index order: draw u, return the
-first index whose cumulative probability exceeds u. Identical seeds therefore
-give identical trajectories on any platform.
+first index whose cumulative probability exceeds u (or, when rounding leaves
+the total at or below u, the last index with positive probability). Identical
+seeds therefore give identical trajectories on any platform.
 """
 
 from __future__ import annotations
@@ -64,13 +65,12 @@ class SplitMix64:
         """Inverse-CDF draw over ascending indices; probs must sum to ~1."""
         u = self.next_float()
         acc = 0.0
-        last = 0
         for i, p in enumerate(probs):
             acc += p
-            last = i
             if u < acc:
                 return i
-        return last  # cumulative rounding left acc slightly below 1
+        # cumulative rounding left acc at or below u: the last index with mass
+        return max((i for i, p in enumerate(probs) if p > 0), default=0)
 
 
 def episode_stream(seed: int, episode: int) -> SplitMix64:

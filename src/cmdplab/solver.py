@@ -34,6 +34,10 @@ INFEASIBLE = "infeasible"
 # Slack for calling a float-valued cost feasible in the enumeration oracle.
 _FEAS_SLACK = 1e-12
 
+# Bound on the dual doublings: 2.0**1024 overflows, so by then lambda has
+# passed any finite cap; only a NaN or infinite cap could need more.
+_MAX_DOUBLINGS = 1100
+
 
 class InstanceTooLargeError(ValueError):
     """Deterministic-policy count exceeds the enumeration budget."""
@@ -112,9 +116,10 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
 
     The bracket [lam_lo, lam_hi] keeps cost(pi_lam_lo) > b >= cost(pi_lam_hi)
     and shrinks to width tol; lambda_star reports its midpoint. If no
-    feasible side appears below the cap 4H/max(zeta, tol), the instance is
-    numerically degenerate: fall back to brute force when small enough,
-    otherwise raise DegenerateInstanceError.
+    feasible side appears below the cap 4H/max(zeta, tol) (or within
+    _MAX_DOUBLINGS doublings, or the cap is NaN), the instance is numerically
+    degenerate: fall back to brute force when small enough, otherwise raise
+    DegenerateInstanceError.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -128,16 +133,17 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
 
     cap = 4.0 * m.horizon / max(zeta, tol)
     lam_lo, lam_hi = 0.0, 1.0
-    while True:
-        _, pi_hi, cost_hi = dual_value(m, lam_hi)
-        if cost_hi <= m.budget:
+    feasible = False
+    for _ in range(_MAX_DOUBLINGS):
+        feasible = dual_value(m, lam_hi)[2] <= m.budget
+        if feasible or not lam_hi <= cap:  # a NaN cap also ends the search
             break
-        if lam_hi > cap:
-            if m.num_actions ** (m.num_states * m.horizon) <= 4096:
-                return brute_force_cmdp(m)
-            raise DegenerateInstanceError(
-                f"no feasible dual point below cap {cap:.3g} (zeta={zeta:.3g})")
         lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+    if not feasible:
+        if m.num_actions ** (m.num_states * m.horizon) <= 4096:
+            return brute_force_cmdp(m)
+        raise DegenerateInstanceError(
+            f"no feasible dual point below cap {cap:.3g} (zeta={zeta:.3g})")
 
     while lam_hi - lam_lo > tol:
         mid = 0.5 * (lam_lo + lam_hi)

@@ -289,6 +289,21 @@ def test_validate_flags_stage_ranges(clean):
     assert [(v.kind, v.location) for v in out] == [("cost_range", (1, 1, 0))]
 
 
+def test_validate_flags_non_finite_entries(clean):
+    # NaN slips through every range comparison, so it is reported by location
+    k = np.array(clean.transition)
+    k[1, 0, 1, 1] = np.nan
+    r = np.array(clean.reward)
+    r[0, 1, 0] = np.inf
+    c = np.array(clean.cost)
+    c[1, 1, 1] = -np.inf
+    out = validate_cmdp(_with(clean, transition=k, reward=r, cost=c))
+    assert [(v.kind, v.location) for v in out] == [
+        ("non_finite", (1, 0, 1, 1)), ("non_finite", (0, 1, 0)),
+        ("non_finite", (1, 1, 1))]
+    assert "nan" in str(out[0]) and "-inf" in str(out[2])
+
+
 def test_validate_flags_budget_and_initial_state(clean):
     assert [v.kind for v in validate_cmdp(_with(clean, budget=0.0))] == ["budget"]
     assert [v.kind for v in validate_cmdp(_with(clean, budget=2.5))] == ["budget"]
@@ -359,6 +374,42 @@ def test_load_rejects_invalid_instance(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="invalid"):
         load_instance(path)
+
+
+def test_load_rejects_non_finite_entries(tmp_path):
+    m = preset("single_state_tradeoff")
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    doc = json.loads(path.read_text())
+    doc["c"][0][0][1] = float("nan")
+    path.write_text(json.dumps(doc))  # json writes the NaN literal
+    with pytest.raises(ValueError, match=r"c entry \(0, 0, 1\) = nan"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("S", 2.7), ("A", True), ("H", "2"), ("s1", True), ("s1", 0.5), ("S", None)])
+def test_load_rejects_non_integer_dimensions(tmp_path, field, value):
+    m = preset("two_state_chain")
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
+        load_instance(path)
+
+
+def test_load_accepts_integral_float_dimensions(tmp_path):
+    m = preset("two_state_chain")
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    doc = json.loads(path.read_text())
+    doc["S"], doc["s1"] = 2.0, 0.0
+    path.write_text(json.dumps(doc))
+    m2 = load_instance(path)
+    assert (m2.num_states, m2.initial_state) == (2, 0)
+    assert type(m2.num_states) is int and instance_hash(m2) == instance_hash(m)
 
 
 def test_instance_hash_frozen_values():

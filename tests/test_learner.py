@@ -68,6 +68,24 @@ def test_bonus_shrinks_with_count():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def test_bonus_broadcasts_over_leading_axes():
+    # a (3, 2) stack of rows with its own batch sizes gives the elementwise
+    # scalar bonuses; a single row still gives a plain float
+    cfg = exact_log_config(num_states=4)
+    rng = np.random.default_rng(11)
+    rows = rng.dirichlet(np.ones(4), size=(3, 2))
+    v = rng.uniform(0.0, 2.0, size=4)
+    n = rng.integers(1, 64, size=(3, 2))
+    got = compute_bonus(rows, v, n, cfg)
+    assert got.shape == (3, 2)
+    want = [[compute_bonus(rows[i, j], v, int(n[i, j]), cfg) for j in range(2)]
+            for i in range(3)]
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+    assert type(compute_bonus(rows[0, 0], v, 5, cfg)) is float
+    with pytest.raises(ValueError):
+        compute_bonus(rows, v, np.where(n > 30, 0, n), cfg)  # one unbuilt row
+
+
 # ---------------------------------------------------------------------------
 # Doubling-batch empirical model.
 
@@ -283,6 +301,76 @@ def test_optimism_with_true_kernel_and_full_bonus():
     vc = evaluate_policy(m.transition, m.cost, pi).initial(0)
     assert vr_hat.initial(0) >= vr - 1e-12
     assert vc_hat.initial(0) <= vc + 1e-12
+
+
+def _reference_q_tables(model, reward, cost, cfg, vr_next, vc_next, h):
+    """The per-(s, a) loop the vectorised backup replaced, kept as an oracle."""
+    horizon, s_, a_ = reward.shape
+    qr, qc = np.empty((s_, a_)), np.empty((s_, a_))
+    for s in range(s_):
+        for a in range(a_):
+            n = int(model.counts.batch_size[h, s, a])
+            if n == 0:
+                qr[s, a], qc[s, a] = horizon, 0.0
+                continue
+            p = model.kernel[h, s, a]
+            qr[s, a] = min(reward[h, s, a] + compute_bonus(p, vr_next, n, cfg)
+                           + p @ vr_next, float(horizon))
+            qc[s, a] = max(cost[h, s, a] - compute_bonus(p, vc_next, n, cfg)
+                           + p @ vc_next, 0.0)
+    return qr, qc
+
+
+def _reference_sweep(model, reward, cost, cfg, lam=None, rule=None):
+    """Greedy on qr - lam * qc, or the average over `rule`, loop by loop."""
+    horizon, s_, a_ = reward.shape
+    vr, vc = np.zeros((horizon + 1, s_)), np.zeros((horizon + 1, s_))
+    actions = np.zeros((horizon, s_), dtype=int)
+    for h in range(horizon - 1, -1, -1):
+        qr, qc = _reference_q_tables(model, reward, cost, cfg, vr[h + 1], vc[h + 1], h)
+        if rule is None:
+            actions[h] = best = (qr - lam * qc).argmax(axis=1)
+            vr[h], vc[h] = qr[np.arange(s_), best], qc[np.arange(s_), best]
+        else:
+            vr[h] = np.einsum("sa,sa->s", rule[h], qr)
+            vc[h] = np.einsum("sa,sa->s", rule[h], qc)
+    return actions, vr, vc
+
+
+def _partly_built_model(m, seed):
+    """Empirical model of m with power-of-two batch sizes up to 2**16 (large
+    enough that some bonuses leave the clips) and about one (h, s, a) row in
+    ten unbuilt (zero row, batch size 0)."""
+    rng = np.random.default_rng(seed)
+    model = EmpiricalModel.from_kernel(m.transition)
+    sizes = 2 ** rng.integers(0, 17, size=m.reward.shape)
+    sizes[rng.random(m.reward.shape) < 0.1] = 0
+    model.counts.batch_size[:] = sizes
+    model.kernel[sizes == 0] = 0.0
+    return model
+
+
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
+def test_vectorised_backup_matches_per_pair_loop(bonus_scale):
+    grid_step, cap = 0.25, 2.0
+    midpoints = [(i + 0.5) * grid_step for i in range(int(cap / grid_step))]
+    for seed in (0, 1):
+        m = random_instance(10, 4, 8, seed=100 + seed)
+        model = _partly_built_model(m, seed)
+        cfg = LearnerConfig.make(10, 4, 8, episodes=300, iters=3, dual_cap=cap,
+                                 grid_step=grid_step, delta=0.1, mode="relaxed",
+                                 shift=0.5, bonus_scale=bonus_scale)
+        for lam in [0.0, *midpoints, cap]:
+            pi, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+            actions, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, lam=lam)
+            assert np.array_equal(pi.rule, Policy.from_actions(actions, 4).rule)
+            assert np.allclose(vr.values, ref_vr, rtol=0.0, atol=1e-12)
+            assert np.allclose(vc.values, ref_vc, rtol=0.0, atol=1e-12)
+        rule = np.random.default_rng(seed).dirichlet(np.ones(4), size=(8, 10))
+        vr, vc = policy_value_bounds(model, m.reward, m.cost, Policy(rule), cfg)
+        _, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, rule=rule)
+        assert np.allclose(vr.values, ref_vr, rtol=0.0, atol=1e-12)
+        assert np.allclose(vc.values, ref_vc, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

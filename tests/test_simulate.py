@@ -63,6 +63,14 @@ def test_categorical_fallback_on_deficient_rows():
     assert SplitMix64.categorical(fake, [0.3, 0.3, 0.3999]) == 2
 
 
+def test_categorical_fallback_skips_zero_probability_tail():
+    # 0.5 + 0.49999 < 1 - 2**-53, so the draw falls off the end; it lands on
+    # the last index that has mass, never on the zero-probability index 2
+    fake = _Scripted([1.0 - 2.0**-53, 1.0 - 2.0**-53])
+    assert SplitMix64.categorical(fake, [0.5, 0.49999, 0.0]) == 1
+    assert SplitMix64.categorical(fake, [0.0, 0.3, 0.0, 0.0]) == 1
+
+
 def test_categorical_marginal_frequencies():
     probs = [0.1, 0.6, 0.3]
     rng = SplitMix64(7)

@@ -1,12 +1,19 @@
 """Exact constrained solver against enumeration and convex-duality identities."""
 
+import json
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cmdplab import solver
 from cmdplab import (INFEASIBLE, OPTIMAL, MixturePolicy, Policy, TabularCmdp,
                      brute_force_cmdp, dual_value, evaluate_mixture,
-                     evaluate_policy, preset, solve_cmdp_exact,
-                     solve_unconstrained)
+                     evaluate_policy, load_instance, preset,
+                     solve_cmdp_exact, solve_unconstrained)
 from cmdplab.solver import DegenerateInstanceError, InstanceTooLargeError
 from conftest import all_deterministic_policies, random_instance
 
@@ -194,3 +201,90 @@ def test_mixture_cost_pinned_to_budget_when_binding():
     m = preset("two_state_chain")
     bf = brute_force_cmdp(m)
     assert evaluate_mixture(m, m.cost, bf.policy) == pytest.approx(m.budget, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Termination on non-finite and malformed input.
+
+
+def _count_dual_values(monkeypatch, limit=2000):
+    """Fail fast instead of hanging if the dual search stops terminating."""
+    calls = []
+    original = solver.dual_value
+
+    def counted(m, lam):
+        calls.append(lam)
+        assert len(calls) <= limit, "dual search does not terminate"
+        return original(m, lam)
+
+    monkeypatch.setattr(solver, "dual_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("where", ["cost", "transition"])
+def test_solver_terminates_on_nan_entries(monkeypatch, where):
+    # built directly, past the loader: a NaN zeta makes the lambda cap NaN,
+    # which used to keep the doubling loop going forever
+    calls = _count_dual_values(monkeypatch)
+    m = preset("two_state_chain")
+    table = np.array(getattr(m, where))
+    table[0, 0, 1] = np.nan
+    small = TabularCmdp(**{**m.__dict__, where: table})
+    sol = solve_cmdp_exact(small)  # 2**4 policies: brute-force fallback
+    assert sol.status in (OPTIMAL, INFEASIBLE)
+    big = near_tie_instance(num_states=3, horizon=5)
+    cost = np.array(big.cost)
+    cost[0, 0, 0] = np.nan
+    with pytest.raises(DegenerateInstanceError):
+        solve_cmdp_exact(TabularCmdp(**{**big.__dict__, "cost": cost}))
+    assert len(calls) < 10
+
+
+_BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf")])
+
+
+@st.composite
+def malformed_instance_docs(draw):
+    """A small valid instance document with at most one corruption applied."""
+    s_, a_, h_ = draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    doc = json.loads(json.dumps({
+        "S": s_, "A": a_, "H": h_, "b": h_ / 2.0, "s1": 0,
+        "P": np.full((h_, s_, a_, s_), 1.0 / s_).tolist(),
+        "r": np.full((h_, s_, a_), 0.5).tolist(),
+        "c": np.full((h_, s_, a_), 0.75).tolist()}))
+    kind = draw(st.sampled_from(["none", "non_finite", "dimension", "shape"]))
+    if kind == "non_finite":
+        key = draw(st.sampled_from(["P", "r", "c", "b"]))
+        if key == "b":
+            doc["b"] = draw(_BAD_VALUES)
+        else:
+            row = doc[key][draw(st.integers(0, h_ - 1))][draw(st.integers(0, s_ - 1))]
+            if key == "P":
+                row = row[draw(st.integers(0, a_ - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_VALUES)
+    elif kind == "dimension":
+        doc[draw(st.sampled_from(["S", "A", "H", "s1"]))] = draw(st.one_of(
+            st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
+            st.integers(-2, 4)))
+    elif kind == "shape":
+        key = draw(st.sampled_from(["P", "r", "c"]))
+        if draw(st.booleans()):
+            doc[key].append(doc[key][0])  # one step too many
+        else:
+            doc[key][0][0].pop()  # ragged, or one entry short
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=malformed_instance_docs())
+def test_malformed_instances_are_rejected_or_solved(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "inst.json")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        try:
+            m = load_instance(path)
+        except ValueError:
+            return
+        sol = solve_cmdp_exact(m)
+    assert sol.status in (OPTIMAL, INFEASIBLE)
