@@ -42,14 +42,12 @@ def main():
         k = log.episode
         if k % step and k != args.episodes - 1:
             continue
-        v_r = evaluate_mixture(m, m.reward, log.mixture)
-        v_c = evaluate_mixture(m, m.cost, log.mixture)
+        v_r, v_c = evaluate_mixture(m, log.mixture)
         print(f"{k:>8} {log.lambda_trace.mean():>12.4f} "
               f"{log.lambda_trace[-1]:>12.4f} {v_c:>10.4f} {v_r:>11.4f}")
 
     lam_final = res.episodes[-1].lambda_trace.mean()
-    v_r = evaluate_mixture(m, m.reward, res.final_policy)
-    v_c = evaluate_mixture(m, m.cost, res.final_policy)
+    v_r, v_c = evaluate_mixture(m, res.final_policy)
     print(f"\nfinal averaged mixture: V_r = {v_r:.4f} (V* = "
           f"{exact.optimal_value:.4f}), V_c = {v_c:.4f} (b = {m.budget})")
     print(f"episode-mean lambda = {lam_final:.4f} vs exact lambda* = "

@@ -15,11 +15,10 @@ from .harness import (RunRecord, Row, Verdict, check_final_policy,
                       compute_metrics, emit_report, read_run_csv,
                       render_charts, write_run_csv)
 from .learner import (RELAXED, STRICT, EmpiricalModel, EpisodeLog,
-                      LearnerConfig, LearnerResult, ScaleMultipliers,
-                      compute_bonus, derive_config, grid_index,
-                      lagrangian_greedy_backup, policy_value_bounds,
-                      primal_dual_episode, record_transition, round_to_grid,
-                      run_learner)
+                      LearnerConfig, LearnerResult, compute_bonus,
+                      derive_config, grid_index, lagrangian_greedy_backup,
+                      policy_value_bounds, primal_dual_episode,
+                      record_transition, round_to_grid, run_learner)
 from .simulate import (SplitMix64, Trajectory, episode_stream,
                        monte_carlo_value, sample_episode,
                        sample_mixture_episode)

@@ -13,6 +13,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .core import (
 from .generate import GenSpec, generate, preset
 from .harness import check_final_policy, compute_metrics, emit_report
 from .learner import (
-    CountTables,
     EmpiricalModel,
     LearnerConfig,
     derive_config,
@@ -38,16 +38,14 @@ from .learner import (
 from .solver import brute_force_cmdp, solve_cmdp_exact
 
 
+@dataclass(frozen=True)
 class CheckResult:
     """Outcome of one acceptance check."""
 
-    __slots__ = ("name", "passed", "detail", "seconds")
-
-    def __init__(self, name, passed, detail, seconds):
-        self.name = name
-        self.passed = bool(passed)
-        self.detail = detail
-        self.seconds = seconds
+    name: str
+    passed: bool
+    detail: str
+    seconds: float
 
     def line(self):
         tag = "PASS" if self.passed else "FAIL"
@@ -109,8 +107,7 @@ def check_mc_dp_agreement():
                      for j in range(2)]
             mix = MixturePolicy(((0.65, comps[0]), (0.35, comps[1])))
             est = monte_carlo_value(m, mix, episodes=100_000, seed=2000 + i)
-            vr = evaluate_mixture(m, m.reward, mix)
-            vc = evaluate_mixture(m, m.cost, mix)
+            vr, vc = evaluate_mixture(m, mix)
             for label, mean, se, truth in (
                     ("reward", est["reward_mean"], est["reward_se"], vr),
                     ("cost", est["cost_mean"], est["cost_se"], vc)):
@@ -185,31 +182,18 @@ def check_optimism_frequency():
         rng_pol = np.random.default_rng(99)
         rule = rng_pol.dirichlet(np.ones(2), size=(3, 3))
         ref = Policy(rule)
-        vr_true = evaluate_policy(m.transition, m.reward, ref)
-        vc_true = evaluate_policy(m.transition, m.cost, ref)
         s1 = m.initial_state
+        vr_true, vc_true = evaluate_policy(m.transition, m.stages, ref).initial(s1)
         n = 512
         hits = 0
         for trial in range(200):
-            rng = np.random.default_rng(3000 + trial)
-            kernel = np.zeros_like(m.transition)
-            for h in range(m.horizon):
-                for s in range(m.num_states):
-                    for a in range(m.num_actions):
-                        draws = rng.multinomial(n, m.transition[h, s, a])
-                        kernel[h, s, a] = draws / n
-            shape = (m.horizon, m.num_states, m.num_actions)
-            counts = CountTables(
-                total=np.full(shape, n, dtype=np.int64),
-                batch_counts=np.zeros(shape + (m.num_states,), dtype=np.int64),
-                batch_size=np.full(shape, n, dtype=np.int64),
-                epochs=np.ones(shape, dtype=np.int64),
-                history={})
-            model = EmpiricalModel(counts=counts, kernel=kernel)
+            # one multinomial batch of n per (h, s, a) row, drawn in row order
+            draws = np.random.default_rng(3000 + trial).multinomial(n, m.transition)
+            model = EmpiricalModel.from_kernel(draws / n, batch_size=n)
             vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost,
                                                  ref, cfg)
-            if (vr_hat.initial(s1) >= vr_true.initial(s1) - 1e-12
-                    and vc_hat.initial(s1) <= vc_true.initial(s1) + 1e-12):
+            if (vr_hat.initial(s1) >= vr_true - 1e-12
+                    and vc_hat.initial(s1) <= vc_true + 1e-12):
                 hits += 1
         if hits < 198:
             return False, f"optimism held in only {hits}/200 trials"
@@ -313,7 +297,7 @@ def check_convergence_trend():
         cfg_s = derive_config("strict", eps, 0.1, m, zeta=zeta,
                               bonus_scale=0.1, episodes=k, iters=50)
         res_s = run_learner(m, cfg_s, seed=11)
-        vc_final = evaluate_mixture(m, m.cost, res_s.final_policy)
+        _, vc_final = evaluate_mixture(m, res_s.final_policy)
         cap = m.budget + 0.05 * m.horizon
         if vc_final > cap:
             return False, f"strict final V_c {vc_final:.4f} > {cap:.4f}"

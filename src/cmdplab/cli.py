@@ -161,8 +161,7 @@ def cmd_evaluate(args) -> int:
     m = _load_env(args)
     mix = load_policy(args.policy, m)
     est = monte_carlo_value(m, mix, episodes=args.episodes, seed=args.seed)
-    dp_r = evaluate_mixture(m, m.reward, mix)
-    dp_c = evaluate_mixture(m, m.cost, mix)
+    dp_r, dp_c = evaluate_mixture(m, mix)
     _emit({
         "dp_reward": dp_r,
         "dp_cost": dp_c,

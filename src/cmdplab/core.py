@@ -6,7 +6,8 @@ a cost budget b, and a fixed initial state. Values are computed by exact
 backward recursion; mixtures of policies are evaluated as weighted averages of
 component values (the mixing draw happens once per episode, so the identity is
 exact, not an approximation). One backward-induction kernel serves
-evaluate_policy, greedy_backup and both of the learner's clipped sweeps.
+evaluate_policy, greedy_backup and both of the learner's clipped sweeps; a
+policy's (V_r, V_c) comes from one sweep over the stack TabularCmdp.stages.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -75,6 +76,12 @@ class TabularCmdp:
         object.__setattr__(self, "reward", _frozen(self.reward))
         object.__setattr__(self, "cost", _frozen(self.cost))
 
+    @property
+    def stages(self) -> np.ndarray:
+        """Read-only (2, H, S, A) stack of the reward and cost tables, in
+        that order: the stage argument that prices (V_r, V_c) in one sweep."""
+        return _frozen((self.reward, self.cost))
+
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -112,7 +119,11 @@ class Policy:
         return cls(np.full((horizon, num_states, num_actions), 1.0 / num_actions))
 
     def validate(self) -> list[str]:
-        problems = []
+        """Problems with the rule; non-finite entries end the check (NaN defeats comparisons)."""
+        problems = [f"rule entry (h={h}, s={s}, a={a}) = {self.rule[h, s, a]} is not finite"
+                    for h, s, a in np.argwhere(~np.isfinite(self.rule))]
+        if problems:
+            return problems
         if np.any(self.rule < 0):
             problems.append("negative action probability")
         bad = np.abs(self.rule.sum(axis=2) - 1.0) > PROB_TOL
@@ -135,10 +146,10 @@ class MixturePolicy:
         comps = tuple((float(w), p) for w, p in self.components)
         if not comps:
             raise ValueError("mixture needs at least one component")
-        if any(w < 0 for w, _ in comps):
+        if not all(w >= 0 for w, _ in comps):  # written so that NaN fails
             raise ValueError("mixture weights must be nonnegative")
         total = sum(w for w, _ in comps)
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
 
@@ -154,13 +165,14 @@ class MixturePolicy:
 class ValueTable:
     """Backed-up values: values[h][s] for h = 0..H, with row H identically zero."""
 
-    values: np.ndarray  # (H + 1, S)
+    values: np.ndarray  # (H + 1, S), or (k, H + 1, S) for a stack of k tables
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values))
 
-    def initial(self, s1: int) -> float:
-        return float(self.values[0, s1])
+    def initial(self, s1: int):
+        """Value at (h=0, s1): a float for one table, a list of k floats for a stack."""
+        return self.values[..., 0, s1].tolist()
 
 
 def validate_cmdp(m: TabularCmdp) -> list[Violation]:
@@ -245,25 +257,37 @@ def _backward_induction(q_step, shape, rule=None, score=None):
     return actions, v
 
 
+def _expected_stage(kernel, stages):
+    """q_step for stacked stage tables (k, H, S, A) on a known kernel. The
+    broadcast matvec rounds like one-table `kernel[h] @ v` (a gemm over the
+    stack would not), so a stack gives the bits of k separate sweeps."""
+    return lambda h, v: stages[:, h] + (kernel[h][None] @ v[:, None, :, None])[..., 0]
+
+
 def evaluate_policy(kernel: np.ndarray, stage: np.ndarray, policy: Policy) -> ValueTable:
     """Exact value of `policy` for stage table g: V_h(s) = E[ sum_{t>=h} g_t ].
 
-    kernel is (H, S, A, S), stage is (H, S, A). The stage may be signed (the
-    solver evaluates r - lambda*c through here). Shapes must agree exactly.
+    kernel is (H, S, A, S). stage is one (H, S, A) table, giving an (H+1, S)
+    ValueTable, or a stack of k tables (k, H, S, A), evaluated in one sweep
+    into a (k, H+1, S) ValueTable; pass TabularCmdp.stages for (V_r, V_c).
+    Shapes must agree exactly.
     """
-    if kernel.ndim != 4 or stage.shape != kernel.shape[:3] or policy.rule.shape != kernel.shape[:3]:
+    if (kernel.ndim != 4 or stage.ndim not in (3, 4) or stage.shape[-3:] != kernel.shape[:3]
+            or policy.rule.shape != kernel.shape[:3]):
         raise ValueError(
             f"shape mismatch: kernel {kernel.shape}, stage {stage.shape}, policy {policy.rule.shape}")
-    _, v = _backward_induction(lambda h, v: (stage[h] + kernel[h] @ v[0])[None],
-                               (1,) + stage.shape[:2], rule=policy.rule)
-    return ValueTable(v[0])
+    stages = stage if stage.ndim == 4 else stage[None]
+    _, v = _backward_induction(_expected_stage(kernel, stages), stages.shape[:3],
+                               rule=policy.rule)
+    return ValueTable(v if stage.ndim == 4 else v[0])
 
 
-def evaluate_mixture(m: TabularCmdp, stage: np.ndarray, mix: MixturePolicy) -> float:
-    """Value of a mixture at (h=0, s1): the weighted average of component values."""
-    return float(sum(
-        w * evaluate_policy(m.transition, stage, p).initial(m.initial_state)
-        for w, p in mix.components))
+def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy) -> tuple[float, float]:
+    """(V_r, V_c) of a mixture at (h=0, s1): the weighted averages of the
+    component values, each component priced by one stacked sweep."""
+    pairs = [(w, evaluate_policy(m.transition, m.stages, p).initial(m.initial_state))
+             for w, p in mix.components]
+    return sum(w * r for w, (r, _) in pairs), sum(w * c for w, (_, c) in pairs)
 
 
 def greedy_backup(kernel: np.ndarray, stage: np.ndarray, maximize: bool = True):
@@ -272,7 +296,7 @@ def greedy_backup(kernel: np.ndarray, stage: np.ndarray, maximize: bool = True):
     Ties resolve to the lowest action index (numpy argmax semantics).
     """
     actions, v = _backward_induction(
-        lambda h, v: (stage[h] + kernel[h] @ v[0])[None], (1,) + stage.shape[:2],
+        _expected_stage(kernel, stage[None]), (1,) + stage.shape[:2],
         score=(lambda q: q[0]) if maximize else (lambda q: -q[0]))
     return actions, v[0]
 
@@ -321,6 +345,22 @@ def _int_field(raw: dict, key: str) -> int:
     raise ValueError(f"field {key!r} must be an integer, got {x!r}")
 
 
+def _float_field(raw: dict, key: str) -> float:
+    """raw[key] as a float; only JSON numbers pass (no booleans, no strings)."""
+    x = raw[key]
+    if type(x) in (int, float):
+        return float(x)
+    raise ValueError(f"field {key!r} must be a number, got {x!r}")
+
+
+def _number_table(raw: dict, key: str) -> np.ndarray:
+    """raw[key] as a float array; booleans, strings and ragged lists raise."""
+    table = np.asarray(raw[key], dtype=object)  # a ragged list keeps list entries
+    if not all(type(x) in (int, float) for x in table.flat):
+        raise ValueError(f"field {key!r} must hold numbers in a regular array")
+    return table.astype(float)
+
+
 def load_instance(path) -> TabularCmdp:
     """Read, validate, and renormalize an instance file.
 
@@ -336,13 +376,13 @@ def load_instance(path) -> TabularCmdp:
             num_states=_int_field(raw, "S"),
             num_actions=_int_field(raw, "A"),
             horizon=_int_field(raw, "H"),
-            transition=np.asarray(raw["P"], dtype=float),
-            reward=np.asarray(raw["r"], dtype=float),
-            cost=np.asarray(raw["c"], dtype=float),
-            budget=float(raw["b"]),
+            transition=_number_table(raw, "P"),
+            reward=_number_table(raw, "r"),
+            cost=_number_table(raw, "c"),
+            budget=_float_field(raw, "b"),
             initial_state=_int_field(raw, "s1"),
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed instance file {path}: {e}") from e
     problems = validate_cmdp(m)
     if problems:
@@ -369,25 +409,27 @@ def save_policy(mix: MixturePolicy, m: TabularCmdp, path) -> None:
 
 
 def load_policy(path, m: TabularCmdp) -> MixturePolicy:
-    """Read a policy file for instance m; ValueError if its dimensions or
-    rule shapes differ from m's or a rule fails Policy.validate."""
-    with open(path) as f:
-        doc = json.load(f)
-    if (doc["S"], doc["A"], doc["H"]) != (m.num_states, m.num_actions,
-                                          m.horizon):
-        raise ValueError(
-            f"policy dims ({doc['S']}, {doc['A']}, {doc['H']}) do not match "
-            f"instance ({m.num_states}, {m.num_actions}, {m.horizon})")
-    comps = []
-    for j, c in enumerate(doc["components"]):
-        p = Policy(np.asarray(c["rule"], dtype=float))
+    """Read a policy file for instance m. ValueError if the file is malformed
+    (a missing key, a weight or rule entry that is not a JSON number), if its
+    dims or rule shapes differ from m's, or if a rule or the weights are invalid."""
+    try:
+        with open(path) as f:
+            doc = json.load(f)
+        dims = tuple(_int_field(doc, k) for k in ("S", "A", "H"))
+        comps = [(_float_field(c, "weight"), Policy(_number_table(c, "rule")))
+                 for c in doc["components"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise ValueError(f"malformed policy file {path}: {e}") from e
+    want = (m.num_states, m.num_actions, m.horizon)
+    if dims != want:
+        raise ValueError(f"policy dims {dims} do not match instance {want}")
+    for j, (_, p) in enumerate(comps):
         problems = p.validate()
         if p.rule.shape != (m.horizon, m.num_states, m.num_actions):
             problems = [f"rule shape {p.rule.shape}"]
         if problems:
             raise ValueError(f"invalid policy {path}, component {j}: "
                              + "; ".join(problems))
-        comps.append((c["weight"], p))
     return MixturePolicy(tuple(comps))
 
 

@@ -1,10 +1,11 @@
 """Measurement harness: ground-truth metrics, verdicts, and report files.
 
 compute_metrics replays a learner run against the exact solution: every
-episode mixture is evaluated on the true kernel (values cached per distinct
-component policy, keyed by the policy's value), giving cumulative regret
-sum(V* - V_r) and constraint violation max(0, sum(V_c - b)). Verdicts apply
-the relaxed / strict acceptance predicates to the final averaged policy.
+episode mixture is evaluated on the true kernel (one stacked (reward, cost)
+sweep per distinct component policy, cached by the policy's value), giving
+cumulative regret sum(V* - V_r) and constraint violation max(0, sum(V_c - b)).
+Verdicts apply the relaxed / strict acceptance predicates to the final
+averaged policy.
 
 emit_report writes a deterministic run.csv (17 significant digits, so parsing
 reproduces every float bit-for-bit), a summary.json, and small static SVG
@@ -77,14 +78,12 @@ class Verdict:
 
 
 def _policy_values(m: TabularCmdp, mix: MixturePolicy, cache: dict):
-    """Exact (reward, cost) of a mixture, caching per component policy."""
+    """Exact (reward, cost) of a mixture, caching the pair per component policy."""
     r_total = c_total = 0.0
     for w, p in mix.components:
         got = cache.get(p)
         if got is None:
-            got = (evaluate_policy(m.transition, m.reward, p).initial(m.initial_state),
-                   evaluate_policy(m.transition, m.cost, p).initial(m.initial_state))
-            cache[p] = got
+            got = cache[p] = evaluate_policy(m.transition, m.stages, p).initial(m.initial_state)
         r_total += w * got[0]
         c_total += w * got[1]
     return r_total, c_total
@@ -109,19 +108,13 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
         return RunRecord(header_cfg, seed, instance_hash(m), zeta,
                          exact.optimal_value, m.budget, eval_every, ())
 
-    v_r = np.empty(n)
-    v_c = np.empty(n)
     evaluated = np.zeros(n, dtype=bool)
+    evaluated[::eval_every] = evaluated[-1] = True
+    idx = np.nonzero(evaluated)[0]
     cache: dict = {}
-    for i, log in enumerate(logs):
-        if i % eval_every == 0 or i == n - 1:
-            v_r[i], v_c[i] = _policy_values(m, log.mixture, cache)
-            evaluated[i] = True
-    if not evaluated.all():
-        idx = np.nonzero(evaluated)[0]
-        missing = np.nonzero(~evaluated)[0]
-        v_r[missing] = np.interp(missing, idx, v_r[idx])
-        v_c[missing] = np.interp(missing, idx, v_c[idx])
+    known = np.array([_policy_values(m, logs[i].mixture, cache) for i in idx])
+    # interp returns the known (reward, cost) pairs exactly at their own episodes
+    v_r, v_c = (np.interp(np.arange(n), idx, col) for col in known.T)
 
     rows = []
     regret = 0.0
@@ -150,8 +143,7 @@ def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePoli
     Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance)."""
     if mode not in (RELAXED, STRICT):
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
-    v_r = evaluate_mixture(m, m.reward, pi_bar)
-    v_c = evaluate_mixture(m, m.cost, pi_bar)
+    v_r, v_c = evaluate_mixture(m, pi_bar)
     reward_floor = exact.optimal_value - epsilon
     cost_cap = m.budget + (epsilon if mode == RELAXED else STRICT_COST_TOL)
     return Verdict(mode, epsilon, bool(v_r >= reward_floor and v_c <= cost_cap),

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -51,16 +51,6 @@ BONUS_C2 = 544.0 / 9.0
 
 RELAXED = "relaxed"
 STRICT = "strict"
-
-
-@dataclass(frozen=True)
-class ScaleMultipliers:
-    """User scaling applied to the derived K, T, U, eps1 (the formulas fix orders, not constants)."""
-
-    k: float = 1.0
-    t: float = 1.0
-    u: float = 1.0
-    eps1: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -125,14 +115,11 @@ class LearnerConfig:
         return budget + self.shift if self.mode == RELAXED else budget - self.shift
 
     def snapshot(self) -> dict:
-        keys = ("num_states", "num_actions", "horizon", "episodes", "iters",
-                "dual_cap", "grid_step", "eta", "delta", "delta_prime", "mode",
-                "shift", "c1", "c2", "bonus_scale")
-        return {k: getattr(self, k) for k in keys}
+        """Every field, in declaration order, as plain values."""
+        return asdict(self)
 
 
 def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
-                  multipliers: ScaleMultipliers = ScaleMultipliers(),
                   bonus_scale=1.0, episodes=None, iters=None, dual_cap=None,
                   grid_step=None) -> LearnerConfig:
     """Fill a config from the accuracy target epsilon via the rate formulas.
@@ -145,7 +132,7 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
         eps1 = eps^2 zeta^2 / H^4, shift = zeta eps / (2H),
         K = S A H^5 / (eps^2 zeta^2).
     K, T are ceilinged to integers; explicit keyword overrides win over the
-    formulas (multipliers only scale derived values).
+    formulas.
     """
     s_, a_, h_ = m.num_states, m.num_actions, m.horizon
     if mode == RELAXED:
@@ -173,10 +160,10 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
         k0 = s_ * a_ * h_**5 / (epsilon**2 * zeta**2)
     else:
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
-    episodes = int(episodes) if episodes is not None else max(1, math.ceil(multipliers.k * k0))
-    iters = int(iters) if iters is not None else max(1, math.ceil(multipliers.t * t0))
-    dual_cap = float(dual_cap) if dual_cap is not None else multipliers.u * u0
-    grid_step = float(grid_step) if grid_step is not None else multipliers.eps1 * e0
+    episodes = int(episodes) if episodes is not None else max(1, math.ceil(k0))
+    iters = int(iters) if iters is not None else max(1, math.ceil(t0))
+    dual_cap = float(dual_cap) if dual_cap is not None else u0
+    grid_step = float(grid_step) if grid_step is not None else e0
     return LearnerConfig.make(s_, a_, h_, episodes, iters, dual_cap, grid_step,
                               delta, mode, shift, bonus_scale=bonus_scale)
 

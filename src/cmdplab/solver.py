@@ -12,6 +12,8 @@ max V_r(s1) subject to V_c(s1) <= b:
   policies plus every feasible/infeasible two-policy mixing, exact up to
   floating point. Used as the ground-truth oracle for small instances.
 
+Each policy's (V_r, V_c) comes from one evaluate_policy sweep over m.stages.
+
 Both return an ExactSolution; the mixture-of-two form is fully general here
 because the achievable (V_r, V_c) set is the convex hull of the deterministic
 policies' value pairs and a single linear constraint cuts it.
@@ -77,25 +79,21 @@ def solve_unconstrained(kernel: np.ndarray, stage: np.ndarray, sense: str = "max
 def dual_value(m: TabularCmdp, lam: float):
     """Evaluate the dual: g(lambda) = max_pi [V_{r - lambda c}] + lambda*b.
 
-    Returns (g(lambda), maximizing deterministic policy, that policy's cost
-    value at s1). b - cost is a subgradient of g at lambda.
+    Returns (g(lambda), maximizing deterministic policy pi, (V_r, V_c) of pi
+    at s1 from one stacked sweep). b - V_c is a subgradient of g at lambda.
     """
     if lam < 0:
         raise ValueError(f"dual variable must be >= 0, got {lam}")
     stage = m.reward - lam * m.cost
     pi, v = solve_unconstrained(m.transition, stage, "max")
     g = v.initial(m.initial_state) + lam * m.budget
-    cost = evaluate_policy(m.transition, m.cost, pi).initial(m.initial_state)
-    return g, pi, cost
+    return g, pi, evaluate_policy(m.transition, m.stages, pi).initial(m.initial_state)
 
 
-def _reward_value(m: TabularCmdp, pi: Policy) -> float:
-    return evaluate_policy(m.transition, m.reward, pi).initial(m.initial_state)
-
-
-def _mix_two(m, pi_feas, cost_feas, pi_inf, cost_inf, lambda_star):
-    """Mix the bracket endpoints so the mixture cost equals b exactly."""
-    r_feas, r_inf = _reward_value(m, pi_feas), _reward_value(m, pi_inf)
+def _mix_two(m, feas, inf, lambda_star):
+    """Mix the bracket ends, each (policy, (V_r, V_c)), so the mixture cost
+    equals b exactly."""
+    (pi_feas, (r_feas, cost_feas)), (pi_inf, (r_inf, cost_inf)) = feas, inf
     if cost_inf <= m.budget or abs(cost_feas - cost_inf) < 1e-15:
         # Degenerate bracket: both endpoints feasible (or equal cost); the
         # higher-reward endpoint alone is optimal among the two.
@@ -115,7 +113,8 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     """Constrained optimum via dual bisection and two-policy mixing.
 
     The bracket [lam_lo, lam_hi] keeps cost(pi_lam_lo) > b >= cost(pi_lam_hi)
-    and shrinks to width tol; lambda_star reports its midpoint. If no
+    and shrinks to width tol; lambda_star reports its midpoint. Each end
+    keeps its dual_value result, so the mixing solves nothing again. If no
     feasible side appears below the cap 4H/max(zeta, tol) (or within
     _MAX_DOUBLINGS doublings, or the cap is NaN), the instance is numerically
     degenerate: fall back to brute force when small enough, otherwise raise
@@ -126,19 +125,19 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     zeta, _ = slater_constant(m)
     if zeta < 0:
         return ExactSolution(INFEASIBLE, math.nan, math.nan, None, math.inf)
-    _, pi0, cost0 = dual_value(m, 0.0)
+    _, pi0, (r0, cost0) = lo = dual_value(m, 0.0)
     if cost0 <= m.budget:
-        return ExactSolution(
-            OPTIMAL, _reward_value(m, pi0), cost0, MixturePolicy.single(pi0), 0.0)
+        return ExactSolution(OPTIMAL, r0, cost0, MixturePolicy.single(pi0), 0.0)
 
     cap = 4.0 * m.horizon / max(zeta, tol)
     lam_lo, lam_hi = 0.0, 1.0
     feasible = False
     for _ in range(_MAX_DOUBLINGS):
-        feasible = dual_value(m, lam_hi)[2] <= m.budget
+        hi = dual_value(m, lam_hi)
+        feasible = hi[2][1] <= m.budget
         if feasible or not lam_hi <= cap:  # a NaN cap also ends the search
             break
-        lam_lo, lam_hi = lam_hi, 2.0 * lam_hi
+        lam_lo, lam_hi, lo = lam_hi, 2.0 * lam_hi, hi
     if not feasible:
         if m.num_actions ** (m.num_states * m.horizon) <= 4096:
             return brute_force_cmdp(m)
@@ -147,14 +146,12 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
 
     while lam_hi - lam_lo > tol:
         mid = 0.5 * (lam_lo + lam_hi)
-        _, _, cost_mid = dual_value(m, mid)
-        if cost_mid <= m.budget:
-            lam_hi = mid
+        got = dual_value(m, mid)
+        if got[2][1] <= m.budget:
+            lam_hi, hi = mid, got
         else:
-            lam_lo = mid
-    _, pi_inf, cost_inf = dual_value(m, lam_lo)
-    _, pi_feas, cost_feas = dual_value(m, lam_hi)
-    return _mix_two(m, pi_feas, cost_feas, pi_inf, cost_inf, 0.5 * (lam_lo + lam_hi))
+            lam_lo, lo = mid, got
+    return _mix_two(m, hi[1:], lo[1:], 0.5 * (lam_lo + lam_hi))
 
 
 def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
@@ -171,15 +168,14 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
         raise InstanceTooLargeError(
             f"{count} deterministic policies exceed the cap {max_policies}")
     policies = []
-    r_vals = np.empty(count)
-    c_vals = np.empty(count)
+    values = np.empty((count, 2))
     for i, assignment in enumerate(
             itertools.product(range(m.num_actions), repeat=m.horizon * m.num_states)):
         actions = np.array(assignment, dtype=int).reshape(m.horizon, m.num_states)
         pi = Policy.from_actions(actions, m.num_actions)
         policies.append(pi)
-        r_vals[i] = _reward_value(m, pi)
-        c_vals[i] = evaluate_policy(m.transition, m.cost, pi).initial(m.initial_state)
+        values[i] = evaluate_policy(m.transition, m.stages, pi).initial(m.initial_state)
+    r_vals, c_vals = values.T
 
     feas = c_vals <= m.budget + _FEAS_SLACK
     if not feas.any():

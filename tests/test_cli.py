@@ -225,3 +225,16 @@ def test_suite_subset_runs_fast_checks(capsys):
 def test_suite_unknown_check_name(capsys):
     with pytest.raises(KeyError):
         main(["suite", "--only", "no-such-check"])
+
+
+def test_evaluate_rejects_nan_weight(tmp_path):
+    # NaN passed both weight checks and printed "dp_reward: NaN" with exit 0
+    m = preset("two_state_chain")
+    path = tmp_path / "p.json"
+    save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), m, path)
+    doc = json.loads(path.read_text())
+    doc["components"][0]["weight"] = float("nan")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="mixture weights"):
+        main(["evaluate", "--preset", "two_state_chain", "--policy", str(path),
+              "--episodes", "10"])

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from cmdplab import (MixturePolicy, Policy, TabularCmdp, ValueTable,
                      evaluate_mixture, evaluate_policy, greedy_backup,
-                     instance_hash, load_instance, normalize_transition_rows,
-                     preset, save_instance, slater_constant, validate_cmdp)
+                     instance_hash, load_instance, load_policy,
+                     normalize_transition_rows, preset, save_instance,
+                     save_policy, slater_constant, validate_cmdp)
 from conftest import all_deterministic_policies, random_instance
 
 
@@ -66,6 +67,37 @@ def test_evaluate_policy_shape_mismatch_raises():
     m = random_instance(2, 2, 3, seed=2)
     with pytest.raises(ValueError):
         evaluate_policy(m.transition, m.reward, Policy.uniform(3, 2, 3))
+    with pytest.raises(ValueError):
+        evaluate_policy(m.transition, m.stages[:, :2], Policy.uniform(3, 2, 2))
+
+
+def test_stacked_evaluation_matches_single_table_sweeps():
+    # one sweep over the (reward, cost) stack must reproduce two one-table
+    # sweeps bit for bit: run.csv prints these values with 17 digits
+    rng = np.random.default_rng(11)
+    for i in range(120):
+        s_, a_, h_ = (int(x) for x in rng.integers(1, (10, 5, 9)))
+        m = random_instance(s_, a_, h_, seed=i)
+        if i % 2:
+            pi = Policy.from_actions(rng.integers(0, a_, size=(h_, s_)), a_)
+        else:
+            pi = Policy(rng.dirichlet(np.ones(a_), size=(h_, s_)))
+        both = evaluate_policy(m.transition, m.stages, pi)
+        assert both.values.shape == (2, h_ + 1, s_)
+        assert np.array_equal(both.values[0], evaluate_policy(m.transition, m.reward, pi).values)
+        assert np.array_equal(both.values[1], evaluate_policy(m.transition, m.cost, pi).values)
+        assert np.array_equal(both.initial(0), both.values[:, 0, 0])
+
+
+def test_stages_are_reward_then_cost_and_read_only():
+    m = random_instance(2, 3, 2, seed=5)
+    assert m.stages.shape == (2, 2, 2, 3)
+    assert np.array_equal(m.stages[0], m.reward)
+    assert np.array_equal(m.stages[1], m.cost)
+    with pytest.raises(ValueError):
+        m.stages[0, 0, 0, 0] = 0.5
+    with pytest.raises(AttributeError):
+        m.stages = m.stages
 
 
 def test_mixture_value_matches_hand_mix():
@@ -74,8 +106,9 @@ def test_mixture_value_matches_hand_mix():
     safe = Policy.from_actions([[1, 1], [0, 0]], 2)
     risky = Policy.from_actions([[1, 1], [1, 1]], 2)
     mix = MixturePolicy(((0.4, safe), (0.6, risky)))
-    assert evaluate_mixture(m, m.reward, mix) == pytest.approx(0.6, abs=1e-15)
-    assert evaluate_mixture(m, m.cost, mix) == pytest.approx(0.6, abs=1e-15)
+    v_r, v_c = evaluate_mixture(m, mix)
+    assert v_r == pytest.approx(0.6, abs=1e-15)
+    assert v_c == pytest.approx(0.6, abs=1e-15)
 
 
 def test_mixture_is_weighted_average_of_components():
@@ -85,7 +118,7 @@ def test_mixture_is_weighted_average_of_components():
     mix = MixturePolicy(((0.2, comps[0]), (0.3, comps[1]), (0.5, comps[2])))
     parts = [evaluate_policy(m.transition, m.reward, p).initial(0) for p in comps]
     expect = 0.2 * parts[0] + 0.3 * parts[1] + 0.5 * parts[2]
-    assert evaluate_mixture(m, m.reward, mix) == pytest.approx(expect, abs=1e-12)
+    assert evaluate_mixture(m, mix)[0] == pytest.approx(expect, abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,6 +218,21 @@ def test_policy_validate_flags_bad_rows():
     assert any("negative" in p for p in neg.validate())
 
 
+def test_policy_validate_reports_non_finite_entries():
+    rule = np.array([[[0.5, 0.5], [np.nan, 1.0]], [[1.0, 0.0], [0.0, np.inf]]])
+    assert Policy(rule).validate() == [
+        "rule entry (h=0, s=1, a=0) = nan is not finite",
+        "rule entry (h=1, s=1, a=1) = inf is not finite"]
+
+
+def test_mixture_rejects_non_finite_weights():
+    # NaN fails every comparison, so these used to pass both weight checks
+    pi = Policy.uniform(1, 1, 2)
+    for weights in ((np.nan,), (np.nan, 1.0), (1.0, np.nan), (np.inf,), (np.inf, -np.inf)):
+        with pytest.raises(ValueError, match="mixture weights"):
+            MixturePolicy(tuple((w, pi) for w in weights))
+
+
 def test_policy_equality_and_hash_are_by_value():
     a = Policy.from_actions([[1, 0], [0, 1]], 2)
     b = Policy(a.rule.copy())
@@ -219,6 +267,8 @@ def test_mixture_rejects_bad_weights():
 def test_value_table_initial_reads_row_zero():
     t = ValueTable(np.array([[1.5, 2.5], [0.0, 0.0]]))
     assert t.initial(1) == 2.5
+    stacked = ValueTable(np.array([[[1.5, 2.5], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]]))
+    assert stacked.initial(1) == [2.5, 4.0]
 
 
 def test_normalize_transition_rows():
@@ -398,6 +448,130 @@ def test_load_rejects_non_integer_dimensions(tmp_path, field, value):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"field '{field}' must be an integer"):
         load_instance(path)
+
+
+@pytest.mark.parametrize("value", [True, "0.5", None, [0.5]])
+def test_load_rejects_non_number_budget(tmp_path, value):
+    m = preset("two_state_chain")
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    doc = json.loads(path.read_text())
+    doc["b"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="field 'b' must be a number"):
+        load_instance(path)
+
+
+@pytest.mark.parametrize("key, entry", [("P", "0.5"), ("r", None), ("c", True)])
+def test_load_rejects_non_number_table_entries(tmp_path, key, entry):
+    m = preset("two_state_chain")
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    doc = json.loads(path.read_text())
+    row = doc[key][0][0]
+    if key == "P":
+        row = row[0]
+    row[0] = entry
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"field '{key}' must hold numbers"):
+        load_instance(path)
+
+
+def _set_weight(value):
+    def edit(doc):
+        doc["components"][0]["weight"] = value
+    return edit
+
+
+def _drop(key, component=False):
+    def edit(doc):
+        del (doc["components"][0] if component else doc)[key]
+    return edit
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_set_weight(True), "field 'weight' must be a number"),
+    (_set_weight("1"), "field 'weight' must be a number"),
+    (_set_weight(None), "field 'weight' must be a number"),
+    (_drop("weight", component=True), "malformed policy file .*'weight'"),
+    (_drop("rule", component=True), "malformed policy file .*'rule'"),
+    (_drop("S"), "malformed policy file .*'S'"),
+    (_drop("components"), "malformed policy file .*'components'"),
+    (lambda doc: doc.update(S=True), "field 'S' must be an integer"),
+    (lambda doc: doc.update(components=3), "malformed policy file"),
+    (lambda doc: doc["components"][0]["rule"][0][0].__setitem__(0, "0.5"),
+     "field 'rule' must hold numbers"),
+], ids=["weight-true", "weight-string", "weight-null", "no-weight", "no-rule",
+        "no-S", "no-components", "S-true", "components-number", "rule-string"])
+def test_load_policy_rejects_malformed_files(tmp_path, edit, match):
+    m = preset("two_state_chain")
+    path = tmp_path / "p.json"
+    save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), m, path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_policy(path, m)
+
+
+def test_load_policy_rejects_non_object_document(tmp_path):
+    path = tmp_path / "p.json"
+    path.write_text("[1, 2, 3]")
+    with pytest.raises(ValueError, match="malformed policy file"):
+        load_policy(path, preset("two_state_chain"))
+
+
+_POLICY_JUNK = st.sampled_from([float("nan"), float("inf"), -float("inf"), True,
+                                False, "0.5", None, -0.5, 2.0, [1.0]])
+
+
+@st.composite
+def malformed_policy_docs(draw):
+    """A valid policy document for a small instance, with at most one corruption."""
+    s_, a_, h_ = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    m = random_instance(s_, a_, h_, seed=draw(st.integers(0, 100)))
+    rules = [Policy.uniform(h_, s_, a_), Policy.from_actions(np.zeros((h_, s_), int), a_)]
+    doc = json.loads(json.dumps({"S": s_, "A": a_, "H": h_, "components": [
+        {"weight": w, "rule": p.rule.tolist()} for w, p in zip((0.25, 0.75), rules)]}))
+    kind = draw(st.sampled_from(["none", "weight", "rule_entry", "missing", "shape",
+                                 "dimension", "document"]))
+    comp = doc["components"][draw(st.integers(0, 1))]
+    if kind == "weight":
+        comp["weight"] = draw(_POLICY_JUNK)
+    elif kind == "rule_entry":
+        row = comp["rule"][draw(st.integers(0, h_ - 1))][draw(st.integers(0, s_ - 1))]
+        row[draw(st.integers(0, a_ - 1))] = draw(_POLICY_JUNK)
+    elif kind == "missing":
+        key = draw(st.sampled_from(["S", "A", "H", "components", "weight", "rule"]))
+        del (comp if key in ("weight", "rule") else doc)[key]
+    elif kind == "shape":
+        how = draw(st.sampled_from(["extra_step", "ragged", "nested", "scalar"]))
+        if how == "extra_step":
+            comp["rule"].append(comp["rule"][0])
+        elif how == "ragged":
+            comp["rule"][0][0].pop()
+        else:
+            comp["rule"] = [comp["rule"]] if how == "nested" else 0.5
+    elif kind == "dimension":
+        doc[draw(st.sampled_from(["S", "A", "H"]))] = draw(st.one_of(
+            _POLICY_JUNK, st.integers(-1, 4)))
+    elif kind == "document":
+        doc = draw(st.sampled_from([[doc], "policy", 1.0, None]))
+    return m, doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=malformed_policy_docs())
+def test_malformed_policy_files_are_rejected_or_finite(tmp_path_factory, case):
+    m, doc = case
+    path = tmp_path_factory.mktemp("policy") / "p.json"
+    path.write_text(json.dumps(doc))
+    try:
+        mix = load_policy(path, m)
+    except ValueError:
+        return
+    v_r, v_c = evaluate_mixture(m, mix)
+    assert np.isfinite(v_r) and np.isfinite(v_c)
 
 
 def test_load_accepts_integral_float_dimensions(tmp_path):

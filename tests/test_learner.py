@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdplab import (EmpiricalModel, LearnerConfig, Policy, ScaleMultipliers,
+from cmdplab import (EmpiricalModel, LearnerConfig, Policy,
                      compute_bonus, derive_config, evaluate_policy, grid_index,
                      lagrangian_greedy_backup,
                      policy_value_bounds, preset, primal_dual_episode,
@@ -200,15 +200,11 @@ def test_derive_coarsest_accuracy_collapses_schedule():
     assert (cfg.dual_cap, cfg.grid_step) == (1.0, 1.0)
 
 
-def test_derive_overrides_and_multipliers():
+def test_derive_overrides():
     m = random_instance(2, 2, 4, seed=3)
     cfg = derive_config("relaxed", 0.5, 0.1, m, episodes=77, iters=5)
     assert (cfg.episodes, cfg.iters) == (77, 5)
     assert cfg.dual_cap == 8.0  # untouched fields still derived
-    half = derive_config("relaxed", 0.5, 0.1, m,
-                         multipliers=ScaleMultipliers(k=0.5, t=0.25))
-    assert half.episodes == 512
-    assert half.iters == 1024
 
 
 def test_derive_config_rejects_bad_targets():

@@ -145,10 +145,9 @@ def test_bisection_matches_brute_force(seed):
         assert sol.lambda_star >= 0.0
         assert sol.policy.weights().sum() == pytest.approx(1.0, abs=1e-12)
         # report values must be the mixture's own values
-        assert evaluate_mixture(m, m.reward, sol.policy) == pytest.approx(
-            sol.optimal_value, abs=1e-9)
-        assert evaluate_mixture(m, m.cost, sol.policy) == pytest.approx(
-            sol.optimal_cost, abs=1e-9)
+        v_r, v_c = evaluate_mixture(m, sol.policy)
+        assert v_r == pytest.approx(sol.optimal_value, abs=1e-9)
+        assert v_c == pytest.approx(sol.optimal_cost, abs=1e-9)
 
 
 def test_unconstrained_optimum_feasible_gives_zero_lambda():
@@ -200,7 +199,7 @@ def test_mixture_cost_pinned_to_budget_when_binding():
     # when the constraint binds, the optimal mixture sits exactly on it
     m = preset("two_state_chain")
     bf = brute_force_cmdp(m)
-    assert evaluate_mixture(m, m.cost, bf.policy) == pytest.approx(m.budget, abs=1e-12)
+    assert evaluate_mixture(m, bf.policy)[1] == pytest.approx(m.budget, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
