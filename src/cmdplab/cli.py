@@ -5,7 +5,8 @@ Subcommands: ``generate`` (instance files), ``solve`` (ground truth),
 a saved policy), ``report`` (re-render charts from a run directory), and
 ``suite`` (the full acceptance battery). Train options may come from a JSON
 config file; explicit flags override file values. Exit code is nonzero iff a
-requested verdict or check fails.
+requested verdict or check fails; a subcommand that fails on bad input or an
+unreadable file exits with one line, ``cmdplab <command>: <message>``.
 """
 
 import argparse
@@ -268,7 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as e:
+        raise SystemExit(f"cmdplab {args.command}: {e}") from e
 
 
 if __name__ == "__main__":

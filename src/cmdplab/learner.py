@@ -83,10 +83,18 @@ class LearnerConfig:
              grid_step, delta, mode, shift, eta=None, c1=BONUS_C1, c2=BONUS_C2,
              bonus_scale=1.0) -> "LearnerConfig":
         """Validate, round U up to the grid, and default eta = U / (H sqrt(T))."""
-        if episodes < 1 or iters < 1:
-            raise ValueError(f"episodes and iters must be >= 1, got {episodes}, {iters}")
+        for name, count in (("episodes", episodes), ("iters", iters)):
+            if isinstance(count, bool) or not float(count).is_integer() or count < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        reals = {"dual_cap": dual_cap, "grid_step": grid_step, "shift": shift,
+                 "eta": eta, "c1": c1, "c2": c2, "bonus_scale": bonus_scale}
+        for name, x in reals.items():
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if not (dual_cap > 0 and grid_step > 0):
             raise ValueError(f"dual_cap and grid_step must be positive")
+        if not math.isfinite(dual_cap / grid_step):
+            raise ValueError(f"dual_cap / grid_step = {dual_cap} / {grid_step} overflows")
         if not 0 < delta < 1:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if mode not in (RELAXED, STRICT):
@@ -160,8 +168,8 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
         k0 = s_ * a_ * h_**5 / (epsilon**2 * zeta**2)
     else:
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
-    episodes = int(episodes) if episodes is not None else max(1, math.ceil(k0))
-    iters = int(iters) if iters is not None else max(1, math.ceil(t0))
+    episodes = episodes if episodes is not None else max(1, math.ceil(k0))
+    iters = iters if iters is not None else max(1, math.ceil(t0))
     dual_cap = float(dual_cap) if dual_cap is not None else u0
     grid_step = float(grid_step) if grid_step is not None else e0
     return LearnerConfig.make(s_, a_, h_, episodes, iters, dual_cap, grid_step,

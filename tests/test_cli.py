@@ -235,6 +235,27 @@ def test_evaluate_rejects_nan_weight(tmp_path):
     doc = json.loads(path.read_text())
     doc["components"][0]["weight"] = float("nan")
     path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match="mixture weights"):
+    with pytest.raises(SystemExit, match="mixture weights"):
         main(["evaluate", "--preset", "two_state_chain", "--policy", str(path),
               "--episodes", "10"])
+
+
+def test_library_errors_exit_with_one_line(tmp_path):
+    with pytest.raises(SystemExit, match=r"^cmdplab solve: .*No such file"):
+        main(["solve", "--instance", str(tmp_path / "missing.json")])
+    with pytest.raises(SystemExit, match=r"^cmdplab train: bonus_scale must be finite"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "0.5",
+              "--bonus-scale", "nan", "--out", str(tmp_path / "run")])
+    with pytest.raises(SystemExit, match=r"^cmdplab train: dual_cap must be finite"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "0.5",
+              "--dual-cap", "inf", "--out", str(tmp_path / "run")])
+
+
+def test_evaluate_rejects_bad_episode_counts(tmp_path):
+    m = preset("two_state_chain")
+    path = tmp_path / "p.json"
+    save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), m, path)
+    for episodes in ("0", "-5"):
+        with pytest.raises(SystemExit, match="cmdplab evaluate: episodes must be >= 1"):
+            main(["evaluate", "--preset", "two_state_chain", "--policy", str(path),
+                  "--episodes", episodes])

@@ -16,7 +16,7 @@ from cmdplab import (EmpiricalModel, LearnerConfig, Policy,
                      lagrangian_greedy_backup,
                      policy_value_bounds, preset, primal_dual_episode,
                      record_transition, round_to_grid, run_learner,
-                     solve_unconstrained)
+                     slater_constant, solve_unconstrained)
 from conftest import random_instance
 
 
@@ -233,9 +233,49 @@ def test_make_validation_errors():
     good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
                 dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
     for bad in ({"episodes": 0}, {"iters": 0}, {"dual_cap": 0.0},
-                {"grid_step": -1.0}, {"delta": 1.0}, {"mode": "loose"}):
+                {"grid_step": -1.0}, {"delta": 1.0}, {"mode": "loose"},
+                {"episodes": 2.5}, {"iters": math.inf}, {"episodes": math.nan},
+                {"iters": True}, {"dual_cap": 1e300, "grid_step": 1e-300}):
         with pytest.raises(ValueError):
             LearnerConfig.make(**{**good, **bad})
+
+
+@pytest.mark.parametrize("name", ["dual_cap", "grid_step", "shift", "eta", "c1",
+                                  "c2", "bonus_scale"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_make_rejects_non_finite_options_by_name(name, value):
+    good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
+                dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LearnerConfig.make(**{**good, name: value})
+
+
+_ODD_OPTIONS = (math.nan, math.inf, -math.inf, 0.0, -1.0, True, False)
+
+
+def _option(*valid):
+    return st.sampled_from(valid + _ODD_OPTIONS)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mode=st.sampled_from(["relaxed", "strict"]), epsilon=_option(0.5, 1.0),
+       delta=_option(0.1), dual_cap=_option(None, 4.0), grid_step=_option(None, 0.25),
+       bonus_scale=_option(0.0, 0.1), episodes=_option(1, 3), iters=_option(1, 3))
+def test_train_options_are_rejected_or_run(mode, epsilon, delta, dual_cap, grid_step,
+                                           bonus_scale, episodes, iters):
+    # what the train subcommand does with its options: a config either fails
+    # with ValueError or runs to the end
+    m = preset("risky_shortcut")
+    zeta, _ = slater_constant(m)
+    try:
+        cfg = derive_config(mode, epsilon, delta, m, zeta=zeta, bonus_scale=bonus_scale,
+                            episodes=episodes, iters=iters, dual_cap=dual_cap,
+                            grid_step=grid_step)
+    except ValueError:
+        return
+    res = run_learner(m, cfg, seed=0)
+    assert len(res.episodes) == cfg.episodes <= 3
+    assert all(math.isfinite(x) for x in cfg.snapshot().values() if isinstance(x, float))
 
 
 def test_snapshot_is_complete_and_plain():

@@ -5,13 +5,16 @@ the splitmix64 generator, so any drift in the golden constant or the mixing
 function shows up as a hard failure here.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from cmdplab import (MixturePolicy, Policy, SplitMix64, episode_stream,
                      evaluate_policy, monte_carlo_value, preset,
                      sample_episode, sample_mixture_episode)
-from cmdplab.simulate import mix64
+from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw,
+                              _mix64_array, _stream_floats, mix64)
 from conftest import random_instance
 
 REF_SEQ = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -170,3 +173,120 @@ def test_monte_carlo_single_episode_has_zero_se():
                               episodes=1, seed=0)
     assert stats["reward_se"] == 0.0
     assert stats["cost_se"] == 0.0
+
+
+def test_monte_carlo_rejects_bad_episode_counts():
+    m = preset("single_state_tradeoff")
+    mix = MixturePolicy.single(Policy.uniform(1, 1, 2))
+    for episodes in (0, -5):
+        with pytest.raises(ValueError, match="episodes must be >= 1"):
+            monte_carlo_value(m, mix, episodes=episodes, seed=0)
+
+
+def test_monte_carlo_rejects_mismatched_component():
+    m = random_instance(2, 2, 3, seed=11)
+    mix = MixturePolicy(((0.5, Policy.uniform(3, 2, 2)), (0.5, Policy.uniform(3, 3, 2))))
+    with pytest.raises(ValueError, match="does not match"):
+        monte_carlo_value(m, mix, episodes=10, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# The batched Monte Carlo sampler against the one-episode-at-a-time path.
+
+
+def reference_monte_carlo(m, mix, episodes, seed):
+    """One episode at a time through sample_mixture_episode: the definition
+    the batched sampler must reproduce bit for bit."""
+    rewards = np.empty(episodes)
+    costs = np.empty(episodes)
+    for i in range(episodes):
+        _, traj = sample_mixture_episode(m, mix, episode_stream(seed, i))
+        rewards[i] = traj.total_reward
+        costs[i] = traj.total_cost
+
+    def se(x):
+        return float(x.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
+
+    return {"episodes": episodes,
+            "reward_mean": float(rewards.mean()), "reward_se": se(rewards),
+            "cost_mean": float(costs.mean()), "cost_se": se(costs)}
+
+
+def random_mixture(m, components, seed):
+    """Stochastic rules with some zero entries (never a whole row), random weights."""
+    rng = np.random.default_rng(seed)
+    shape = (m.horizon, m.num_states, m.num_actions)
+    comps = []
+    for w in rng.dirichlet(np.ones(components)):
+        rule = rng.uniform(size=shape) * (rng.uniform(size=shape) > 0.3)
+        rule[..., 0] += 1e-3
+        comps.append((w, Policy(rule / rule.sum(axis=2, keepdims=True))))
+    return MixturePolicy(tuple(comps))
+
+
+@pytest.mark.parametrize("dims, components, episodes", [
+    ((2, 2, 2), 1, 1),
+    ((3, 2, 3), 2, 2),
+    ((4, 3, 5), 3, _BLOCK - 1),
+    ((2, 3, 4), 1, _BLOCK),
+    ((5, 2, 3), 2, _BLOCK + 1),
+    ((3, 3, 2), 3, 2 * _BLOCK + 7),
+])
+def test_batched_monte_carlo_matches_reference_loop(dims, components, episodes):
+    s_, a_, h_ = dims
+    m = random_instance(s_, a_, h_, seed=episodes + components)
+    mix = random_mixture(m, components, seed=31 * episodes)
+    for seed in (0, -3):
+        assert (monte_carlo_value(m, mix, episodes, seed)
+                == reference_monte_carlo(m, mix, episodes, seed))
+
+
+def test_batched_monte_carlo_matches_reference_on_zero_transitions():
+    # two_state_chain has 0/1 kernel rows: every successor draw sits on a
+    # row with a zero-probability entry
+    m = preset("two_state_chain")
+    mix = random_mixture(m, 2, seed=4)
+    assert (monte_carlo_value(m, mix, 300, 9)
+            == reference_monte_carlo(m, mix, 300, 9))
+
+
+def test_array_finalizer_reproduces_reference_streams():
+    steps = np.array([(j + 1) * _GOLDEN & _MASK for j in range(3)], dtype=np.uint64)
+    assert tuple(int(z) for z in _mix64_array(steps)) == REF_SEQ
+    for seed, start in ((0, 0), (42, 1000), (-7, 5), (2**64 - 1, 3)):
+        got = _stream_floats(seed, start, 4, 5)
+        for i in range(4):
+            rng = episode_stream(seed, start + i)
+            assert got[i].tolist() == [rng.next_float() for _ in range(5)]
+
+
+def test_vectorised_draw_matches_categorical():
+    rows = [
+        [0.25, 0.25, 0.5],  # exact cut points
+        [0.3, 0.3, 0.3999],  # deficient: sums below 1 within PROB_TOL
+        [0.5, 0.49999, 0.0],  # deficient with a zero-probability tail
+        [0.0, 0.3, 0.0, 0.0],
+        [0.0, 0.0],  # no mass at all: categorical falls back to index 0
+        [1.0],
+        [0.1, 0.2, 0.3, 0.4],  # 0.1 + 0.2 rounds above 0.3
+    ]
+    uniforms = [0.0, 0.1, 0.2499, 0.25, 0.3, 0.30000000000000004, 0.5,
+                0.59, 0.6, 0.99999999, 0.9999, 1.0 - 2.0**-53]
+    uniforms += np.random.default_rng(0).uniform(size=50).tolist()
+    for row in rows:
+        cdf, last = _cdf_table(row)
+        got = _draw(cdf, last, np.array(uniforms))
+        want = [SplitMix64.categorical(_Scripted([u]), row) for u in uniforms]
+        assert got.tolist() == want, row
+
+
+def test_cdf_tables_draw_per_row():
+    # stacked (rows, k) tables: each episode looks up its own row
+    probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.0, 0.79999]])
+    cdf, last = _cdf_table(probs)
+    assert last.tolist() == [1, 2, 2]
+    pick = np.array([0, 1, 2, 2, 0])
+    u = np.array([0.7, 0.1, 0.1, 1.0 - 2.0**-53, 0.2])
+    got = _draw(cdf[pick], last[pick], u)
+    want = [SplitMix64.categorical(_Scripted([x]), probs[r]) for r, x in zip(pick, u)]
+    assert got.tolist() == want == [1, 2, 0, 2, 0]
