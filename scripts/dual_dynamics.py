@@ -43,17 +43,20 @@ def main():
         if k % step and k != args.episodes - 1:
             continue
         v_r, v_c = evaluate_mixture(m, log.mixture)
-        print(f"{k:>8} {log.lambda_trace.mean():>12.4f} "
-              f"{log.lambda_trace[-1]:>12.4f} {v_c:>10.4f} {v_r:>11.4f}")
+        lam = log.walk.trace(log.walk.lam)
+        print(f"{k:>8} {lam.mean():>12.4f} "
+              f"{lam[-1]:>12.4f} {v_c:>10.4f} {v_r:>11.4f}")
 
-    lam_final = res.episodes[-1].lambda_trace.mean()
+    last = res.episodes[-1].walk
+    lam_final = last.trace(last.lam).mean()
     v_r, v_c = evaluate_mixture(m, res.final_policy)
     print(f"\nfinal averaged mixture: V_r = {v_r:.4f} (V* = "
           f"{exact.optimal_value:.4f}), V_c = {v_c:.4f} (b = {m.budget})")
     print(f"episode-mean lambda = {lam_final:.4f} vs exact lambda* = "
           f"{exact.lambda_star:.4f} (gap {abs(lam_final - exact.lambda_star):.4f})")
-    grid = np.round(res.episodes[-1].lambda_trace / cfg.grid_step)
-    assert np.allclose(grid * cfg.grid_step, res.episodes[-1].lambda_trace)
+    lam = np.array([x for log in res.episodes for x in log.walk.lam])
+    grid = np.round(lam / cfg.grid_step)
+    assert np.allclose(grid * cfg.grid_step, lam)
     print("all dual iterates sit on the grid, as they should")
 
 

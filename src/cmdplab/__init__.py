@@ -14,7 +14,7 @@ from .generate import GenSpec, GenerationError, generate, preset, preset_names
 from .harness import (RunRecord, Row, Verdict, check_final_policy,
                       compute_metrics, emit_report, read_run_csv,
                       render_charts, write_run_csv)
-from .learner import (RELAXED, STRICT, EmpiricalModel, EpisodeLog,
+from .learner import (RELAXED, STRICT, DualWalk, EmpiricalModel, EpisodeLog,
                       LearnerConfig, LearnerResult, compute_bonus,
                       derive_config, grid_index, lagrangian_greedy_backup,
                       policy_value_bounds, primal_dual_episode,

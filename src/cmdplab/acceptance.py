@@ -136,8 +136,7 @@ def check_dual_regret_bound():
             b_prime = cfg.b_prime(m.budget)
             res = run_learner(m, cfg, seed=17)
             for ep in res.episodes:
-                lam = np.asarray(ep.lambda_trace)
-                vc = np.asarray(ep.vc_trace)
+                lam, vc = ep.walk.trace(ep.walk.lam), ep.walk.trace(ep.walk.vc)
                 for lam_ref in (0.0, cfg.dual_cap):
                     val = float(np.mean((lam - lam_ref) * (b_prime - vc)))
                     worst = max(worst, val - bound)
@@ -219,7 +218,7 @@ def check_dual_variable_bounds():
                                 bonus_scale=0.0, episodes=20, iters=20)
             res = run_learner(m, cfg, seed=i)
             for ep in res.episodes:
-                lam = np.asarray(ep.lambda_trace)
+                lam = np.asarray(ep.walk.lam)  # the distinct iterates
                 if np.any(lam < -1e-15) or np.any(lam > cfg.dual_cap + 1e-15):
                     return False, f"dual iterate escaped [0, U] on seed {i}"
                 steps = lam / cfg.grid_step
@@ -380,7 +379,7 @@ def run_checks(names=None):
     if names:
         missing = [n for n in names if n not in table]
         if missing:
-            raise KeyError(f"unknown checks: {missing}; "
+            raise ValueError(f"unknown checks: {missing}; "
                            f"available: {sorted(table)}")
         picked = [table[n] for n in names]
     else:

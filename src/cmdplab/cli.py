@@ -17,6 +17,8 @@ import sys
 
 from .acceptance import run_checks
 from .core import (
+    _float_field,
+    _int_field,
     _mixture_json,
     evaluate_mixture,
     instance_hash,
@@ -95,24 +97,39 @@ def cmd_solve(args) -> int:
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "mode": "relaxed", "epsilon": None, "delta": 0.1, "episodes": None,
-    "iters": None, "dual_cap": None, "grid_step": None, "bonus_scale": 1.0,
-    "seed": 0, "eval_every": 1, "timing": False,
+# long option name -> (type of a config-file value, default)
+_TRAIN_OPTIONS = {
+    "mode": (str, "relaxed"), "epsilon": (float, None), "delta": (float, 0.1),
+    "episodes": (int, None), "iters": (int, None), "dual_cap": (float, None),
+    "grid_step": (float, None), "bonus_scale": (float, 1.0), "seed": (int, 0),
+    "eval_every": (int, 1), "timing": (bool, False),
 }
 
 
 def _merge_train_options(args):
-    """Flag > config-file > default, keyed by the long option names."""
+    """Flag > config-file > default, keyed by the long option names. The file
+    holds a JSON object; integers and numbers are read like instance fields,
+    and a string or boolean option takes only a JSON string or boolean."""
     from_file = {}
     if args.config:
         with open(args.config) as f:
-            from_file = json.load(f)
-        unknown = set(from_file) - set(_TRAIN_DEFAULTS)
+            doc = json.load(f)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        unknown = set(doc) - set(_TRAIN_OPTIONS)
         if unknown:
             raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+        for key, x in doc.items():
+            kind = _TRAIN_OPTIONS[key][0]
+            if kind in (int, float):
+                from_file[key] = (_int_field if kind is int else _float_field)(doc, key)
+            elif type(x) is kind:
+                from_file[key] = x
+            else:
+                raise ValueError(f"field {key!r} must be a JSON "
+                                 f"{'boolean' if kind is bool else 'string'}, got {x!r}")
     merged = {}
-    for key, default in _TRAIN_DEFAULTS.items():
+    for key, (_, default) in _TRAIN_OPTIONS.items():
         flag = getattr(args, key)
         merged[key] = flag if flag is not None else from_file.get(key, default)
     return merged
@@ -125,17 +142,16 @@ def cmd_train(args) -> int:
         raise SystemExit("--epsilon is required (flag or config file)")
     zeta, _ = slater_constant(m)
     cfg = derive_config(
-        opt["mode"], float(opt["epsilon"]), float(opt["delta"]), m, zeta=zeta,
-        bonus_scale=float(opt["bonus_scale"]),
+        opt["mode"], opt["epsilon"], opt["delta"], m, zeta=zeta,
+        bonus_scale=opt["bonus_scale"],
         episodes=opt["episodes"], iters=opt["iters"],
         dual_cap=opt["dual_cap"], grid_step=opt["grid_step"])
-    res = run_learner(m, cfg, seed=int(opt["seed"]),
-                      measure_time=bool(opt["timing"]))
+    res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
     exact = solve_cmdp_exact(m)
     record = compute_metrics(m, exact, res.episodes, config=cfg,
-                             seed=res.seed, eval_every=int(opt["eval_every"]))
+                             seed=res.seed, eval_every=opt["eval_every"])
     verdict = check_final_policy(m, exact, res.final_policy,
-                                 float(opt["epsilon"]), opt["mode"])
+                                 opt["epsilon"], opt["mode"])
     paths = emit_report(record, args.out, verdicts=[verdict],
                         charts=not args.no_charts)
     policy_path = os.path.join(args.out, "policy.json")

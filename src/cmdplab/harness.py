@@ -128,7 +128,7 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
             v_c_true=float(v_c[i]),
             regret_cum=float(regret),
             cv_cum=float(max(0.0, violation_sum)),
-            lambda_mean=float(np.mean(log.lambda_trace)),
+            lambda_mean=float(np.mean(log.walk.trace(log.walk.lam))),
             model_updates_cum=int(log.model_updates_cum),
             wall_ms=float(log.wall_ms),
             interpolated=not bool(evaluated[i]),

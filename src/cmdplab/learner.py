@@ -5,10 +5,13 @@ the primal step does one greedy backward induction on the Lagrangian stage
 (optimistic reward minus lambda times pessimistic cost), and the dual step
 moves lambda by eta * (pessimistic cost value - shifted budget), projected
 onto a finite grid {0, eps1, 2*eps1, ..., U} and carried as the grid index
-i (lambda = i * eps1). The episode's behavior policy is the uniform mixture
-of the T greedy policies; one trajectory is sampled from it and folded into
-the counts. The final policy weights each distinct greedy policy by the
-iterations it was played / (K T).
+i (lambda = i * eps1). With the model fixed the next index depends only on
+the current one, so the walk from index 0 is a prefix and then a cycle: it
+runs once, one backup per distinct index, and the T iterations become visit
+counts; an episode whose model did not change replays the previous walk. The
+behavior policy mixes the greedy policies by visits / T; one trajectory is
+sampled from it and folded into the counts. The final policy weights each
+distinct greedy policy by the iterations it was played / (K T).
 
 Confidence bonuses are Bernstein-style:
 
@@ -39,6 +42,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,31 +147,36 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
     formulas.
     """
     s_, a_, h_ = m.num_states, m.num_actions, m.horizon
-    if mode == RELAXED:
-        if not 0 < epsilon <= h_:
-            raise ValueError(f"relaxed mode needs 0 < epsilon <= H, got {epsilon}")
-        t0 = h_**4 / epsilon**4
-        u0 = h_ / epsilon
-        e0 = epsilon**3 / h_**3
-        shift = epsilon / 2.0
-        k0 = s_ * a_ * h_**3 / epsilon**2
-    elif mode == STRICT:
-        if zeta is None:
-            raise ValueError("strict mode needs the instance's budget slack zeta")
-        if not zeta > 0:
-            raise ValueError(f"strict mode needs zeta > 0, got {zeta}")
-        if not 0 < epsilon <= h_ - zeta:
-            raise ValueError(
-                f"strict mode needs 0 < epsilon <= H - zeta = {h_ - zeta}, got {epsilon}")
-        t0 = h_**6 / (zeta**4 * epsilon**2)
-        u0 = h_**2 / (zeta * (h_ - epsilon))
-        e0 = epsilon**2 * zeta**2 / h_**4
-        shift = zeta * epsilon / (2.0 * h_)
-        if not shift < zeta:  # pragma: no cover - implied by epsilon < 2H
-            raise ValueError(f"shift {shift} must stay below zeta {zeta}")
-        k0 = s_ * a_ * h_**5 / (epsilon**2 * zeta**2)
-    else:
-        raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
+    try:
+        if mode == RELAXED:
+            if not 0 < epsilon <= h_:
+                raise ValueError(f"relaxed mode needs 0 < epsilon <= H, got {epsilon}")
+            t0 = h_**4 / epsilon**4
+            u0 = h_ / epsilon
+            e0 = epsilon**3 / h_**3
+            shift = epsilon / 2.0
+            k0 = s_ * a_ * h_**3 / epsilon**2
+        elif mode == STRICT:
+            if zeta is None:
+                raise ValueError("strict mode needs the instance's budget slack zeta")
+            if not zeta > 0:
+                raise ValueError(f"strict mode needs zeta > 0, got {zeta}")
+            if not 0 < epsilon <= h_ - zeta:
+                raise ValueError(
+                    f"strict mode needs 0 < epsilon <= H - zeta = {h_ - zeta}, got {epsilon}")
+            t0 = h_**6 / (zeta**4 * epsilon**2)
+            u0 = h_**2 / (zeta * (h_ - epsilon))
+            e0 = epsilon**2 * zeta**2 / h_**4
+            shift = zeta * epsilon / (2.0 * h_)
+            if not shift < zeta:  # pragma: no cover - implied by epsilon < 2H
+                raise ValueError(f"shift {shift} must stay below zeta {zeta}")
+            k0 = s_ * a_ * h_**5 / (epsilon**2 * zeta**2)
+        else:
+            raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
+    except ZeroDivisionError:  # a power of epsilon underflowed to 0
+        t0 = u0 = e0 = shift = k0 = math.inf
+    if not all(0 < x < math.inf for x in (t0, u0, e0, shift, k0)):
+        raise ValueError(f"epsilon={epsilon} puts a rate formula out of range (0, inf)")
     episodes = episodes if episodes is not None else max(1, math.ceil(k0))
     iters = iters if iters is not None else max(1, math.ceil(t0))
     dual_cap = float(dual_cap) if dual_cap is not None else u0
@@ -329,36 +338,48 @@ def round_to_grid(lam_raw: float, grid_step: float, cap: float) -> float:
     return grid_index(lam_raw, grid_step, cap) * grid_step
 
 
+class DualWalk(NamedTuple):
+    """An episode's dual walk: the multiplier, pessimistic cost value and visit
+    count of each distinct grid index in first-visit order (the counts sum to
+    T), and the position where the cycle starts (len(lam) if none within T)."""
+
+    lam: tuple
+    vc: tuple
+    counts: tuple
+    cycle_start: int
+
+    def trace(self, values) -> np.ndarray:
+        """Per-iteration values: the prefix, then the cycle tiled and cut to T."""
+        t = np.arange(sum(self.counts))
+        j, period = self.cycle_start, len(self.counts) - self.cycle_start
+        return np.asarray(values)[np.where(t < j, t, j + (t - j) % max(period, 1))]
+
+
 def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
-                        b_prime: float, cache: dict | None = None):
+                        b_prime: float):
     """Run the T inner primal-dual iterations against the fixed model.
 
-    Returns (mixture of the T greedy policies, lambda trace, trace of the
-    pessimistic cost values the dual saw); the mixture has one component per
-    visited grid index, weighted by visits / T. `cache` memoizes backups by
-    grid index (valid until the model changes), so repeated iterations
-    collapse to dictionary hits.
+    The walk starts at grid index 0 and stops at the first repeated index or
+    after T distinct ones, with one backup per distinct index; the remaining
+    iterations go round the cycle and are counted, not run. Returns (mixture,
+    DualWalk); the mixture has one component per visited index, in first-visit
+    order, weighted by visits / T.
     """
-    if cache is None:
-        cache = {}
-    lam_trace = np.empty(cfg.iters)
-    vc_trace = np.empty(cfg.iters)
-    visits: dict = {}
+    seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
-    for t in range(cfg.iters):
+    while i not in seen and len(seen) < cfg.iters:
         lam = i * cfg.grid_step
-        hit = cache.get(i)
-        if hit is None:
-            hit = cache[i] = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
-        v_c_hat = float(hit[2].values[0, initial_state])
-        lam_trace[t] = lam
-        vc_trace[t] = v_c_hat
-        visits[i] = visits.get(i, 0) + 1
-        i = grid_index(lam + cfg.eta * (v_c_hat - b_prime), cfg.grid_step,
-                       cfg.dual_cap)
+        pi, _, vc = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+        v_c = float(vc.values[0, initial_state])
+        seen[i] = (lam, pi, v_c)
+        i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
+    start = list(seen).index(i) if i in seen else len(seen)
+    counts = tuple(1 if j < start else (cfg.iters - 1 - j) // (len(seen) - start) + 1
+                   for j in range(len(seen)))
+    lams, policies, vcs = zip(*seen.values())
     mixture = MixturePolicy(tuple(
-        (n / cfg.iters, cache[j][0]) for j, n in visits.items()))
-    return mixture, lam_trace, vc_trace
+        (n / cfg.iters, pi) for n, pi in zip(counts, policies)))
+    return mixture, DualWalk(lams, vcs, counts, start)
 
 
 # ---------------------------------------------------------------------------
@@ -367,13 +388,12 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
 
 @dataclass
 class EpisodeLog:
-    """Per-episode artifacts: the behavior mixture, the dual traces, cumulative
+    """Per-episode artifacts: the behavior mixture, the dual walk, cumulative
     model rebuilds, and (when timing is on) wall time in milliseconds."""
 
     episode: int
     mixture: MixturePolicy
-    lambda_trace: np.ndarray
-    vc_trace: np.ndarray
+    walk: DualWalk
     model_updates_cum: int
     wall_ms: float
 
@@ -410,26 +430,24 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     if b_prime <= 0:
         raise ValueError(f"shifted budget b'={b_prime} must be positive")
     model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
-    cache: dict = {}
     logs = []
     plays: dict = {}  # Policy -> iterations it was played, over all episodes
+    touched = True  # an episode replans only after a row rebuild
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
-        mixture, lam_trace, vc_trace = primal_dual_episode(
-            model, env.reward, env.cost, env.initial_state, cfg, b_prime, cache)
+        if touched:
+            mixture, walk = primal_dual_episode(
+                model, env.reward, env.cost, env.initial_state, cfg, b_prime)
         rng = episode_stream(seed, k)
         _, traj = sample_mixture_episode(env, mixture, rng)
         touched = False
         for step in traj.steps:
-            if record_transition(model, step.h, step.state, step.action, step.next_state):
-                touched = True
-        if touched:
-            cache.clear()
-        for w, p in mixture.components:
-            plays[p] = plays.get(p, 0) + round(w * cfg.iters)  # w = n / T exactly
+            touched |= record_transition(model, step.h, step.state, step.action,
+                                         step.next_state)
+        for (_, p), n in zip(mixture.components, walk.counts):
+            plays[p] = plays.get(p, 0) + n
         wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0
-        logs.append(EpisodeLog(k, mixture, lam_trace, vc_trace,
-                               int(model.counts.epochs.sum()), wall))
+        logs.append(EpisodeLog(k, mixture, walk, int(model.counts.epochs.sum()), wall))
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
     return LearnerResult(final, logs, model, cfg, seed)

@@ -103,7 +103,8 @@ def test_train_writes_report_and_policy(tmp_path, capsys):
 
 def test_train_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "train.json"
-    cfg.write_text(json.dumps({"epsilon": 0.5, "episodes": 100, "iters": 5}))
+    cfg.write_text(json.dumps({"epsilon": 0.5, "episodes": 100, "iters": 5.0,
+                               "seed": 4, "timing": False}))
     out_dir = tmp_path / "run"
     code, doc = json_out(capsys, "train", "--preset", "two_state_chain",
                          "--config", str(cfg), "--episodes", "30",
@@ -111,6 +112,7 @@ def test_train_config_file_and_flag_precedence(tmp_path, capsys):
     assert doc["episodes"] == 30  # flag beats file
     summary = json.loads((out_dir / "summary.json").read_text())
     assert summary["config"]["iters"] == 5  # file beats derived default
+    assert summary["seed"] == 4
     assert not (out_dir / "regret.svg").exists()
 
 
@@ -120,6 +122,32 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     with pytest.raises(SystemExit, match="unknown config keys"):
         main(["train", "--preset", "two_state_chain", "--config", str(cfg),
               "--out", "unused"])
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"epsilon": 0.5, "episodes": "5"}, "field 'episodes' must be an integer"),
+    ({"epsilon": 0.5, "iters": True}, "field 'iters' must be an integer"),
+    ({"epsilon": 0.5, "seed": 1.7}, "field 'seed' must be an integer"),
+    ({"epsilon": 0.5, "eval_every": None}, "field 'eval_every' must be an integer"),
+    ({"epsilon": "0.5"}, "field 'epsilon' must be a number"),
+    ({"epsilon": 0.5, "delta": None}, "field 'delta' must be a number"),
+    ({"epsilon": 0.5, "dual_cap": [4]}, "field 'dual_cap' must be a number"),
+    ({"epsilon": 0.5, "grid_step": True}, "field 'grid_step' must be a number"),
+    ({"epsilon": 0.5, "bonus_scale": "0"}, "field 'bonus_scale' must be a number"),
+    ({"epsilon": 0.5, "timing": "no"}, "field 'timing' must be a JSON boolean"),
+    ({"epsilon": 0.5, "mode": 1}, "field 'mode' must be a JSON string"),
+    ([0.5], "must hold a JSON object"),
+])
+def test_train_rejects_mistyped_config_values(tmp_path, doc, match):
+    # "5" escaped as a TypeError, seed 1.7 ran as seed 1, and "no" turned
+    # timing on
+    cfg = tmp_path / "train.json"
+    cfg.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit, match=f"^cmdplab train: .*{match}") as err:
+        main(["train", "--preset", "two_state_chain", "--config", str(cfg),
+              "--out", str(tmp_path / "run")])
+    assert "\n" not in str(err.value)
+    assert not (tmp_path / "run").exists()
 
 
 def test_train_requires_epsilon(capsys):
@@ -223,7 +251,7 @@ def test_suite_subset_runs_fast_checks(capsys):
 
 
 def test_suite_unknown_check_name(capsys):
-    with pytest.raises(KeyError):
+    with pytest.raises(SystemExit, match="unknown checks"):
         main(["suite", "--only", "no-such-check"])
 
 
@@ -249,6 +277,10 @@ def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab train: dual_cap must be finite"):
         main(["train", "--preset", "two_state_chain", "--epsilon", "0.5",
               "--dual-cap", "inf", "--out", str(tmp_path / "run")])
+    # epsilon**4 underflows to 0; this escaped as ZeroDivisionError
+    with pytest.raises(SystemExit, match=r"^cmdplab train: epsilon=1e-100 puts a rate"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "1e-100",
+              "-K", "2", "-T", "2", "--out", str(tmp_path / "run")])
 
 
 def test_evaluate_rejects_bad_episode_counts(tmp_path):

@@ -9,12 +9,12 @@ mental arithmetic.
 import filecmp
 import json
 
-import numpy as np
 import pytest
 
-from cmdplab import (EpisodeLog, MixturePolicy, Policy, check_final_policy,
-                     compute_metrics, emit_report, preset, read_run_csv,
-                     render_charts, solve_cmdp_exact, write_run_csv)
+from cmdplab import (DualWalk, EpisodeLog, MixturePolicy, Policy,
+                     check_final_policy, compute_metrics, emit_report, preset,
+                     read_run_csv, render_charts, solve_cmdp_exact,
+                     write_run_csv)
 from cmdplab.harness import CSV_COLUMNS
 
 
@@ -26,8 +26,7 @@ def chain():
 
 def log_stream(policies, lam=0.0):
     return [EpisodeLog(episode=i, mixture=MixturePolicy.single(p),
-                       lambda_trace=np.array([lam, lam]),
-                       vc_trace=np.array([0.0, 0.0]),
+                       walk=DualWalk((lam,), (0.0,), (2,), 0),
                        model_updates_cum=i + 1, wall_ms=0.0)
             for i, p in enumerate(policies)]
 
@@ -46,7 +45,7 @@ def engage_policy():
 
 def test_optimal_mixture_has_zero_regret_and_violation(chain):
     m, exact = chain
-    logs = [EpisodeLog(i, exact.policy, np.array([0.5]), np.array([0.6]), 0, 0.0)
+    logs = [EpisodeLog(i, exact.policy, DualWalk((0.5,), (0.6,), (1,), 0), 0, 0.0)
             for i in range(6)]
     rec = compute_metrics(m, exact, logs)
     assert len(rec.rows) == 6
@@ -82,7 +81,7 @@ def test_violation_uses_positive_part_of_running_sum(chain):
 def test_lambda_mean_and_update_columns(chain):
     m, exact = chain
     logs = [EpisodeLog(0, MixturePolicy.single(safe_policy()),
-                       np.array([0.0, 0.5, 1.0]), np.array([0.0]), 7, 3.25)]
+                       DualWalk((0.0, 0.5, 1.0), (0.0, 0.0, 0.0), (1, 1, 1), 3), 7, 3.25)]
     rec = compute_metrics(m, exact, logs)
     assert rec.rows[0].lambda_mean == 0.5
     assert rec.rows[0].model_updates_cum == 7

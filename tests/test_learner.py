@@ -17,6 +17,7 @@ from cmdplab import (EmpiricalModel, LearnerConfig, Policy,
                      policy_value_bounds, preset, primal_dual_episode,
                      record_transition, round_to_grid, run_learner,
                      slater_constant, solve_unconstrained)
+import cmdplab.learner as learner
 from conftest import random_instance
 
 
@@ -219,6 +220,10 @@ def test_derive_config_rejects_bad_targets():
         derive_config("strict", 1.8, 0.1, m, zeta=0.5)  # eps > H - zeta
     with pytest.raises(ValueError):
         derive_config("soft", 1.0, 0.1, m)
+    for mode, eps in (("relaxed", 1e-100), ("relaxed", 5e-324), ("strict", 5e-324)):
+        # a power of epsilon underflows to 0 even when K and T are given
+        with pytest.raises(ValueError, match="epsilon"):
+            derive_config(mode, eps, 0.1, m, zeta=0.5, episodes=2, iters=2)
 
 
 def test_make_rounds_cap_up_to_grid():
@@ -258,7 +263,8 @@ def _option(*valid):
 
 
 @settings(max_examples=200, deadline=None)
-@given(mode=st.sampled_from(["relaxed", "strict"]), epsilon=_option(0.5, 1.0),
+@given(mode=st.sampled_from(["relaxed", "strict"]),
+       epsilon=_option(0.5, 1.0, 1e-100, 5e-324),  # tiny ones underflow epsilon**4
        delta=_option(0.1), dual_cap=_option(None, 4.0), grid_step=_option(None, 0.25),
        bonus_scale=_option(0.0, 0.1), episodes=_option(1, 3), iters=_option(1, 3))
 def test_train_options_are_rejected_or_run(mode, epsilon, delta, dual_cap, grid_step,
@@ -418,10 +424,10 @@ def test_empty_model_episode_keeps_dual_at_zero():
     m = preset("two_state_chain")
     cfg = exact_log_config(iters=25)
     model = EmpiricalModel.empty(2, 2, 2)
-    mix, lam_trace, vc_trace = primal_dual_episode(
+    mix, walk = primal_dual_episode(
         model, m.reward, m.cost, m.initial_state, cfg, b_prime=0.65)
-    assert lam_trace.tolist() == [0.0] * 25
-    assert vc_trace.tolist() == [0.0] * 25
+    assert walk.trace(walk.lam).tolist() == [0.0] * 25
+    assert walk.trace(walk.vc).tolist() == [0.0] * 25
     assert [w for w, _ in mix.components] == [1.0]  # identical iterates merge
 
 
@@ -430,8 +436,9 @@ def test_dual_iterates_live_on_the_grid():
     cfg = exact_log_config(bonus_scale=0.0, iters=60, dual_cap=2.0,
                            grid_step=0.125, eta=0.25)
     model = EmpiricalModel.from_kernel(m.transition)
-    _, lam_trace, _ = primal_dual_episode(
+    _, walk = primal_dual_episode(
         model, m.reward, m.cost, m.initial_state, cfg, b_prime=0.45)
+    lam_trace = walk.trace(walk.lam)
     assert np.all(lam_trace >= 0.0)
     assert np.all(lam_trace <= 2.0)
     steps = lam_trace / 0.125
@@ -444,12 +451,87 @@ def test_backup_cache_is_reused_and_consistent():
     cfg = exact_log_config(bonus_scale=0.0, iters=30, dual_cap=2.0,
                            grid_step=0.125, eta=0.25)
     model = EmpiricalModel.from_kernel(m.transition)
-    cache = {}
-    out1 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45, cache)
-    assert set(cache) <= set(range(17))
-    out2 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45, cache)
-    assert np.array_equal(out1[1], out2[1])
-    assert np.array_equal(out1[2], out2[2])
+    mix1, walk1 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45)
+    assert {round(lam / 0.125) for lam in walk1.lam} <= set(range(17))
+    mix2, walk2 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45)
+    assert walk1 == walk2
+    assert mix1.components == mix2.components
+
+
+def _reference_episode(model, reward, cost, initial_state, cfg, b_prime):
+    """The one-step-per-iteration loop the orbit walk replaced: T dual steps,
+    backups memoized by grid index. Returns ([(visits, policy)] in
+    first-visit order, lambda trace, v_c trace)."""
+    cache, visits = {}, {}
+    lam_trace, vc_trace = np.empty(cfg.iters), np.empty(cfg.iters)
+    i = 0
+    for t in range(cfg.iters):
+        lam = i * cfg.grid_step
+        if i not in cache:
+            cache[i] = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+        v_c = float(cache[i][2].values[0, initial_state])
+        lam_trace[t], vc_trace[t] = lam, v_c
+        visits[i] = visits.get(i, 0) + 1
+        i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
+    return [(n, cache[j][0]) for j, n in visits.items()], lam_trace, vc_trace
+
+
+def _assert_walk_matches_reference(model, m, cfg, b_prime):
+    mix, walk = primal_dual_episode(model, m.reward, m.cost, m.initial_state,
+                                    cfg, b_prime)
+    plays, lam_trace, vc_trace = _reference_episode(
+        model, m.reward, m.cost, m.initial_state, cfg, b_prime)
+    assert walk.trace(walk.lam).tobytes() == lam_trace.tobytes()
+    assert walk.trace(walk.vc).tobytes() == vc_trace.tobytes()
+    assert np.mean(walk.trace(walk.lam)) == np.mean(lam_trace)
+    assert walk.counts == tuple(n for n, _ in plays)
+    assert [p for _, p in mix.components] == [p for _, p in plays]
+    assert [w for w, _ in mix.components] == [n / cfg.iters for n, _ in plays]
+    assert len(set(walk.lam)) == len(walk.lam)  # one entry per distinct index
+    return walk
+
+
+# (eta, grid_step, T) on two_state_chain with b' = 0.45, and the walk shape
+# each gives: (prefix length, period); period 0 = no repeat within T
+_CHAIN_WALKS = {
+    "oscillating": (1.0, 0.25, 60, (0, 2)),
+    "period_5_T_not_multiple": (2.0, 0.125, 61, (0, 5)),
+    "prefix_then_odd_remainder": (0.25, 0.125, 60, (3, 2)),
+    "T_shorter_than_prefix": (0.25, 0.125, 2, (2, 0)),
+    "T_is_1": (0.25, 0.125, 1, (1, 0)),
+    "fixed_point": (0.25, 0.5, 60, (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CHAIN_WALKS))
+def test_walk_matches_reference_loop_on_chain(case):
+    eta, step, iters, (prefix, period) = _CHAIN_WALKS[case]
+    m = preset("two_state_chain")
+    cfg = LearnerConfig.make(2, 2, 2, episodes=1, iters=iters, dual_cap=2.0,
+                             grid_step=step, delta=0.1, mode="relaxed",
+                             shift=0.0, eta=eta, bonus_scale=0.0)
+    walk = _assert_walk_matches_reference(
+        EmpiricalModel.from_kernel(m.transition), m, cfg, 0.45)
+    assert (walk.cycle_start, len(walk.lam) - walk.cycle_start) == (prefix, period)
+    assert sum(walk.counts) == iters
+
+
+@pytest.mark.parametrize("iters", [1, 2, 5, 37])
+def test_walk_matches_reference_loop_on_random_instances(iters):
+    shapes = set()
+    for seed in range(6):
+        m = random_instance(4, 3, 4, seed)
+        model = EmpiricalModel.from_kernel(m.transition, batch_size=50)
+        for eta in (0.3, 1.0):
+            for b_prime in (1.0, 1.5):
+                cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters,
+                                         dual_cap=4.0, grid_step=0.0625,
+                                         delta=0.1, mode="relaxed", shift=0.0,
+                                         eta=eta, bonus_scale=0.0)
+                walk = _assert_walk_matches_reference(model, m, cfg, b_prime)
+                shapes.add((walk.cycle_start > 0, len(walk.lam) > walk.cycle_start))
+    if iters == 37:  # prefixes, cycles and walks that never close all occur
+        assert shapes == {(True, True), (False, True), (True, False)}
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +552,7 @@ def test_run_learner_is_bit_reproducible():
     r2 = run_learner(m, cfg, seed=42)
     assert len(r1.episodes) == 30
     for a, b in zip(r1.episodes, r2.episodes):
-        assert np.array_equal(a.lambda_trace, b.lambda_trace)
-        assert np.array_equal(a.vc_trace, b.vc_trace)
+        assert a.walk == b.walk
         assert a.model_updates_cum == b.model_updates_cum
     assert np.array_equal(r1.final_policy.weights(), r2.final_policy.weights())
     assert np.array_equal(r1.model.kernel, r2.model.kernel)
@@ -517,6 +598,28 @@ def test_run_learner_final_mixture_merges_equal_policies():
     assert len(set(keys)) == len(keys) == len(plays)
     for w, p in final:
         assert w == plays[p.rule.tobytes()] / (60 * 20)
+
+
+@pytest.mark.parametrize("episodes, iters, backups", [(200, 20, 344), (2000, 100, 671)])
+def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters, backups):
+    # the backup counts are those of the one-step loop with a per-index cache
+    # cleared on every row rebuild; an episode after one without a rebuild
+    # replays the previous walk and plans nothing
+    m = preset("two_state_chain")
+    zeta, _ = slater_constant(m)
+    cfg = derive_config("relaxed", 0.1, 0.1, m, zeta=zeta, bonus_scale=0.0,
+                        episodes=episodes, iters=iters, dual_cap=4.0,
+                        grid_step=0.00390625)
+    original, calls = learner.lagrangian_greedy_backup, []
+    monkeypatch.setattr(learner, "lagrangian_greedy_backup",
+                        lambda *args: calls.append(1) or original(*args))
+    res = run_learner(m, cfg, seed=1)
+    assert len(calls) == backups
+    prev = [0] + [log.model_updates_cum for log in res.episodes]
+    for k, log in enumerate(res.episodes[1:], 1):
+        replayed = prev[k] == prev[k - 1]  # episode k - 1 rebuilt no row
+        assert (log.walk is res.episodes[k - 1].walk) == replayed
+        assert sum(log.walk.counts) == iters
 
 
 def test_run_learner_validates_inputs():
