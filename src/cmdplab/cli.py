@@ -53,12 +53,12 @@ def _emit(obj):
 
 def _load_env(args):
     if getattr(args, "preset", None) and getattr(args, "instance", None):
-        raise SystemExit("pass either --preset or --instance, not both")
+        raise ValueError("pass either --preset or --instance, not both")
     if getattr(args, "preset", None):
         return preset(args.preset)
     if getattr(args, "instance", None):
         return load_instance(args.instance)
-    raise SystemExit("an instance is required: --preset NAME or --instance FILE")
+    raise ValueError("an instance is required: --preset NAME or --instance FILE")
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +102,7 @@ _TRAIN_OPTIONS = {
     "mode": (str, "relaxed"), "epsilon": (float, None), "delta": (float, 0.1),
     "episodes": (int, None), "iters": (int, None), "dual_cap": (float, None),
     "grid_step": (float, None), "bonus_scale": (float, 1.0), "seed": (int, 0),
-    "eval_every": (int, 1), "timing": (bool, False),
+    "timing": (bool, False),
 }
 
 
@@ -118,7 +118,7 @@ def _merge_train_options(args):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(doc) - set(_TRAIN_OPTIONS)
         if unknown:
-            raise SystemExit(f"unknown config keys: {sorted(unknown)}")
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key, x in doc.items():
             kind = _TRAIN_OPTIONS[key][0]
             if kind in (int, float):
@@ -139,7 +139,7 @@ def cmd_train(args) -> int:
     m = _load_env(args)
     opt = _merge_train_options(args)
     if opt["epsilon"] is None:
-        raise SystemExit("--epsilon is required (flag or config file)")
+        raise ValueError("--epsilon is required (flag or config file)")
     zeta, _ = slater_constant(m)
     cfg = derive_config(
         opt["mode"], opt["epsilon"], opt["delta"], m, zeta=zeta,
@@ -148,8 +148,7 @@ def cmd_train(args) -> int:
         dual_cap=opt["dual_cap"], grid_step=opt["grid_step"])
     res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
     exact = solve_cmdp_exact(m)
-    record = compute_metrics(m, exact, res.episodes, config=cfg,
-                             seed=res.seed, eval_every=opt["eval_every"])
+    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed)
     verdict = check_final_policy(m, exact, res.final_policy,
                                  opt["epsilon"], opt["mode"])
     paths = emit_report(record, args.out, verdicts=[verdict],
@@ -256,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--grid-step", type=float, default=None)
     t.add_argument("--bonus-scale", type=float, default=None)
     t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--eval-every", type=int, default=None)
     t.add_argument("--timing", action="store_true", default=None,
                    help="record wall times (breaks byte-reproducibility)")
     t.add_argument("--out", default="run_out")

@@ -87,23 +87,28 @@ class TabularCmdp:
 class Policy:
     """Non-stationary randomized Markov policy: rule[h][s] is a distribution over actions.
 
-    Equality and hashing are by value: the rule's shape and bytes."""
+    Equality and hashing are by value: the rule's shape and bytes. The key
+    (shape, bytes) and its hash are computed once at construction, because
+    the learner and the metrics look policies up in dicts every episode. That
+    is safe because the rule is a read-only view of the key's own immutable
+    bytes, so it cannot change after the key is taken."""
 
     rule: np.ndarray  # (H, S, A)
 
     def __post_init__(self):
         if np.ndim(self.rule) != 3:
             raise ValueError(f"policy rule must be (H, S, A), got shape {np.shape(self.rule)}")
-        object.__setattr__(self, "rule", _frozen(self.rule))
-
-    def _key(self):
-        return self.rule.shape, self.rule.tobytes()
+        rule = np.asarray(self.rule, dtype=float)
+        key = (rule.shape, rule.tobytes())
+        object.__setattr__(self, "rule", np.frombuffer(key[1]).reshape(rule.shape))
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __eq__(self, other):
-        return isinstance(other, Policy) and self._key() == other._key()
+        return isinstance(other, Policy) and self._key == other._key
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     @classmethod
     def from_actions(cls, actions, num_actions: int) -> "Policy":

@@ -34,8 +34,7 @@ STRICT_COST_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Row:
-    """One episode's metrics; `interpolated` marks rows filled by interpolation
-    when evaluation was subsampled (eval_every > 1)."""
+    """One episode's metrics."""
 
     k: int
     v_r_true: float
@@ -45,7 +44,6 @@ class Row:
     lambda_mean: float
     model_updates_cum: int
     wall_ms: float
-    interpolated: bool = False
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class RunRecord:
     zeta: float
     v_star: float
     budget: float
-    eval_every: int
     rows: tuple
 
 
@@ -90,51 +87,34 @@ def _policy_values(m: TabularCmdp, mix: MixturePolicy, cache: dict):
 
 
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
-                    config: LearnerConfig | None = None, seed: int = 0,
-                    eval_every: int = 1) -> RunRecord:
+                    config: LearnerConfig | None = None, seed: int = 0) -> RunRecord:
     """Build the RunRecord for a stream of EpisodeLog entries.
 
-    With eval_every > 1 only every Nth episode (and the last) is evaluated
-    exactly; the rest interpolate linearly between neighbors and are flagged.
-    Cumulative columns are always computed from the per-episode values.
+    Every episode's mixture is priced exactly; each distinct component policy
+    is evaluated once and its (reward, cost) reused for later episodes.
     """
-    if eval_every < 1:
-        raise ValueError(f"eval_every must be >= 1, got {eval_every}")
-    logs = list(episodes)
-    n = len(logs)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
-    if not logs:
-        return RunRecord(header_cfg, seed, instance_hash(m), zeta,
-                         exact.optimal_value, m.budget, eval_every, ())
-
-    evaluated = np.zeros(n, dtype=bool)
-    evaluated[::eval_every] = evaluated[-1] = True
-    idx = np.nonzero(evaluated)[0]
     cache: dict = {}
-    known = np.array([_policy_values(m, logs[i].mixture, cache) for i in idx])
-    # interp returns the known (reward, cost) pairs exactly at their own episodes
-    v_r, v_c = (np.interp(np.arange(n), idx, col) for col in known.T)
-
     rows = []
     regret = 0.0
     violation_sum = 0.0
-    for i, log in enumerate(logs):
-        regret += exact.optimal_value - v_r[i]
-        violation_sum += v_c[i] - m.budget
+    for log in episodes:
+        v_r, v_c = _policy_values(m, log.mixture, cache)
+        regret += exact.optimal_value - v_r
+        violation_sum += v_c - m.budget
         rows.append(Row(
             k=log.episode,
-            v_r_true=float(v_r[i]),
-            v_c_true=float(v_c[i]),
+            v_r_true=float(v_r),
+            v_c_true=float(v_c),
             regret_cum=float(regret),
             cv_cum=float(max(0.0, violation_sum)),
             lambda_mean=float(np.mean(log.walk.trace(log.walk.lam))),
             model_updates_cum=int(log.model_updates_cum),
             wall_ms=float(log.wall_ms),
-            interpolated=not bool(evaluated[i]),
         ))
     return RunRecord(header_cfg, seed, instance_hash(m), zeta,
-                     exact.optimal_value, m.budget, eval_every, tuple(rows))
+                     exact.optimal_value, m.budget, tuple(rows))
 
 
 def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePolicy,
@@ -159,33 +139,29 @@ def _fmt(x: float) -> str:
 
 
 def write_run_csv(record: RunRecord, path) -> None:
-    cols = CSV_COLUMNS + (("interpolated",) if record.eval_every > 1 else ())
-    lines = [",".join(cols)]
+    lines = [",".join(CSV_COLUMNS)]
     for r in record.rows:
-        cells = [str(r.k), _fmt(r.v_r_true), _fmt(r.v_c_true), _fmt(r.regret_cum),
-                 _fmt(r.cv_cum), _fmt(r.lambda_mean), str(r.model_updates_cum),
-                 _fmt(r.wall_ms)]
-        if record.eval_every > 1:
-            cells.append(str(int(r.interpolated)))
-        lines.append(",".join(cells))
+        lines.append(",".join([
+            str(r.k), _fmt(r.v_r_true), _fmt(r.v_c_true), _fmt(r.regret_cum),
+            _fmt(r.cv_cum), _fmt(r.lambda_mean), str(r.model_updates_cum),
+            _fmt(r.wall_ms)]))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def read_run_csv(path) -> list[Row]:
-    """Parse a run.csv back into rows (floats reproduce exactly)."""
+    """Parse a run.csv back into rows (floats reproduce exactly). Columns past
+    the eighth, such as the `interpolated` flag of older files, are ignored."""
     with open(path) as f:
         lines = [ln for ln in f.read().splitlines() if ln]
     cols = lines[0].split(",")
     if tuple(cols[:8]) != CSV_COLUMNS:
         raise ValueError(f"unexpected columns in {path}: {cols}")
-    has_flag = len(cols) > 8
     rows = []
     for ln in lines[1:]:
         c = ln.split(",")
         rows.append(Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
-                        float(c[4]), float(c[5]), int(c[6]), float(c[7]),
-                        bool(int(c[8])) if has_flag else False))
+                        float(c[4]), float(c[5]), int(c[6]), float(c[7])))
     return rows
 
 
@@ -262,7 +238,6 @@ def emit_report(record: RunRecord, out_dir, verdicts=(), charts: bool = True) ->
         "zeta": record.zeta,
         "v_star": record.v_star,
         "budget": record.budget,
-        "eval_every": record.eval_every,
         "totals": {
             "episodes": len(record.rows),
             "regret": last.regret_cum if last else 0.0,

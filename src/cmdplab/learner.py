@@ -56,6 +56,12 @@ BONUS_C2 = 544.0 / 9.0
 RELAXED = "relaxed"
 STRICT = "strict"
 
+# Hard caps on K and T, checked before a run starts. The metrics materialize
+# each episode's length-T multiplier trace, so a huge T fails for lack of
+# memory only after the whole run.
+MAX_EPISODES = 10**6
+MAX_ITERS = 10**7
+
 
 @dataclass(frozen=True)
 class LearnerConfig:
@@ -411,7 +417,7 @@ class LearnerResult:
 
 
 def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
-                measure_time: bool = False, max_episodes: int = 1_000_000) -> LearnerResult:
+                measure_time: bool = False) -> LearnerResult:
     """Full online run: K episodes of plan / sample / update.
 
     The environment is touched only through sampled transitions (episode k
@@ -424,8 +430,10 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         raise ValueError(
             f"config dims ({cfg.num_states}, {cfg.num_actions}, {cfg.horizon}) "
             f"do not match instance ({env.num_states}, {env.num_actions}, {env.horizon})")
-    if cfg.episodes > max_episodes:
-        raise ValueError(f"cfg.episodes={cfg.episodes} exceeds the hard cap {max_episodes}")
+    for name, n, cap in (("episodes", cfg.episodes, MAX_EPISODES),
+                         ("iters", cfg.iters, MAX_ITERS)):
+        if n > cap:
+            raise ValueError(f"{name}={n} exceeds the hard cap {cap}")
     b_prime = cfg.b_prime(env.budget)
     if b_prime <= 0:
         raise ValueError(f"shifted budget b'={b_prime} must be positive")

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -128,7 +129,7 @@ def test_train_rejects_unknown_config_keys(tmp_path, capsys):
     ({"epsilon": 0.5, "episodes": "5"}, "field 'episodes' must be an integer"),
     ({"epsilon": 0.5, "iters": True}, "field 'iters' must be an integer"),
     ({"epsilon": 0.5, "seed": 1.7}, "field 'seed' must be an integer"),
-    ({"epsilon": 0.5, "eval_every": None}, "field 'eval_every' must be an integer"),
+    ({"epsilon": 0.5, "eval_every": None}, "unknown config keys: ['eval_every']"),
     ({"epsilon": "0.5"}, "field 'epsilon' must be a number"),
     ({"epsilon": 0.5, "delta": None}, "field 'delta' must be a number"),
     ({"epsilon": 0.5, "dual_cap": [4]}, "field 'dual_cap' must be a number"),
@@ -143,7 +144,7 @@ def test_train_rejects_mistyped_config_values(tmp_path, doc, match):
     # timing on
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps(doc))
-    with pytest.raises(SystemExit, match=f"^cmdplab train: .*{match}") as err:
+    with pytest.raises(SystemExit, match=f"^cmdplab train: .*{re.escape(match)}") as err:
         main(["train", "--preset", "two_state_chain", "--config", str(cfg),
               "--out", str(tmp_path / "run")])
     assert "\n" not in str(err.value)
@@ -281,6 +282,23 @@ def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab train: epsilon=1e-100 puts a rate"):
         main(["train", "--preset", "two_state_chain", "--epsilon", "1e-100",
               "-K", "2", "-T", "2", "--out", str(tmp_path / "run")])
+    # the derived T = 1.6e13 is refused before the learner runs
+    with pytest.raises(SystemExit, match=r"^cmdplab train: iters=16000000000000 exceeds"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "0.001",
+              "-K", "2", "--out", str(tmp_path / "run")])
+    # the CLI's own input errors carry the same prefix
+    with pytest.raises(SystemExit, match=r"^cmdplab train: an instance is required"):
+        main(["train", "--epsilon", "1", "--out", str(tmp_path / "run")])
+    with pytest.raises(SystemExit, match=r"^cmdplab solve: pass either --preset"):
+        main(["solve", "--preset", "two_state_chain", "--instance", "x.json"])
+    with pytest.raises(SystemExit, match=r"^cmdplab train: --epsilon is required"):
+        main(["train", "--preset", "two_state_chain", "--out", str(tmp_path / "run")])
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"epsilon": 0.5, "learning_rate": 1.0}))
+    with pytest.raises(SystemExit, match=r"^cmdplab train: unknown config keys"):
+        main(["train", "--preset", "two_state_chain", "--config", str(cfg),
+              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
 
 
 def test_evaluate_rejects_bad_episode_counts(tmp_path):

@@ -245,6 +245,16 @@ def test_policy_equality_and_hash_are_by_value():
     assert flat.rule.tobytes() == a.rule.tobytes()
     assert flat != a
     assert a != a.rule.tolist()
+    # the key is taken once at construction, so the rule must never change:
+    # it is read-only and does not share memory with the caller's array
+    with pytest.raises(ValueError):
+        a.rule[0, 0, 0] = 0.5
+    with pytest.raises(ValueError):
+        a.rule.setflags(write=True)
+    src = a.rule.copy()
+    c = Policy(src)
+    src[0, 0] = 0.5
+    assert c == a and hash(c) == hash(a)
 
 
 def test_policy_rule_must_be_three_dimensional():

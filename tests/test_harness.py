@@ -12,9 +12,11 @@ import json
 import pytest
 
 from cmdplab import (DualWalk, EpisodeLog, MixturePolicy, Policy,
-                     check_final_policy, compute_metrics, emit_report, preset,
-                     read_run_csv, render_charts, solve_cmdp_exact,
-                     write_run_csv)
+                     check_final_policy, compute_metrics, derive_config,
+                     emit_report, evaluate_mixture, preset, read_run_csv,
+                     render_charts, run_learner, slater_constant,
+                     solve_cmdp_exact, write_run_csv)
+from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
 
 
@@ -86,27 +88,26 @@ def test_lambda_mean_and_update_columns(chain):
     assert rec.rows[0].lambda_mean == 0.5
     assert rec.rows[0].model_updates_cum == 7
     assert rec.rows[0].wall_ms == 3.25
-    assert rec.rows[0].interpolated is False
 
 
-def test_eval_every_interpolates_between_anchors(chain):
+def test_empty_stream_has_no_rows(chain):
     m, exact = chain
-    policies = [safe_policy()] * 7
-    rec = compute_metrics(m, exact, log_stream(policies), eval_every=3)
-    flags = [r.interpolated for r in rec.rows]
-    assert flags == [False, True, True, False, True, True, False]
-    # constant stream: interpolation reproduces the exact values
-    for r in rec.rows:
-        assert r.v_r_true == pytest.approx(0.3, abs=1e-12)
-    assert rec.eval_every == 3
-
-
-def test_eval_every_validation_and_empty_stream(chain):
-    m, exact = chain
-    with pytest.raises(ValueError):
-        compute_metrics(m, exact, [], eval_every=0)
     rec = compute_metrics(m, exact, [])
     assert rec.rows == ()
+
+
+def test_learner_run_values_match_uncached_evaluation(chain):
+    # a real run replays unchanged episodes and plays the same policies again,
+    # so most episodes are priced from the per-policy cache
+    m, exact = chain
+    zeta, _ = slater_constant(m)
+    cfg = derive_config("relaxed", 0.1, 0.1, m, zeta=zeta, bonus_scale=0.0,
+                        episodes=200, iters=100)
+    logs = run_learner(m, cfg, seed=1).episodes
+    assert len({p for log in logs for _, p in log.mixture.components}) < len(logs)
+    rec = compute_metrics(m, exact, logs)
+    for row, log in zip(rec.rows, logs, strict=True):
+        assert (row.v_r_true, row.v_c_true) == evaluate_mixture(m, log.mixture)
 
 
 # ---------------------------------------------------------------------------
@@ -162,15 +163,21 @@ def test_csv_round_trip_is_exact(chain, tmp_path):
     assert header == ",".join(CSV_COLUMNS)
 
 
-def test_csv_gains_flag_column_only_when_subsampled(chain, tmp_path):
-    m, exact = chain
-    rec = compute_metrics(m, exact, log_stream([safe_policy()] * 5), eval_every=2)
-    path = tmp_path / "run.csv"
-    write_run_csv(rec, path)
-    header = path.read_text().splitlines()[0]
-    assert header == ",".join(CSV_COLUMNS) + ",interpolated"
-    rows = read_run_csv(path)
-    assert [r.interpolated for r in rows] == [False, True, False, True, False]
+def test_nine_column_csv_of_older_runs_still_loads(tmp_path, capsys):
+    # runs with evaluation subsampling wrote a ninth `interpolated` flag column
+    (tmp_path / "run.csv").write_text(
+        ",".join(CSV_COLUMNS) + ",interpolated\n"
+        "0,0.29999999999999999,0,0.30000000000000004,0,0,1,0,0\n"
+        "1,0.29999999999999999,0,0.60000000000000009,0,0.5,2,0,1\n")
+    rows = read_run_csv(tmp_path / "run.csv")
+    assert [r.k for r in rows] == [0, 1]
+    assert rows[1].regret_cum == 0.60000000000000009
+    assert rows[1].lambda_mean == 0.5
+    assert rows[1].model_updates_cum == 2
+    assert main(["report", "--run-dir", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rows"] == 2
+    for name in ("regret.svg", "cv.svg"):
+        assert "<svg" in (tmp_path / name).read_text()
 
 
 def test_emit_report_writes_everything(chain, tmp_path):

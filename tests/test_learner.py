@@ -622,14 +622,18 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters, 
         assert sum(log.walk.counts) == iters
 
 
-def test_run_learner_validates_inputs():
+def test_run_learner_validates_inputs(monkeypatch):
     m = preset("two_state_chain")
     other = preset("risky_shortcut")
     cfg = small_run_config(m)
     with pytest.raises(ValueError):
         run_learner(other, cfg, seed=0)  # dims mismatch
-    with pytest.raises(ValueError):
-        run_learner(m, cfg, seed=0, max_episodes=10)  # cap below K
+    monkeypatch.setattr(learner, "primal_dual_episode",
+                        lambda *args: pytest.fail("a run started"))
+    with pytest.raises(ValueError, match="episodes"):
+        run_learner(m, small_run_config(m, episodes=learner.MAX_EPISODES + 1), seed=0)
+    with pytest.raises(ValueError, match="iters"):
+        run_learner(m, small_run_config(m, iters=learner.MAX_ITERS + 1), seed=0)
     strict_cfg = LearnerConfig.make(2, 2, 2, episodes=5, iters=5, dual_cap=1.0,
                                     grid_step=0.25, delta=0.1, mode="strict",
                                     shift=0.7)  # b' = 0.6 - 0.7 < 0
