@@ -17,15 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MixturePolicy,
-    Policy,
-    evaluate_mixture,
-    evaluate_policy,
-    slater_constant,
-)
+from .core import MixturePolicy, Policy, evaluate_policy, slater_constant
 from .generate import GenSpec, generate, preset
-from .harness import check_final_policy, compute_metrics, emit_report
+from .harness import (check_final_policy, compute_metrics, emit_report,
+                      evaluate_mixture)
 from .learner import (
     EmpiricalModel,
     LearnerConfig,
@@ -125,10 +120,9 @@ def check_dual_regret_bound():
 
     def body():
         m = preset("two_state_chain")
-        zeta, _ = slater_constant(m)
         worst = -math.inf
         for mode in ("relaxed", "strict"):
-            cfg = derive_config(mode, 0.5 * m.horizon, 0.1, m, zeta=zeta,
+            cfg = derive_config(mode, 0.5 * m.horizon, 0.1, m,
                                 bonus_scale=0.0, episodes=200, iters=100)
             t_len = cfg.iters
             bound = (2.0 * cfg.grid_step * m.horizon * math.sqrt(t_len)
@@ -153,8 +147,7 @@ def check_doubling_epochs():
 
     def body():
         m = preset("two_state_chain")
-        zeta, _ = slater_constant(m)
-        cfg = derive_config("relaxed", 0.5 * m.horizon, 0.1, m, zeta=zeta,
+        cfg = derive_config("relaxed", 0.5 * m.horizon, 0.1, m,
                             bonus_scale=0.1, episodes=1024, iters=10)
         res = run_learner(m, cfg, seed=5)
         cap = m.num_states * m.num_actions * m.horizon * 11
@@ -182,7 +175,7 @@ def check_optimism_frequency():
         rule = rng_pol.dirichlet(np.ones(2), size=(3, 3))
         ref = Policy(rule)
         s1 = m.initial_state
-        vr_true, vc_true = evaluate_policy(m.transition, m.stages, ref).initial(s1)
+        vr_true, vc_true = evaluate_policy(m.transition, m.stages, ref)[:, 0, s1]
         n = 512
         hits = 0
         for trial in range(200):
@@ -190,9 +183,8 @@ def check_optimism_frequency():
             draws = np.random.default_rng(3000 + trial).multinomial(n, m.transition)
             model = EmpiricalModel.from_kernel(draws / n, batch_size=n)
             vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost,
-                                                 ref, cfg)
-            if (vr_hat.initial(s1) >= vr_true - 1e-12
-                    and vc_hat.initial(s1) <= vc_true + 1e-12):
+                                                 ref, cfg)[:, 0, s1]
+            if vr_hat >= vr_true - 1e-12 and vc_hat <= vc_true + 1e-12:
                 hits += 1
         if hits < 198:
             return False, f"optimism held in only {hits}/200 trials"
@@ -214,7 +206,7 @@ def check_dual_variable_bounds():
             worst = max(worst, sol.lambda_star)
             if sol.lambda_star > cap + 1e-8:
                 return False, f"lambda* {sol.lambda_star:.4f} > H/zeta {cap}"
-            cfg = derive_config("relaxed", 0.5 * m.horizon, 0.1, m, zeta=zeta,
+            cfg = derive_config("relaxed", 0.5 * m.horizon, 0.1, m,
                                 bonus_scale=0.0, episodes=20, iters=20)
             res = run_learner(m, cfg, seed=i)
             for ep in res.episodes:
@@ -243,10 +235,10 @@ def check_greedy_backup_exactness():
                 dual_cap=2.0, grid_step=0.5, delta=0.1, mode="relaxed",
                 shift=0.0, bonus_scale=0.0)
             for lam in (0.0, 0.5, cfg.dual_cap):
-                _, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost,
-                                                     lam, cfg)
-                got = vr.initial(m.initial_state) - lam * vc.initial(
-                    m.initial_state)
+                _, v = lagrangian_greedy_backup(model, m.reward, m.cost,
+                                                lam, cfg)
+                vr, vc = v[:, 0, m.initial_state]
+                got = vr - lam * vc
                 best = -math.inf
                 for acts in itertools.product(
                         range(m.num_actions),
@@ -254,9 +246,8 @@ def check_greedy_backup_exactness():
                     table = np.asarray(acts).reshape(m.horizon, m.num_states)
                     pol = Policy.from_actions(table, m.num_actions)
                     evr, evc = policy_value_bounds(model, m.reward, m.cost,
-                                                   pol, cfg)
-                    best = max(best, evr.initial(m.initial_state)
-                               - lam * evc.initial(m.initial_state))
+                                                   pol, cfg)[:, 0, m.initial_state]
+                    best = max(best, evr - lam * evc)
                 gap = abs(got - best)
                 worst = max(worst, gap)
                 if gap > 1e-9:
@@ -273,12 +264,11 @@ def check_convergence_trend():
     def body():
         m = preset("two_state_chain")
         exact = solve_cmdp_exact(m)
-        zeta, _ = slater_constant(m)
         eps = 0.5 * m.horizon
         k = 5000
         tenth = k // 10
 
-        cfg = derive_config("relaxed", eps, 0.1, m, zeta=zeta,
+        cfg = derive_config("relaxed", eps, 0.1, m,
                             bonus_scale=0.1, episodes=k, iters=50)
         res = run_learner(m, cfg, seed=11)
         rec = compute_metrics(m, exact, res.episodes, config=cfg, seed=11)
@@ -293,7 +283,7 @@ def check_convergence_trend():
             return False, (f"relaxed verdict failed: V_r={verdict.v_r:.4f} "
                            f"V_c={verdict.v_c:.4f}")
 
-        cfg_s = derive_config("strict", eps, 0.1, m, zeta=zeta,
+        cfg_s = derive_config("strict", eps, 0.1, m,
                               bonus_scale=0.1, episodes=k, iters=50)
         res_s = run_learner(m, cfg_s, seed=11)
         _, vc_final = evaluate_mixture(m, res_s.final_policy)
@@ -337,8 +327,7 @@ def check_reproducibility():
     def body():
         m = preset("two_state_chain")
         exact = solve_cmdp_exact(m)
-        zeta, _ = slater_constant(m)
-        cfg = derive_config("relaxed", 1.0, 0.1, m, zeta=zeta,
+        cfg = derive_config("relaxed", 1.0, 0.1, m,
                             bonus_scale=0.1, episodes=200, iters=20)
         with tempfile.TemporaryDirectory() as tmp:
             paths = []

@@ -20,7 +20,6 @@ from .core import (
     _float_field,
     _int_field,
     _mixture_json,
-    evaluate_mixture,
     instance_hash,
     load_instance,
     load_policy,
@@ -33,6 +32,7 @@ from .harness import (
     check_final_policy,
     compute_metrics,
     emit_report,
+    evaluate_mixture,
     read_run_csv,
     render_charts,
 )
@@ -140,10 +140,8 @@ def cmd_train(args) -> int:
     opt = _merge_train_options(args)
     if opt["epsilon"] is None:
         raise ValueError("--epsilon is required (flag or config file)")
-    zeta, _ = slater_constant(m)
     cfg = derive_config(
-        opt["mode"], opt["epsilon"], opt["delta"], m, zeta=zeta,
-        bonus_scale=opt["bonus_scale"],
+        opt["mode"], opt["epsilon"], opt["delta"], m, bonus_scale=opt["bonus_scale"],
         episodes=opt["episodes"], iters=opt["iters"],
         dual_cap=opt["dual_cap"], grid_step=opt["grid_step"])
     res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])

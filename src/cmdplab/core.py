@@ -3,16 +3,17 @@
 A constrained MDP here is the tuple (S, A, H, P, r, c, b, s1): a non-stationary
 transition kernel P[h][s][a][s'], per-step reward and cost tables in [0, 1],
 a cost budget b, and a fixed initial state. Values are computed by exact
-backward recursion; mixtures of policies are evaluated as weighted averages of
-component values (the mixing draw happens once per episode, so the identity is
-exact, not an approximation). One backward-induction kernel serves
-evaluate_policy, greedy_backup and both of the learner's clipped sweeps; a
-policy's (V_r, V_c) comes from one sweep over the stack TabularCmdp.stages.
+backward recursion; a mixture's value is the weighted average of its component
+values (harness.evaluate_mixture; the mixing draw happens once per episode, so
+the identity is exact). One backward-induction kernel serves evaluate_policy,
+greedy_backup and both of the learner's clipped sweeps; each returns its plain
+(k, H+1, S) value array, and a policy's (V_r, V_c) is v[:, 0, s1] of one sweep
+over the stack TabularCmdp.stages.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
-Arrays are copied and frozen at construction; every function here is pure, so
-instances and policies can be shared freely across threads or processes.
+Instance and policy arrays are copied and frozen at construction; every
+function here is pure, so both can be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -166,20 +167,6 @@ class MixturePolicy:
         return np.array([w for w, _ in self.components])
 
 
-@dataclass(frozen=True)
-class ValueTable:
-    """Backed-up values: values[h][s] for h = 0..H, with row H identically zero."""
-
-    values: np.ndarray  # (H + 1, S), or (k, H + 1, S) for a stack of k tables
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(self.values))
-
-    def initial(self, s1: int):
-        """Value at (h=0, s1): a float for one table, a list of k floats for a stack."""
-        return self.values[..., 0, s1].tolist()
-
-
 def validate_cmdp(m: TabularCmdp) -> list[Violation]:
     """Check every structural invariant; returns all breaches with location and magnitude.
 
@@ -269,30 +256,20 @@ def _expected_stage(kernel, stages):
     return lambda h, v: stages[:, h] + (kernel[h][None] @ v[:, None, :, None])[..., 0]
 
 
-def evaluate_policy(kernel: np.ndarray, stage: np.ndarray, policy: Policy) -> ValueTable:
-    """Exact value of `policy` for stage table g: V_h(s) = E[ sum_{t>=h} g_t ].
+def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy: Policy) -> np.ndarray:
+    """Exact values of `policy` for k stacked stage tables g: V_h(s) = E[ sum_{t>=h} g_t ].
 
-    kernel is (H, S, A, S). stage is one (H, S, A) table, giving an (H+1, S)
-    ValueTable, or a stack of k tables (k, H, S, A), evaluated in one sweep
-    into a (k, H+1, S) ValueTable; pass TabularCmdp.stages for (V_r, V_c).
-    Shapes must agree exactly.
+    kernel is (H, S, A, S) and stages is (k, H, S, A) (pass TabularCmdp.stages
+    for (V_r, V_c)); one sweep returns the (k, H+1, S) values, so v[:, 0, s1]
+    is the value pair at the initial state. Shapes must agree exactly.
     """
-    if (kernel.ndim != 4 or stage.ndim not in (3, 4) or stage.shape[-3:] != kernel.shape[:3]
+    if (kernel.ndim != 4 or stages.ndim != 4 or stages.shape[1:] != kernel.shape[:3]
             or policy.rule.shape != kernel.shape[:3]):
-        raise ValueError(
-            f"shape mismatch: kernel {kernel.shape}, stage {stage.shape}, policy {policy.rule.shape}")
-    stages = stage if stage.ndim == 4 else stage[None]
+        raise ValueError(f"shape mismatch: kernel {kernel.shape}, stages {stages.shape}, "
+                         f"policy {policy.rule.shape}")
     _, v = _backward_induction(_expected_stage(kernel, stages), stages.shape[:3],
                                rule=policy.rule)
-    return ValueTable(v if stage.ndim == 4 else v[0])
-
-
-def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy) -> tuple[float, float]:
-    """(V_r, V_c) of a mixture at (h=0, s1): the weighted averages of the
-    component values, each component priced by one stacked sweep."""
-    pairs = [(w, evaluate_policy(m.transition, m.stages, p).initial(m.initial_state))
-             for w, p in mix.components]
-    return sum(w * r for w, (r, _) in pairs), sum(w * c for w, (_, c) in pairs)
+    return v
 
 
 def greedy_backup(kernel: np.ndarray, stage: np.ndarray, maximize: bool = True):

@@ -20,7 +20,7 @@ import numpy as np
 from .core import TabularCmdp, normalize_transition_rows, validate_cmdp
 
 
-class GenerationError(RuntimeError):
+class GenerationError(ValueError):
     """The requested budget slack cannot be realized for these dimensions."""
 
 

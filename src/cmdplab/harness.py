@@ -1,11 +1,12 @@
 """Measurement harness: ground-truth metrics, verdicts, and report files.
 
-compute_metrics replays a learner run against the exact solution: every
-episode mixture is evaluated on the true kernel (one stacked (reward, cost)
-sweep per distinct component policy, cached by the policy's value), giving
-cumulative regret sum(V* - V_r) and constraint violation max(0, sum(V_c - b)).
-Verdicts apply the relaxed / strict acceptance predicates to the final
-averaged policy.
+evaluate_mixture prices a mixture exactly on the true kernel: one stacked
+(reward, cost) sweep per component policy, weighted by the mixing weights.
+compute_metrics replays a learner run against the exact solution, pricing
+every episode mixture with one memo shared over the run (so each distinct
+policy is swept once), and gives cumulative regret sum(V* - V_r) and
+constraint violation max(0, sum(V_c - b)). Verdicts apply the relaxed /
+strict acceptance predicates to the final averaged policy.
 
 emit_report writes a deterministic run.csv (17 significant digits, so parsing
 reproduces every float bit-for-bit), a summary.json, and small static SVG
@@ -20,8 +21,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (MixturePolicy, TabularCmdp, evaluate_mixture,
-                   evaluate_policy, instance_hash, slater_constant)
+from .core import (MixturePolicy, TabularCmdp, evaluate_policy, instance_hash,
+                   slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
 from .solver import ExactSolution
 
@@ -74,13 +75,18 @@ class Verdict:
     cost_cap: float
 
 
-def _policy_values(m: TabularCmdp, mix: MixturePolicy, cache: dict):
-    """Exact (reward, cost) of a mixture, caching the pair per component policy."""
+def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = None):
+    """Exact (V_r, V_c) of a mixture at s1: the weighted sums of its component
+    values. memo maps a Policy to its [V_r, V_c] and is filled as policies are
+    priced; sharing one across calls skips repeated sweeps, and the result is
+    the same bits with or without it."""
+    memo = {} if memo is None else memo
     r_total = c_total = 0.0
     for w, p in mix.components:
-        got = cache.get(p)
+        got = memo.get(p)
         if got is None:
-            got = cache[p] = evaluate_policy(m.transition, m.stages, p).initial(m.initial_state)
+            v = evaluate_policy(m.transition, m.stages, p)
+            got = memo[p] = v[:, 0, m.initial_state].tolist()
         r_total += w * got[0]
         c_total += w * got[1]
     return r_total, c_total
@@ -95,12 +101,12 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     """
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
-    cache: dict = {}
+    memo: dict = {}
     rows = []
     regret = 0.0
     violation_sum = 0.0
     for log in episodes:
-        v_r, v_c = _policy_values(m, log.mixture, cache)
+        v_r, v_c = evaluate_mixture(m, log.mixture, memo)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
         rows.append(Row(
@@ -151,17 +157,24 @@ def write_run_csv(record: RunRecord, path) -> None:
 
 def read_run_csv(path) -> list[Row]:
     """Parse a run.csv back into rows (floats reproduce exactly). Columns past
-    the eighth, such as the `interpolated` flag of older files, are ignored."""
+    the eighth, such as the `interpolated` flag of older files, are ignored.
+    An empty file, a wrong header, a short or unparsable row, or no rows at
+    all raise a ValueError naming the file and line."""
     with open(path) as f:
-        lines = [ln for ln in f.read().splitlines() if ln]
-    cols = lines[0].split(",")
-    if tuple(cols[:8]) != CSV_COLUMNS:
-        raise ValueError(f"unexpected columns in {path}: {cols}")
+        lines = f.read().splitlines()
+    if not lines or tuple(lines[0].split(",")[:8]) != CSV_COLUMNS:
+        raise ValueError(f"{path} line 1: expected the header {','.join(CSV_COLUMNS)}")
     rows = []
-    for ln in lines[1:]:
-        c = ln.split(",")
-        rows.append(Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
-                        float(c[4]), float(c[5]), int(c[6]), float(c[7])))
+    for n, c in ((n, ln.split(",")) for n, ln in enumerate(lines[1:], start=2) if ln):
+        try:
+            if len(c) < 8:
+                raise ValueError(f"{len(c)} cells, expected at least 8")
+            rows.append(Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
+                            float(c[4]), float(c[5]), int(c[6]), float(c[7])))
+        except ValueError as e:
+            raise ValueError(f"{path} line {n}: {e}") from e
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
     return rows
 
 

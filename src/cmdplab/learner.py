@@ -23,7 +23,8 @@ size of the batch behind the current empirical row. Optimistic reward backups
 clip at H, pessimistic cost backups clip at 0, and state-action pairs with no
 built batch default to the extremes (H for reward, 0 for cost). Both sweeps
 build these Q-tables for all pairs at once and run core's backward-induction
-kernel, the one behind evaluate_policy and greedy_backup.
+kernel, the one behind evaluate_policy and greedy_backup; both return the
+stacked (2, H+1, S) array of optimistic reward and pessimistic cost values.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
 total visit count crosses a power of two, using only the transitions observed
@@ -46,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MixturePolicy, Policy, TabularCmdp, ValueTable,
-                   _backward_induction)
+from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction,
+                   slater_constant)
 from .simulate import episode_stream, sample_mixture_episode
 
 BONUS_C1 = 460.0 / 9.0
@@ -137,15 +138,15 @@ class LearnerConfig:
         return asdict(self)
 
 
-def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
-                  bonus_scale=1.0, episodes=None, iters=None, dual_cap=None,
+def derive_config(mode, epsilon, delta, m: TabularCmdp, bonus_scale=1.0,
+                  episodes=None, iters=None, dual_cap=None,
                   grid_step=None) -> LearnerConfig:
     """Fill a config from the accuracy target epsilon via the rate formulas.
 
     Relaxed mode (any 0 < epsilon <= H):
         T = H^4/eps^4, U = H/eps, eps1 = eps^3/H^3, shift = eps/2,
         K = S A H^3 / eps^2.
-    Strict mode (needs the instance's zeta > 0 and 0 < epsilon <= H - zeta):
+    Strict mode (zeta = slater_constant(m); needs zeta > 0, 0 < epsilon <= H - zeta):
         T = H^6/(zeta^4 eps^2), U = H^2/(zeta (H - eps)),
         eps1 = eps^2 zeta^2 / H^4, shift = zeta eps / (2H),
         K = S A H^5 / (eps^2 zeta^2).
@@ -163,8 +164,7 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, zeta=None,
             shift = epsilon / 2.0
             k0 = s_ * a_ * h_**3 / epsilon**2
         elif mode == STRICT:
-            if zeta is None:
-                raise ValueError("strict mode needs the instance's budget slack zeta")
+            zeta, _ = slater_constant(m)
             if not zeta > 0:
                 raise ValueError(f"strict mode needs zeta > 0, got {zeta}")
             if not 0 < epsilon <= h_ - zeta:
@@ -271,7 +271,7 @@ def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
     """Bernstein bonus of kernel rows p_hat (..., S) against the value vector v_next.
 
     n is the batch size behind each row, broadcast against p_hat's leading
-    axes; every n must be >= 1 (a built batch). A single row gives a float.
+    axes, which the returned bonuses keep; every n must be >= 1 (a built batch).
     """
     n = np.asarray(n)
     if (n < 1).any():
@@ -280,9 +280,8 @@ def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
     mean = p_hat @ v_next
     var = np.maximum(p_hat @ (v_next * v_next) - mean * mean, 0.0)
     log_term = cfg.log_inv_delta_prime
-    bonus = cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
-                               + cfg.c2 * cfg.horizon * log_term / n)
-    return float(bonus) if bonus.ndim == 0 else bonus
+    return cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
+                              + cfg.c2 * cfg.horizon * log_term / n)
 
 
 def _q_tables(model, reward, cost, cfg, h, v_next):
@@ -300,24 +299,24 @@ def _q_tables(model, reward, cost, cfg, h, v_next):
 def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig):
     """Greedy backward induction on q_r - lam * q_c over the empirical model.
 
-    Returns (deterministic Policy, optimistic reward ValueTable, pessimistic
-    cost ValueTable); the tables hold the values of the returned policy, with
-    ties going to the lowest action index.
+    Returns (deterministic Policy, v), with ties going to the lowest action
+    index; v is the (2, H+1, S) stack of the policy's optimistic reward and
+    pessimistic cost values.
     """
     actions, v = _backward_induction(partial(_q_tables, model, reward, cost, cfg),
                                      (2,) + reward.shape[:2], score=lambda q: q[0] - lam * q[1])
-    return Policy.from_actions(actions, reward.shape[2]), ValueTable(v[0]), ValueTable(v[1])
+    return Policy.from_actions(actions, reward.shape[2]), v
 
 
 def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig):
     """Optimistic-reward and pessimistic-cost values of a fixed policy.
 
     Same clipped backups as the greedy sweep, but combined with the policy's
-    own action distribution; used to check the optimism guarantee.
+    own action distribution; used to check the optimism guarantee. Returns
+    the (2, H+1, S) stack of optimistic reward and pessimistic cost values.
     """
-    _, v = _backward_induction(partial(_q_tables, model, reward, cost, cfg),
-                               (2,) + reward.shape[:2], rule=policy.rule)
-    return ValueTable(v[0]), ValueTable(v[1])
+    return _backward_induction(partial(_q_tables, model, reward, cost, cfg),
+                               (2,) + reward.shape[:2], rule=policy.rule)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +374,8 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
     i = 0
     while i not in seen and len(seen) < cfg.iters:
         lam = i * cfg.grid_step
-        pi, _, vc = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
-        v_c = float(vc.values[0, initial_state])
+        pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+        v_c = float(v[1, 0, initial_state])
         seen[i] = (lam, pi, v_c)
         i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
     start = list(seen).index(i) if i in seen else len(seen)

@@ -12,7 +12,8 @@ max V_r(s1) subject to V_c(s1) <= b:
   policies plus every feasible/infeasible two-policy mixing, exact up to
   floating point. Used as the ground-truth oracle for small instances.
 
-Each policy's (V_r, V_c) comes from one evaluate_policy sweep over m.stages.
+Each policy's (V_r, V_c) is v[:, 0, s1] of one evaluate_policy sweep over
+m.stages; each dual point runs one greedy_backup on the Lagrangian stage.
 
 Both return an ExactSolution; the mixture-of-two form is fully general here
 because the achievable (V_r, V_c) set is the convex hull of the deterministic
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MixturePolicy, Policy, TabularCmdp, ValueTable,
-                   evaluate_policy, greedy_backup, slater_constant)
+from .core import (MixturePolicy, Policy, TabularCmdp, evaluate_policy,
+                   greedy_backup, slater_constant)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -64,18 +65,6 @@ class ExactSolution:
     lambda_star: float
 
 
-def solve_unconstrained(kernel: np.ndarray, stage: np.ndarray, sense: str = "max"):
-    """Optimal deterministic policy for a single (possibly signed) stage table.
-
-    sense is "max" or "min"; ties go to the lowest action index. Returns
-    (Policy, ValueTable).
-    """
-    if sense not in ("max", "min"):
-        raise ValueError(f"sense must be 'max' or 'min', got {sense!r}")
-    actions, v = greedy_backup(kernel, stage, maximize=sense == "max")
-    return Policy.from_actions(actions, kernel.shape[2]), ValueTable(v)
-
-
 def dual_value(m: TabularCmdp, lam: float):
     """Evaluate the dual: g(lambda) = max_pi [V_{r - lambda c}] + lambda*b.
 
@@ -84,10 +73,10 @@ def dual_value(m: TabularCmdp, lam: float):
     """
     if lam < 0:
         raise ValueError(f"dual variable must be >= 0, got {lam}")
-    stage = m.reward - lam * m.cost
-    pi, v = solve_unconstrained(m.transition, stage, "max")
-    g = v.initial(m.initial_state) + lam * m.budget
-    return g, pi, evaluate_policy(m.transition, m.stages, pi).initial(m.initial_state)
+    actions, v = greedy_backup(m.transition, m.reward - lam * m.cost)
+    pi = Policy.from_actions(actions, m.num_actions)
+    g = float(v[0, m.initial_state]) + lam * m.budget
+    return g, pi, evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state].tolist()
 
 
 def _mix_two(m, feas, inf, lambda_star):
@@ -113,15 +102,16 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     """Constrained optimum via dual bisection and two-policy mixing.
 
     The bracket [lam_lo, lam_hi] keeps cost(pi_lam_lo) > b >= cost(pi_lam_hi)
-    and shrinks to width tol; lambda_star reports its midpoint. Each end
+    and shrinks to width tol (0 < tol < inf), or until its midpoint is no
+    longer strictly inside; lambda_star reports that midpoint. Each end
     keeps its dual_value result, so the mixing solves nothing again. If no
     feasible side appears below the cap 4H/max(zeta, tol) (or within
     _MAX_DOUBLINGS doublings, or the cap is NaN), the instance is numerically
     degenerate: fall back to brute force when small enough, otherwise raise
     DegenerateInstanceError.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be in (0, inf), got {tol}")
     zeta, _ = slater_constant(m)
     if zeta < 0:
         return ExactSolution(INFEASIBLE, math.nan, math.nan, None, math.inf)
@@ -146,6 +136,8 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
 
     while lam_hi - lam_lo > tol:
         mid = 0.5 * (lam_lo + lam_hi)
+        if not lam_lo < mid < lam_hi:  # the bracket is down to float spacing
+            break
         got = dual_value(m, mid)
         if got[2][1] <= m.budget:
             lam_hi, hi = mid, got
@@ -174,7 +166,7 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
         actions = np.array(assignment, dtype=int).reshape(m.horizon, m.num_states)
         pi = Policy.from_actions(actions, m.num_actions)
         policies.append(pi)
-        values[i] = evaluate_policy(m.transition, m.stages, pi).initial(m.initial_state)
+        values[i] = evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state]
     r_vals, c_vals = values.T
 
     feas = c_vals <= m.budget + _FEAS_SLACK

@@ -286,6 +286,14 @@ def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab train: iters=16000000000000 exceeds"):
         main(["train", "--preset", "two_state_chain", "--epsilon", "0.001",
               "-K", "2", "--out", str(tmp_path / "run")])
+    # a GenerationError is a ValueError; it used to escape as a traceback
+    for zeta in ("5", "inf"):
+        with pytest.raises(SystemExit, match=rf"^cmdplab generate: no budget in \(0, 3\] "
+                                             rf"realizes zeta_target={float(zeta)}$"):
+            main(["generate", "--zeta", zeta, "--H", "3", "--out", str(tmp_path / "g.json")])
+    # a NaN tol skipped bisection and reported a suboptimal value as optimal
+    with pytest.raises(SystemExit, match=r"^cmdplab solve: tol must be in \(0, inf\), got nan$"):
+        main(["solve", "--preset", "risky_shortcut", "--tol", "nan"])
     # the CLI's own input errors carry the same prefix
     with pytest.raises(SystemExit, match=r"^cmdplab train: an instance is required"):
         main(["train", "--epsilon", "1", "--out", str(tmp_path / "run")])

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdplab import (MixturePolicy, Policy, TabularCmdp, ValueTable,
+from cmdplab import (MixturePolicy, Policy, TabularCmdp,
                      evaluate_mixture, evaluate_policy, greedy_backup,
                      instance_hash, load_instance, load_policy,
                      normalize_transition_rows, preset, save_instance,
@@ -36,10 +36,10 @@ def test_evaluate_single_step_stochastic_rule():
     kernel = np.ones((1, 1, 2, 1))
     stage = np.array([[[0.3, 0.9]]])
     pi = Policy(np.array([[[0.25, 0.75]]]))
-    v = evaluate_policy(kernel, stage, pi)
-    assert v.values.shape == (2, 1)
-    assert v.initial(0) == pytest.approx(0.75, abs=1e-15)
-    assert v.values[1, 0] == 0.0  # terminal row
+    v = evaluate_policy(kernel, stage[None], pi)
+    assert v.shape == (1, 2, 1)
+    assert v[0, 0, 0] == pytest.approx(0.75, abs=1e-15)
+    assert v[0, 1, 0] == 0.0  # terminal row
 
 
 def test_evaluate_two_step_deterministic_chain():
@@ -49,26 +49,28 @@ def test_evaluate_two_step_deterministic_chain():
     stage = np.array([[[0.1, 0.6], [0.2, 1.0]],
                       [[0.5, 0.0], [0.3, 0.7]]])
     pi = Policy.from_actions([[1, 0], [0, 1]], 2)
-    v = evaluate_policy(kernel, stage, pi)
-    assert v.values[1].tolist() == [0.5, 0.7]
-    assert v.initial(0) == pytest.approx(1.3, abs=1e-15)
-    assert v.initial(1) == pytest.approx(0.7, abs=1e-15)
+    v = evaluate_policy(kernel, stage[None], pi)[0]
+    assert v[1].tolist() == [0.5, 0.7]
+    assert v[0, 0] == pytest.approx(1.3, abs=1e-15)
+    assert v[0, 1] == pytest.approx(0.7, abs=1e-15)
 
 
 def test_constant_stage_value_is_horizon():
     m = random_instance(3, 2, 4, seed=1)
     ones = np.ones((4, 3, 2))
     for pi in (Policy.uniform(4, 3, 2), Policy.from_actions(np.ones((4, 3), int), 2)):
-        v = evaluate_policy(m.transition, ones, pi)
-        assert np.allclose(v.values[0], 4.0, atol=1e-12)
+        v = evaluate_policy(m.transition, ones[None], pi)
+        assert np.allclose(v[0, 0], 4.0, atol=1e-12)
 
 
 def test_evaluate_policy_shape_mismatch_raises():
     m = random_instance(2, 2, 3, seed=2)
     with pytest.raises(ValueError):
-        evaluate_policy(m.transition, m.reward, Policy.uniform(3, 2, 3))
+        evaluate_policy(m.transition, m.stages, Policy.uniform(3, 2, 3))
     with pytest.raises(ValueError):
         evaluate_policy(m.transition, m.stages[:, :2], Policy.uniform(3, 2, 2))
+    with pytest.raises(ValueError):  # one (H, S, A) table, not a stack
+        evaluate_policy(m.transition, m.reward, Policy.uniform(3, 2, 2))
 
 
 def test_stacked_evaluation_matches_single_table_sweeps():
@@ -83,10 +85,9 @@ def test_stacked_evaluation_matches_single_table_sweeps():
         else:
             pi = Policy(rng.dirichlet(np.ones(a_), size=(h_, s_)))
         both = evaluate_policy(m.transition, m.stages, pi)
-        assert both.values.shape == (2, h_ + 1, s_)
-        assert np.array_equal(both.values[0], evaluate_policy(m.transition, m.reward, pi).values)
-        assert np.array_equal(both.values[1], evaluate_policy(m.transition, m.cost, pi).values)
-        assert np.array_equal(both.initial(0), both.values[:, 0, 0])
+        assert both.shape == (2, h_ + 1, s_)
+        assert np.array_equal(both[0], evaluate_policy(m.transition, m.reward[None], pi)[0])
+        assert np.array_equal(both[1], evaluate_policy(m.transition, m.cost[None], pi)[0])
 
 
 def test_stages_are_reward_then_cost_and_read_only():
@@ -116,7 +117,7 @@ def test_mixture_is_weighted_average_of_components():
     rng = np.random.default_rng(3)
     comps = [Policy.from_actions(rng.integers(0, 2, size=(3, 3)), 2) for _ in range(3)]
     mix = MixturePolicy(((0.2, comps[0]), (0.3, comps[1]), (0.5, comps[2])))
-    parts = [evaluate_policy(m.transition, m.reward, p).initial(0) for p in comps]
+    parts = [evaluate_policy(m.transition, m.reward[None], p)[0, 0, 0] for p in comps]
     expect = 0.2 * parts[0] + 0.3 * parts[1] + 0.5 * parts[2]
     assert evaluate_mixture(m, mix)[0] == pytest.approx(expect, abs=1e-12)
 
@@ -130,7 +131,7 @@ def test_values_bounded_by_remaining_steps(num_states, num_actions, horizon, see
     rng = np.random.default_rng(seed + 1)
     pi = Policy.from_actions(rng.integers(0, num_actions, size=(horizon, num_states)),
                              num_actions)
-    v = evaluate_policy(m.transition, m.reward, pi).values
+    v = evaluate_policy(m.transition, m.reward[None], pi)[0]
     for h in range(horizon + 1):
         assert np.all(v[h] >= -1e-12)
         assert np.all(v[h] <= horizon - h + 1e-12)
@@ -143,11 +144,11 @@ def test_values_bounded_by_remaining_steps(num_states, num_actions, horizon, see
 def test_greedy_backup_dominates_enumeration():
     m = random_instance(2, 2, 2, seed=11)
     _, v = greedy_backup(m.transition, m.reward, maximize=True)
-    best = max(evaluate_policy(m.transition, m.reward, p).initial(0)
+    best = max(evaluate_policy(m.transition, m.reward[None], p)[0, 0, 0]
                for p in all_deterministic_policies(m))
     assert v[0, 0] == pytest.approx(best, abs=1e-12)
     _, v_min = greedy_backup(m.transition, m.cost, maximize=False)
-    worst = min(evaluate_policy(m.transition, m.cost, p).initial(0)
+    worst = min(evaluate_policy(m.transition, m.cost[None], p)[0, 0, 0]
                 for p in all_deterministic_policies(m))
     assert v_min[0, 0] == pytest.approx(worst, abs=1e-12)
 
@@ -162,10 +163,10 @@ def test_greedy_backup_breaks_ties_toward_lower_action():
 def test_slater_constant_matches_enumerated_min_cost():
     m = random_instance(2, 2, 2, seed=13, budget=1.2)
     zeta, pi_min = slater_constant(m)
-    best = min(evaluate_policy(m.transition, m.cost, p).initial(0)
+    best = min(evaluate_policy(m.transition, m.cost[None], p)[0, 0, 0]
                for p in all_deterministic_policies(m))
     assert zeta == pytest.approx(m.budget - best, abs=1e-12)
-    got = evaluate_policy(m.transition, m.cost, pi_min).initial(0)
+    got = evaluate_policy(m.transition, m.cost[None], pi_min)[0, 0, 0]
     assert got == pytest.approx(best, abs=1e-12)
 
 
@@ -272,13 +273,6 @@ def test_mixture_rejects_bad_weights():
         MixturePolicy(((-0.5, pi), (1.5, pi)))
     single = MixturePolicy.single(pi)
     assert single.weights().tolist() == [1.0]
-
-
-def test_value_table_initial_reads_row_zero():
-    t = ValueTable(np.array([[1.5, 2.5], [0.0, 0.0]]))
-    assert t.initial(1) == 2.5
-    stacked = ValueTable(np.array([[[1.5, 2.5], [0.0, 0.0]], [[3.0, 4.0], [0.0, 0.0]]]))
-    assert stacked.initial(1) == [2.5, 4.0]
 
 
 def test_normalize_transition_rows():

@@ -17,7 +17,7 @@ def test_slater_constant_pinned_bit_exactly(target, seed):
     m = generate(GenSpec(3, 2, 3, zeta_target=target, seed=seed))
     zeta, pi_min = slater_constant(m)
     assert zeta == target
-    assert evaluate_policy(m.transition, m.cost, pi_min).initial(0) == 0.0
+    assert evaluate_policy(m.transition, m.cost[None], pi_min)[0, 0, 0] == 0.0
 
 
 def test_generated_baseline_action_is_free():

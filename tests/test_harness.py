@@ -8,14 +8,16 @@ mental arithmetic.
 
 import filecmp
 import json
+from pathlib import Path
 
 import pytest
 
 from cmdplab import (DualWalk, EpisodeLog, MixturePolicy, Policy,
                      check_final_policy, compute_metrics, derive_config,
                      emit_report, evaluate_mixture, preset, read_run_csv,
-                     render_charts, run_learner, slater_constant,
-                     solve_cmdp_exact, write_run_csv)
+                     render_charts, run_learner, solve_cmdp_exact,
+                     write_run_csv)
+import cmdplab.harness as harness
 from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
 
@@ -100,14 +102,31 @@ def test_learner_run_values_match_uncached_evaluation(chain):
     # a real run replays unchanged episodes and plays the same policies again,
     # so most episodes are priced from the per-policy cache
     m, exact = chain
-    zeta, _ = slater_constant(m)
-    cfg = derive_config("relaxed", 0.1, 0.1, m, zeta=zeta, bonus_scale=0.0,
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=200, iters=100)
     logs = run_learner(m, cfg, seed=1).episodes
     assert len({p for log in logs for _, p in log.mixture.components}) < len(logs)
     rec = compute_metrics(m, exact, logs)
     for row, log in zip(rec.rows, logs, strict=True):
         assert (row.v_r_true, row.v_c_true) == evaluate_mixture(m, log.mixture)
+
+
+def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
+    # over a run whose episodes replay policies, one shared memo sweeps each
+    # distinct policy once, and every result keeps the bits of a memo-less call
+    m, _ = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
+                        episodes=200, iters=100)
+    logs = run_learner(m, cfg, seed=1).episodes
+    fresh = [evaluate_mixture(m, log.mixture) for log in logs]
+    original, priced = harness.evaluate_policy, []
+    monkeypatch.setattr(harness, "evaluate_policy",
+                        lambda kernel, stages, p: priced.append(p) or original(kernel, stages, p))
+    memo = {}
+    shared = [evaluate_mixture(m, log.mixture, memo) for log in logs]
+    distinct = {p for log in logs for _, p in log.mixture.components}
+    assert len(priced) == len(set(priced)) == len(distinct) == len(memo) < len(logs)
+    assert shared == fresh
 
 
 # ---------------------------------------------------------------------------
@@ -222,4 +241,25 @@ def test_render_charts_from_read_back_rows(chain, tmp_path):
     out = render_charts(read_run_csv(path), tmp_path)
     assert sorted(out) == ["cv.svg", "regret.svg"]
     for p in out.values():
-        assert "<svg" in open(p).read()
+        assert "<svg" in Path(p).read_text()
+
+
+HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("text, where", [
+    ("", "line 1: expected the header"),
+    ("k,v_r,v_c\n0,1,2\n", "line 1: expected the header"),
+    (HEADER + "0,0.5,0,0.1,0,0,1,0\n1,0.5,0\n", "line 3: 3 cells, expected at least 8"),
+    (HEADER + "0,0.5,zero,0.1,0,0,1,0\n", "line 2: could not convert string to float: 'zero'"),
+    (HEADER, "no rows after the header"),
+], ids=["empty", "wrong-header", "short-row", "bad-cell", "no-rows"])
+def test_malformed_run_csv_is_one_line_error(tmp_path, text, where):
+    (tmp_path / "run.csv").write_text(text)
+    with pytest.raises(ValueError, match=where):
+        read_run_csv(tmp_path / "run.csv")
+    with pytest.raises(SystemExit) as e:
+        main(["report", "--run-dir", str(tmp_path)])
+    msg = str(e.value)
+    assert msg.startswith(f"cmdplab report: {tmp_path / 'run.csv'}") and "\n" not in msg
+    assert not (tmp_path / "regret.svg").exists()

@@ -5,18 +5,18 @@ is exact (log term 1, dyadic probabilities); derivations inline.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdplab import (EmpiricalModel, LearnerConfig, Policy,
-                     compute_bonus, derive_config, evaluate_policy, grid_index,
-                     lagrangian_greedy_backup,
+from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
+                     compute_bonus, derive_config, evaluate_policy, generate,
+                     greedy_backup, grid_index, lagrangian_greedy_backup,
                      policy_value_bounds, preset, primal_dual_episode,
-                     record_transition, round_to_grid, run_learner,
-                     slater_constant, solve_unconstrained)
+                     record_transition, round_to_grid, run_learner)
 import cmdplab.learner as learner
 from conftest import random_instance
 
@@ -71,7 +71,7 @@ def test_bonus_shrinks_with_count():
 
 def test_bonus_broadcasts_over_leading_axes():
     # a (3, 2) stack of rows with its own batch sizes gives the elementwise
-    # scalar bonuses; a single row still gives a plain float
+    # scalar bonuses; a single row gives a 0-d value
     cfg = exact_log_config(num_states=4)
     rng = np.random.default_rng(11)
     rows = rng.dirichlet(np.ones(4), size=(3, 2))
@@ -82,7 +82,7 @@ def test_bonus_broadcasts_over_leading_axes():
     want = [[compute_bonus(rows[i, j], v, int(n[i, j]), cfg) for j in range(2)]
             for i in range(3)]
     assert np.allclose(got, want, rtol=1e-13, atol=0.0)
-    assert type(compute_bonus(rows[0, 0], v, 5, cfg)) is float
+    assert np.shape(compute_bonus(rows[0, 0], v, 5, cfg)) == ()
     with pytest.raises(ValueError):
         compute_bonus(rows, v, np.where(n > 30, 0, n), cfg)  # one unbuilt row
 
@@ -182,8 +182,8 @@ def test_derive_strict_worked_example():
     # S=2, A=2, H=2, zeta=0.5, eps=1: T = H^6/(zeta^4 eps^2) = 1024,
     # U = H^2/(zeta (H - eps)) = 8, eps1 = eps^2 zeta^2/H^4 = 1/64,
     # K = S A H^5/(eps^2 zeta^2) = 512, shift = zeta eps/(2H) = 0.125
-    m = random_instance(2, 2, 2, seed=1)
-    cfg = derive_config("strict", 1.0, 0.1, m, zeta=0.5)
+    m = generate(GenSpec(2, 2, 2, zeta_target=0.5, seed=1))  # zeta is exactly 0.5
+    cfg = derive_config("strict", 1.0, 0.1, m)
     assert cfg.episodes == 512
     assert cfg.iters == 1024
     assert cfg.dual_cap == 8.0
@@ -209,21 +209,20 @@ def test_derive_overrides():
 
 
 def test_derive_config_rejects_bad_targets():
-    m = random_instance(2, 2, 2, seed=4)
+    m = generate(GenSpec(2, 2, 2, zeta_target=0.5, seed=4))  # zeta = 0.5, min cost 0
     with pytest.raises(ValueError):
         derive_config("relaxed", 2.5, 0.1, m)  # eps > H
+    for budget in (0.0, -0.5):  # at or below the minimum cost: zeta <= 0
+        with pytest.raises(ValueError, match="zeta > 0"):
+            derive_config("strict", 1.0, 0.1, replace(m, budget=budget))
     with pytest.raises(ValueError):
-        derive_config("strict", 1.0, 0.1, m)  # zeta missing
-    with pytest.raises(ValueError):
-        derive_config("strict", 1.0, 0.1, m, zeta=0.0)
-    with pytest.raises(ValueError):
-        derive_config("strict", 1.8, 0.1, m, zeta=0.5)  # eps > H - zeta
+        derive_config("strict", 1.8, 0.1, m)  # eps > H - zeta
     with pytest.raises(ValueError):
         derive_config("soft", 1.0, 0.1, m)
     for mode, eps in (("relaxed", 1e-100), ("relaxed", 5e-324), ("strict", 5e-324)):
         # a power of epsilon underflows to 0 even when K and T are given
         with pytest.raises(ValueError, match="epsilon"):
-            derive_config(mode, eps, 0.1, m, zeta=0.5, episodes=2, iters=2)
+            derive_config(mode, eps, 0.1, m, episodes=2, iters=2)
 
 
 def test_make_rounds_cap_up_to_grid():
@@ -272,9 +271,8 @@ def test_train_options_are_rejected_or_run(mode, epsilon, delta, dual_cap, grid_
     # what the train subcommand does with its options: a config either fails
     # with ValueError or runs to the end
     m = preset("risky_shortcut")
-    zeta, _ = slater_constant(m)
     try:
-        cfg = derive_config(mode, epsilon, delta, m, zeta=zeta, bonus_scale=bonus_scale,
+        cfg = derive_config(mode, epsilon, delta, m, bonus_scale=bonus_scale,
                             episodes=episodes, iters=iters, dual_cap=dual_cap,
                             grid_step=grid_step)
     except ValueError:
@@ -302,9 +300,9 @@ def test_empty_model_defaults_saturate():
     m = preset("two_state_chain")
     cfg = exact_log_config()
     model = EmpiricalModel.empty(2, 2, 2)
-    pi, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg)
-    assert np.all(vr.values[:2] == 2.0)  # every non-terminal row saturates
-    assert np.all(vc.values == 0.0)
+    pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg)
+    assert np.all(v[0, :2] == 2.0)  # every non-terminal row saturates
+    assert np.all(v[1] == 0.0)
     assert pi.validate() == []
 
 
@@ -315,20 +313,19 @@ def test_zero_bonus_full_model_reduces_to_exact_dp():
                            bonus_scale=0.0, dual_cap=2.0)
     model = EmpiricalModel.from_kernel(m.transition)
     for lam in (0.0, 0.5, 2.0):
-        _, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
-        _, v = solve_unconstrained(m.transition, m.reward - lam * m.cost, "max")
-        got = vr.initial(0) - lam * vc.initial(0)
-        assert got == pytest.approx(v.initial(0), abs=1e-9)
+        _, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+        _, ref = greedy_backup(m.transition, m.reward - lam * m.cost, maximize=True)
+        got = v[0, 0, 0] - lam * v[1, 0, 0]
+        assert got == pytest.approx(ref[0, 0], abs=1e-9)
 
 
 def test_policy_value_bounds_match_backup_for_greedy_policy():
     m = random_instance(2, 2, 2, seed=6)
     cfg = exact_log_config(bonus_scale=0.0)
     model = EmpiricalModel.from_kernel(m.transition)
-    pi, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost, 0.5, cfg)
-    vr2, vc2 = policy_value_bounds(model, m.reward, m.cost, pi, cfg)
-    assert np.allclose(vr2.values, vr.values, atol=1e-12)
-    assert np.allclose(vc2.values, vc.values, atol=1e-12)
+    pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, 0.5, cfg)
+    v2 = policy_value_bounds(model, m.reward, m.cost, pi, cfg)
+    assert np.allclose(v2, v, atol=1e-12)
 
 
 def test_optimism_with_true_kernel_and_full_bonus():
@@ -338,11 +335,10 @@ def test_optimism_with_true_kernel_and_full_bonus():
     model = EmpiricalModel.from_kernel(m.transition, batch_size=32)
     rng = np.random.default_rng(8)
     pi = Policy.from_actions(rng.integers(0, 2, size=(3, 3)), 2)
-    vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost, pi, cfg)
-    vr = evaluate_policy(m.transition, m.reward, pi).initial(0)
-    vc = evaluate_policy(m.transition, m.cost, pi).initial(0)
-    assert vr_hat.initial(0) >= vr - 1e-12
-    assert vc_hat.initial(0) <= vc + 1e-12
+    vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost, pi, cfg)[:, 0, 0]
+    vr, vc = evaluate_policy(m.transition, m.stages, pi)[:, 0, 0]
+    assert vr_hat >= vr - 1e-12
+    assert vc_hat <= vc + 1e-12
 
 
 def _reference_q_tables(model, reward, cost, cfg, vr_next, vc_next, h):
@@ -403,16 +399,16 @@ def test_vectorised_backup_matches_per_pair_loop(bonus_scale):
                                  grid_step=grid_step, delta=0.1, mode="relaxed",
                                  shift=0.5, bonus_scale=bonus_scale)
         for lam in [0.0, *midpoints, cap]:
-            pi, vr, vc = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+            pi, (vr, vc) = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
             actions, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, lam=lam)
             assert np.array_equal(pi.rule, Policy.from_actions(actions, 4).rule)
-            assert np.allclose(vr.values, ref_vr, rtol=0.0, atol=1e-12)
-            assert np.allclose(vc.values, ref_vc, rtol=0.0, atol=1e-12)
+            assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
+            assert np.allclose(vc, ref_vc, rtol=0.0, atol=1e-12)
         rule = np.random.default_rng(seed).dirichlet(np.ones(4), size=(8, 10))
         vr, vc = policy_value_bounds(model, m.reward, m.cost, Policy(rule), cfg)
         _, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, rule=rule)
-        assert np.allclose(vr.values, ref_vr, rtol=0.0, atol=1e-12)
-        assert np.allclose(vc.values, ref_vc, rtol=0.0, atol=1e-12)
+        assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
+        assert np.allclose(vc, ref_vc, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +465,7 @@ def _reference_episode(model, reward, cost, initial_state, cfg, b_prime):
         lam = i * cfg.grid_step
         if i not in cache:
             cache[i] = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
-        v_c = float(cache[i][2].values[0, initial_state])
+        v_c = float(cache[i][1][1, 0, initial_state])
         lam_trace[t], vc_trace[t] = lam, v_c
         visits[i] = visits.get(i, 0) + 1
         i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
@@ -606,8 +602,7 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters, 
     # cleared on every row rebuild; an episode after one without a rebuild
     # replays the previous walk and plans nothing
     m = preset("two_state_chain")
-    zeta, _ = slater_constant(m)
-    cfg = derive_config("relaxed", 0.1, 0.1, m, zeta=zeta, bonus_scale=0.0,
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=episodes, iters=iters, dual_cap=4.0,
                         grid_step=0.00390625)
     original, calls = learner.lagrangian_greedy_backup, []

@@ -1,6 +1,8 @@
-"""Smoke runs of the experiment scripts, which read learner output directly."""
+"""Smoke runs of the experiment scripts, which read learner output directly,
+and of the README's library sketch, which names the public API."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,11 @@ def test_script_runs(tmp_path, name, args):
         assert (tmp_path / "report" / "run.csv").exists()
     else:
         assert "all dual iterates sit on the grid" in proc.stdout
+
+
+def test_readme_library_sketch_runs(tmp_path, monkeypatch):
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert (tmp_path / "run_out" / "run.csv").exists()

@@ -161,8 +161,7 @@ def test_monte_carlo_tracks_backup_value():
     m = random_instance(3, 2, 3, seed=17)
     pi = Policy.uniform(3, 3, 2)
     stats = monte_carlo_value(m, MixturePolicy.single(pi), episodes=40_000, seed=19)
-    vr = evaluate_policy(m.transition, m.reward, pi).initial(m.initial_state)
-    vc = evaluate_policy(m.transition, m.cost, pi).initial(m.initial_state)
+    vr, vc = evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state]
     assert abs(stats["reward_mean"] - vr) < 4 * stats["reward_se"]
     assert abs(stats["cost_mean"] - vc) < 4 * stats["cost_se"]
 

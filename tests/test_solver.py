@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from cmdplab import solver
 from cmdplab import (INFEASIBLE, OPTIMAL, MixturePolicy, Policy, TabularCmdp,
                      brute_force_cmdp, dual_value, evaluate_mixture,
-                     evaluate_policy, load_instance, preset,
-                     solve_cmdp_exact, solve_unconstrained)
+                     evaluate_policy, greedy_backup, load_instance, preset,
+                     preset_names, solve_cmdp_exact)
 from cmdplab.solver import DegenerateInstanceError, InstanceTooLargeError
 from conftest import all_deterministic_policies, random_instance
 
@@ -46,18 +46,12 @@ def near_tie_instance(num_states, horizon):
 
 def test_unconstrained_dominates_enumeration():
     m = random_instance(2, 2, 2, seed=31)
-    _, v = solve_unconstrained(m.transition, m.reward, "max")
-    vals = [evaluate_policy(m.transition, m.reward, p).initial(0)
+    _, v = greedy_backup(m.transition, m.reward, maximize=True)
+    vals = [evaluate_policy(m.transition, m.reward[None], p)[0, 0, 0]
             for p in all_deterministic_policies(m)]
-    assert v.initial(0) == pytest.approx(max(vals), abs=1e-12)
-    _, v_min = solve_unconstrained(m.transition, m.reward, "min")
-    assert v_min.initial(0) == pytest.approx(min(vals), abs=1e-12)
-
-
-def test_unconstrained_rejects_bad_sense():
-    m = random_instance(1, 1, 1, seed=0)
-    with pytest.raises(ValueError):
-        solve_unconstrained(m.transition, m.reward, "argmax")
+    assert v[0, 0] == pytest.approx(max(vals), abs=1e-12)
+    _, v_min = greedy_backup(m.transition, m.reward, maximize=False)
+    assert v_min[0, 0] == pytest.approx(min(vals), abs=1e-12)
 
 
 def test_dual_value_rejects_negative_lambda():
@@ -156,8 +150,9 @@ def test_unconstrained_optimum_feasible_gives_zero_lambda():
     bf = brute_force_cmdp(m)
     assert sol.lambda_star == 0.0
     assert bf.lambda_star == 0.0
-    best, _ = solve_unconstrained(m.transition, m.reward, "max")
-    vr = evaluate_policy(m.transition, m.reward, best).initial(0)
+    actions, _ = greedy_backup(m.transition, m.reward, maximize=True)
+    best = Policy.from_actions(actions, m.num_actions)
+    vr = evaluate_policy(m.transition, m.reward[None], best)[0, 0, 0]
     assert sol.optimal_value == pytest.approx(vr, abs=1e-12)
 
 
@@ -172,8 +167,9 @@ def test_infeasible_instance_both_solvers():
 
 
 def test_solver_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        solve_cmdp_exact(preset("single_state_tradeoff"), tol=0.0)
+    for tol in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="tol"):
+            solve_cmdp_exact(preset("risky_shortcut"), tol=tol)
 
 
 def test_brute_force_size_guard():
@@ -237,6 +233,19 @@ def test_solver_terminates_on_nan_entries(monkeypatch, where):
     with pytest.raises(DegenerateInstanceError):
         solve_cmdp_exact(TabularCmdp(**{**big.__dict__, "cost": cost}))
     assert len(calls) < 10
+
+
+@pytest.mark.parametrize("name", sorted(preset_names()))
+def test_tolerance_below_float_spacing_terminates(monkeypatch, name):
+    # at tol=1e-320 the bracket reaches the float spacing around lambda*
+    # first; the midpoint then equals one end, which used to loop forever
+    want = solve_cmdp_exact(preset(name))
+    calls = _count_dual_values(monkeypatch)
+    got = solve_cmdp_exact(preset(name), tol=1e-320)
+    assert len(calls) < 100
+    assert got.status == want.status == OPTIMAL
+    assert got.optimal_value == pytest.approx(want.optimal_value, abs=1e-9)
+    assert got.optimal_cost == pytest.approx(want.optimal_cost, abs=1e-9)
 
 
 _BAD_VALUES = st.sampled_from([float("nan"), float("inf"), -float("inf")])
