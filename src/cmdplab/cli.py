@@ -146,9 +146,11 @@ def cmd_train(args) -> int:
         dual_cap=opt["dual_cap"], grid_step=opt["grid_step"])
     res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
     exact = solve_cmdp_exact(m)
-    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed)
+    memo: dict = {}  # the final mixture's policies were all priced per episode
+    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed,
+                             memo=memo)
     verdict = check_final_policy(m, exact, res.final_policy,
-                                 opt["epsilon"], opt["mode"])
+                                 opt["epsilon"], opt["mode"], memo=memo)
     paths = emit_report(record, args.out, verdicts=[verdict],
                         charts=not args.no_charts)
     policy_path = os.path.join(args.out, "policy.json")

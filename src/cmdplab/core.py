@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,16 +72,18 @@ class TabularCmdp:
     budget: float
     initial_state: int
 
+    # Read-only (2, H, S, A) stack of the reward and cost tables, in that
+    # order: the stage argument that prices (V_r, V_c) in one sweep. Built
+    # once at construction; None when the two shapes differ (validate_cmdp
+    # flags that).
+    stages: np.ndarray | None = field(init=False, repr=False, compare=False)
+
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(self.transition))
         object.__setattr__(self, "reward", _frozen(self.reward))
         object.__setattr__(self, "cost", _frozen(self.cost))
-
-    @property
-    def stages(self) -> np.ndarray:
-        """Read-only (2, H, S, A) stack of the reward and cost tables, in
-        that order: the stage argument that prices (V_r, V_c) in one sweep."""
-        return _frozen((self.reward, self.cost))
+        object.__setattr__(self, "stages", _frozen((self.reward, self.cost))
+                           if self.reward.shape == self.cost.shape else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -375,44 +377,90 @@ def load_instance(path) -> TabularCmdp:
 
 
 # ---------------------------------------------------------------------------
-# Policy files: {"S":, "A":, "H":, "components": [{"weight":, "rule": [h][s][a]}]}
+# Policy files: {"S":, "A":, "H":, "components": [...]}. A component whose rule
+# is exactly one-hot is written {"weight":, "actions": [h][s]} (the action
+# index per step and state); any other is {"weight":, "rule": [h][s][a]}.
+
+
+def _component_json(w: float, p: Policy) -> dict:
+    actions = p.rule.argmax(axis=2)
+    if Policy.from_actions(actions, p.rule.shape[2]) == p:  # same bytes
+        return {"weight": w, "actions": actions.tolist()}
+    return {"weight": w, "rule": p.rule.tolist()}
 
 
 def _mixture_json(mix: MixturePolicy, m: TabularCmdp) -> dict:
     return {"S": m.num_states, "A": m.num_actions, "H": m.horizon,
-            "components": [{"weight": w, "rule": p.rule.tolist()}
-                           for w, p in mix.components]}
+            "components": [_component_json(w, p) for w, p in mix.components]}
 
 
 def save_policy(mix: MixturePolicy, m: TabularCmdp, path) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w") as f:
-        json.dump(_mixture_json(mix, m), f, indent=2, sort_keys=True)
+        f.write(json.dumps(_mixture_json(mix, m), sort_keys=True, separators=(",", ":")))
         f.write("\n")
+
+
+def _int_table(raw: dict, key: str) -> np.ndarray:
+    """raw[key] as an int array, each entry typed like _int_field; booleans,
+    strings, non-integral numbers and ragged lists raise."""
+    table = np.asarray(raw[key], dtype=object)
+    if not all(type(x) is int or type(x) is float and x.is_integer() for x in table.flat):
+        raise ValueError(f"field {key!r} must hold integers in a regular array")
+    return table.astype(int)
+
+
+def _component(c: dict):
+    """A component's weight and its Policy ("rule") or int table ("actions")."""
+    if ("rule" in c) == ("actions" in c):
+        raise ValueError("a component needs exactly one of 'rule' and 'actions'")
+    body = Policy(_number_table(c, "rule")) if "rule" in c else _int_table(c, "actions")
+    return _float_field(c, "weight"), body
+
+
+def _component_policy(body, m: TabularCmdp) -> Policy:
+    """The Policy of a parsed component body; ValueError lists what does not
+    fit instance m."""
+    if isinstance(body, Policy):
+        if body.rule.shape != (m.horizon, m.num_states, m.num_actions):
+            problems = [f"rule shape {body.rule.shape}"]
+        else:
+            problems = body.validate()
+    elif body.shape != (m.horizon, m.num_states):
+        problems = [f"actions shape {body.shape}"]
+    else:
+        problems = [f"action {body[h, s]} at (h={h}, s={s}) outside [0, {m.num_actions})"
+                    for h, s in np.argwhere((body < 0) | (body >= m.num_actions))]
+        if not problems:
+            body = Policy.from_actions(body, m.num_actions)
+    if problems:
+        raise ValueError("; ".join(problems))
+    return body
 
 
 def load_policy(path, m: TabularCmdp) -> MixturePolicy:
     """Read a policy file for instance m. ValueError if the file is malformed
-    (a missing key, a weight or rule entry that is not a JSON number), if its
-    dims or rule shapes differ from m's, or if a rule or the weights are invalid."""
+    (a missing key, a component with both or neither of rule/actions, a weight
+    or rule entry that is not a JSON number, an action that is not an
+    integer), if its dims or table shapes differ from m's, if an action is
+    out of range, or if a rule or the weights are invalid."""
     try:
         with open(path) as f:
             doc = json.load(f)
         dims = tuple(_int_field(doc, k) for k in ("S", "A", "H"))
-        comps = [(_float_field(c, "weight"), Policy(_number_table(c, "rule")))
-                 for c in doc["components"]]
+        comps = [_component(c) for c in doc["components"]]
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ValueError(f"malformed policy file {path}: {e}") from e
     want = (m.num_states, m.num_actions, m.horizon)
     if dims != want:
         raise ValueError(f"policy dims {dims} do not match instance {want}")
-    for j, (_, p) in enumerate(comps):
-        problems = p.validate()
-        if p.rule.shape != (m.horizon, m.num_states, m.num_actions):
-            problems = [f"rule shape {p.rule.shape}"]
-        if problems:
-            raise ValueError(f"invalid policy {path}, component {j}: "
-                             + "; ".join(problems))
-    return MixturePolicy(tuple(comps))
+    mix = []
+    for j, (w, body) in enumerate(comps):
+        try:
+            mix.append((w, _component_policy(body, m)))
+        except ValueError as e:
+            raise ValueError(f"invalid policy {path}, component {j}: {e}") from e
+    return MixturePolicy(tuple(mix))
 
 
 def instance_hash(m: TabularCmdp) -> str:

@@ -16,6 +16,7 @@ line charts of the regret and violation curves.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -93,15 +94,17 @@ def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = Non
 
 
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
-                    config: LearnerConfig | None = None, seed: int = 0) -> RunRecord:
+                    config: LearnerConfig | None = None, seed: int = 0,
+                    memo: dict | None = None) -> RunRecord:
     """Build the RunRecord for a stream of EpisodeLog entries.
 
     Every episode's mixture is priced exactly; each distinct component policy
-    is evaluated once and its (reward, cost) reused for later episodes.
+    is evaluated once and its (reward, cost) reused for later episodes. Pass
+    a memo (as for evaluate_mixture) to share those prices with later calls.
     """
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
-    memo: dict = {}
+    memo = {} if memo is None else memo
     rows = []
     regret = 0.0
     violation_sum = 0.0
@@ -124,12 +127,13 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
 
 
 def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePolicy,
-                       epsilon: float, mode: str) -> Verdict:
+                       epsilon: float, mode: str, memo: dict | None = None) -> Verdict:
     """Relaxed: V_r >= V* - eps and V_c <= b + eps.
-    Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance)."""
+    Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance).
+    memo is evaluate_mixture's: pass compute_metrics' to price no policy twice."""
     if mode not in (RELAXED, STRICT):
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
-    v_r, v_c = evaluate_mixture(m, pi_bar)
+    v_r, v_c = evaluate_mixture(m, pi_bar, memo)
     reward_floor = exact.optimal_value - epsilon
     cost_cap = m.budget + (epsilon if mode == RELAXED else STRICT_COST_TOL)
     return Verdict(mode, epsilon, bool(v_r >= reward_floor and v_c <= cost_cap),
@@ -158,8 +162,9 @@ def write_run_csv(record: RunRecord, path) -> None:
 def read_run_csv(path) -> list[Row]:
     """Parse a run.csv back into rows (floats reproduce exactly). Columns past
     the eighth, such as the `interpolated` flag of older files, are ignored.
-    An empty file, a wrong header, a short or unparsable row, or no rows at
-    all raise a ValueError naming the file and line."""
+    An empty file, a wrong header, a short or unparsable row, a NaN or
+    infinite cell, or no rows at all raise a ValueError naming the file and
+    line."""
     with open(path) as f:
         lines = f.read().splitlines()
     if not lines or tuple(lines[0].split(",")[:8]) != CSV_COLUMNS:
@@ -169,8 +174,12 @@ def read_run_csv(path) -> list[Row]:
         try:
             if len(c) < 8:
                 raise ValueError(f"{len(c)} cells, expected at least 8")
-            rows.append(Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
-                            float(c[4]), float(c[5]), int(c[6]), float(c[7])))
+            row = Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
+                      float(c[4]), float(c[5]), int(c[6]), float(c[7]))
+            bad = [name for name in CSV_COLUMNS if not math.isfinite(getattr(row, name))]
+            if bad:
+                raise ValueError(f"non-finite {', '.join(bad)}")
+            rows.append(row)
         except ValueError as e:
             raise ValueError(f"{path} line {n}: {e}") from e
     if not rows:

@@ -189,6 +189,21 @@ def test_train_run_csv_pinned_hash(tmp_path, capsys):
         "a0b56423622d56cf1628df8e5eb5eacdb25a977abbf07a7eae0dc09b600309f4")
 
 
+def test_train_policy_json_pinned_hash(tmp_path, capsys):
+    # the same run as test_train_run_csv_pinned_hash; pins the compact
+    # policy.json format (sorted keys, no spaces, "actions" for one-hot
+    # components), so any drift in the file's bytes shows here
+    code, _ = run_cli(capsys, "train", "--preset", "two_state_chain",
+                      "--epsilon", "0.1", "--bonus-scale", "0",
+                      "--dual-cap", "4", "--grid-step", "0.00390625",
+                      "-T", "20", "-K", "200", "--seed", "1", "--no-charts",
+                      "--out", str(tmp_path))
+    assert code == 0
+    digest = hashlib.sha256((tmp_path / "policy.json").read_bytes()).hexdigest()
+    assert digest == (
+        "16ba864a2443704087306edcfef6000d27330ee0addc66bfad43a59ef01d201e")
+
+
 # ---------------------------------------------------------------------------
 # evaluate / report / suite.
 

@@ -93,6 +93,7 @@ def test_stacked_evaluation_matches_single_table_sweeps():
 def test_stages_are_reward_then_cost_and_read_only():
     m = random_instance(2, 3, 2, seed=5)
     assert m.stages.shape == (2, 2, 2, 3)
+    assert m.stages is m.stages
     assert np.array_equal(m.stages[0], m.reward)
     assert np.array_equal(m.stages[1], m.cost)
     with pytest.raises(ValueError):
@@ -493,6 +494,12 @@ def _drop(key, component=False):
     return edit
 
 
+def _set_action(value):
+    def edit(doc):
+        doc["components"][1]["actions"][1][0] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, match", [
     (_set_weight(True), "field 'weight' must be a number"),
     (_set_weight("1"), "field 'weight' must be a number"),
@@ -505,12 +512,27 @@ def _drop(key, component=False):
     (lambda doc: doc.update(components=3), "malformed policy file"),
     (lambda doc: doc["components"][0]["rule"][0][0].__setitem__(0, "0.5"),
      "field 'rule' must hold numbers"),
+    (_set_action(True), "field 'actions' must hold integers"),
+    (_set_action(0.5), "field 'actions' must hold integers"),
+    (_set_action("1"), "field 'actions' must hold integers"),
+    (_set_action(-1), r"invalid policy .*component 1: action -1 at \(h=1, s=0\) outside \[0, 2\)"),
+    (_set_action(2), r"invalid policy .*component 1: action 2 at \(h=1, s=0\) outside \[0, 2\)"),
+    (lambda doc: doc["components"][1]["actions"][0].pop(),
+     "field 'actions' must hold integers in a regular array"),
+    (lambda doc: doc["components"][1]["actions"].pop(), r"actions shape \(1, 2\)"),
+    (lambda doc: doc["components"][1].update(rule=doc["components"][0]["rule"]),
+     "malformed policy file .*exactly one of 'rule' and 'actions'"),
+    (lambda doc: doc["components"][1].pop("actions"),
+     "malformed policy file .*exactly one of 'rule' and 'actions'"),
 ], ids=["weight-true", "weight-string", "weight-null", "no-weight", "no-rule",
-        "no-S", "no-components", "S-true", "components-number", "rule-string"])
+        "no-S", "no-components", "S-true", "components-number", "rule-string",
+        "action-true", "action-half", "action-string", "action-negative", "action-A",
+        "actions-ragged", "actions-shape", "both-keys", "neither-key"])
 def test_load_policy_rejects_malformed_files(tmp_path, edit, match):
     m = preset("two_state_chain")
     path = tmp_path / "p.json"
-    save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), m, path)
+    save_policy(MixturePolicy(((0.5, Policy.uniform(2, 2, 2)),
+                               (0.5, Policy.from_actions([[0, 1], [1, 0]], 2)))), m, path)
     doc = json.loads(path.read_text())
     edit(doc)
     path.write_text(json.dumps(doc))
@@ -525,8 +547,49 @@ def test_load_policy_rejects_non_object_document(tmp_path):
         load_policy(path, preset("two_state_chain"))
 
 
+def test_load_policy_accepts_integral_float_actions(tmp_path):
+    m = preset("two_state_chain")
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"S": 2, "A": 2, "H": 2, "components": [
+        {"weight": 1, "actions": [[0.0, 1.0], [1, 0]]}]}))
+    mix = load_policy(path, m)
+    assert mix.components == ((1.0, Policy.from_actions([[0, 1], [1, 0]], 2)),)
+
+
+def test_policy_file_round_trip_is_exact(tmp_path):
+    m = preset("two_state_chain")
+    one_hot = Policy.from_actions([[0, 1], [1, 0]], 2)
+    near = Policy(np.where(one_hot.rule == 1.0, 1 - 1e-12, 1e-12))
+    mix = MixturePolicy(((0.2, Policy.uniform(2, 2, 2)), (0.3, one_hot), (0.5, near)))
+    path = tmp_path / "p.json"
+    save_policy(mix, m, path)
+    doc = json.loads(path.read_text())
+    # only the exactly one-hot component is written as an action table
+    assert [sorted(c) for c in doc["components"]] == [
+        ["rule", "weight"], ["actions", "weight"], ["rule", "weight"]]
+    assert doc["components"][1]["actions"] == [[0, 1], [1, 0]]
+    assert load_policy(path, m).components == mix.components
+
+
+def test_load_policy_reads_indented_rule_files(tmp_path):
+    # the older format: every component a "rule" table, written with indent=2
+    m = preset("two_state_chain")
+    mix = MixturePolicy(((0.25, Policy.uniform(2, 2, 2)),
+                         (0.75, Policy.from_actions([[1, 0], [0, 1]], 2))))
+    path = tmp_path / "p.json"
+    with open(path, "w") as f:
+        json.dump({"S": 2, "A": 2, "H": 2, "components": [
+            {"weight": w, "rule": p.rule.tolist()} for w, p in mix.components]},
+            f, indent=2, sort_keys=True)
+        f.write("\n")
+    assert load_policy(path, m) == mix
+
+
 _POLICY_JUNK = st.sampled_from([float("nan"), float("inf"), -float("inf"), True,
                                 False, "0.5", None, -0.5, 2.0, [1.0]])
+
+
+_ACTION_JUNK = st.sampled_from([True, False, 1.0, 0.5, float("nan"), "0", None, [0], -1])
 
 
 @st.composite
@@ -534,28 +597,48 @@ def malformed_policy_docs(draw):
     """A valid policy document for a small instance, with at most one corruption."""
     s_, a_, h_ = draw(st.integers(1, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
     m = random_instance(s_, a_, h_, seed=draw(st.integers(0, 100)))
-    rules = [Policy.uniform(h_, s_, a_), Policy.from_actions(np.zeros((h_, s_), int), a_)]
     doc = json.loads(json.dumps({"S": s_, "A": a_, "H": h_, "components": [
-        {"weight": w, "rule": p.rule.tolist()} for w, p in zip((0.25, 0.75), rules)]}))
-    kind = draw(st.sampled_from(["none", "weight", "rule_entry", "missing", "shape",
-                                 "dimension", "document"]))
+        {"weight": 0.25, "rule": Policy.uniform(h_, s_, a_).rule.tolist()},
+        {"weight": 0.75, "actions": np.zeros((h_, s_), int).tolist()}]}))
+    kind = draw(st.sampled_from(["none", "weight", "rule_entry", "action_entry", "missing",
+                                 "shape", "actions_shape", "keys", "dimension", "document"]))
     comp = doc["components"][draw(st.integers(0, 1))]
+    rule_comp, actions_comp = doc["components"]
     if kind == "weight":
         comp["weight"] = draw(_POLICY_JUNK)
     elif kind == "rule_entry":
-        row = comp["rule"][draw(st.integers(0, h_ - 1))][draw(st.integers(0, s_ - 1))]
+        row = rule_comp["rule"][draw(st.integers(0, h_ - 1))][draw(st.integers(0, s_ - 1))]
         row[draw(st.integers(0, a_ - 1))] = draw(_POLICY_JUNK)
+    elif kind == "action_entry":
+        row = actions_comp["actions"][draw(st.integers(0, h_ - 1))]
+        row[draw(st.integers(0, s_ - 1))] = draw(st.one_of(_ACTION_JUNK, st.just(a_)))
     elif kind == "missing":
-        key = draw(st.sampled_from(["S", "A", "H", "components", "weight", "rule"]))
-        del (comp if key in ("weight", "rule") else doc)[key]
+        key = draw(st.sampled_from(["S", "A", "H", "components", "weight", "rule", "actions"]))
+        del {"weight": comp, "rule": rule_comp, "actions": actions_comp}.get(key, doc)[key]
     elif kind == "shape":
         how = draw(st.sampled_from(["extra_step", "ragged", "nested", "scalar"]))
         if how == "extra_step":
-            comp["rule"].append(comp["rule"][0])
+            rule_comp["rule"].append(rule_comp["rule"][0])
         elif how == "ragged":
-            comp["rule"][0][0].pop()
+            rule_comp["rule"][0][0].pop()
         else:
-            comp["rule"] = [comp["rule"]] if how == "nested" else 0.5
+            rule_comp["rule"] = [rule_comp["rule"]] if how == "nested" else 0.5
+    elif kind == "actions_shape":
+        table = actions_comp["actions"]
+        how = draw(st.sampled_from(["extra_step", "extra_state", "ragged", "nested", "scalar"]))
+        if how == "extra_step":
+            table.append(table[0])
+        elif how == "extra_state":
+            table[0].append(0)
+        elif how == "ragged":
+            table[0].pop()
+        else:
+            actions_comp["actions"] = [table] if how == "nested" else 0
+    elif kind == "keys":  # both or neither of rule and actions
+        if draw(st.booleans()):
+            actions_comp["rule"] = rule_comp["rule"]
+        else:
+            del actions_comp["actions"]
     elif kind == "dimension":
         doc[draw(st.sampled_from(["S", "A", "H"]))] = draw(st.one_of(
             _POLICY_JUNK, st.integers(-1, 4)))

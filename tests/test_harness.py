@@ -129,6 +129,25 @@ def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
     assert shared == fresh
 
 
+def test_verdict_reuses_the_metrics_memo(chain, monkeypatch):
+    # the final mixture holds only policies that some episode played, so once
+    # compute_metrics has filled the memo the verdict sweeps no policy again
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
+                        episodes=200, iters=100)
+    res = run_learner(m, cfg, seed=1)
+    fresh_record = compute_metrics(m, exact, res.episodes)
+    fresh = check_final_policy(m, exact, res.final_policy, 0.1, "relaxed")
+    memo = {}
+    assert compute_metrics(m, exact, res.episodes, memo=memo) == fresh_record
+    original, priced = harness.evaluate_policy, []
+    monkeypatch.setattr(harness, "evaluate_policy",
+                        lambda kernel, stages, p: priced.append(p) or original(kernel, stages, p))
+    shared = check_final_policy(m, exact, res.final_policy, 0.1, "relaxed", memo=memo)
+    assert priced == []
+    assert repr(shared) == repr(fresh)  # float reprs round-trip, so bit for bit
+
+
 # ---------------------------------------------------------------------------
 # Verdicts.
 
@@ -253,7 +272,8 @@ HEADER = ",".join(CSV_COLUMNS) + "\n"
     (HEADER + "0,0.5,0,0.1,0,0,1,0\n1,0.5,0\n", "line 3: 3 cells, expected at least 8"),
     (HEADER + "0,0.5,zero,0.1,0,0,1,0\n", "line 2: could not convert string to float: 'zero'"),
     (HEADER, "no rows after the header"),
-], ids=["empty", "wrong-header", "short-row", "bad-cell", "no-rows"])
+    (HEADER + "0,nan,0,inf,0,0,1,0\n", "line 2: non-finite v_r_true, regret_cum"),
+], ids=["empty", "wrong-header", "short-row", "bad-cell", "no-rows", "non-finite"])
 def test_malformed_run_csv_is_one_line_error(tmp_path, text, where):
     (tmp_path / "run.csv").write_text(text)
     with pytest.raises(ValueError, match=where):

@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -224,14 +225,14 @@ def test_solver_terminates_on_nan_entries(monkeypatch, where):
     m = preset("two_state_chain")
     table = np.array(getattr(m, where))
     table[0, 0, 1] = np.nan
-    small = TabularCmdp(**{**m.__dict__, where: table})
+    small = replace(m, **{where: table})
     sol = solve_cmdp_exact(small)  # 2**4 policies: brute-force fallback
     assert sol.status in (OPTIMAL, INFEASIBLE)
     big = near_tie_instance(num_states=3, horizon=5)
     cost = np.array(big.cost)
     cost[0, 0, 0] = np.nan
     with pytest.raises(DegenerateInstanceError):
-        solve_cmdp_exact(TabularCmdp(**{**big.__dict__, "cost": cost}))
+        solve_cmdp_exact(replace(big, cost=cost))
     assert len(calls) < 10
 
 
