@@ -29,7 +29,8 @@ class GenSpec:
     """Generator knobs: dimensions, target budget slack, Dirichlet concentration, seed.
 
     zeta_target must be positive (generated instances are always strictly
-    feasible) and at most H, the largest value the budget may take.
+    feasible) and at most H, the largest value the budget may take; seed is
+    a non-negative integer.
     """
 
     num_states: int
@@ -46,6 +47,9 @@ class GenSpec:
             raise ValueError(f"zeta_target must be positive, got {self.zeta_target}")
         if not self.dirichlet_alpha > 0:
             raise ValueError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def generate(spec: GenSpec) -> TabularCmdp:

@@ -101,10 +101,12 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     Every episode's mixture is priced exactly; each distinct component policy
     is evaluated once and its (reward, cost) reused for later episodes. Pass
     a memo (as for evaluate_mixture) to share those prices with later calls.
+    Likewise each distinct dual walk's mean multiplier is taken once.
     """
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
     memo = {} if memo is None else memo
+    lambda_means: dict = {}  # DualWalk -> mean multiplier; replays share a walk
     rows = []
     regret = 0.0
     violation_sum = 0.0
@@ -112,13 +114,17 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
         v_r, v_c = evaluate_mixture(m, log.mixture, memo)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
+        walk = log.walk
+        lam_mean = lambda_means.get(walk)
+        if lam_mean is None:
+            lam_mean = lambda_means[walk] = float(np.mean(walk.trace(walk.lam)))
         rows.append(Row(
             k=log.episode,
             v_r_true=float(v_r),
             v_c_true=float(v_c),
             regret_cum=float(regret),
             cv_cum=float(max(0.0, violation_sum)),
-            lambda_mean=float(np.mean(log.walk.trace(log.walk.lam))),
+            lambda_mean=lam_mean,
             model_updates_cum=int(log.model_updates_cum),
             wall_ms=float(log.wall_ms),
         ))

@@ -25,6 +25,9 @@ built batch default to the extremes (H for reward, 0 for cost). Both sweeps
 build these Q-tables for all pairs at once and run core's backward-induction
 kernel, the one behind evaluate_policy and greedy_backup; both return the
 stacked (2, H+1, S) array of optimistic reward and pessimistic cost values.
+Each step prices E[V] and E[V^2] of both tables in one broadcast matvec and
+one bonus; the broadcast form rounds like a one-table `p @ v`, so the tables
+keep the bits of pricing each table on its own.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
 total visit count crosses a power of two, using only the transitions observed
@@ -58,8 +61,8 @@ RELAXED = "relaxed"
 STRICT = "strict"
 
 # Hard caps on K and T, checked before a run starts. The metrics materialize
-# each episode's length-T multiplier trace, so a huge T fails for lack of
-# memory only after the whole run.
+# each distinct walk's length-T multiplier trace, so a huge T fails for lack
+# of memory only after the whole run.
 MAX_EPISODES = 10**6
 MAX_ITERS = 10**7
 
@@ -120,6 +123,9 @@ class LearnerConfig:
             eta = dual_cap / (horizon * math.sqrt(iters))
         delta_prime = delta / (200.0 * num_states * num_actions
                                * horizon**2 * episodes**2)
+        if not (delta_prime > 0 and math.isfinite(1.0 / delta_prime)):
+            raise ValueError(f"delta={delta} is too small: 1/delta' = "
+                             f"200 S A H^2 K^2 / delta is not finite")
         return cls(num_states, num_actions, horizon, int(episodes), int(iters),
                    float(dual_cap), float(grid_step), float(eta), float(delta),
                    float(delta_prime), mode, float(shift), float(c1), float(c2),
@@ -267,6 +273,15 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     return True
 
 
+def _bonus(mean, second, n, cfg: LearnerConfig):
+    """Bernstein bonus from the row moments mean = E[V] and second = E[V^2]
+    and the batch sizes n behind the rows, all broadcast together."""
+    var = np.maximum(second - mean * mean, 0.0)
+    log_term = cfg.log_inv_delta_prime
+    return cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
+                              + cfg.c2 * cfg.horizon * log_term / n)
+
+
 def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
     """Bernstein bonus of kernel rows p_hat (..., S) against the value vector v_next.
 
@@ -277,23 +292,34 @@ def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
     if (n < 1).any():
         raise ValueError(f"bonus needs a built batch (n >= 1), got n={n}")
     p_hat, v_next = np.asarray(p_hat, dtype=float), np.asarray(v_next, dtype=float)
-    mean = p_hat @ v_next
-    var = np.maximum(p_hat @ (v_next * v_next) - mean * mean, 0.0)
-    log_term = cfg.log_inv_delta_prime
-    return cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
-                              + cfg.c2 * cfg.horizon * log_term / n)
+    return _bonus(p_hat @ v_next, p_hat @ (v_next * v_next), n, cfg)
 
 
-def _q_tables(model, reward, cost, cfg, h, v_next):
+_BONUS_SIGN = np.array([1.0, -1.0])[:, None, None]  # optimistic reward, pessimistic cost
+
+
+def _q_tables(model, stages, cfg, h, v_next):
     """Clipped optimistic-reward and pessimistic-cost Q-tables at step h,
-    stacked (2, S, A) from the (2, S) next-step values."""
-    horizon = float(reward.shape[0])
+    stacked (2, S, A) from the stage tables `stages` (2, H, S, A) and the
+    (2, S) next-step values.
+
+    One broadcast matvec prices E[V] and E[V^2] of both tables for every row.
+    It rounds like the one-table `p @ v` (core._expected_stage relies on the
+    same fact; a gemm over the stack would not), and adding the negated bonus
+    equals subtracting it, so the tables keep the bits of two separate
+    compute_bonus + `p @ v` calls.
+    """
+    horizon = float(stages.shape[1])
     p, n = model.kernel[h], model.counts.batch_size[h]
-    vr, vc = v_next
-    n1 = np.maximum(n, 1)  # unbuilt pairs (n = 0) take the defaults below
-    qr = np.minimum(reward[h] + compute_bonus(p, vr, n1, cfg) + p @ vr, horizon)
-    qc = np.maximum(cost[h] - compute_bonus(p, vc, n1, cfg) + p @ vc, 0.0)
-    return np.stack((np.where(n == 0, horizon, qr), np.where(n == 0, 0.0, qc)))
+    vv = np.concatenate((v_next, v_next * v_next))
+    moments = (p[None] @ vv[:, None, :, None])[..., 0]  # (4, S, A)
+    mean = moments[:2]
+    bonus = _bonus(mean, moments[2:], np.maximum(n, 1), cfg)  # n = 0 is overwritten
+    q = stages[:, h] + _BONUS_SIGN * bonus + mean
+    np.minimum(q[0], horizon, out=q[0])
+    np.maximum(q[1], 0.0, out=q[1])
+    q[:, n == 0] = ((horizon,), (0.0,))
+    return q
 
 
 def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig):
@@ -303,8 +329,9 @@ def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig
     index; v is the (2, H+1, S) stack of the policy's optimistic reward and
     pessimistic cost values.
     """
-    actions, v = _backward_induction(partial(_q_tables, model, reward, cost, cfg),
-                                     (2,) + reward.shape[:2], score=lambda q: q[0] - lam * q[1])
+    q_step = partial(_q_tables, model, np.stack((reward, cost)), cfg)
+    actions, v = _backward_induction(q_step, (2,) + reward.shape[:2],
+                                     score=lambda q: q[0] - lam * q[1])
     return Policy.from_actions(actions, reward.shape[2]), v
 
 
@@ -315,8 +342,8 @@ def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig)
     own action distribution; used to check the optimism guarantee. Returns
     the (2, H+1, S) stack of optimistic reward and pessimistic cost values.
     """
-    return _backward_induction(partial(_q_tables, model, reward, cost, cfg),
-                               (2,) + reward.shape[:2], rule=policy.rule)[1]
+    q_step = partial(_q_tables, model, np.stack((reward, cost)), cfg)
+    return _backward_induction(q_step, (2,) + reward.shape[:2], rule=policy.rule)[1]
 
 
 # ---------------------------------------------------------------------------

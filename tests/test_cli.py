@@ -297,6 +297,12 @@ def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab train: epsilon=1e-100 puts a rate"):
         main(["train", "--preset", "two_state_chain", "--epsilon", "1e-100",
               "-K", "2", "-T", "2", "--out", str(tmp_path / "run")])
+    # a tiny delta made delta' underflow: a NaN bonus or a ZeroDivisionError
+    for delta in ("1e-308", "1e-320", "5e-324"):
+        with pytest.raises(SystemExit,
+                           match=rf"^cmdplab train: delta={float(delta)} is too small"):
+            main(["train", "--preset", "two_state_chain", "--epsilon", "0.5",
+                  "--delta", delta, "-K", "3", "-T", "2", "--out", str(tmp_path / "run")])
     # the derived T = 1.6e13 is refused before the learner runs
     with pytest.raises(SystemExit, match=r"^cmdplab train: iters=16000000000000 exceeds"):
         main(["train", "--preset", "two_state_chain", "--epsilon", "0.001",
@@ -306,6 +312,10 @@ def test_library_errors_exit_with_one_line(tmp_path):
         with pytest.raises(SystemExit, match=rf"^cmdplab generate: no budget in \(0, 3\] "
                                              rf"realizes zeta_target={float(zeta)}$"):
             main(["generate", "--zeta", zeta, "--H", "3", "--out", str(tmp_path / "g.json")])
+    # numpy's own message named no field
+    with pytest.raises(SystemExit, match=r"^cmdplab generate: seed must be a non-negative "
+                                         r"integer, got -5$"):
+        main(["generate", "--seed", "-5", "--out", str(tmp_path / "g.json")])
     # a NaN tol skipped bisection and reported a suboptimal value as optimal
     with pytest.raises(SystemExit, match=r"^cmdplab solve: tol must be in \(0, inf\), got nan$"):
         main(["solve", "--preset", "risky_shortcut", "--tol", "nan"])

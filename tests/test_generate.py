@@ -70,6 +70,11 @@ def test_spec_validation():
         GenSpec(2, 2, 2, zeta_target=0.0)
     with pytest.raises(ValueError):
         GenSpec(2, 2, 2, zeta_target=0.5, dirichlet_alpha=0.0)
+    for seed in (-5, 1.5, 3.0, True, None):
+        with pytest.raises(ValueError,
+                           match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+            GenSpec(2, 2, 2, zeta_target=0.5, seed=seed)
+    assert GenSpec(2, 2, 2, zeta_target=0.5, seed=np.int64(3)).seed == 3
 
 
 def test_preset_names_and_unknown():

@@ -10,6 +10,7 @@ import filecmp
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cmdplab import (DualWalk, EpisodeLog, MixturePolicy, Policy,
@@ -90,6 +91,23 @@ def test_lambda_mean_and_update_columns(chain):
     assert rec.rows[0].lambda_mean == 0.5
     assert rec.rows[0].model_updates_cum == 7
     assert rec.rows[0].wall_ms == 3.25
+
+
+def test_lambda_mean_is_taken_once_per_distinct_walk(chain, monkeypatch):
+    # replayed episodes share their walk, so a run with few distinct walks
+    # builds few length-T traces, and each row keeps the bits of its own mean
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=300,
+                        iters=100, dual_cap=4.0, grid_step=0.00390625)
+    logs = run_learner(m, cfg, seed=1).episodes
+    want = [float(np.mean(log.walk.trace(log.walk.lam))) for log in logs]
+    original, traced = DualWalk.trace, []
+    monkeypatch.setattr(DualWalk, "trace",
+                        lambda walk, values: traced.append(walk) or original(walk, values))
+    rec = compute_metrics(m, exact, logs)
+    assert [row.lambda_mean for row in rec.rows] == want
+    distinct = {log.walk for log in logs}
+    assert len(traced) == len(set(traced)) == len(distinct) < len(logs)
 
 
 def test_empty_stream_has_no_rows(chain):

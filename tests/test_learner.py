@@ -6,6 +6,7 @@ is exact (log term 1, dyadic probabilities); derivations inline.
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
                      policy_value_bounds, preset, primal_dual_episode,
                      record_transition, round_to_grid, run_learner)
 import cmdplab.learner as learner
+from cmdplab.core import _backward_induction
 from conftest import random_instance
 
 
@@ -242,6 +244,10 @@ def test_make_validation_errors():
                 {"iters": True}, {"dual_cap": 1e300, "grid_step": 1e-300}):
         with pytest.raises(ValueError):
             LearnerConfig.make(**{**good, **bad})
+    # delta' = delta / (200 S A H^2 K^2) underflows: 1/delta' is inf or a 0 division
+    for delta in (1e-308, 1e-320, 5e-324):
+        with pytest.raises(ValueError, match=rf"^delta={delta} is too small"):
+            LearnerConfig.make(**{**good, "delta": delta})
 
 
 @pytest.mark.parametrize("name", ["dual_cap", "grid_step", "shift", "eta", "c1",
@@ -264,7 +270,8 @@ def _option(*valid):
 @settings(max_examples=200, deadline=None)
 @given(mode=st.sampled_from(["relaxed", "strict"]),
        epsilon=_option(0.5, 1.0, 1e-100, 5e-324),  # tiny ones underflow epsilon**4
-       delta=_option(0.1), dual_cap=_option(None, 4.0), grid_step=_option(None, 0.25),
+       delta=_option(0.1, 1e-308, 1e-320, 5e-324),  # tiny ones underflow delta'
+       dual_cap=_option(None, 4.0), grid_step=_option(None, 0.25),
        bonus_scale=_option(0.0, 0.1), episodes=_option(1, 3), iters=_option(1, 3))
 def test_train_options_are_rejected_or_run(mode, epsilon, delta, dual_cap, grid_step,
                                            bonus_scale, episodes, iters):
@@ -409,6 +416,49 @@ def test_vectorised_backup_matches_per_pair_loop(bonus_scale):
         _, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, rule=rule)
         assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
         assert np.allclose(vc, ref_vc, rtol=0.0, atol=1e-12)
+
+
+def _two_call_q_tables(model, reward, cost, cfg, h, v_next):
+    """The q-step before the stacked matvec: compute_bonus and p @ v once per
+    table. Kept to pin the stacked step's bits."""
+    horizon = float(reward.shape[0])
+    p, n = model.kernel[h], model.counts.batch_size[h]
+    vr, vc = v_next
+    n1 = np.maximum(n, 1)
+    qr = np.minimum(reward[h] + compute_bonus(p, vr, n1, cfg) + p @ vr, horizon)
+    qc = np.maximum(cost[h] - compute_bonus(p, vc, n1, cfg) + p @ vc, 0.0)
+    return np.stack((np.where(n == 0, horizon, qr), np.where(n == 0, 0.0, qc)))
+
+
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
+def test_stacked_q_step_keeps_the_two_call_bits(bonus_scale, dims):
+    s_, a_, h_ = dims
+    grid_step, cap = 0.25, 2.0
+    midpoints = [(i + 0.5) * grid_step for i in range(int(cap / grid_step))]
+    cfg = LearnerConfig.make(s_, a_, h_, episodes=300, iters=3, dual_cap=cap,
+                             grid_step=grid_step, delta=0.1, mode="relaxed",
+                             shift=0.5, bonus_scale=bonus_scale)
+    rng = np.random.default_rng(s_ * a_)
+    for seed in (0, 1):
+        m = random_instance(s_, a_, h_, seed=200 + seed)
+        model = _partly_built_model(m, seed)
+        reference = partial(_two_call_q_tables, model, m.reward, m.cost, cfg)
+        stages = np.stack((m.reward, m.cost))
+        for h in range(h_):  # next-step values off the sweeps' paths
+            v_next = rng.uniform(0.0, h_, size=(2, s_))
+            assert np.array_equal(learner._q_tables(model, stages, cfg, h, v_next),
+                                  reference(h, v_next))
+        for lam in [0.0, *midpoints, cap]:
+            pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+            actions, ref_v = _backward_induction(reference, (2, h_, s_),
+                                                 score=lambda q: q[0] - lam * q[1])
+            assert np.array_equal(pi.rule, Policy.from_actions(actions, a_).rule)
+            assert np.array_equal(v, ref_v)
+        rule = rng.dirichlet(np.ones(a_), size=(h_, s_))
+        _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
+        assert np.array_equal(policy_value_bounds(model, m.reward, m.cost, Policy(rule), cfg),
+                              ref_v)
 
 
 # ---------------------------------------------------------------------------
