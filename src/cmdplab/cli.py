@@ -5,8 +5,9 @@ Subcommands: ``generate`` (instance files), ``solve`` (ground truth),
 a saved policy), ``report`` (re-render charts from a run directory), and
 ``suite`` (the full acceptance battery). Train options may come from a JSON
 config file; explicit flags override file values. Exit code is nonzero iff a
-requested verdict or check fails; a subcommand that fails on bad input or an
-unreadable file exits with one line, ``cmdplab <command>: <message>``.
+requested verdict or check fails; a subcommand that fails on bad input, an
+unreadable file or an allocation it cannot make exits with one line,
+``cmdplab <command>: <message>``.
 """
 
 import argparse
@@ -285,7 +286,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError, MemoryError) as e:
         raise SystemExit(f"cmdplab {args.command}: {e}") from e
 
 

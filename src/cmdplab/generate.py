@@ -13,6 +13,7 @@ the docstrings and frozen in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,9 @@ class GenSpec:
     """Generator knobs: dimensions, target budget slack, Dirichlet concentration, seed.
 
     zeta_target must be positive (generated instances are always strictly
-    feasible) and at most H, the largest value the budget may take; seed is
-    a non-negative integer.
+    feasible) and at most H, the largest value the budget may take;
+    dirichlet_alpha must be positive and finite; seed is a non-negative
+    integer.
     """
 
     num_states: int
@@ -45,8 +47,9 @@ class GenSpec:
             raise ValueError("dimensions must be >= 1")
         if not self.zeta_target > 0:
             raise ValueError(f"zeta_target must be positive, got {self.zeta_target}")
-        if not self.dirichlet_alpha > 0:
-            raise ValueError(f"dirichlet_alpha must be positive, got {self.dirichlet_alpha}")
+        if not 0 < self.dirichlet_alpha < math.inf:
+            raise ValueError(
+                f"dirichlet_alpha must be positive and finite, got {self.dirichlet_alpha}")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
@@ -66,8 +69,11 @@ def generate(spec: GenSpec) -> TabularCmdp:
             f"zeta_target={spec.zeta_target}")
     rng = np.random.default_rng(spec.seed)
     s_, a_, h_ = spec.num_states, spec.num_actions, spec.horizon
-    alpha = np.full(s_, spec.dirichlet_alpha)
-    kernel = normalize_transition_rows(rng.dirichlet(alpha, size=(h_, s_, a_)))
+    rows = rng.dirichlet(np.full(s_, spec.dirichlet_alpha), size=(h_, s_, a_))
+    if not (rows.sum(axis=3) > 0).all():  # numpy's rows are all 0 when their gammas overflow
+        raise GenerationError(
+            f"dirichlet_alpha={spec.dirichlet_alpha} is too large: the Dirichlet draws overflow")
+    kernel = normalize_transition_rows(rows)
     reward = rng.uniform(size=(h_, s_, a_))
     cost = rng.uniform(size=(h_, s_, a_))
     cost[:, :, 0] = 0.0

@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction,
                    slater_constant)
-from .simulate import episode_stream, sample_mixture_episode
+from .simulate import _BLOCK, _stream_floats, sample_mixture_episode
 
 BONUS_C1 = 460.0 / 9.0
 BONUS_C2 = 544.0 / 9.0
@@ -105,8 +105,9 @@ class LearnerConfig:
         for name, x in reals.items():
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        if not (dual_cap > 0 and grid_step > 0):
-            raise ValueError(f"dual_cap and grid_step must be positive")
+        for name, x in (("dual_cap", dual_cap), ("grid_step", grid_step)):
+            if not x > 0:
+                raise ValueError(f"{name} must be positive, got {x!r}")
         if not math.isfinite(dual_cap / grid_step):
             raise ValueError(f"dual_cap / grid_step = {dual_cap} / {grid_step} overflows")
         if not 0 < delta < 1:
@@ -446,10 +447,13 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
                 measure_time: bool = False) -> LearnerResult:
     """Full online run: K episodes of plan / sample / update.
 
-    The environment is touched only through sampled transitions (episode k
-    uses the derived stream episode_stream(seed, k)). Identical (env, cfg,
-    seed) reproduce bit-identical results; wall_ms stays 0.0 unless
-    measure_time is set, because real timings cannot be reproducible.
+    The environment is touched only through sampled transitions. Episode k
+    is drawn from its 1 + 2H uniforms, row k of the seed's stream table
+    (simulate's randomness contract); the rows come _BLOCK episodes at a time,
+    and since a row depends only on (seed, k), every drawn row is used.
+    Identical (env, cfg, seed) reproduce bit-identical results; wall_ms stays
+    0.0 unless measure_time is set, because real timings cannot be
+    reproducible.
     """
     if (cfg.num_states, cfg.num_actions, cfg.horizon) != (
             env.num_states, env.num_actions, env.horizon):
@@ -472,12 +476,13 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         if touched:
             mixture, walk = primal_dual_episode(
                 model, env.reward, env.cost, env.initial_state, cfg, b_prime)
-        rng = episode_stream(seed, k)
-        _, traj = sample_mixture_episode(env, mixture, rng)
+        if k % _BLOCK == 0:
+            rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),
+                                  1 + 2 * env.horizon).tolist()
+        _, steps = sample_mixture_episode(env, mixture, rows[k % _BLOCK])
         touched = False
-        for step in traj.steps:
-            touched |= record_transition(model, step.h, step.state, step.action,
-                                         step.next_state)
+        for h, (s, a, s_next) in enumerate(steps):
+            touched |= record_transition(model, h, s, a, s_next)
         for (_, p), n in zip(mixture.components, walk.counts):
             plays[p] = plays.get(p, 0) + n
         wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0

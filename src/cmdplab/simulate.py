@@ -1,51 +1,52 @@
-"""Episode sampling with a counter-based, splittable 64-bit PRNG.
+"""Episode sampling on counter-based, splittable SplitMix64 streams.
 
 Randomness contract
 -------------------
-The generator is SplitMix64: state advances by the 64-bit golden-ratio
-constant 0x9E3779B97F4A7C15 and each output is the finalizer
+The generator is SplitMix64 (Steele, Lea & Flood 2014): state advances by
+the 64-bit golden-ratio constant 0x9E3779B97F4A7C15 and each output is the
+finalizer mix64
 
     z ^= z >> 30; z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27; z *= 0x94D049BB133111EB
     z ^= z >> 31
 
 applied to the new state (all arithmetic mod 2**64). Uniform doubles take the
-top 53 bits: (next_u64() >> 11) * 2**-53, giving values in [0, 1).
+top 53 bits of an output: (z >> 11) * 2**-53, giving values in [0, 1).
 
-Stream splitting: episode i of a run seeded with `seed` uses the independent
-generator SplitMix64(mix64(mix64(seed) + i)). Distinct episode indices give
-distinct, well-separated streams, so episodes may be sampled out of order or
-in parallel and still reproduce bit-identically.
+Stream splitting: episode i of a run seeded with `seed` starts from state
+mix64(mix64(seed) + i), so its j-th uniform (j = 0, 1, ...) comes from the
+output mix64(state + (j + 1) * golden). A uniform depends only on (seed, i,
+j), which lets _stream_floats compute a block of episodes' uniforms at once
+as uint64 arrays; episodes may be sampled out of order or in blocks and still
+reproduce bit-identically.
 
-Categorical draws invert the CDF in ascending index order: draw u, return the
-first index whose cumulative probability exceeds u (or, when rounding leaves
-the total at or below u, the last index with positive probability). Identical
-seeds therefore give identical trajectories on any platform.
+Categorical draws invert the CDF in ascending index order: given u, return
+the first index whose cumulative probability exceeds u (or, when rounding
+leaves the total at or below u, the last index with positive probability).
+Identical seeds therefore give identical trajectories on any platform.
 
 A mixture episode consumes exactly 1 + 2H uniforms: uniform 0 picks the
-component, 1 + 2h the action at step h and 2 + 2h its successor, and uniform j
-is the finalizer of the stream's state plus (j + 1) golden increments.
-monte_carlo_value uses that to draw a block of episodes at once: it computes
-the block's uniforms as uint64 arrays and inverts cumulative-sum tables that
-are accumulated left to right like categorical's, so every episode's totals
-are the doubles sample_mixture_episode gives on the same stream.
+component, 1 + 2h the action at step h and 2 + 2h its successor. The learner
+draws its episodes one at a time with the scalar inversion
+(sample_mixture_episode) from rows of a block of uniforms. monte_carlo_value
+draws a whole block at once: it inverts cumulative-sum tables that are
+accumulated left to right like categorical's, so every episode's totals are
+the doubles the scalar draws give on the same row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .core import MixturePolicy, Policy, TabularCmdp
+from .core import MixturePolicy, TabularCmdp
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# Episodes that monte_carlo_value samples together: bounds the block's
-# (episodes, 1 + 2H) uniform table without slowing the draws.
+# Episodes whose uniforms are drawn together, by monte_carlo_value and by the
+# learner: bounds the block's (episodes, 1 + 2H) table without slowing draws.
 _BLOCK = 1024
 
 
@@ -55,39 +56,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Counter-based generator; the full algorithm is documented in the module docstring."""
-
-    __slots__ = ("state",)
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        return mix64(self.state)
-
-    def next_float(self) -> float:
-        # Top 53 bits -> uniform double in [0, 1).
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
-
-    def categorical(self, probs) -> int:
-        """Inverse-CDF draw over ascending indices; probs must sum to ~1."""
-        u = self.next_float()
-        acc = 0.0
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                return i
-        # cumulative rounding left acc at or below u: the last index with mass
-        return max((i for i, p in enumerate(probs) if p > 0), default=0)
-
-
-def episode_stream(seed: int, episode: int) -> SplitMix64:
-    """The per-episode generator: SplitMix64(mix64(mix64(seed) + episode))."""
-    return SplitMix64(mix64((mix64(seed) + episode) & _MASK))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
@@ -100,8 +68,8 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
 
 
 def _stream_floats(seed: int, start: int, count: int, draws: int) -> np.ndarray:
-    """(count, draws) uniforms: row i holds the first `draws` next_float()
-    values of episode_stream(seed, start + i)."""
+    """(count, draws) uniforms: row i holds the first `draws` uniforms of
+    episode start + i's stream (the module docstring gives the formula)."""
     episodes = np.arange(start, start + count, dtype=np.uint64)
     states = _mix64_array(np.uint64(mix64(seed)) + episodes)
     steps = np.array([(j + 1) * _GOLDEN & _MASK for j in range(draws)], dtype=np.uint64)
@@ -126,60 +94,46 @@ def _draw(cdf: np.ndarray, fallback: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where(above.any(-1), above.argmax(-1), fallback)
 
 
-class Step(NamedTuple):
-    h: int
-    state: int
-    action: int
-    reward: float
-    cost: float
-    next_state: int
+def categorical(probs, u: float) -> int:
+    """Inverse-CDF draw over ascending indices: the first index whose
+    cumulative probability exceeds the uniform u, else the fallback."""
+    acc = 0.0
+    for i, p in enumerate(probs):
+        acc += p
+        if u < acc:
+            return i
+    # cumulative rounding left acc at or below u: the last index with mass
+    return max((i for i, p in enumerate(probs) if p > 0), default=0)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """One sampled episode: exactly H steps, h = 0..H-1 in order."""
-
-    steps: tuple
-
-    @property
-    def total_reward(self) -> float:
-        return sum(s.reward for s in self.steps)
-
-    @property
-    def total_cost(self) -> float:
-        return sum(s.cost for s in self.steps)
-
-
-def sample_episode(m: TabularCmdp, policy: Policy, rng: SplitMix64) -> Trajectory:
-    """Roll one episode from s1: at each step draw the action, then the successor."""
-    if policy.rule.shape != (m.horizon, m.num_states, m.num_actions):
+def sample_mixture_episode(m: TabularCmdp, mix: MixturePolicy, u):
+    """One episode from s1 on the uniforms u (a row of _stream_floats): the
+    component from u[0], then at step h the action from u[1 + 2h] and the
+    successor from u[2 + 2h]. Returns (component index, [(s, a, s'), ...])."""
+    idx = categorical([w for w, _ in mix.components], u[0])
+    rule = mix.components[idx][1].rule
+    if rule.shape != (m.horizon, m.num_states, m.num_actions):
         raise ValueError(
-            f"policy shape {policy.rule.shape} does not match instance "
+            f"policy shape {rule.shape} does not match instance "
             f"({m.horizon}, {m.num_states}, {m.num_actions})")
     s = m.initial_state
     steps = []
     for h in range(m.horizon):
-        a = rng.categorical(policy.rule[h, s])
-        sn = rng.categorical(m.transition[h, s, a])
-        steps.append(Step(h, s, a, float(m.reward[h, s, a]), float(m.cost[h, s, a]), sn))
+        a = categorical(rule[h, s], u[1 + 2 * h])
+        sn = categorical(m.transition[h, s, a], u[2 + 2 * h])
+        steps.append((s, a, sn))
         s = sn
-    return Trajectory(tuple(steps))
-
-
-def sample_mixture_episode(m: TabularCmdp, mix: MixturePolicy, rng: SplitMix64):
-    """Draw the component once (inverse CDF over component index), then the episode."""
-    idx = rng.categorical([w for w, _ in mix.components])
-    return idx, sample_episode(m, mix.components[idx][1], rng)
+    return idx, steps
 
 
 def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: int):
     """Monte-Carlo estimate of mixture reward and cost values at s1.
 
-    Episode i uses episode_stream(seed, i), so estimates are reproducible and
-    independent of evaluation order; each episode's totals equal those of
-    sample_mixture_episode on that stream, bit for bit, though episodes are
-    drawn _BLOCK at a time. Returns a dict with means and standard errors for
-    both stages; episodes must be at least 1.
+    Episode i uses row i of the seed's uniforms, so estimates are reproducible
+    and independent of evaluation order; each episode's totals equal the
+    h-ordered sums over sample_mixture_episode's steps on that row, bit for
+    bit, though episodes are drawn _BLOCK at a time. Returns a dict with
+    means and standard errors for both stages; episodes must be at least 1.
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
@@ -199,7 +153,7 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
         s = np.full(count, m.initial_state)
         reward = np.zeros(count)
         cost = np.zeros(count)
-        for h in range(m.horizon):  # totals add up in h order, like Trajectory's
+        for h in range(m.horizon):  # totals add up in h order
             a = _draw(rule_cdf[comp, h, s], rule_last[comp, h, s], u[:, 1 + 2 * h])
             reward += m.reward[h, s, a]
             cost += m.cost[h, s, a]

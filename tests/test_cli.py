@@ -316,6 +316,23 @@ def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab generate: seed must be a non-negative "
                                          r"integer, got -5$"):
         main(["generate", "--seed", "-5", "--out", str(tmp_path / "g.json")])
+    # these drew NaN kernel rows and blamed "P entry (0, 0, 0, 0)"
+    with pytest.raises(SystemExit, match=r"^cmdplab generate: dirichlet_alpha must be "
+                                         r"positive and finite, got inf$"):
+        main(["generate", "--alpha", "inf", "--out", str(tmp_path / "g.json")])
+    with pytest.raises(SystemExit, match=r"^cmdplab generate: dirichlet_alpha=1e\+308 is too "
+                                         r"large: the Dirichlet draws overflow$"):
+        main(["generate", "--alpha", "1e308", "--out", str(tmp_path / "g.json")])
+    # each array is over 2**57 bytes, so the allocation fails before any
+    # memory is touched; numpy's MemoryError escaped as a traceback
+    with pytest.raises(SystemExit, match=r"^cmdplab generate: Unable to allocate "):
+        main(["generate", "--S", "200000", "--A", "1000", "--H", "1000",
+              "--out", str(tmp_path / "g.json")])
+    save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), preset("two_state_chain"),
+                tmp_path / "p.json")
+    with pytest.raises(SystemExit, match=r"^cmdplab evaluate: Unable to allocate "):
+        main(["evaluate", "--preset", "two_state_chain", "--policy", str(tmp_path / "p.json"),
+              "--episodes", "100000000000000000"])
     # a NaN tol skipped bisection and reported a suboptimal value as optimal
     with pytest.raises(SystemExit, match=r"^cmdplab solve: tol must be in \(0, inf\), got nan$"):
         main(["solve", "--preset", "risky_shortcut", "--tol", "nan"])

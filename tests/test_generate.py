@@ -1,5 +1,7 @@
 """Instance generation with an exactly pinned feasibility margin."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,8 +70,10 @@ def test_spec_validation():
         GenSpec(0, 2, 2, zeta_target=0.5)
     with pytest.raises(ValueError):
         GenSpec(2, 2, 2, zeta_target=0.0)
-    with pytest.raises(ValueError):
-        GenSpec(2, 2, 2, zeta_target=0.5, dirichlet_alpha=0.0)
+    for alpha in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match=rf"^dirichlet_alpha must be positive and finite, "
+                                             rf"got {alpha}$"):
+            GenSpec(2, 2, 2, zeta_target=0.5, dirichlet_alpha=alpha)
     for seed in (-5, 1.5, 3.0, True, None):
         with pytest.raises(ValueError,
                            match=rf"^seed must be a non-negative integer, got {seed!r}$"):

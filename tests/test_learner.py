@@ -20,7 +20,9 @@ from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
                      record_transition, round_to_grid, run_learner)
 import cmdplab.learner as learner
 from cmdplab.core import _backward_induction
+from cmdplab.simulate import _BLOCK
 from conftest import random_instance
+from splitmix_reference import episode_stream, sample_mixture_trajectory
 
 
 def exact_log_config(**kw):
@@ -238,11 +240,21 @@ def test_make_rounds_cap_up_to_grid():
 def test_make_validation_errors():
     good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
                 dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
-    for bad in ({"episodes": 0}, {"iters": 0}, {"dual_cap": 0.0},
-                {"grid_step": -1.0}, {"delta": 1.0}, {"mode": "loose"},
-                {"episodes": 2.5}, {"iters": math.inf}, {"episodes": math.nan},
-                {"iters": True}, {"dual_cap": 1e300, "grid_step": 1e-300}):
-        with pytest.raises(ValueError):
+    for bad, match in (({"episodes": 0}, "^episodes must be an integer >= 1, got 0$"),
+                       ({"iters": 0}, "^iters must be an integer >= 1, got 0$"),
+                       ({"dual_cap": 0.0}, r"^dual_cap must be positive, got 0\.0$"),
+                       ({"dual_cap": -1.0}, r"^dual_cap must be positive, got -1\.0$"),
+                       ({"grid_step": -1.0}, r"^grid_step must be positive, got -1\.0$"),
+                       ({"grid_step": 0.0}, r"^grid_step must be positive, got 0\.0$"),
+                       ({"delta": 1.0}, r"^delta must be in \(0, 1\), got 1\.0$"),
+                       ({"mode": "loose"}, "^mode must be 'relaxed' or 'strict', got 'loose'$"),
+                       ({"episodes": 2.5}, r"^episodes must be an integer >= 1, got 2\.5$"),
+                       ({"iters": math.inf}, "^iters must be an integer >= 1, got inf$"),
+                       ({"episodes": math.nan}, "^episodes must be an integer >= 1, got nan$"),
+                       ({"iters": True}, "^iters must be an integer >= 1, got True$"),
+                       ({"dual_cap": 1e300, "grid_step": 1e-300},
+                        r"^dual_cap / grid_step = 1e\+300 / 1e-300 overflows$")):
+        with pytest.raises(ValueError, match=match):
             LearnerConfig.make(**{**good, **bad})
     # delta' = delta / (200 S A H^2 K^2) underflows: 1/delta' is inf or a 0 division
     for delta in (1e-308, 1e-320, 5e-324):
@@ -665,6 +677,31 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters, 
         replayed = prev[k] == prev[k - 1]  # episode k - 1 rebuilt no row
         assert (log.walk is res.episodes[k - 1].walk) == replayed
         assert sum(log.walk.counts) == iters
+
+
+@pytest.mark.parametrize("seed", [-7, 2**64 - 1])
+def test_run_learner_draws_each_episode_from_its_own_stream(monkeypatch, seed):
+    # the learner reads its uniforms _BLOCK episodes at a time; K crosses two
+    # block boundaries and ends three rows into a third block. Row k must be
+    # the first 1 + 2H uniforms of the scalar stream of episode k, and the
+    # episode the scalar sampler's on that stream.
+    m = preset("risky_shortcut")
+    episodes = 2 * _BLOCK + 3
+    original, calls = learner.sample_mixture_episode, []
+
+    def recording(env, mix, u):
+        calls.append((mix, list(u), original(env, mix, u)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(learner, "sample_mixture_episode", recording)
+    run_learner(m, small_run_config(m, episodes=episodes, iters=3), seed)
+    assert len(calls) == episodes
+    for k, (mix, row, (idx, steps)) in enumerate(calls):
+        rng = episode_stream(seed, k)
+        assert row == [rng.next_float() for _ in range(1 + 2 * m.horizon)]
+        want_idx, traj = sample_mixture_trajectory(m, mix, episode_stream(seed, k))
+        assert (idx, steps) == (want_idx, [(st.state, st.action, st.next_state)
+                                           for st in traj.steps])
 
 
 def test_run_learner_validates_inputs(monkeypatch):

@@ -1,33 +1,26 @@
-"""Counter-based PRNG and trajectory sampling.
+"""Counter-based PRNG streams and trajectory sampling.
 
 The u64 sequence for seed 0 is pinned to the published reference vectors of
-the splitmix64 generator, so any drift in the golden constant or the mixing
-function shows up as a hard failure here.
+the splitmix64 generator, both in the scalar reference generator and in the
+array streams cmdplab draws from, so any drift in the golden constant or the
+mixing function shows up as a hard failure here.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cmdplab import (MixturePolicy, Policy, SplitMix64, episode_stream,
-                     evaluate_policy, monte_carlo_value, preset,
-                     sample_episode, sample_mixture_episode)
+from cmdplab import (MixturePolicy, Policy, evaluate_policy, monte_carlo_value,
+                     preset, sample_mixture_episode)
 from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw,
-                              _mix64_array, _stream_floats, mix64)
+                              _mix64_array, _stream_floats, categorical, mix64)
 from conftest import random_instance
+from splitmix_reference import (Scripted, SplitMix64, episode_stream,
+                                sample_episode, sample_mixture_trajectory)
 
 REF_SEQ = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
-
-
-class _Scripted:
-    """Stand-in rng feeding categorical() a fixed list of uniforms."""
-
-    def __init__(self, values):
-        self.values = list(values)
-
-    def next_float(self):
-        return self.values.pop(0)
 
 
 def test_u64_reference_vectors():
@@ -41,12 +34,18 @@ def test_mix64_matches_first_output():
 
 
 def test_float_uses_top_53_bits():
+    want = [(z >> 11) * 2.0**-53 for z in REF_SEQ]
     rng = SplitMix64(0)
-    assert rng.next_float() == (REF_SEQ[0] >> 11) * 2.0**-53
-    assert rng.next_float() == (REF_SEQ[1] >> 11) * 2.0**-53
+    assert [rng.next_float() for _ in range(3)] == want
+    # episode 0 of seed 0 starts from state mix64(mix64(0) + 0) = 0, so the
+    # array stream's first row is SplitMix64(0)'s output
+    assert _stream_floats(0, 0, 1, 3)[0].tolist() == want
 
 
 def test_floats_stay_in_unit_interval():
+    draws = _stream_floats(123456789, 0, 10, 1_000)
+    assert draws.min() >= 0.0
+    assert draws.max() < 1.0
     rng = SplitMix64(123456789)
     draws = [rng.next_float() for _ in range(10_000)]
     assert min(draws) >= 0.0
@@ -55,70 +54,69 @@ def test_floats_stay_in_unit_interval():
 
 def test_categorical_inverse_cdf_cutpoints():
     probs = [0.25, 0.25, 0.5]
-    fake = _Scripted([0.0, 0.2499, 0.25, 0.5, 0.9999])
-    draws = [SplitMix64.categorical(fake, probs) for _ in range(5)]
+    draws = [categorical(probs, u) for u in (0.0, 0.2499, 0.25, 0.5, 0.9999)]
     assert draws == [0, 0, 1, 2, 2]
 
 
 def test_categorical_fallback_on_deficient_rows():
     # rounding can leave sum(probs) slightly below u; last index absorbs it
-    fake = _Scripted([0.99999999])
-    assert SplitMix64.categorical(fake, [0.3, 0.3, 0.3999]) == 2
+    assert categorical([0.3, 0.3, 0.3999], 0.99999999) == 2
 
 
 def test_categorical_fallback_skips_zero_probability_tail():
     # 0.5 + 0.49999 < 1 - 2**-53, so the draw falls off the end; it lands on
     # the last index that has mass, never on the zero-probability index 2
-    fake = _Scripted([1.0 - 2.0**-53, 1.0 - 2.0**-53])
-    assert SplitMix64.categorical(fake, [0.5, 0.49999, 0.0]) == 1
-    assert SplitMix64.categorical(fake, [0.0, 0.3, 0.0, 0.0]) == 1
+    assert categorical([0.5, 0.49999, 0.0], 1.0 - 2.0**-53) == 1
+    assert categorical([0.0, 0.3, 0.0, 0.0], 1.0 - 2.0**-53) == 1
 
 
 def test_categorical_marginal_frequencies():
     probs = [0.1, 0.6, 0.3]
-    rng = SplitMix64(7)
     n = 20_000
-    counts = np.bincount([rng.categorical(probs) for _ in range(n)], minlength=3)
+    u = _stream_floats(7, 0, 1, n)[0].tolist()
+    counts = np.bincount([categorical(probs, x) for x in u], minlength=3)
     for i, p in enumerate(probs):
         band = 4 * np.sqrt(p * (1 - p) / n)
         assert abs(counts[i] / n - p) < band
 
 
 def test_episode_streams_are_deterministic_and_distinct():
-    a1 = [episode_stream(42, 0).next_u64() for _ in range(2)]
-    a2 = [episode_stream(42, 0).next_u64() for _ in range(2)]
-    assert a1 == a2
-    assert episode_stream(42, 0).next_u64() != episode_stream(42, 1).next_u64()
-    assert episode_stream(42, 0).next_u64() != episode_stream(43, 0).next_u64()
+    a = _stream_floats(42, 0, 2, 2)
+    assert np.array_equal(a, _stream_floats(42, 0, 2, 2))
+    assert a[0, 0] != a[1, 0]  # episodes 0 and 1
+    assert a[0, 0] != _stream_floats(43, 0, 1, 1)[0, 0]  # seeds 42 and 43
+    assert np.array_equal(a[1:], _stream_floats(42, 1, 1, 2))  # rows need no prefix
 
 
 def test_sample_episode_shape_and_chaining():
     m = random_instance(3, 2, 4, seed=5)
-    pi = Policy.uniform(4, 3, 2)
-    traj = sample_episode(m, pi, episode_stream(1, 0))
-    assert len(traj.steps) == 4
-    assert [st.h for st in traj.steps] == [0, 1, 2, 3]
-    assert traj.steps[0].state == m.initial_state
-    for prev, nxt in zip(traj.steps, traj.steps[1:]):
-        assert prev.next_state == nxt.state
-    for st in traj.steps:
-        assert st.reward == m.reward[st.h, st.state, st.action]
-        assert st.cost == m.cost[st.h, st.state, st.action]
+    mix = MixturePolicy.single(Policy.uniform(4, 3, 2))
+    idx, steps = sample_mixture_episode(m, mix, _stream_floats(1, 0, 1, 9)[0])
+    assert idx == 0
+    assert len(steps) == 4
+    assert steps[0][0] == m.initial_state
+    for prev, nxt in zip(steps, steps[1:]):
+        assert prev[2] == nxt[0]
+    for s, a, sn in steps:
+        assert 0 <= s < 3 and 0 <= a < 2 and 0 <= sn < 3
 
 
 def test_trajectory_totals_sum_steps():
+    # one Monte Carlo episode's totals are its steps' stage values summed in
+    # h order, on the same row of uniforms the learner's draw reads
     m = random_instance(2, 2, 3, seed=9)
-    traj = sample_episode(m, Policy.uniform(3, 2, 2), episode_stream(2, 5))
-    assert traj.total_reward == pytest.approx(
-        sum(st.reward for st in traj.steps), abs=1e-15)
-    assert traj.total_cost == pytest.approx(
-        sum(st.cost for st in traj.steps), abs=1e-15)
+    mix = MixturePolicy.single(Policy.uniform(3, 2, 2))
+    _, steps = sample_mixture_episode(m, mix, _stream_floats(2, 0, 1, 7)[0])
+    stats = monte_carlo_value(m, mix, episodes=1, seed=2)
+    assert stats["reward_mean"] == sum(m.reward[h, s, a] for h, (s, a, _) in enumerate(steps))
+    assert stats["cost_mean"] == sum(m.cost[h, s, a] for h, (s, a, _) in enumerate(steps))
 
 
 def test_sample_episode_rejects_mismatched_policy():
     m = random_instance(2, 2, 3, seed=11)
-    with pytest.raises(ValueError):
-        sample_episode(m, Policy.uniform(3, 3, 2), episode_stream(0, 0))
+    mix = MixturePolicy.single(Policy.uniform(3, 3, 2))
+    with pytest.raises(ValueError, match="does not match"):
+        sample_mixture_episode(m, mix, _stream_floats(0, 0, 1, 7)[0])
 
 
 def test_mixture_component_frequencies():
@@ -127,21 +125,23 @@ def test_mixture_component_frequencies():
     b = Policy.from_actions([[1, 1], [1, 1]], 2)
     mix = MixturePolicy(((0.3, a), (0.7, b)))
     n = 10_000
-    picks = np.array([sample_mixture_episode(m, mix, episode_stream(3, e))[0]
-                      for e in range(n)])
+    rows = _stream_floats(3, 0, n, 5).tolist()
+    picks = np.array([sample_mixture_episode(m, mix, u)[0] for u in rows])
     freq = (picks == 1).mean()
     assert abs(freq - 0.7) < 4 * np.sqrt(0.3 * 0.7 / n)
 
 
 def test_mixture_episode_consistent_with_component():
-    # replaying the same stream must give the chosen component's trajectory
+    # the row's draws after the component's must give the chosen component's
+    # trajectory on the scalar stream
     m = preset("risky_shortcut")
     mix = MixturePolicy.single(Policy.uniform(3, 3, 2))
-    idx, traj = sample_mixture_episode(m, mix, episode_stream(8, 1))
+    idx, steps = sample_mixture_episode(m, mix, _stream_floats(8, 1, 1, 7)[0])
     assert idx == 0
     rng = episode_stream(8, 1)
     rng.categorical([1.0])  # burn the component draw
-    assert sample_episode(m, mix.components[0][1], rng) == traj
+    traj = sample_episode(m, mix.components[0][1], rng)
+    assert steps == [(st.state, st.action, st.next_state) for st in traj.steps]
 
 
 def test_monte_carlo_exact_on_deterministic_instance():
@@ -194,12 +194,12 @@ def test_monte_carlo_rejects_mismatched_component():
 
 
 def reference_monte_carlo(m, mix, episodes, seed):
-    """One episode at a time through sample_mixture_episode: the definition
-    the batched sampler must reproduce bit for bit."""
+    """One episode at a time on the scalar streams: the definition the
+    batched sampler must reproduce bit for bit."""
     rewards = np.empty(episodes)
     costs = np.empty(episodes)
     for i in range(episodes):
-        _, traj = sample_mixture_episode(m, mix, episode_stream(seed, i))
+        _, traj = sample_mixture_trajectory(m, mix, episode_stream(seed, i))
         rewards[i] = traj.total_reward
         costs[i] = traj.total_cost
 
@@ -249,6 +249,51 @@ def test_batched_monte_carlo_matches_reference_on_zero_transitions():
             == reference_monte_carlo(m, mix, 300, 9))
 
 
+def deficient_case(seed):
+    """A 4x3x4 instance and a 3-component mixture whose kernel rows, rule rows
+    and weights all sum just below 1 (within PROB_TOL) and whose last entries
+    carry no probability, so a uniform past the total falls back."""
+    m = random_instance(4, 3, 4, seed=seed)
+    kernel = np.array(m.transition)
+    kernel[..., -1] = 0.0
+    kernel /= kernel.sum(axis=-1, keepdims=True)
+    m = replace(m, transition=kernel * (1 - 1e-10))
+    comps = []
+    for w, p in random_mixture(m, 3, seed=seed).components:
+        rule = np.array(p.rule)
+        rule[..., -1] = 0.0
+        rule /= rule.sum(axis=-1, keepdims=True)
+        comps.append((w * (1 - 1e-10), Policy(rule * (1 - 1e-10))))
+    return m, MixturePolicy(tuple(comps))
+
+
+@pytest.mark.parametrize("case", ["mixture", "deficient", "two_state_chain"])
+def test_sample_mixture_episode_matches_scalar_reference(case):
+    if case == "mixture":
+        m = random_instance(5, 3, 6, seed=21)
+        mix = random_mixture(m, 4, seed=22)
+    elif case == "deficient":
+        m, mix = deficient_case(seed=23)
+    else:  # 0/1 kernel rows: every successor draw meets a zero-probability entry
+        m = preset("two_state_chain")
+        mix = random_mixture(m, 3, seed=24)
+    draws = 1 + 2 * m.horizon
+
+    def reference(rng):
+        idx, traj = sample_mixture_trajectory(m, mix, rng)
+        return idx, [(st.state, st.action, st.next_state) for st in traj.steps]
+
+    for k, row in enumerate(_stream_floats(-5, 0, 300, draws).tolist()):
+        assert sample_mixture_episode(m, mix, row) == reference(episode_stream(-5, k))
+    # rows at the ends of [0, 1): 1 - 2**-53 lies past every deficient total
+    rows = _stream_floats(6, 0, 300, draws)
+    pick = np.random.default_rng(6).uniform(size=rows.shape)
+    rows[pick < 0.2] = 0.0
+    rows[pick > 0.7] = 1.0 - 2.0**-53
+    for row in rows.tolist():
+        assert sample_mixture_episode(m, mix, row) == reference(Scripted(row))
+
+
 def test_array_finalizer_reproduces_reference_streams():
     steps = np.array([(j + 1) * _GOLDEN & _MASK for j in range(3)], dtype=np.uint64)
     assert tuple(int(z) for z in _mix64_array(steps)) == REF_SEQ
@@ -275,8 +320,9 @@ def test_vectorised_draw_matches_categorical():
     for row in rows:
         cdf, last = _cdf_table(row)
         got = _draw(cdf, last, np.array(uniforms))
-        want = [SplitMix64.categorical(_Scripted([u]), row) for u in uniforms]
+        want = [Scripted([u]).categorical(row) for u in uniforms]
         assert got.tolist() == want, row
+        assert [categorical(row, u) for u in uniforms] == want, row
 
 
 def test_cdf_tables_draw_per_row():
@@ -287,5 +333,5 @@ def test_cdf_tables_draw_per_row():
     pick = np.array([0, 1, 2, 2, 0])
     u = np.array([0.7, 0.1, 0.1, 1.0 - 2.0**-53, 0.2])
     got = _draw(cdf[pick], last[pick], u)
-    want = [SplitMix64.categorical(_Scripted([x]), probs[r]) for r, x in zip(pick, u)]
+    want = [Scripted([x]).categorical(probs[r]) for r, x in zip(pick, u)]
     assert got.tolist() == want == [1, 2, 0, 2, 0]
