@@ -99,9 +99,11 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     """Build the RunRecord for a stream of EpisodeLog entries.
 
     Every episode's mixture is priced exactly; each distinct component policy
-    is evaluated once and its (reward, cost) reused for later episodes. Pass
-    a memo (as for evaluate_mixture) to share those prices with later calls.
-    Likewise each distinct dual walk's mean multiplier is taken once.
+    is evaluated once and its (reward, cost) reused for later episodes, and an
+    episode whose mixture is the previous episode's object (a replay) reuses
+    that episode's pair outright. Pass a memo (as for evaluate_mixture) to
+    share those prices with later calls. Likewise each distinct dual walk's
+    mean multiplier is taken once.
     """
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
@@ -110,8 +112,11 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     rows = []
     regret = 0.0
     violation_sum = 0.0
+    mixture = None  # the last priced mixture; a replay shares its object
     for log in episodes:
-        v_r, v_c = evaluate_mixture(m, log.mixture, memo)
+        if log.mixture is not mixture:
+            mixture = log.mixture
+            v_r, v_c = evaluate_mixture(m, mixture, memo)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
         walk = log.walk

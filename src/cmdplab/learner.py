@@ -29,6 +29,15 @@ Each step prices E[V] and E[V^2] of both tables in one broadcast matvec and
 one bonus; the broadcast form rounds like a one-table `p @ v`, so the tables
 keep the bits of pricing each table on its own.
 
+A run keeps one memo of these Q-tables per step, keyed by the bytes of the
+next step's (2, S) values: the lambdas of a walk often agree on their late
+greedy choices, and every walk starts at lambda = 0. Step h's tables are a
+pure function of kernel[h], batch_size[h], the fixed stage tables and config,
+and the key, and only a rebuild of a step-h row changes kernel[h] or
+batch_size[h]; so run_learner clears memo[h], and no other step, when
+record_transition rebuilds a row of step h, and a hit returns the very array
+a fresh computation would.
+
 The empirical kernel row for a pair is rebuilt from scratch each time its
 total visit count crosses a power of two, using only the transitions observed
 since the previous rebuild; batch sizes per pair therefore follow
@@ -323,14 +332,27 @@ def _q_tables(model, stages, cfg, h, v_next):
     return q
 
 
-def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig):
+def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig,
+                             memo=None):
     """Greedy backward induction on q_r - lam * q_c over the empirical model.
 
     Returns (deterministic Policy, v), with ties going to the lowest action
     index; v is the (2, H+1, S) stack of the policy's optimistic reward and
-    pessimistic cost values.
+    pessimistic cost values. memo is a list of H dicts, one per step, from
+    the next-step values' bytes to that step's Q-tables; it is read and
+    filled here, and the caller clears memo[h] whenever a row of step h is
+    rebuilt. None means a fresh memo for this call.
     """
-    q_step = partial(_q_tables, model, np.stack((reward, cost)), cfg)
+    memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
+    stages = np.stack((reward, cost))
+
+    def q_step(h, v_next):
+        key = v_next.tobytes()
+        q = memo[h].get(key)
+        if q is None:
+            q = memo[h][key] = _q_tables(model, stages, cfg, h, v_next)
+        return q
+
     actions, v = _backward_induction(q_step, (2,) + reward.shape[:2],
                                      score=lambda q: q[0] - lam * q[1])
     return Policy.from_actions(actions, reward.shape[2]), v
@@ -389,20 +411,22 @@ class DualWalk(NamedTuple):
 
 
 def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
-                        b_prime: float):
+                        b_prime: float, memo=None):
     """Run the T inner primal-dual iterations against the fixed model.
 
     The walk starts at grid index 0 and stops at the first repeated index or
     after T distinct ones, with one backup per distinct index; the remaining
-    iterations go round the cycle and are counted, not run. Returns (mixture,
-    DualWalk); the mixture has one component per visited index, in first-visit
-    order, weighted by visits / T.
+    iterations go round the cycle and are counted, not run. memo is
+    lagrangian_greedy_backup's, shared by the walk's backups. Returns
+    (mixture, DualWalk); the mixture has one component per visited index, in
+    first-visit order, weighted by visits / T.
     """
+    memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
     seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
     while i not in seen and len(seen) < cfg.iters:
         lam = i * cfg.grid_step
-        pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+        pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg, memo)
         v_c = float(v[1, 0, initial_state])
         seen[i] = (lam, pi, v_c)
         i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
@@ -451,9 +475,11 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     is drawn from its 1 + 2H uniforms, row k of the seed's stream table
     (simulate's randomness contract); the rows come _BLOCK episodes at a time,
     and since a row depends only on (seed, k), every drawn row is used.
-    Identical (env, cfg, seed) reproduce bit-identical results; wall_ms stays
-    0.0 unless measure_time is set, because real timings cannot be
-    reproducible.
+    The Q-table memo lives for the whole run (see the module docstring), and
+    the final policy folds each walk's visit counts once, times the episodes
+    that played it, in first-play order. Identical (env, cfg, seed)
+    reproduce bit-identical results; wall_ms stays 0.0 unless measure_time
+    is set, because real timings cannot be reproducible.
     """
     if (cfg.num_states, cfg.num_actions, cfg.horizon) != (
             env.num_states, env.num_actions, env.horizon):
@@ -468,25 +494,32 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     if b_prime <= 0:
         raise ValueError(f"shifted budget b'={b_prime} must be positive")
     model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
+    memo = [{} for _ in range(env.horizon)]  # step h's Q-tables by next values
     logs = []
-    plays: dict = {}  # Policy -> iterations it was played, over all episodes
+    walks = []  # [mixture, walk, episodes that played it], one per replan
     touched = True  # an episode replans only after a row rebuild
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
             mixture, walk = primal_dual_episode(
-                model, env.reward, env.cost, env.initial_state, cfg, b_prime)
+                model, env.reward, env.cost, env.initial_state, cfg, b_prime, memo)
+            walks.append([mixture, walk, 0])
         if k % _BLOCK == 0:
             rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),
                                   1 + 2 * env.horizon).tolist()
         _, steps = sample_mixture_episode(env, mixture, rows[k % _BLOCK])
         touched = False
         for h, (s, a, s_next) in enumerate(steps):
-            touched |= record_transition(model, h, s, a, s_next)
-        for (_, p), n in zip(mixture.components, walk.counts):
-            plays[p] = plays.get(p, 0) + n
+            if record_transition(model, h, s, a, s_next):
+                memo[h].clear()
+                touched = True
+        walks[-1][2] += 1
         wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0
         logs.append(EpisodeLog(k, mixture, walk, int(model.counts.epochs.sum()), wall))
+    plays: dict = {}  # Policy -> iterations it was played, in first-play order
+    for mixture, walk, replays in walks:
+        for (_, p), n in zip(mixture.components, walk.counts):
+            plays[p] = plays.get(p, 0) + n * replays
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
     return LearnerResult(final, logs, model, cfg, seed)

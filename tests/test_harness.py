@@ -129,6 +129,30 @@ def test_learner_run_values_match_uncached_evaluation(chain):
         assert (row.v_r_true, row.v_c_true) == evaluate_mixture(m, log.mixture)
 
 
+def test_replayed_episodes_are_priced_once(chain, monkeypatch):
+    # a replay shares its mixture object with the episode before it, and
+    # compute_metrics reuses that episode's values; every row keeps the bits
+    # of a loop that prices each episode on its own
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
+                        iters=100, dual_cap=4.0, grid_step=0.00390625)
+    logs = run_learner(m, cfg, seed=1).episodes
+    replans = 1 + sum(b.mixture is not a.mixture for a, b in zip(logs, logs[1:]))
+    assert replans < len(logs) // 10
+    want, regret, violation_sum = [], 0.0, 0.0
+    for log in logs:
+        v_r, v_c = evaluate_mixture(m, log.mixture)
+        regret += exact.optimal_value - v_r
+        violation_sum += v_c - m.budget
+        want.append((v_r, v_c, regret, max(0.0, violation_sum)))
+    original, priced = harness.evaluate_mixture, []
+    monkeypatch.setattr(harness, "evaluate_mixture",
+                        lambda *args: priced.append(1) or original(*args))
+    rec = compute_metrics(m, exact, logs)
+    assert [(r.v_r_true, r.v_c_true, r.regret_cum, r.cv_cum) for r in rec.rows] == want
+    assert len(priced) == replans
+
+
 def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
     # over a run whose episodes replay policies, one shared memo sweeps each
     # distinct policy once, and every result keeps the bits of a memo-less call

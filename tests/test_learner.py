@@ -20,7 +20,7 @@ from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
                      record_transition, round_to_grid, run_learner)
 import cmdplab.learner as learner
 from cmdplab.core import _backward_induction
-from cmdplab.simulate import _BLOCK
+from cmdplab.simulate import _BLOCK, _stream_floats
 from conftest import random_instance
 from splitmix_reference import episode_stream, sample_mixture_trajectory
 
@@ -473,6 +473,41 @@ def test_stacked_q_step_keeps_the_two_call_bits(bonus_scale, dims):
                               ref_v)
 
 
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
+def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
+    # one memo shared by every lambda and kept across rebuilds, with memo[h]
+    # cleared when a row of step h is rebuilt (as run_learner does), gives
+    # the policies and values of a backup with a fresh memo
+    s_, a_, h_ = dims
+    grid_step, cap = 0.25, 2.0
+    lams = [0.0, *((i + 0.5) * grid_step for i in range(int(cap / grid_step))), cap]
+    cfg = LearnerConfig.make(s_, a_, h_, episodes=300, iters=3, dual_cap=cap,
+                             grid_step=grid_step, delta=0.1, mode="relaxed",
+                             shift=0.5, bonus_scale=bonus_scale)
+    rng = np.random.default_rng(s_ * a_ + 1)
+    for seed in (0, 1):
+        m = random_instance(s_, a_, h_, seed=300 + seed)
+        model = _partly_built_model(m, seed)
+        memo = [{} for _ in range(h_)]
+
+        def assert_memo_free_bits():
+            for lam in lams:
+                pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg, memo)
+                want_pi, want_v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+                assert np.array_equal(pi.rule, want_pi.rule)
+                assert np.array_equal(v, want_v)
+
+        assert_memo_free_bits()
+        assert len(memo[h_ - 1]) == 1  # the last step only ever sees zeros
+        for h in range(h_):  # rebuild a row of each step in turn
+            s, a = rng.integers(s_), rng.integers(a_)
+            while not record_transition(model, h, s, a, rng.integers(s_)):
+                pass
+            memo[h].clear()
+            assert_memo_free_bits()
+
+
 # ---------------------------------------------------------------------------
 # Inner primal-dual loop.
 
@@ -656,6 +691,54 @@ def test_run_learner_final_mixture_merges_equal_policies():
     assert len(set(keys)) == len(keys) == len(plays)
     for w, p in final:
         assert w == plays[p.rule.tobytes()] / (60 * 20)
+
+
+def _memo_free_run(env, cfg, seed):
+    """run_learner's loop with a fresh memo for every plan and the plays
+    folded every episode: each episode's (mixture, walk), and the final
+    mixture's components."""
+    b_prime = cfg.b_prime(env.budget)
+    model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
+    played, plays, touched = [], {}, True
+    for k in range(cfg.episodes):
+        if touched:
+            mixture, walk = primal_dual_episode(model, env.reward, env.cost,
+                                                env.initial_state, cfg, b_prime)
+        u = _stream_floats(seed, k, 1, 1 + 2 * env.horizon)[0].tolist()
+        _, steps = learner.sample_mixture_episode(env, mixture, u)
+        touched = False
+        for h, (s, a, s_next) in enumerate(steps):
+            touched |= record_transition(model, h, s, a, s_next)
+        for (_, p), n in zip(mixture.components, walk.counts):
+            plays[p] = plays.get(p, 0) + n
+        played.append((mixture, walk))
+    total = cfg.episodes * cfg.iters
+    return played, tuple((n / total, p) for p, n in plays.items())
+
+
+def test_run_learner_matches_a_memo_free_per_episode_loop():
+    # run_learner keeps its Q-table memo across lambdas and replans, clears
+    # only the rebuilt step, and folds the plays once per walk, counts times
+    # the episodes that replayed it. Its walks, mixtures and final components
+    # (order and weight bits) equal a loop that plans with a fresh memo and
+    # folds every episode; dropping the clear, or clearing another step,
+    # leaves stale tables that change some walk. Each run replays walks:
+    # generated 10x4x8 at K 300, T 3, bonus 0 and 0.1, and two_state_chain
+    # at K 2000, T 100.
+    m = generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=3))
+    chain = preset("two_state_chain")
+    runs = [(m, derive_config("relaxed", 1.0, 0.1, m, bonus_scale=bonus_scale,
+                              episodes=300, iters=3)) for bonus_scale in (0.0, 0.1)]
+    runs.append((chain, derive_config("relaxed", 0.1, 0.1, chain, bonus_scale=0.0,
+                                      episodes=2000, iters=100, dual_cap=4.0,
+                                      grid_step=0.00390625)))
+    for env, cfg in runs:
+        res = run_learner(env, cfg, seed=1)
+        logs = res.episodes
+        assert any(b.walk is a.walk for a, b in zip(logs, logs[1:]))
+        played, final = _memo_free_run(env, cfg, seed=1)
+        assert [(log.mixture, log.walk) for log in logs] == played
+        assert res.final_policy.components == final
 
 
 @pytest.mark.parametrize("episodes, iters, backups", [(200, 20, 344), (2000, 100, 671)])

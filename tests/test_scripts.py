@@ -34,6 +34,18 @@ def test_script_runs(tmp_path, name, args):
         assert "all dual iterates sit on the grid" in proc.stdout
 
 
+def test_learner_timing_prints_one_line_per_run(tmp_path):
+    proc = run_script("learner_timing.py", "--seeds", "1", "--bonus-scales", "0", "1",
+                      "--S", "3", "--A", "2", "--H", "3", "-K", "20", "-T", "5",
+                      cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:]]
+    assert [(r[0], r[1], r[2], r[3]) for r in rows] == [("1", "0", "20", "5"),
+                                                        ("1", "1", "20", "5")]
+    for r in rows:
+        assert float(r[4]) >= 0 and int(r[5]) >= int(r[6]) >= 1 and float(r[7]) > 0
+
+
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
