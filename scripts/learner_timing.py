@@ -1,15 +1,16 @@
 """Time the learner on generated instances at derived K and T.
 
-Each run generates an S x A x H instance (budget slack zeta) from one
-instance seed, derives K and T from epsilon with derive_config (or takes
---episodes / --iters), and runs run_learner once in a fresh process. It
-prints one line per run: wall seconds of run_learner, the Lagrangian
-backups it made, the episodes that replanned, and the process's peak
-resident memory (ru_maxrss, which includes the interpreter and numpy).
-Runs go one after another, so their times do not compete.
+Each run generates a 10 x 4 x 8 instance (budget slack zeta = 0.5) from one
+instance seed, derives K and T for relaxed mode at epsilon = 1 and
+delta = 0.1 with derive_config (or takes -K / -T), and runs run_learner with
+learner seed 0 once in a fresh process. It prints one line per run: wall
+seconds of run_learner, the Lagrangian backups it made, the episodes that
+replanned, and the process's peak resident memory (ru_maxrss, which
+includes the interpreter and numpy). Runs go one after another, so their
+times do not compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
-           [--S 10 --A 4 --H 8] [--mode relaxed] [--epsilon 1]
+           [-K episodes] [-T iters]
 """
 
 import argparse
@@ -21,12 +22,15 @@ from concurrent.futures import ProcessPoolExecutor
 import cmdplab.learner as learner
 from cmdplab import GenSpec, derive_config, generate, run_learner
 
+DIMS, ZETA = (10, 4, 8), 0.5
+MODE, EPSILON, DELTA = "relaxed", 1.0, 0.1
+LEARNER_SEED = 0
 
-def one_run(dims, zeta, instance_seed, bonus_scale, mode, epsilon, delta,
-            episodes, iters, learner_seed):
+
+def one_run(instance_seed, bonus_scale, episodes, iters):
     """One timed run_learner call; meant for a fresh process of its own."""
-    m = generate(GenSpec(*dims, zeta_target=zeta, seed=instance_seed))
-    cfg = derive_config(mode, epsilon, delta, m, bonus_scale=bonus_scale,
+    m = generate(GenSpec(*DIMS, zeta_target=ZETA, seed=instance_seed))
+    cfg = derive_config(MODE, EPSILON, DELTA, m, bonus_scale=bonus_scale,
                         episodes=episodes, iters=iters)
     backup, backups = learner.lagrangian_greedy_backup, [0]
 
@@ -36,7 +40,7 @@ def one_run(dims, zeta, instance_seed, bonus_scale, mode, epsilon, delta,
 
     learner.lagrangian_greedy_backup = counted
     t0 = time.perf_counter()
-    res = run_learner(m, cfg, learner_seed)
+    res = run_learner(m, cfg, LEARNER_SEED)
     seconds = time.perf_counter() - t0
     logs = res.episodes
     replans = 1 + sum(b.walk is not a.walk for a, b in zip(logs, logs[1:]))
@@ -50,31 +54,22 @@ def main():
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 4],
                     help="instance seeds")
     ap.add_argument("--bonus-scales", type=float, nargs="+", default=[0.0, 1.0])
-    ap.add_argument("--S", type=int, default=10)
-    ap.add_argument("--A", type=int, default=4)
-    ap.add_argument("--H", type=int, default=8)
-    ap.add_argument("--zeta", type=float, default=0.5)
-    ap.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
-    ap.add_argument("--epsilon", type=float, default=1.0)
-    ap.add_argument("--delta", type=float, default=0.1)
     ap.add_argument("--episodes", "-K", type=int, default=None,
                     help="override the derived K")
     ap.add_argument("--iters", "-T", type=int, default=None,
                     help="override the derived T")
-    ap.add_argument("--learner-seed", type=int, default=0)
     args = ap.parse_args()
 
-    print(f"{args.mode} eps={args.epsilon} {args.S}x{args.A}x{args.H} "
-          f"zeta={args.zeta} learner seed {args.learner_seed}")
+    print(f"{MODE} eps={EPSILON:g} {'x'.join(map(str, DIMS))} "
+          f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
           f"{'backups':>8} {'replans':>8} {'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
             with ProcessPoolExecutor(1, mp_context=spawn) as pool:
-                r = pool.submit(one_run, (args.S, args.A, args.H), args.zeta,
-                                seed, bonus, args.mode, args.epsilon, args.delta,
-                                args.episodes, args.iters, args.learner_seed).result()
+                r = pool.submit(one_run, seed, bonus, args.episodes,
+                                args.iters).result()
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
                   f"{r['seconds']:>8.2f} {r['backups']:>8} {r['replans']:>8} "
                   f"{r['peak_rss_mb']:>11.1f}", flush=True)

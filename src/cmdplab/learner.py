@@ -340,7 +340,9 @@ def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig
     index; v is the (2, H+1, S) stack of the policy's optimistic reward and
     pessimistic cost values. memo is a list of H dicts, one per step, from
     the next-step values' bytes to that step's Q-tables; it is read and
-    filled here, and the caller clears memo[h] whenever a row of step h is
+    filled here. Since the key holds only the next-step values, calls may
+    share a memo only if they pass the same model object, reward, cost and
+    cfg, and the caller must clear memo[h] whenever a row of step h is
     rebuilt. None means a fresh memo for this call.
     """
     memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
@@ -416,12 +418,12 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
 
     The walk starts at grid index 0 and stops at the first repeated index or
     after T distinct ones, with one backup per distinct index; the remaining
-    iterations go round the cycle and are counted, not run. memo is
-    lagrangian_greedy_backup's, shared by the walk's backups. Returns
+    iterations go round the cycle and are counted, not run. memo goes
+    unchanged to each of the walk's backups (see lagrangian_greedy_backup
+    for when one may be shared). Returns
     (mixture, DualWalk); the mixture has one component per visited index, in
     first-visit order, weighted by visits / T.
     """
-    memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
     seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
     while i not in seen and len(seen) < cfg.iters:

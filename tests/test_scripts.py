@@ -36,8 +36,7 @@ def test_script_runs(tmp_path, name, args):
 
 def test_learner_timing_prints_one_line_per_run(tmp_path):
     proc = run_script("learner_timing.py", "--seeds", "1", "--bonus-scales", "0", "1",
-                      "--S", "3", "--A", "2", "--H", "3", "-K", "20", "-T", "5",
-                      cwd=tmp_path)
+                      "-K", "20", "-T", "5", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [("1", "0", "20", "5"),
