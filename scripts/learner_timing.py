@@ -5,9 +5,10 @@ instance seed, derives K and T for relaxed mode at epsilon = 1 and
 delta = 0.1 with derive_config (or takes -K / -T), and runs run_learner with
 learner seed 0 once in a fresh process. It prints one line per run: wall
 seconds of run_learner, the Lagrangian backups it made, the episodes that
-replanned, and the process's peak resident memory (ru_maxrss, which
-includes the interpreter and numpy). Runs go one after another, so their
-times do not compete.
+replanned, the metrics seconds (compute_metrics plus the final verdict on a
+fresh memo, after an untimed exact solve), and the process's peak resident
+memory (ru_maxrss, which includes the interpreter and numpy). Runs go one
+after another, so their times do not compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
            [-K episodes] [-T iters]
@@ -20,7 +21,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import cmdplab.learner as learner
-from cmdplab import GenSpec, derive_config, generate, run_learner
+from cmdplab import (GenSpec, check_final_policy, compute_metrics, derive_config,
+                     generate, run_learner, solve_cmdp_exact)
 
 DIMS, ZETA = (10, 4, 8), 0.5
 MODE, EPSILON, DELTA = "relaxed", 1.0, 0.1
@@ -44,8 +46,14 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     seconds = time.perf_counter() - t0
     logs = res.episodes
     replans = 1 + sum(b.walk is not a.walk for a, b in zip(logs, logs[1:]))
+    exact = solve_cmdp_exact(m)
+    t0 = time.perf_counter()
+    memo = {}
+    compute_metrics(m, exact, logs, cfg, LEARNER_SEED, memo=memo)
+    check_final_policy(m, exact, res.final_policy, EPSILON, MODE, memo=memo)
+    metrics_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
-            "backups": backups[0], "replans": replans,
+            "backups": backups[0], "replans": replans, "metrics_s": metrics_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -63,7 +71,7 @@ def main():
     print(f"{MODE} eps={EPSILON:g} {'x'.join(map(str, DIMS))} "
           f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
-          f"{'backups':>8} {'replans':>8} {'peak_rss_mb':>11}")
+          f"{'backups':>8} {'replans':>8} {'metrics_s':>9} {'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
@@ -72,7 +80,7 @@ def main():
                                 args.iters).result()
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
                   f"{r['seconds']:>8.2f} {r['backups']:>8} {r['replans']:>8} "
-                  f"{r['peak_rss_mb']:>11.1f}", flush=True)
+                  f"{r['metrics_s']:>9.3f} {r['peak_rss_mb']:>11.1f}", flush=True)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from .learner import (
     derive_config,
     lagrangian_greedy_backup,
     policy_value_bounds,
+    record_transition,
     round_to_grid,
     run_learner,
 )
@@ -154,10 +155,21 @@ def check_doubling_epochs():
         total = res.episodes[-1].model_updates_cum
         if total > cap:
             return False, f"{total} model updates > bound {cap}"
-        for key, sizes in res.model.counts.history.items():
+        counts = res.model.counts
+        for key in map(tuple, np.argwhere(counts.total).tolist()):
+            # replay the pair's visits on a one-pair model, reading the batch
+            # behind its row after each rebuild
+            replay = EmpiricalModel.empty(1, 1, 1)
+            sizes = [int(replay.counts.batch_size[0, 0, 0])
+                     for _ in range(int(counts.total[key]))
+                     if record_transition(replay, 0, 0, 0, 0)]
             want = [1] + [2 ** i for i in range(len(sizes) - 1)]
-            if list(sizes) != want:
+            if sizes != want:
                 return False, f"batch sizes {sizes} at {key} not doubling"
+            if (counts.epochs[key], counts.batch_size[key]) != (len(sizes), sizes[-1]):
+                return False, (f"{key}: {counts.epochs[key]} rebuilds, last batch "
+                               f"{counts.batch_size[key]}; the replay gives "
+                               f"{len(sizes)}, {sizes[-1]}")
         return True, f"{total} updates <= {cap}, all batches 1,1,2,4,..."
 
     return _timed("doubling-epochs", 60.0, body)

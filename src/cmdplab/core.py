@@ -8,7 +8,12 @@ values (harness.evaluate_mixture; the mixing draw happens once per episode, so
 the identity is exact). One backward-induction kernel serves evaluate_policy,
 greedy_backup and both of the learner's clipped sweeps; each returns its plain
 (k, H+1, S) value array, and a policy's (V_r, V_c) is v[:, 0, s1] of one sweep
-over the stack TabularCmdp.stages.
+over the stack TabularCmdp.stages. The kernel also takes a leading policy
+axis: evaluate_policy prices a sequence of P policies in one (P, k, H+1, S)
+sweep. Its expectation runs one gemv per (policy, table, state) row, never a
+gemm over the stack, so each policy's slice has the bits of its own sweep;
+callers that price many policies (the harness memo, the brute-force oracle)
+stack PRICE_CHUNK of them per sweep.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -229,22 +234,26 @@ def normalize_transition_rows(kernel: np.ndarray) -> np.ndarray:
 
 
 def _backward_induction(q_step, shape, rule=None, score=None):
-    """Backward induction over k stacked value tables; shape is (k, H, S).
+    """Backward induction over stacked value tables; shape is (..., k, H, S).
 
-    q_step(h, v_next) maps the (k, S) values of step h + 1 to the (k, S, A)
-    Q-tables of step h. Each table is averaged over rule[h] when a `rule` is
-    given, else read at the per-state argmax of score(q) (ties go to the
-    lowest action). Returns the (H, S) actions (None with a rule) and the
-    (k, H + 1, S) values, whose row H is zero.
+    q_step(h, v_next) maps the (..., k, S) values of step h + 1 to the
+    (..., k, S, A) Q-tables of step h. Each table is averaged over a `rule`
+    of shape (H, ..., S, A) when one is given, so an axis of rules after the
+    step axis prices that many policies in one sweep; the step axis leads so
+    that rule[h] is a plain index, which keeps a one-policy sweep as cheap as
+    an (H, S, A) rule alone. Otherwise shape must be (k, H, S) and each table
+    is read at the per-state argmax of score(q) (ties go to the lowest
+    action). Returns the (H, S) actions (None with a rule) and the
+    (..., k, H + 1, S) values, whose row H is zero.
     """
-    num_tables, horizon, num_states = shape
-    v = np.zeros((num_tables, horizon + 1, num_states))
+    *lead, horizon, num_states = shape
+    v = np.zeros((*lead, horizon + 1, num_states))
     actions = None if rule is not None else np.zeros((horizon, num_states), dtype=int)
     rows = np.arange(num_states)
     for h in range(horizon - 1, -1, -1):
-        q = q_step(h, v[:, h + 1])
+        q = q_step(h, v[..., h + 1, :])
         if rule is not None:
-            v[:, h] = np.einsum("sa,ksa->ks", rule[h], q)
+            v[..., h, :] = np.einsum("...sa,...ksa->...ks", rule[h], q)
         else:
             actions[h] = best = score(q).argmax(axis=1)
             v[:, h] = q[:, rows, best]
@@ -252,25 +261,44 @@ def _backward_induction(q_step, shape, rule=None, score=None):
 
 
 def _expected_stage(kernel, stages):
-    """q_step for stacked stage tables (k, H, S, A) on a known kernel. The
-    broadcast matvec rounds like one-table `kernel[h] @ v` (a gemm over the
-    stack would not), so a stack gives the bits of k separate sweeps."""
-    return lambda h, v: stages[:, h] + (kernel[h][None] @ v[:, None, :, None])[..., 0]
+    """q_step for stacked stage tables (k, H, S, A) on a known kernel, for
+    values with any leading axes (..., k, S). The broadcast matvec runs one
+    gemv per (..., k, s) row, so every row rounds like one-table
+    `kernel[h] @ v` (a gemm over the stack would not), and a stack of tables
+    or of policies gives the bits of as many separate sweeps."""
+    return lambda h, v: stages[:, h] + (kernel[h] @ v[..., None, :, None])[..., 0]
 
 
-def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy: Policy) -> np.ndarray:
-    """Exact values of `policy` for k stacked stage tables g: V_h(s) = E[ sum_{t>=h} g_t ].
+# Policies per stacked evaluate_policy sweep where a caller prices many: the
+# harness's memo fill and the brute-force oracle. It bounds a sweep's
+# (H, P, S, A) rules and (P, k, H + 1, S) values; it is a constant because
+# the values do not depend on it.
+PRICE_CHUNK = 128
+
+
+def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy) -> np.ndarray:
+    """Exact values of a policy, or of a stack of policies, for k stacked
+    stage tables g: V_h(s) = E[ sum_{t>=h} g_t ].
 
     kernel is (H, S, A, S) and stages is (k, H, S, A) (pass TabularCmdp.stages
-    for (V_r, V_c)); one sweep returns the (k, H+1, S) values, so v[:, 0, s1]
-    is the value pair at the initial state. Shapes must agree exactly.
+    for (V_r, V_c)). A Policy gives the (k, H+1, S) values, so v[:, 0, s1] is
+    its value pair at the initial state; a non-empty sequence of P policies
+    gives (P, k, H+1, S) from one sweep, each slice bit-identical to that
+    policy's own sweep. Shapes must agree exactly.
     """
+    single = isinstance(policy, Policy)
+    stack = [policy] if single else list(policy)
+    if not stack:
+        raise ValueError("evaluate_policy needs at least one policy, got an empty sequence")
+    shapes = {p.rule.shape for p in stack}
     if (kernel.ndim != 4 or stages.ndim != 4 or stages.shape[1:] != kernel.shape[:3]
-            or policy.rule.shape != kernel.shape[:3]):
-        raise ValueError(f"shape mismatch: kernel {kernel.shape}, stages {stages.shape}, "
-                         f"policy {policy.rule.shape}")
-    _, v = _backward_induction(_expected_stage(kernel, stages), stages.shape[:3],
-                               rule=policy.rule)
+            or shapes != {kernel.shape[:3]}):
+        got = (f"policy {policy.rule.shape}" if single else
+               f"policy stack ({len(stack)}, ...) of rule shapes {sorted(shapes)}")
+        raise ValueError(f"shape mismatch: kernel {kernel.shape}, stages {stages.shape}, {got}")
+    rule = policy.rule if single else np.stack([p.rule for p in stack], axis=1)  # (H, P, S, A)
+    _, v = _backward_induction(_expected_stage(kernel, stages),
+                               rule.shape[1:-2] + stages.shape[:3], rule=rule)
     return v
 
 

@@ -1,12 +1,16 @@
 """Measurement harness: ground-truth metrics, verdicts, and report files.
 
-evaluate_mixture prices a mixture exactly on the true kernel: one stacked
-(reward, cost) sweep per component policy, weighted by the mixing weights.
-compute_metrics replays a learner run against the exact solution, pricing
-every episode mixture with one memo shared over the run (so each distinct
-policy is swept once), and gives cumulative regret sum(V* - V_r) and
-constraint violation max(0, sum(V_c - b)). Verdicts apply the relaxed /
-strict acceptance predicates to the final averaged policy.
+evaluate_mixture prices a mixture exactly on the true kernel: the (reward,
+cost) values of each component policy, weighted by the mixing weights.
+Policies are priced into a memo by _price_new, PRICE_CHUNK at a time in one
+stacked evaluate_policy sweep each; every row of that sweep rounds like a
+sweep of its policy alone, so the prices carry the same bits either way.
+compute_metrics replays a learner run against the exact solution: it first
+prices every new component policy of the run's distinct mixtures (so each
+distinct policy is swept once, in ceil(new / PRICE_CHUNK) sweeps), then
+gives cumulative regret sum(V* - V_r) and constraint violation
+max(0, sum(V_c - b)). Verdicts apply the relaxed / strict acceptance
+predicates to the final averaged policy.
 
 emit_report writes a deterministic run.csv (17 significant digits, so parsing
 reproduces every float bit-for-bit), a summary.json, and small static SVG
@@ -22,8 +26,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import (MixturePolicy, TabularCmdp, evaluate_policy, instance_hash,
-                   slater_constant)
+from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, evaluate_policy,
+                   instance_hash, slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
 from .solver import ExactSolution
 
@@ -76,18 +80,40 @@ class Verdict:
     cost_cap: float
 
 
+def _price_new(m: TabularCmdp, policies, memo: dict) -> None:
+    """Price each policy of the iterable that memo lacks into memo as its
+    [V_r, V_c] at s1: once each, in first-seen order, PRICE_CHUNK per stacked
+    sweep. No new policy means no sweep."""
+    new = [p for p in dict.fromkeys(policies) if p not in memo]
+    for i in range(0, len(new), PRICE_CHUNK):
+        chunk = new[i:i + PRICE_CHUNK]
+        values = evaluate_policy(m.transition, m.stages, chunk)[:, :, 0, m.initial_state]
+        memo.update(zip(chunk, values.tolist()))
+
+
+def _new_mixtures(episodes):
+    """The mixture of each episode that is not a replay: a replay shares its
+    mixture object with the episode before it."""
+    mixture = None
+    for log in episodes:
+        if log.mixture is not mixture:
+            mixture = log.mixture
+            yield mixture
+
+
 def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = None):
     """Exact (V_r, V_c) of a mixture at s1: the weighted sums of its component
     values. memo maps a Policy to its [V_r, V_c] and is filled as policies are
-    priced; sharing one across calls skips repeated sweeps, and the result is
-    the same bits with or without it."""
+    priced; the first miss prices all of the mixture's new policies in
+    stacked sweeps. Sharing one memo across calls skips repeated sweeps, and
+    the result is the same bits with or without it."""
     memo = {} if memo is None else memo
     r_total = c_total = 0.0
     for w, p in mix.components:
         got = memo.get(p)
         if got is None:
-            v = evaluate_policy(m.transition, m.stages, p)
-            got = memo[p] = v[:, 0, m.initial_state].tolist()
+            _price_new(m, (q for _, q in mix.components), memo)
+            got = memo[p]
         r_total += w * got[0]
         c_total += w * got[1]
     return r_total, c_total
@@ -96,18 +122,21 @@ def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = Non
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
                     config: LearnerConfig | None = None, seed: int = 0,
                     memo: dict | None = None) -> RunRecord:
-    """Build the RunRecord for a stream of EpisodeLog entries.
+    """Build the RunRecord for a stream (any iterable) of EpisodeLog entries.
 
-    Every episode's mixture is priced exactly; each distinct component policy
-    is evaluated once and its (reward, cost) reused for later episodes, and an
-    episode whose mixture is the previous episode's object (a replay) reuses
-    that episode's pair outright. Pass a memo (as for evaluate_mixture) to
-    share those prices with later calls. Likewise each distinct dual walk's
-    mean multiplier is taken once.
+    Every episode's mixture is priced exactly. A first pass over the run's
+    distinct mixtures prices each new component policy once, in stacked
+    sweeps, and the per-episode pass then reads the memo; an episode whose
+    mixture is the previous episode's object (a replay) reuses that
+    episode's pair outright. Pass a memo (as for evaluate_mixture) to share
+    those prices with later calls. Likewise each distinct dual walk's mean
+    multiplier is taken once.
     """
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
     memo = {} if memo is None else memo
+    episodes = list(episodes)  # read twice
+    _price_new(m, (p for mix in _new_mixtures(episodes) for _, p in mix.components), memo)
     lambda_means: dict = {}  # DualWalk -> mean multiplier; replays share a walk
     rows = []
     regret = 0.0

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import NamedTuple
 
@@ -214,14 +214,12 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, bonus_scale=1.0,
 @dataclass
 class CountTables:
     """Visit statistics per (h, s, a): lifetime totals, the accumulating batch,
-    the size of the last built batch (0 = none yet), rebuild count, and the
-    per-pair history of built batch sizes."""
+    the size of the last built batch (0 = none yet) and the rebuild count."""
 
     total: np.ndarray  # (H, S, A) lifetime visits
     batch_counts: np.ndarray  # (H, S, A, S) transitions since last rebuild
     batch_size: np.ndarray  # (H, S, A) size of the batch behind kernel rows
     epochs: np.ndarray  # (H, S, A) number of rebuilds
-    history: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -278,7 +276,6 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     model.kernel[h, s, a] = batch / size
     c.batch_size[h, s, a] = size
     c.epochs[h, s, a] += 1
-    c.history.setdefault((h, s, a), []).append(size)
     batch[:] = 0
     return True
 

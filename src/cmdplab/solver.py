@@ -12,8 +12,11 @@ max V_r(s1) subject to V_c(s1) <= b:
   policies plus every feasible/infeasible two-policy mixing, exact up to
   floating point. Used as the ground-truth oracle for small instances.
 
-Each policy's (V_r, V_c) is v[:, 0, s1] of one evaluate_policy sweep over
-m.stages; each dual point runs one greedy_backup on the Lagrangian stage.
+Each policy's (V_r, V_c) is v[:, 0, s1] of an evaluate_policy sweep over
+m.stages: one sweep per dual point's policy, and for the enumeration one
+stacked sweep per PRICE_CHUNK policies, whose rows keep the bits of
+single-policy sweeps. Each dual point runs one greedy_backup on the
+Lagrangian stage.
 
 Both return an ExactSolution; the mixture-of-two form is fully general here
 because the achievable (V_r, V_c) set is the convex hull of the deterministic
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MixturePolicy, Policy, TabularCmdp, evaluate_policy,
-                   greedy_backup, slater_constant)
+from .core import (PRICE_CHUNK, MixturePolicy, Policy, TabularCmdp,
+                   evaluate_policy, greedy_backup, slater_constant)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -149,9 +152,10 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
 def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
     """Enumeration oracle: exact optimum over all deterministic policies and pairs.
 
-    Requires A**(S*H) <= max_policies. Scans every deterministic policy's
-    (reward, cost) pair, then every feasible/infeasible pair mixed to cost
-    exactly b; with one linear constraint this search is exhaustive.
+    Requires A**(S*H) <= max_policies. Prices every deterministic policy's
+    (reward, cost) pair, PRICE_CHUNK policies per stacked sweep, then scans
+    every feasible/infeasible pair mixed to cost exactly b; with one linear
+    constraint this search is exhaustive.
     lambda_star reports the reward/cost slope of the optimal mixing pair
     (the shadow price), or 0 when the unconstrained optimum is feasible.
     """
@@ -159,14 +163,14 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
     if count > max_policies:
         raise InstanceTooLargeError(
             f"{count} deterministic policies exceed the cap {max_policies}")
-    policies = []
-    values = np.empty((count, 2))
-    for i, assignment in enumerate(
-            itertools.product(range(m.num_actions), repeat=m.horizon * m.num_states)):
-        actions = np.array(assignment, dtype=int).reshape(m.horizon, m.num_states)
-        pi = Policy.from_actions(actions, m.num_actions)
-        policies.append(pi)
-        values[i] = evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state]
+    s1 = m.initial_state
+    shape = (m.horizon, m.num_states)
+    tables = itertools.product(range(m.num_actions), repeat=m.horizon * m.num_states)
+    policies = [Policy.from_actions(np.array(t, dtype=int).reshape(shape), m.num_actions)
+                for t in tables]
+    values = np.concatenate([
+        evaluate_policy(m.transition, m.stages, policies[i:i + PRICE_CHUNK])[:, :, 0, s1]
+        for i in range(0, count, PRICE_CHUNK)])
     r_vals, c_vals = values.T
 
     feas = c_vals <= m.budget + _FEAS_SLACK

@@ -16,6 +16,7 @@ from cmdplab import (MixturePolicy, Policy, TabularCmdp,
                      instance_hash, load_instance, load_policy,
                      normalize_transition_rows, preset, save_instance,
                      save_policy, slater_constant, validate_cmdp)
+from cmdplab.core import PRICE_CHUNK
 from conftest import all_deterministic_policies, random_instance
 
 
@@ -71,6 +72,15 @@ def test_evaluate_policy_shape_mismatch_raises():
         evaluate_policy(m.transition, m.stages[:, :2], Policy.uniform(3, 2, 2))
     with pytest.raises(ValueError):  # one (H, S, A) table, not a stack
         evaluate_policy(m.transition, m.reward, Policy.uniform(3, 2, 2))
+    with pytest.raises(ValueError, match=r"policy stack \(2, \.\.\.\) of rule shapes "
+                                         r"\[\(3, 2, 2\), \(3, 2, 3\)\]"):
+        evaluate_policy(m.transition, m.stages, [Policy.uniform(3, 2, 2), Policy.uniform(3, 2, 3)])
+
+
+def test_evaluate_policy_rejects_an_empty_stack():
+    m = random_instance(2, 2, 3, seed=2)
+    with pytest.raises(ValueError, match="at least one policy, got an empty sequence"):
+        evaluate_policy(m.transition, m.stages, [])
 
 
 def test_stacked_evaluation_matches_single_table_sweeps():
@@ -88,6 +98,32 @@ def test_stacked_evaluation_matches_single_table_sweeps():
         assert both.shape == (2, h_ + 1, s_)
         assert np.array_equal(both[0], evaluate_policy(m.transition, m.reward[None], pi)[0])
         assert np.array_equal(both[1], evaluate_policy(m.transition, m.cost[None], pi)[0])
+
+
+def dirichlet_rule_with_zeros(rng, shape):
+    """Random (H, S, A) rule whose rows hold exact zeros (each keeps one nonzero)."""
+    rule = rng.dirichlet(np.ones(shape[2]), size=shape[:2])
+    rule[rng.uniform(size=shape) < 0.4] = 0.0
+    rule[..., 0] += rule.sum(axis=2) == 0.0
+    return rule / rule.sum(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("num_policies", [1, 2, PRICE_CHUNK + 1])
+def test_policy_stack_matches_single_sweeps(num_policies):
+    # a stack of P policies must give, slice for slice, the bits of P sweeps
+    # of one policy each: stacked pricing feeds the same run.csv digits
+    rng = np.random.default_rng(num_policies)
+    for i in range(8 if num_policies > 2 else 40):
+        s_, a_, h_ = (int(x) for x in rng.integers(1, (8, 5, 7)))
+        m = random_instance(s_, a_, h_, seed=100 + i)
+        policies = [Policy.from_actions(rng.integers(0, a_, size=(h_, s_)), a_) if j % 2
+                    else Policy(dirichlet_rule_with_zeros(rng, (h_, s_, a_)))
+                    for j in range(num_policies)]
+        for stages in (m.reward[None], m.stages):  # k = 1 and 2
+            got = evaluate_policy(m.transition, stages, policies)
+            assert got.shape == (num_policies, len(stages), h_ + 1, s_)
+            want = np.stack([evaluate_policy(m.transition, stages, p) for p in policies])
+            assert np.array_equal(got, want)
 
 
 def test_stages_are_reward_then_cost_and_read_only():

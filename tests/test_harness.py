@@ -153,6 +153,49 @@ def test_replayed_episodes_are_priced_once(chain, monkeypatch):
     assert len(priced) == replans
 
 
+@pytest.mark.parametrize("chunk", [harness.PRICE_CHUNK, 2])
+def test_metrics_prepass_sweeps_each_policy_once(chain, chunk, monkeypatch):
+    # on a replaying run, the pre-pass sweeps each distinct component policy
+    # exactly once, first seen first, in ceil(new / chunk) stacked calls; the
+    # per-episode pass then sweeps nothing, and the record keeps its bits
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
+                        iters=100, dual_cap=4.0, grid_step=0.00390625)
+    logs = run_learner(m, cfg, seed=1).episodes
+    want = compute_metrics(m, exact, logs)
+    original, calls = harness.evaluate_policy, []
+    monkeypatch.setattr(harness, "evaluate_policy",
+                        lambda kernel, stages, ps: calls.append(list(ps))
+                        or original(kernel, stages, ps))
+    monkeypatch.setattr(harness, "PRICE_CHUNK", chunk)
+    assert compute_metrics(m, exact, logs) == want
+    swept = [p for call in calls for p in call]
+    distinct = list(dict.fromkeys(p for log in logs for _, p in log.mixture.components))
+    assert 2 < len(distinct) < len(logs)
+    assert swept == distinct
+    assert len(calls) == -(-len(distinct) // chunk)
+    assert all(len(call) == chunk for call in calls[:-1])
+
+
+def test_metrics_read_a_one_shot_stream_and_sweep_only_new_policies(chain, monkeypatch):
+    # the pre-pass must not use up an iterator; an empty stream, or a run
+    # whose policies are all in the memo already, makes no sweep
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
+                        episodes=200, iters=100)
+    logs = run_learner(m, cfg, seed=1).episodes
+    memo = {}
+    record = compute_metrics(m, exact, logs, memo=memo)
+    assert compute_metrics(m, exact, iter(logs)) == record
+    original, calls = harness.evaluate_policy, []
+    monkeypatch.setattr(harness, "evaluate_policy",
+                        lambda kernel, stages, ps: calls.append(ps)
+                        or original(kernel, stages, ps))
+    assert compute_metrics(m, exact, iter(logs), memo=memo) == record
+    assert compute_metrics(m, exact, []).rows == ()
+    assert calls == []
+
+
 def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
     # over a run whose episodes replay policies, one shared memo sweeps each
     # distinct policy once, and every result keeps the bits of a memo-less call
@@ -163,7 +206,8 @@ def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
     fresh = [evaluate_mixture(m, log.mixture) for log in logs]
     original, priced = harness.evaluate_policy, []
     monkeypatch.setattr(harness, "evaluate_policy",
-                        lambda kernel, stages, p: priced.append(p) or original(kernel, stages, p))
+                        lambda kernel, stages, ps: priced.extend(ps)
+                        or original(kernel, stages, ps))
     memo = {}
     shared = [evaluate_mixture(m, log.mixture, memo) for log in logs]
     distinct = {p for log in logs for _, p in log.mixture.components}

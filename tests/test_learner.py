@@ -97,9 +97,13 @@ def test_bonus_broadcasts_over_leading_axes():
 
 def test_rebuild_fires_exactly_at_powers_of_two():
     model = EmpiricalModel.empty(2, 1, 1)
-    flags = [record_transition(model, 0, 0, 0, 0) for _ in range(20)]
+    flags, sizes = [], []  # sizes: the batch behind the row after each rebuild
+    for _ in range(20):
+        flags.append(record_transition(model, 0, 0, 0, 0))
+        if flags[-1]:
+            sizes.append(int(model.counts.batch_size[0, 0, 0]))
     assert [i for i, f in enumerate(flags, start=1) if f] == [1, 2, 4, 8, 16]
-    assert model.counts.history[(0, 0, 0)] == [1, 1, 2, 4, 8]
+    assert sizes == [1, 1, 2, 4, 8]
     assert int(model.counts.epochs[0, 0, 0]) == 5
     assert int(model.counts.total[0, 0, 0]) == 20
 

@@ -179,6 +179,29 @@ def test_brute_force_size_guard():
         brute_force_cmdp(m, max_policies=15)  # 2**4 = 16 policies needed
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 2, 3), (2, 3, 2), (1, 4, 3)])
+def test_brute_force_stacked_pricing_matches_a_per_policy_loop(dims, monkeypatch):
+    # the oracle prices its enumeration in stacked chunks; routing every
+    # policy through its own sweep must give the same solution, bit for bit
+    # (3x2x3 has 512 policies, so several chunks)
+    def per_policy(kernel, stages, policies):
+        return np.stack([evaluate_policy(kernel, stages, p) for p in policies])
+
+    def fingerprint(sol):
+        comps = [] if sol.policy is None else sol.policy.components
+        return (sol.status, repr(sol.optimal_value), repr(sol.optimal_cost),
+                repr(sol.lambda_star), [(repr(w), p.rule.tobytes()) for w, p in comps])
+
+    for seed, share in enumerate((0.3, 0.4, 0.45, 0.5, 1.0)):
+        budget = dims[2] * share  # infeasible, mixed pairs and unconstrained
+        m = random_instance(*dims, seed=seed, budget=budget)
+        stacked = brute_force_cmdp(m)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "evaluate_policy", per_policy)
+            looped = brute_force_cmdp(m)
+        assert fingerprint(stacked) == fingerprint(looped)
+
+
 def test_degenerate_bracket_falls_back_to_enumeration():
     m = near_tie_instance(num_states=2, horizon=2)
     sol = solve_cmdp_exact(m)
