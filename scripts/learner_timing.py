@@ -4,9 +4,10 @@ Each run generates a 10 x 4 x 8 instance (budget slack zeta = 0.5) from one
 instance seed, derives K and T for relaxed mode at epsilon = 1 and
 delta = 0.1 with derive_config (or takes -K / -T), and runs run_learner with
 learner seed 0 once in a fresh process. It prints one line per run: wall
-seconds of run_learner, the Lagrangian backups it made, the episodes that
-replanned, the metrics seconds (compute_metrics plus the final verdict on a
-fresh memo, after an untimed exact solve), and the process's peak resident
+seconds of run_learner, the backward sweeps of its Lagrangian backups and
+the multipliers they priced (a batched sweep prices several), the episodes
+that replanned, the metrics seconds (compute_metrics plus the final verdict
+on a fresh memo, after an untimed exact solve), and the process's peak resident
 memory (ru_maxrss, which includes the interpreter and numpy). Runs go one
 after another, so their times do not compete.
 
@@ -19,6 +20,8 @@ import multiprocessing
 import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
+
+import numpy as np
 
 import cmdplab.learner as learner
 from cmdplab import (GenSpec, check_final_policy, compute_metrics, derive_config,
@@ -34,10 +37,10 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     m = generate(GenSpec(*DIMS, zeta_target=ZETA, seed=instance_seed))
     cfg = derive_config(MODE, EPSILON, DELTA, m, bonus_scale=bonus_scale,
                         episodes=episodes, iters=iters)
-    backup, backups = learner.lagrangian_greedy_backup, [0]
+    backup, sizes = learner.lagrangian_greedy_backup, []
 
     def counted(*args):
-        backups[0] += 1
+        sizes.append(np.size(args[3]))  # the multipliers of this sweep
         return backup(*args)
 
     learner.lagrangian_greedy_backup = counted
@@ -53,7 +56,8 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     check_final_policy(m, exact, res.final_policy, EPSILON, MODE, memo=memo)
     metrics_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
-            "backups": backups[0], "replans": replans, "metrics_s": metrics_s,
+            "sweeps": len(sizes), "multipliers": sum(sizes), "replans": replans,
+            "metrics_s": metrics_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -71,7 +75,8 @@ def main():
     print(f"{MODE} eps={EPSILON:g} {'x'.join(map(str, DIMS))} "
           f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
-          f"{'backups':>8} {'replans':>8} {'metrics_s':>9} {'peak_rss_mb':>11}")
+          f"{'sweeps':>8} {'multipliers':>11} {'replans':>8} {'metrics_s':>9} "
+          f"{'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
@@ -79,8 +84,9 @@ def main():
                 r = pool.submit(one_run, seed, bonus, args.episodes,
                                 args.iters).result()
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
-                  f"{r['seconds']:>8.2f} {r['backups']:>8} {r['replans']:>8} "
-                  f"{r['metrics_s']:>9.3f} {r['peak_rss_mb']:>11.1f}", flush=True)
+                  f"{r['seconds']:>8.2f} {r['sweeps']:>8} {r['multipliers']:>11} "
+                  f"{r['replans']:>8} {r['metrics_s']:>9.3f} {r['peak_rss_mb']:>11.1f}",
+                  flush=True)
 
 
 if __name__ == "__main__":

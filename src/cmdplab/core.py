@@ -13,7 +13,9 @@ axis: evaluate_policy prices a sequence of P policies in one (P, k, H+1, S)
 sweep. Its expectation runs one gemv per (policy, table, state) row, never a
 gemm over the stack, so each policy's slice has the bits of its own sweep;
 callers that price many policies (the harness memo, the brute-force oracle)
-stack PRICE_CHUNK of them per sweep.
+stack PRICE_CHUNK of them per sweep. The greedy branch likewise takes a
+leading problem axis, which the learner uses to back up L Lagrangian
+multipliers in one (L, k, H+1, S) sweep.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -241,22 +243,30 @@ def _backward_induction(q_step, shape, rule=None, score=None):
     of shape (H, ..., S, A) when one is given, so an axis of rules after the
     step axis prices that many policies in one sweep; the step axis leads so
     that rule[h] is a plain index, which keeps a one-policy sweep as cheap as
-    an (H, S, A) rule alone. Otherwise shape must be (k, H, S) and each table
-    is read at the per-state argmax of score(q) (ties go to the lowest
-    action). Returns the (H, S) actions (None with a rule) and the
-    (..., k, H + 1, S) values, whose row H is zero.
+    an (H, S, A) rule alone. Otherwise shape is (k, H, S) or (L, k, H, S) and
+    each table is read at the per-state argmax of score(q), which maps the
+    (k, S, A) or (L, k, S, A) tables to (S, A) or (L, S, A) scores (ties go
+    to the lowest action); a leading L axis backs up L greedy problems in
+    one sweep, each with the bits of its own. Returns the (H, S) or (H, L, S)
+    actions (None with a rule) and the (..., k, H + 1, S) values, whose row
+    H is zero.
     """
     *lead, horizon, num_states = shape
     v = np.zeros((*lead, horizon + 1, num_states))
-    actions = None if rule is not None else np.zeros((horizon, num_states), dtype=int)
+    actions = (None if rule is not None else
+               np.zeros((horizon, *lead[:-1], num_states), dtype=int))
     rows = np.arange(num_states)
+    problems = np.arange(lead[0])[:, None] if len(lead) == 2 else None
     for h in range(horizon - 1, -1, -1):
         q = q_step(h, v[..., h + 1, :])
         if rule is not None:
             v[..., h, :] = np.einsum("...sa,...ksa->...ks", rule[h], q)
-        else:
-            actions[h] = best = score(q).argmax(axis=1)
+            continue
+        actions[h] = best = score(q).argmax(axis=-1)
+        if problems is None:
             v[:, h] = q[:, rows, best]
+        else:  # the advanced indices broadcast to (L, S) and lead the result
+            v[:, :, h] = q[problems, :, rows, best].transpose(0, 2, 1)
     return actions, v
 
 
@@ -284,19 +294,22 @@ def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy) -> np.ndarra
     for (V_r, V_c)). A Policy gives the (k, H+1, S) values, so v[:, 0, s1] is
     its value pair at the initial state; a non-empty sequence of P policies
     gives (P, k, H+1, S) from one sweep, each slice bit-identical to that
-    policy's own sweep. Shapes must agree exactly.
+    policy's own sweep. A rule array stands in for Policy objects: (H, S, A)
+    for one policy, (P, H, S, A) for a stack of P, so a caller that prices
+    many one-hot rules need not build a Policy for each. Shapes must agree
+    exactly.
     """
-    single = isinstance(policy, Policy)
-    stack = [policy] if single else list(policy)
-    if not stack:
+    single = isinstance(policy, Policy) or isinstance(policy, np.ndarray) and policy.ndim == 3
+    rules = [getattr(p, "rule", p) for p in ([policy] if single else policy)]
+    if not rules:
         raise ValueError("evaluate_policy needs at least one policy, got an empty sequence")
-    shapes = {p.rule.shape for p in stack}
+    shapes = {np.shape(r) for r in rules}
     if (kernel.ndim != 4 or stages.ndim != 4 or stages.shape[1:] != kernel.shape[:3]
             or shapes != {kernel.shape[:3]}):
-        got = (f"policy {policy.rule.shape}" if single else
-               f"policy stack ({len(stack)}, ...) of rule shapes {sorted(shapes)}")
+        got = (f"policy {np.shape(rules[0])}" if single else
+               f"policy stack ({len(rules)}, ...) of rule shapes {sorted(shapes)}")
         raise ValueError(f"shape mismatch: kernel {kernel.shape}, stages {stages.shape}, {got}")
-    rule = policy.rule if single else np.stack([p.rule for p in stack], axis=1)  # (H, P, S, A)
+    rule = rules[0] if single else np.stack(rules, axis=1)  # (H, P, S, A)
     _, v = _backward_induction(_expected_stage(kernel, stages),
                                rule.shape[1:-2] + stages.shape[:3], rule=rule)
     return v

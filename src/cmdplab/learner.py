@@ -13,6 +13,17 @@ behavior policy mixes the greedy policies by visits / T; one trajectory is
 sampled from it and folded into the counts. The final policy weights each
 distinct greedy policy by the iterations it was played / (K T).
 
+A replan usually revisits most of the previous walk's indices, so it backs
+them up first, with index 0, in one sweep with a leading lambda axis, and
+then walks through those results, backing up each index outside them on its
+own. The previous walk is the hint only if it closed its cycle within T: a
+walk that T cut off is a poor guess for the next one (at T = 3 many of its
+indices go unvisited), and pricing unvisited indices costs more than the
+sweeps it saves. A hint changes which sweeps run, never the walk.
+Equal greedy backups within a run share one Policy object, interned by the
+bytes of their action table, so dict lookups on policies stop at the
+identity check.
+
 Confidence bonuses are Bernstein-style:
 
     scale * (c1 * sqrt(Var_phat(V_next) * log(1/delta') / n)
@@ -27,16 +38,18 @@ kernel, the one behind evaluate_policy and greedy_backup; both return the
 stacked (2, H+1, S) array of optimistic reward and pessimistic cost values.
 Each step prices E[V] and E[V^2] of both tables in one broadcast matvec and
 one bonus; the broadcast form rounds like a one-table `p @ v`, so the tables
-keep the bits of pricing each table on its own.
+keep the bits of pricing each table on its own, and a sweep over L
+multipliers keeps the bits of L single sweeps.
 
 A run keeps one memo of these Q-tables per step, keyed by the bytes of the
 next step's (2, S) values: the lambdas of a walk often agree on their late
-greedy choices, and every walk starts at lambda = 0. Step h's tables are a
-pure function of kernel[h], batch_size[h], the fixed stage tables and config,
-and the key, and only a rebuild of a step-h row changes kernel[h] or
-batch_size[h]; so run_learner clears memo[h], and no other step, when
-record_transition rebuilds a row of step h, and a hit returns the very array
-a fresh computation would.
+greedy choices, and every walk starts at lambda = 0. A batched sweep looks
+up each lambda's key and computes only the distinct misses, in one call.
+Step h's tables are a pure function of kernel[h], batch_size[h], the fixed
+stage tables and config, and the key, and only a rebuild of a step-h row
+changes kernel[h] or batch_size[h]; so run_learner clears memo[h], and no
+other step, when record_transition rebuilds a row of step h, and a hit
+returns the very array a fresh computation would.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
 total visit count crosses a power of two, using only the transitions observed
@@ -307,54 +320,92 @@ _BONUS_SIGN = np.array([1.0, -1.0])[:, None, None]  # optimistic reward, pessimi
 
 def _q_tables(model, stages, cfg, h, v_next):
     """Clipped optimistic-reward and pessimistic-cost Q-tables at step h,
-    stacked (2, S, A) from the stage tables `stages` (2, H, S, A) and the
-    (2, S) next-step values.
+    stacked (..., 2, S, A) from the stage tables `stages` (2, H, S, A) and
+    the (..., 2, S) next-step values; any leading axes are kept.
 
     One broadcast matvec prices E[V] and E[V^2] of both tables for every row.
     It rounds like the one-table `p @ v` (core._expected_stage relies on the
     same fact; a gemm over the stack would not), and adding the negated bonus
     equals subtracting it, so the tables keep the bits of two separate
-    compute_bonus + `p @ v` calls.
+    compute_bonus + `p @ v` calls, whatever the leading axes.
     """
     horizon = float(stages.shape[1])
     p, n = model.kernel[h], model.counts.batch_size[h]
-    vv = np.concatenate((v_next, v_next * v_next))
-    moments = (p[None] @ vv[:, None, :, None])[..., 0]  # (4, S, A)
-    mean = moments[:2]
-    bonus = _bonus(mean, moments[2:], np.maximum(n, 1), cfg)  # n = 0 is overwritten
+    vv = np.concatenate((v_next, v_next * v_next), axis=-2)
+    moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A)
+    mean = moments[..., :2, :, :]
+    bonus = _bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), cfg)  # n = 0 is overwritten
     q = stages[:, h] + _BONUS_SIGN * bonus + mean
-    np.minimum(q[0], horizon, out=q[0])
-    np.maximum(q[1], 0.0, out=q[1])
-    q[:, n == 0] = ((horizon,), (0.0,))
+    np.minimum(q[..., 0, :, :], horizon, out=q[..., 0, :, :])
+    np.maximum(q[..., 1, :, :], 0.0, out=q[..., 1, :, :])
+    unbuilt = n == 0
+    if unbuilt.any():
+        q[..., unbuilt] = ((horizon,), (0.0,))
     return q
 
 
-def lagrangian_greedy_backup(model, reward, cost, lam: float, cfg: LearnerConfig,
-                             memo=None):
+def lagrangian_greedy_backup(model, reward, cost, lam, cfg: LearnerConfig,
+                             memo=None, pool=None):
     """Greedy backward induction on q_r - lam * q_c over the empirical model.
 
-    Returns (deterministic Policy, v), with ties going to the lowest action
-    index; v is the (2, H+1, S) stack of the policy's optimistic reward and
-    pessimistic cost values. memo is a list of H dicts, one per step, from
-    the next-step values' bytes to that step's Q-tables; it is read and
-    filled here. Since the key holds only the next-step values, calls may
-    share a memo only if they pass the same model object, reward, cost and
-    cfg, and the caller must clear memo[h] whenever a row of step h is
-    rebuilt. None means a fresh memo for this call.
+    lam is one multiplier or a non-empty sequence of L, all backed up in one
+    sweep. For one, returns (deterministic Policy, v), with ties going to the
+    lowest action index, and v the (2, H+1, S) stack of the policy's
+    optimistic reward and pessimistic cost values; for L, returns the list of
+    L policies and their (L, 2, H+1, S) values, each policy and slice equal,
+    bit for bit, to that multiplier's own backup.
+
+    memo is a list of H dicts, one per step, from the next-step values' bytes
+    to that step's Q-tables; it is read and filled here, and each step
+    computes only the distinct keys it misses, in one _q_tables call. Since
+    the key holds only the next-step values, calls may share a memo only if
+    they pass the same model object, reward, cost and cfg, and the caller
+    must clear memo[h] whenever a row of step h is rebuilt. None means a
+    fresh memo for this call. pool maps an action table's bytes to its
+    Policy; it is read and filled here, so equal backups that share a pool
+    return the same object (None: a fresh pool). A pool may be shared by any
+    calls with the same (H, S, A).
     """
     memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
-    stages = np.stack((reward, cost))
+    pool = {} if pool is None else pool
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or not lams.size:
+        raise ValueError(f"lam must be a number or a non-empty sequence, got {lam!r}")
+    single = lams.size == 1  # then the sweep has no lambda axis
+    stages = np.array((reward, cost))
+    num_states, num_actions = reward.shape[1:]
 
     def q_step(h, v_next):
-        key = v_next.tobytes()
-        q = memo[h].get(key)
-        if q is None:
-            q = memo[h][key] = _q_tables(model, stages, cfg, h, v_next)
-        return q
+        table = memo[h]
+        if single:
+            key = v_next.tobytes()
+            q = table.get(key)
+            if q is None:
+                q = table[key] = _q_tables(model, stages, cfg, h, v_next)
+            return q
+        keys = [row.tobytes() for row in v_next]
+        new = {key: row for key, row in zip(keys, v_next) if key not in table}
+        if new:
+            table.update(zip(new, _q_tables(model, stages, cfg, h, np.array(list(new.values())))))
+        return np.array([table[key] for key in keys])
 
-    actions, v = _backward_induction(q_step, (2,) + reward.shape[:2],
-                                     score=lambda q: q[0] - lam * q[1])
-    return Policy.from_actions(actions, reward.shape[2]), v
+    if single:
+        lam0 = lams.item(0)
+        actions, v = _backward_induction(q_step, (2,) + reward.shape[:2],
+                                         score=lambda q: q[0] - lam0 * q[1])
+        actions, v = actions[:, None], v[None]
+    else:
+        lam_col = lams[:, None, None]
+        actions, v = _backward_induction(q_step, (lams.size, 2) + reward.shape[:2],
+                                         score=lambda q: q[:, 0] - lam_col * q[:, 1])
+    policies = []
+    for j in range(lams.size):
+        key = actions[:, j].tobytes()
+        pi = pool.get(key)
+        if pi is None:
+            pi = pool[key] = Policy.from_actions(actions[:, j], num_actions)
+        policies.append(pi)
+    return (policies[0], v[0]) if lams.ndim == 0 else (policies, v)
 
 
 def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig):
@@ -395,12 +446,14 @@ def round_to_grid(lam_raw: float, grid_step: float, cap: float) -> float:
 class DualWalk(NamedTuple):
     """An episode's dual walk: the multiplier, pessimistic cost value and visit
     count of each distinct grid index in first-visit order (the counts sum to
-    T), and the position where the cycle starts (len(lam) if none within T)."""
+    T), the position where the cycle starts (len(lam) if none within T), and
+    the grid indices themselves (lam[j] = index[j] * grid_step)."""
 
     lam: tuple
     vc: tuple
     counts: tuple
     cycle_start: int
+    index: tuple
 
     def trace(self, values) -> np.ndarray:
         """Per-iteration values: the prefix, then the cycle tiled and cut to T."""
@@ -410,23 +463,34 @@ class DualWalk(NamedTuple):
 
 
 def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
-                        b_prime: float, memo=None):
+                        b_prime: float, memo=None, hint=(), pool=None):
     """Run the T inner primal-dual iterations against the fixed model.
 
     The walk starts at grid index 0 and stops at the first repeated index or
-    after T distinct ones, with one backup per distinct index; the remaining
-    iterations go round the cycle and are counted, not run. memo goes
-    unchanged to each of the walk's backups (see lagrangian_greedy_backup
-    for when one may be shared). Returns
+    after T distinct ones; the remaining iterations go round the cycle and
+    are counted, not run. Index 0 and the grid indices in hint are backed up
+    first, in one batched sweep; every index the walk reaches outside them
+    gets a backup of its own. A hint changes which sweeps run, never the
+    walk. memo and pool go unchanged to each backup (see
+    lagrangian_greedy_backup for when they may be shared). Returns
     (mixture, DualWalk); the mixture has one component per visited index, in
     first-visit order, weighted by visits / T.
     """
+    batch = list(dict.fromkeys((0, *hint)))
+    priced = {}  # grid index -> (policy, v_c)
+    if len(batch) > 1:  # index 0 alone is backed up by the walk itself
+        policies, v = lagrangian_greedy_backup(
+            model, reward, cost, [i * cfg.grid_step for i in batch], cfg, memo, pool)
+        priced = {i: (pi, float(vi[1, 0, initial_state]))
+                  for i, pi, vi in zip(batch, policies, v)}
     seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
     while i not in seen and len(seen) < cfg.iters:
         lam = i * cfg.grid_step
-        pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg, memo)
-        v_c = float(v[1, 0, initial_state])
+        if i not in priced:
+            pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg, memo, pool)
+            priced[i] = (pi, float(v[1, 0, initial_state]))
+        pi, v_c = priced[i]
         seen[i] = (lam, pi, v_c)
         i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
     start = list(seen).index(i) if i in seen else len(seen)
@@ -435,7 +499,7 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
     lams, policies, vcs = zip(*seen.values())
     mixture = MixturePolicy(tuple(
         (n / cfg.iters, pi) for n, pi in zip(counts, policies)))
-    return mixture, DualWalk(lams, vcs, counts, start)
+    return mixture, DualWalk(lams, vcs, counts, start, tuple(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -494,14 +558,18 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         raise ValueError(f"shifted budget b'={b_prime} must be positive")
     model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
     memo = [{} for _ in range(env.horizon)]  # step h's Q-tables by next values
+    pool: dict = {}  # action-table bytes -> the run's one Policy for them
     logs = []
     walks = []  # [mixture, walk, episodes that played it], one per replan
     touched = True  # an episode replans only after a row rebuild
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
+            # the last walk is the hint only if it closed its cycle (see the module docstring)
+            hint = walk.index if walks and walk.cycle_start < len(walk.lam) else ()
             mixture, walk = primal_dual_episode(
-                model, env.reward, env.cost, env.initial_state, cfg, b_prime, memo)
+                model, env.reward, env.cost, env.initial_state, cfg, b_prime, memo,
+                hint, pool)
             walks.append([mixture, walk, 0])
         if k % _BLOCK == 0:
             rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),

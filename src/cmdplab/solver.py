@@ -25,7 +25,6 @@ policies' value pairs and a single linear constraint cuts it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -164,13 +163,19 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
         raise InstanceTooLargeError(
             f"{count} deterministic policies exceed the cap {max_policies}")
     s1 = m.initial_state
-    shape = (m.horizon, m.num_states)
-    tables = itertools.product(range(m.num_actions), repeat=m.horizon * m.num_states)
-    policies = [Policy.from_actions(np.array(t, dtype=int).reshape(shape), m.num_actions)
-                for t in tables]
+    a_, n = m.num_actions, m.horizon * m.num_states
+    # Policy p's action table holds the base-A digits of p, most significant
+    # first (itertools.product order); the (P, H, S, A) one-hot rules go to
+    # evaluate_policy as they are, and only the winners become Policy objects.
+    digits = np.arange(count)[:, None] // a_ ** np.arange(n - 1, -1, -1) % a_
+    actions = digits.reshape(count, m.horizon, m.num_states)
+    rules = (actions[..., None] == np.arange(a_)).astype(float)
     values = np.concatenate([
-        evaluate_policy(m.transition, m.stages, policies[i:i + PRICE_CHUNK])[:, :, 0, s1]
+        evaluate_policy(m.transition, m.stages, rules[i:i + PRICE_CHUNK])[:, :, 0, s1]
         for i in range(0, count, PRICE_CHUNK)])
+
+    def policy(i):
+        return Policy.from_actions(actions[i], a_)
     r_vals, c_vals = values.T
 
     feas = c_vals <= m.budget + _FEAS_SLACK
@@ -181,7 +186,7 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
     best_f = fi[np.argmax(r_vals[fi])]
     best_value = r_vals[best_f]
     best = ExactSolution(OPTIMAL, float(best_value), float(c_vals[best_f]),
-                         MixturePolicy.single(policies[best_f]), 0.0)
+                         MixturePolicy.single(policy(best_f)), 0.0)
     if feas.all():
         return best
 
@@ -207,5 +212,5 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
     value = float(mix_r[pair_best])
     cost = a * c_vals[i] + (1 - a) * c_vals[j]
     slope = max(float((r_vals[j] - r_vals[i]) / (c_vals[j] - c_vals[i])), 0.0)
-    comps = tuple((w, p) for w, p in ((a, policies[i]), (1 - a, policies[j])) if w > 0)
+    comps = tuple((w, p) for w, p in ((a, policy(i)), (1 - a, policy(j))) if w > 0)
     return ExactSolution(OPTIMAL, value, float(cost), MixturePolicy(comps), slope)

@@ -75,12 +75,18 @@ def test_evaluate_policy_shape_mismatch_raises():
     with pytest.raises(ValueError, match=r"policy stack \(2, \.\.\.\) of rule shapes "
                                          r"\[\(3, 2, 2\), \(3, 2, 3\)\]"):
         evaluate_policy(m.transition, m.stages, [Policy.uniform(3, 2, 2), Policy.uniform(3, 2, 3)])
+    with pytest.raises(ValueError, match=r"policy \(3, 2, 3\)"):
+        evaluate_policy(m.transition, m.stages, Policy.uniform(3, 2, 3).rule)
+    with pytest.raises(ValueError, match=r"policy stack \(4, \.\.\.\) of rule shapes \[\(3, 2, 3\)\]"):
+        evaluate_policy(m.transition, m.stages, np.zeros((4, 3, 2, 3)))
 
 
 def test_evaluate_policy_rejects_an_empty_stack():
     m = random_instance(2, 2, 3, seed=2)
     with pytest.raises(ValueError, match="at least one policy, got an empty sequence"):
         evaluate_policy(m.transition, m.stages, [])
+    with pytest.raises(ValueError, match="at least one policy, got an empty sequence"):
+        evaluate_policy(m.transition, m.stages, np.zeros((0, 3, 2, 2)))
 
 
 def test_stacked_evaluation_matches_single_table_sweeps():
@@ -124,6 +130,9 @@ def test_policy_stack_matches_single_sweeps(num_policies):
             assert got.shape == (num_policies, len(stages), h_ + 1, s_)
             want = np.stack([evaluate_policy(m.transition, stages, p) for p in policies])
             assert np.array_equal(got, want)
+            rules = np.stack([p.rule for p in policies])  # rule arrays stand in for policies
+            assert np.array_equal(evaluate_policy(m.transition, stages, rules), want)
+            assert np.array_equal(evaluate_policy(m.transition, stages, rules[0]), want[0])
 
 
 def test_stages_are_reward_then_cost_and_read_only():

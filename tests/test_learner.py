@@ -512,6 +512,68 @@ def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
             assert_memo_free_bits()
 
 
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
+def test_batched_backup_matches_single_backups(bonus_scale, dims):
+    # L multipliers backed up in one sweep give each multiplier the actions
+    # and (2, H+1, S) values of its own backup, bit for bit: for L = 1, 2 and
+    # 50 with repeats, at lambda = 0 and U, on partly built and empty models,
+    # with a fresh memo and with one shared with single backups. Action 1
+    # duplicates action 0 (same reward, cost and kernel rows, same batch
+    # sizes), so every step has exact ties, which go to action 0.
+    s_, a_, h_ = dims
+    grid_step, cap = 0.25, 2.0
+    grid = [i * grid_step for i in range(int(cap / grid_step) + 1)]
+    cfg = LearnerConfig.make(s_, a_, h_, episodes=300, iters=3, dual_cap=cap,
+                             grid_step=grid_step, delta=0.1, mode="relaxed",
+                             shift=0.5, bonus_scale=bonus_scale)
+    rng = np.random.default_rng(s_ * a_ + 2)
+    for seed in (0, 1):
+        m = random_instance(s_, a_, h_, seed=400 + seed)
+        reward, cost = m.reward.copy(), m.cost.copy()
+        model = _partly_built_model(m, seed)
+        if a_ > 1:
+            for table in (reward, cost, model.kernel, model.counts.batch_size):
+                table[:, :, 1] = table[:, :, 0]
+        shared = [{} for _ in range(h_)]
+        for lams in ([cap], [0.0, cap], rng.choice(grid, 50).tolist()):
+            for mdl in (model, EmpiricalModel.empty(s_, a_, h_)):
+                memo = shared if mdl is model else None
+                policies, v = lagrangian_greedy_backup(mdl, reward, cost, lams, cfg, memo)
+                assert v.shape == (len(lams), 2, h_ + 1, s_)
+                for lam, pi, v_lam in zip(lams, policies, v):
+                    want_pi, want_v = lagrangian_greedy_backup(mdl, reward, cost, lam, cfg)
+                    assert np.array_equal(pi.rule, want_pi.rule)
+                    assert np.array_equal(v_lam, want_v)
+                    if a_ > 1:
+                        assert not pi.rule[:, :, 1].any()
+                if memo is shared:  # single backups on the shared memo agree too
+                    for lam, pi, v_lam in zip(lams, policies, v):
+                        got_pi, got_v = lagrangian_greedy_backup(mdl, reward, cost, lam, cfg,
+                                                                 shared)
+                        assert np.array_equal(got_pi.rule, pi.rule)
+                        assert np.array_equal(got_v, v_lam)
+
+
+def test_backup_rejects_an_empty_multiplier_sequence():
+    m = preset("two_state_chain")
+    model = EmpiricalModel.from_kernel(m.transition)
+    with pytest.raises(ValueError, match="non-empty sequence"):
+        lagrangian_greedy_backup(model, m.reward, m.cost, [], exact_log_config())
+
+
+def test_backups_sharing_a_pool_return_one_policy_object():
+    m = preset("two_state_chain")
+    cfg = exact_log_config()
+    model = EmpiricalModel.from_kernel(m.transition)
+    pool = {}
+    (a, b), _ = lagrangian_greedy_backup(model, m.reward, m.cost, [0.0, 0.0], cfg, None, pool)
+    c, _ = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg, None, pool)
+    assert a is b is c and list(pool.values()) == [a]
+    d, _ = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg)
+    assert d == a and d is not a  # no pool: a fresh object
+
+
 # ---------------------------------------------------------------------------
 # Inner primal-dual loop.
 
@@ -745,20 +807,41 @@ def test_run_learner_matches_a_memo_free_per_episode_loop():
         assert res.final_policy.components == final
 
 
-@pytest.mark.parametrize("episodes, iters, backups", [(200, 20, 344), (2000, 100, 671)])
-def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters, backups):
-    # the backup counts are those of the one-step loop with a per-index cache
-    # cleared on every row rebuild; an episode after one without a rebuild
-    # replays the previous walk and plans nothing
+def test_run_learner_interns_its_greedy_policies(monkeypatch):
+    # equal greedy backups return one Policy object per run, and
+    # Policy.from_actions runs once per distinct action table: on
+    # two_state_chain at K 2000, T 100 the episode mixtures hold hundreds of
+    # components but only as many objects as distinct policies
+    m = preset("two_state_chain")
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
+                        iters=100, dual_cap=4.0, grid_step=0.00390625)
+    original, built = Policy.from_actions.__func__, []
+    monkeypatch.setattr(Policy, "from_actions", classmethod(
+        lambda cls, *args: built.append(1) or original(cls, *args)))
+    res = run_learner(m, cfg, seed=2)
+    comps = [p for log in res.episodes for _, p in log.mixture.components]
+    assert len({id(p) for p in comps}) == len(set(comps)) == len(built) < len(comps) // 10
+    assert {id(p) for _, p in res.final_policy.components} == {id(p) for p in comps}
+
+
+@pytest.mark.parametrize("episodes, iters, multipliers, sweeps", [
+    pytest.param(200, 20, 344, 344, id="200-20-344"),
+    pytest.param(2000, 100, 671, 55, id="2000-100-671")])
+def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters,
+                                                  multipliers, sweeps):
+    # the multipliers priced are those of the one-step loop with a per-index
+    # cache cleared on every row rebuild, so a hinted sweep prices no
+    # multiplier its walk leaves unvisited; an episode after one without a
+    # rebuild replays the previous walk and plans nothing
     m = preset("two_state_chain")
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=episodes, iters=iters, dual_cap=4.0,
                         grid_step=0.00390625)
     original, calls = learner.lagrangian_greedy_backup, []
     monkeypatch.setattr(learner, "lagrangian_greedy_backup",
-                        lambda *args: calls.append(1) or original(*args))
+                        lambda *args: calls.append(np.size(args[3])) or original(*args))
     res = run_learner(m, cfg, seed=1)
-    assert len(calls) == backups
+    assert (sum(calls), len(calls)) == (multipliers, sweeps)
     prev = [0] + [log.model_updates_cum for log in res.episodes]
     for k, log in enumerate(res.episodes[1:], 1):
         replayed = prev[k] == prev[k - 1]  # episode k - 1 rebuilt no row

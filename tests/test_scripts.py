@@ -41,10 +41,11 @@ def test_learner_timing_prints_one_line_per_run(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [("1", "0", "20", "5"),
                                                         ("1", "1", "20", "5")]
-    assert proc.stdout.splitlines()[1].split()[7] == "metrics_s"
-    for r in rows:
-        assert float(r[4]) >= 0 and int(r[5]) >= int(r[6]) >= 1
-        assert float(r[7]) > 0 and float(r[8]) > 0  # metrics seconds, peak RSS
+    assert proc.stdout.splitlines()[1].split()[5:9] == ["sweeps", "multipliers", "replans",
+                                                        "metrics_s"]
+    for r in rows:  # every replan sweeps at least once; a sweep prices >= 1 multiplier
+        assert float(r[4]) >= 0 and int(r[6]) >= int(r[5]) >= int(r[7]) >= 1
+        assert float(r[8]) > 0 and float(r[9]) > 0  # metrics seconds, peak RSS
 
 
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
