@@ -27,7 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -92,6 +95,12 @@ class TabularCmdp:
         object.__setattr__(self, "stages", _frozen((self.reward, self.cost))
                            if self.reward.shape == self.cost.shape else None)
 
+    @cached_property
+    def transition_cdf(self) -> list:
+        """The transition rows' running sums as (H, S, A, S) lists, built on
+        first use; np.cumsum adds left to right like categorical's acc += p."""
+        return np.cumsum(self.transition, axis=-1).tolist()
+
 
 @dataclass(frozen=True, eq=False)
 class Policy:
@@ -127,7 +136,20 @@ class Policy:
         h, s = actions.shape
         rule = np.zeros((h, s, num_actions))
         rule[np.arange(h)[:, None], np.arange(s)[None, :], actions] = 1.0
-        return cls(rule)
+        policy = cls(rule)
+        object.__setattr__(policy, "_one_hot", True)
+        return policy
+
+    _one_hot = False  # known one-hot: built by from_actions
+
+    @cached_property
+    def actions(self) -> list | None:
+        """The (H, S) action table as lists if the rule is exactly one-hot
+        (byte-equal to from_actions of its argmax), else None; built on first use."""
+        best = self.rule.argmax(axis=2)
+        if self._one_hot or Policy.from_actions(best, self.rule.shape[2]) == self:
+            return best.tolist()
+        return None
 
     @classmethod
     def uniform(cls, horizon: int, num_states: int, num_actions: int) -> "Policy":
@@ -153,9 +175,11 @@ class MixturePolicy:
 
     components is a sequence of (weight, Policy) pairs. Weights must be
     nonnegative and sum to 1 within PROB_TOL; at least one component.
+    cumulative holds the weights' running sums, added left to right.
     """
 
     components: tuple
+    cumulative: array = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple((float(w), p) for w, p in self.components)
@@ -167,6 +191,7 @@ class MixturePolicy:
         if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "cumulative", array("d", accumulate(w for w, _ in comps)))
 
     @classmethod
     def single(cls, policy: Policy) -> "MixturePolicy":
@@ -424,9 +449,8 @@ def load_instance(path) -> TabularCmdp:
 
 
 def _component_json(w: float, p: Policy) -> dict:
-    actions = p.rule.argmax(axis=2)
-    if Policy.from_actions(actions, p.rule.shape[2]) == p:  # same bytes
-        return {"weight": w, "actions": actions.tolist()}
+    if p.actions is not None:
+        return {"weight": w, "actions": p.actions}
     return {"weight": w, "rule": p.rule.tolist()}
 
 

@@ -8,8 +8,10 @@ sweep of its policy alone, so the prices carry the same bits either way.
 compute_metrics replays a learner run against the exact solution: it first
 prices every new component policy of the run's distinct mixtures (so each
 distinct policy is swept once, in ceil(new / PRICE_CHUNK) sweeps), then
-gives cumulative regret sum(V* - V_r) and constraint violation
-max(0, sum(V_c - b)). Verdicts apply the relaxed / strict acceptance
+collects each episode's (V_r, V_c) and mean multiplier and builds the run's
+columns with numpy: cumulative regret sum(V* - V_r) and constraint
+violation max(0, sum(V_c - b)) are sequential cumulative sums from 0.0, the
+bits of a running total. Verdicts apply the relaxed / strict acceptance
 predicates to the final averaged policy.
 
 emit_report writes a deterministic run.csv (17 significant digits, so parsing
@@ -23,6 +25,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +41,7 @@ CSV_COLUMNS = ("k", "v_r_true", "v_c_true", "regret_cum", "cv_cum",
 STRICT_COST_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     """One episode's metrics."""
 
     k: int
@@ -138,32 +140,29 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     episodes = list(episodes)  # read twice
     _price_new(m, (p for mix in _new_mixtures(episodes) for _, p in mix.components), memo)
     lambda_means: dict = {}  # DualWalk -> mean multiplier; replays share a walk
-    rows = []
-    regret = 0.0
-    violation_sum = 0.0
-    mixture = None  # the last priced mixture; a replay shares its object
+    v_rs, v_cs, lam_means = [], [], []
+    mixture = walk = None  # the last episode's; a replay shares both objects
     for log in episodes:
         if log.mixture is not mixture:
             mixture = log.mixture
             v_r, v_c = evaluate_mixture(m, mixture, memo)
-        regret += exact.optimal_value - v_r
-        violation_sum += v_c - m.budget
-        walk = log.walk
-        lam_mean = lambda_means.get(walk)
-        if lam_mean is None:
-            lam_mean = lambda_means[walk] = float(np.mean(walk.trace(walk.lam)))
-        rows.append(Row(
-            k=log.episode,
-            v_r_true=float(v_r),
-            v_c_true=float(v_c),
-            regret_cum=float(regret),
-            cv_cum=float(max(0.0, violation_sum)),
-            lambda_mean=lam_mean,
-            model_updates_cum=int(log.model_updates_cum),
-            wall_ms=float(log.wall_ms),
-        ))
+        if log.walk is not walk:
+            walk = log.walk
+            lam_mean = lambda_means.get(walk)
+            if lam_mean is None:
+                lam_mean = lambda_means[walk] = float(np.mean(walk.trace(walk.lam)))
+        v_rs.append(v_r)
+        v_cs.append(v_c)
+        lam_means.append(lam_mean)
+    regret = np.cumsum(np.concatenate(([0.0], exact.optimal_value - np.array(v_rs))))[1:]
+    violation = np.cumsum(np.concatenate(([0.0], np.array(v_cs) - m.budget)))[1:]
+    rows = tuple(map(Row._make, zip(
+        (log.episode for log in episodes), v_rs, v_cs, regret.tolist(),
+        np.where(violation > 0.0, violation, 0.0).tolist(), lam_means,
+        (int(log.model_updates_cum) for log in episodes),
+        (float(log.wall_ms) for log in episodes))))
     return RunRecord(header_cfg, seed, instance_hash(m), zeta,
-                     exact.optimal_value, m.budget, tuple(rows))
+                     exact.optimal_value, m.budget, rows)
 
 
 def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePolicy,
@@ -240,9 +239,8 @@ def _line_chart(xs, ys, title: str, path) -> None:
         y_hi = y_lo + 1.0
     sx = (width - 2 * pad) / (x_hi - x_lo)
     sy = (height - 2 * pad) / (y_hi - y_lo)
-    pts = " ".join(
-        f"{pad + (x - x_lo) * sx:.2f},{height - pad - (y - y_lo) * sy:.2f}"
-        for x, y in zip(xs, ys))
+    points = np.column_stack((pad + (xs - x_lo) * sx, height - pad - (ys - y_lo) * sy))
+    pts = " ".join(["%.2f,%.2f"] * len(points)) % tuple(points.ravel().tolist())
     svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -270,9 +268,8 @@ def render_charts(rows, out_dir) -> dict:
     """Write regret.svg and cv.svg for a sequence of rows; returns {name: path}."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    ks = [r.k for r in rows]
-    for name, ys in (("regret.svg", [r.regret_cum for r in rows]),
-                     ("cv.svg", [r.cv_cum for r in rows])):
+    ks, _, _, regret, cv, *_ = zip(*rows)
+    for name, ys in (("regret.svg", regret), ("cv.svg", cv)):
         chart_path = os.path.join(out_dir, name)
         _line_chart(ks, ys, name.removesuffix(".svg"), chart_path)
         paths[name] = chart_path

@@ -562,6 +562,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     logs = []
     walks = []  # [mixture, walk, episodes that played it], one per replan
     touched = True  # an episode replans only after a row rebuild
+    updates = 0  # rebuilds so far: epochs.sum(), since the model starts empty
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
@@ -580,9 +581,10 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             if record_transition(model, h, s, a, s_next):
                 memo[h].clear()
                 touched = True
+                updates += 1
         walks[-1][2] += 1
         wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0
-        logs.append(EpisodeLog(k, mixture, walk, int(model.counts.epochs.sum()), wall))
+        logs.append(EpisodeLog(k, mixture, walk, updates, wall))
     plays: dict = {}  # Policy -> iterations it was played, in first-play order
     for mixture, walk, replays in walks:
         for (_, p), n in zip(mixture.components, walk.counts):

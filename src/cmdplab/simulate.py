@@ -27,16 +27,18 @@ Identical seeds therefore give identical trajectories on any platform.
 
 A mixture episode consumes exactly 1 + 2H uniforms: uniform 0 picks the
 component, 1 + 2h the action at step h and 2 + 2h its successor. The learner
-draws its episodes one at a time with the scalar inversion
-(sample_mixture_episode) from rows of a block of uniforms. monte_carlo_value
-draws a whole block at once: it inverts cumulative-sum tables that are
-accumulated left to right like categorical's, so every episode's totals are
-the doubles the scalar draws give on the same row.
+draws one episode at a time (sample_mixture_episode) by bisect over running
+sums their owners cache (MixturePolicy.cumulative, TabularCmdp.transition_cdf),
+and a one-hot policy reads its action from Policy.actions; monte_carlo_value
+draws a block at once with numpy. All sums accumulate left to right like
+categorical's, so every draw, and every episode's totals, are the ones the
+scalar inversion gives on the same row.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 
 import numpy as np
 
@@ -107,20 +109,29 @@ def categorical(probs, u: float) -> int:
 
 
 def sample_mixture_episode(m: TabularCmdp, mix: MixturePolicy, u):
-    """One episode from s1 on the uniforms u (a row of _stream_floats): the
-    component from u[0], then at step h the action from u[1 + 2h] and the
-    successor from u[2 + 2h]. Returns (component index, [(s, a, s'), ...])."""
-    idx = categorical([w for w, _ in mix.components], u[0])
-    rule = mix.components[idx][1].rule
+    """One episode from s1 on the uniforms u (a row of _stream_floats, each
+    in [0, 1)): the component from u[0], then at step h the action from
+    u[1 + 2h] and the successor from u[2 + 2h], each drawn as categorical
+    would. Returns (component index, [(s, a, s'), ...])."""
+    cum = mix.cumulative
+    idx = bisect_right(cum, u[0])
+    if idx == len(cum):  # the total rounded to at most u: categorical's fallback
+        idx = categorical([w for w, _ in mix.components], u[0])
+    policy = mix.components[idx][1]
+    rule = policy.rule
     if rule.shape != (m.horizon, m.num_states, m.num_actions):
         raise ValueError(
             f"policy shape {rule.shape} does not match instance "
             f"({m.horizon}, {m.num_states}, {m.num_actions})")
+    actions, kernel = policy.actions, m.transition_cdf
     s = m.initial_state
     steps = []
     for h in range(m.horizon):
-        a = categorical(rule[h, s], u[1 + 2 * h])
-        sn = categorical(m.transition[h, s, a], u[2 + 2 * h])
+        a = categorical(rule[h, s], u[1 + 2 * h]) if actions is None else actions[h][s]
+        cum = kernel[h][s][a]
+        sn = bisect_right(cum, u[2 + 2 * h])
+        if sn == len(cum):
+            sn = categorical(m.transition[h, s, a], u[2 + 2 * h])
         steps.append((s, a, sn))
         s = sn
     return idx, steps

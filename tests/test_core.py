@@ -605,13 +605,19 @@ def test_policy_file_round_trip_is_exact(tmp_path):
     m = preset("two_state_chain")
     one_hot = Policy.from_actions([[0, 1], [1, 0]], 2)
     near = Policy(np.where(one_hot.rule == 1.0, 1 - 1e-12, 1e-12))
-    mix = MixturePolicy(((0.2, Policy.uniform(2, 2, 2)), (0.3, one_hot), (0.5, near)))
+    signed = Policy(np.where(one_hot.rule == 1.0, 1.0, -0.0))  # -0.0 where one_hot has 0.0
+    mix = MixturePolicy(((0.2, Policy.uniform(2, 2, 2)), (0.3, one_hot), (0.3, near),
+                         (0.1, Policy(one_hot.rule)), (0.1, signed)))
+    # Policy.actions holds the table exactly when the rule's bytes are one-hot
+    assert [p.actions for _, p in mix.components] == [
+        None, [[0, 1], [1, 0]], None, [[0, 1], [1, 0]], None]
     path = tmp_path / "p.json"
     save_policy(mix, m, path)
     doc = json.loads(path.read_text())
-    # only the exactly one-hot component is written as an action table
+    # only the exactly one-hot components are written as action tables
     assert [sorted(c) for c in doc["components"]] == [
-        ["rule", "weight"], ["actions", "weight"], ["rule", "weight"]]
+        ["rule", "weight"], ["actions", "weight"], ["rule", "weight"],
+        ["actions", "weight"], ["rule", "weight"]]
     assert doc["components"][1]["actions"] == [[0, 1], [1, 0]]
     assert load_policy(path, m).components == mix.components
 

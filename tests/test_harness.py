@@ -8,16 +8,17 @@ mental arithmetic.
 
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cmdplab import (DualWalk, EpisodeLog, MixturePolicy, Policy,
+from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row,
                      check_final_policy, compute_metrics, derive_config,
-                     emit_report, evaluate_mixture, preset, read_run_csv,
-                     render_charts, run_learner, solve_cmdp_exact,
-                     write_run_csv)
+                     emit_report, evaluate_mixture, generate, preset,
+                     read_run_csv, render_charts, run_learner,
+                     solve_cmdp_exact, write_run_csv)
 import cmdplab.harness as harness
 from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
@@ -348,6 +349,81 @@ def test_render_charts_from_read_back_rows(chain, tmp_path):
     assert sorted(out) == ["cv.svg", "regret.svg"]
     for p in out.values():
         assert "<svg" in Path(p).read_text()
+
+
+def per_episode_rows(m, exact, episodes):
+    """Rows from running totals updated episode by episode: the reference
+    for compute_metrics' column-wise build."""
+    rows, regret, violation_sum, memo = [], 0.0, 0.0, {}
+    for log in episodes:
+        v_r, v_c = evaluate_mixture(m, log.mixture, memo)
+        regret += exact.optimal_value - v_r
+        violation_sum += v_c - m.budget
+        rows.append(Row(
+            k=log.episode,
+            v_r_true=float(v_r),
+            v_c_true=float(v_c),
+            regret_cum=float(regret),
+            cv_cum=float(max(0.0, violation_sum)),
+            lambda_mean=float(np.mean(log.walk.trace(log.walk.lam))),
+            model_updates_cum=int(log.model_updates_cum),
+            wall_ms=float(log.wall_ms),
+        ))
+    return rows
+
+
+def per_point_polyline(xs, ys):
+    """A chart's polyline points formatted one point at a time: the
+    reference for _line_chart's array arithmetic and single % call."""
+    width, height, pad = 640, 400, 50
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    sx = (width - 2 * pad) / (x_hi - x_lo)
+    sy = (height - 2 * pad) / (y_hi - y_lo)
+    return " ".join(
+        f"{pad + (x - x_lo) * sx:.2f},{height - pad - (y - y_lo) * sy:.2f}"
+        for x, y in zip(xs, ys))
+
+
+@pytest.mark.parametrize("case", ["two_state_chain", "bonus0_10x4x8", "constant",
+                                  "violation_hits_zero"])
+def test_columns_and_charts_match_per_episode_reference(chain, case, tmp_path):
+    if case == "two_state_chain":
+        m, exact = chain
+        cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
+                            iters=100, dual_cap=4.0, grid_step=0.00390625)
+        logs = run_learner(m, cfg, seed=1).episodes
+    elif case == "bonus0_10x4x8":
+        m = generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=17))
+        exact = solve_cmdp_exact(m)
+        cfg = derive_config("relaxed", 1.0, 0.1, m, bonus_scale=0.0, episodes=300, iters=3)
+        logs = run_learner(m, cfg, seed=1).episodes
+    elif case == "constant":  # one episode: x_hi == x_lo and y_hi == y_lo
+        (m, exact), logs = chain, log_stream([safe_policy()])
+    else:  # the optimal mixture's cost is the budget: the sum is exactly 0.0
+        m, exact = chain
+        mixtures = [exact.policy, MixturePolicy.single(engage_policy()),
+                    MixturePolicy.single(safe_policy()), exact.policy]
+        logs = [EpisodeLog(k, mix, DualWalk((0.0,), (0.0,), (1,), 0, (0,)), k, 0.0)
+                for k, mix in enumerate(mixtures)]
+    rows = compute_metrics(m, exact, logs).rows
+    want = per_episode_rows(m, exact, logs)
+    assert rows == tuple(want)
+    assert [list(map(repr, r)) for r in rows] == [list(map(repr, r)) for r in want]  # bits
+    if case == "violation_hits_zero":
+        assert [r.cv_cum for r in rows] == [0.0, 0.4, 0.0, 0.0]
+    paths = render_charts(rows, tmp_path)
+    for name, column in (("regret.svg", "regret_cum"), ("cv.svg", "cv_cum")):
+        svg = Path(paths[name]).read_text()
+        points = re.search(r'<polyline points="([^"]*)"', svg).group(1)
+        assert points == per_point_polyline([r.k for r in want],
+                                            [getattr(r, column) for r in want])
 
 
 HEADER = ",".join(CSV_COLUMNS) + "\n"

@@ -729,6 +729,35 @@ def test_run_learner_counts_and_monotone_updates():
     assert all(log.wall_ms == 0.0 for log in res.episodes)  # timing off
 
 
+def test_run_learner_calls_each_traced_binding_per_episode(monkeypatch):
+    # run_learner samples through learner.sample_mixture_episode once per
+    # episode and folds through learner.record_transition H times per
+    # episode (bindings a tracer wraps), and every episode's
+    # model_updates_cum is the rebuild count epochs.sum() at its end
+    m = preset("risky_shortcut")
+    cfg = small_run_config(m, episodes=40)
+    sample, record, samples, rebuilds = (learner.sample_mixture_episode,
+                                         learner.record_transition, [], [])
+
+    def counted_sample(*args):
+        samples.append(1)
+        return sample(*args)
+
+    def counted_record(model, *args):
+        rebuilt = record(model, *args)
+        rebuilds.append(int(model.counts.epochs.sum()))
+        return rebuilt
+
+    monkeypatch.setattr(learner, "sample_mixture_episode", counted_sample)
+    monkeypatch.setattr(learner, "record_transition", counted_record)
+    res = run_learner(m, cfg, seed=5)
+    assert len(samples) == cfg.episodes
+    assert len(rebuilds) == cfg.episodes * m.horizon
+    ups = [log.model_updates_cum for log in res.episodes]
+    assert ups == rebuilds[m.horizon - 1::m.horizon]
+    assert len(set(ups)) > 2  # the count moves during the run
+
+
 def test_run_learner_final_policy_averages_episodes():
     m = preset("two_state_chain")
     cfg = small_run_config(m, episodes=8, iters=4)

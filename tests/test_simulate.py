@@ -267,16 +267,50 @@ def deficient_case(seed):
     return m, MixturePolicy(tuple(comps))
 
 
-@pytest.mark.parametrize("case", ["mixture", "deficient", "two_state_chain"])
+def one_hot_case(seed, build):
+    """A 5x3x6 instance and a 3-component mixture of random one-hot rules,
+    each build(p) of a from_actions policy p."""
+    m = random_instance(5, 3, 6, seed=seed)
+    rng = np.random.default_rng(seed)
+    comps = []
+    for w in rng.dirichlet(np.ones(3)):
+        actions = rng.integers(m.num_actions, size=(m.horizon, m.num_states))
+        comps.append((w, build(Policy.from_actions(actions, m.num_actions))))
+    return m, MixturePolicy(tuple(comps))
+
+
+def negative_zero(policy):
+    """The policy's one-hot rule with every other zero entry written as -0.0."""
+    rule = np.array(policy.rule)
+    rule.flat[np.flatnonzero(rule == 0.0)[::2]] = -0.0
+    return Policy(rule)
+
+
+@pytest.mark.parametrize("case", ["mixture", "deficient", "two_state_chain", "from_actions",
+                                  "one_hot_rule", "negative_zero", "short_weights"])
 def test_sample_mixture_episode_matches_scalar_reference(case):
     if case == "mixture":
         m = random_instance(5, 3, 6, seed=21)
         mix = random_mixture(m, 4, seed=22)
     elif case == "deficient":
         m, mix = deficient_case(seed=23)
-    else:  # 0/1 kernel rows: every successor draw meets a zero-probability entry
+    elif case == "two_state_chain":  # 0/1 kernel rows: every successor draw meets a zero entry
         m = preset("two_state_chain")
         mix = random_mixture(m, 3, seed=24)
+    elif case == "from_actions":  # components read their action tables
+        m, mix = one_hot_case(25, lambda p: p)
+        assert all(p.actions == p.rule.argmax(axis=2).tolist() for _, p in mix.components)
+    elif case == "one_hot_rule":  # one-hot by bytes, found without from_actions
+        m, mix = one_hot_case(26, lambda p: Policy(p.rule))
+        assert all(p.actions is not None for _, p in mix.components)
+    elif case == "negative_zero":  # not one-hot by bytes: drawn by categorical
+        m, mix = one_hot_case(27, negative_zero)
+        assert all(p.actions is None for _, p in mix.components)
+    else:  # the weights' running sum ends below 1 - 2**-53, before a zero-weight tail
+        m = random_instance(5, 3, 6, seed=28)
+        policies = [p for _, p in random_mixture(m, 3, seed=28).components]
+        mix = MixturePolicy(tuple(zip((0.5, 0.5 - 1e-10, 0.0), policies)))
+        assert mix.cumulative[-1] < 1.0 - 2.0**-53
     draws = 1 + 2 * m.horizon
 
     def reference(rng):
