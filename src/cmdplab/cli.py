@@ -36,6 +36,7 @@ from .harness import (
     evaluate_mixture,
     read_run_csv,
     render_charts,
+    require_feasible,
 )
 from .learner import derive_config, run_learner
 from .simulate import monte_carlo_value
@@ -145,8 +146,9 @@ def cmd_train(args) -> int:
         opt["mode"], opt["epsilon"], opt["delta"], m, bonus_scale=opt["bonus_scale"],
         episodes=opt["episodes"], iters=opt["iters"],
         dual_cap=opt["dual_cap"], grid_step=opt["grid_step"])
-    res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
     exact = solve_cmdp_exact(m)
+    require_feasible(m, exact)  # before the learner runs or a file is written
+    res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
     memo: dict = {}  # the final mixture's policies were all priced per episode
     record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed,
                              memo=memo)

@@ -32,7 +32,7 @@ import numpy as np
 from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, evaluate_policy,
                    instance_hash, slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
-from .solver import ExactSolution
+from .solver import INFEASIBLE, ExactSolution
 
 CSV_COLUMNS = ("k", "v_r_true", "v_c_true", "regret_cum", "cv_cum",
                "lambda_mean", "model_updates_cum", "wall_ms")
@@ -121,6 +121,15 @@ def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = Non
     return r_total, c_total
 
 
+def require_feasible(m: TabularCmdp, exact: ExactSolution) -> None:
+    """Raise a ValueError if exact is the solution of an infeasible instance:
+    no regret or verdict is defined against a V* that does not exist."""
+    if exact.status == INFEASIBLE:
+        zeta, _ = slater_constant(m)
+        raise ValueError(f"infeasible instance: the min-cost policy has V_c = "
+                         f"{m.budget - zeta:.6g} > b = {m.budget:.6g}")
+
+
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
                     config: LearnerConfig | None = None, seed: int = 0,
                     memo: dict | None = None) -> RunRecord:
@@ -132,8 +141,9 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     mixture is the previous episode's object (a replay) reuses that
     episode's pair outright. Pass a memo (as for evaluate_mixture) to share
     those prices with later calls. Likewise each distinct dual walk's mean
-    multiplier is taken once.
+    multiplier is taken once. An infeasible exact raises a ValueError.
     """
+    require_feasible(m, exact)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
     memo = {} if memo is None else memo
@@ -169,9 +179,11 @@ def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePoli
                        epsilon: float, mode: str, memo: dict | None = None) -> Verdict:
     """Relaxed: V_r >= V* - eps and V_c <= b + eps.
     Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance).
-    memo is evaluate_mixture's: pass compute_metrics' to price no policy twice."""
+    memo is evaluate_mixture's: pass compute_metrics' to price no policy twice.
+    An infeasible exact raises a ValueError."""
     if mode not in (RELAXED, STRICT):
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
+    require_feasible(m, exact)
     v_r, v_c = evaluate_mixture(m, pi_bar, memo)
     reward_floor = exact.optimal_value - epsilon
     cost_cap = m.budget + (epsilon if mode == RELAXED else STRICT_COST_TOL)

@@ -43,6 +43,10 @@ _FEAS_SLACK = 1e-12
 # passed any finite cap; only a NaN or infinite cap could need more.
 _MAX_DOUBLINGS = 1100
 
+# Most deterministic policies brute_force_cmdp enumerates by default, and so
+# the largest degenerate instance solve_cmdp_exact hands to it.
+_BRUTE_FORCE_CAP = 4096
+
 
 class InstanceTooLargeError(ValueError):
     """Deterministic-policy count exceeds the enumeration budget."""
@@ -131,7 +135,7 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
             break
         lam_lo, lam_hi, lo = lam_hi, 2.0 * lam_hi, hi
     if not feasible:
-        if m.num_actions ** (m.num_states * m.horizon) <= 4096:
+        if m.num_actions ** (m.num_states * m.horizon) <= _BRUTE_FORCE_CAP:
             return brute_force_cmdp(m)
         raise DegenerateInstanceError(
             f"no feasible dual point below cap {cap:.3g} (zeta={zeta:.3g})")
@@ -148,7 +152,7 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     return _mix_two(m, hi[1:], lo[1:], 0.5 * (lam_lo + lam_hi))
 
 
-def brute_force_cmdp(m: TabularCmdp, max_policies: int = 4096) -> ExactSolution:
+def brute_force_cmdp(m: TabularCmdp, max_policies: int = _BRUTE_FORCE_CAP) -> ExactSolution:
     """Enumeration oracle: exact optimum over all deterministic policies and pairs.
 
     Requires A**(S*H) <= max_policies. Prices every deterministic policy's

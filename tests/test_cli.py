@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cmdplab import (MixturePolicy, Policy, instance_hash, load_instance,
-                     load_policy, preset, save_policy, slater_constant)
+                     load_policy, preset, save_instance, save_policy,
+                     slater_constant)
 from cmdplab.cli import main
 
 
@@ -151,6 +152,27 @@ def test_train_rejects_mistyped_config_values(tmp_path, doc, match):
     assert not (tmp_path / "run").exists()
 
 
+def test_train_rejects_infeasible_instance_before_learning(tmp_path, monkeypatch):
+    # the cheapest policy pays 1.0 against b = 0.6: relaxed train used to run
+    # the learner and write regret_cum = nan and bare NaN into summary.json
+    path = tmp_path / "infeasible.json"
+    save_instance(preset("two_state_chain"), path)
+    doc = json.loads(path.read_text())
+    doc["c"] = np.maximum(doc["c"], 0.5).tolist()
+    path.write_text(json.dumps(doc))
+
+    def no_learner(*args, **kwargs):
+        raise AssertionError("the learner ran")
+
+    monkeypatch.setattr("cmdplab.cli.run_learner", no_learner)
+    out_dir = tmp_path / "run"
+    with pytest.raises(SystemExit, match=r"^cmdplab train: infeasible instance: "
+                                         r"the min-cost policy has V_c = 1 > b = 0\.6$"):
+        main(["train", "--instance", str(path), "--epsilon", "1", "-K", "20",
+              "-T", "5", "--out", str(out_dir)])
+    assert not out_dir.exists()
+
+
 def test_train_requires_epsilon(capsys):
     with pytest.raises(SystemExit, match="epsilon"):
         main(["train", "--preset", "two_state_chain", "--out", "unused"])
@@ -264,6 +286,15 @@ def test_suite_subset_runs_fast_checks(capsys):
     assert len(lines) == 2
     assert all(l.startswith("[PASS]") for l in lines)
     assert "all 2 checks passed" in out
+
+
+def test_suite_runs_a_repeated_name_once(capsys):
+    code, out = run_cli(capsys, "suite", "--only", "grid-rounding",
+                        "grid-rounding")
+    assert code == 0
+    lines = [l for l in out.splitlines() if l.startswith("[")]
+    assert len(lines) == 1 and lines[0].startswith("[PASS] grid-rounding:")
+    assert "all 1 checks passed" in out
 
 
 def test_suite_unknown_check_name(capsys):

@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row,
-                     check_final_policy, compute_metrics, derive_config,
-                     emit_report, evaluate_mixture, generate, preset,
-                     read_run_csv, render_charts, run_learner,
+                     TabularCmdp, check_final_policy, compute_metrics,
+                     derive_config, emit_report, evaluate_mixture, generate,
+                     preset, read_run_csv, render_charts, run_learner,
                      solve_cmdp_exact, write_run_csv)
 import cmdplab.harness as harness
 from cmdplab.cli import main
@@ -269,6 +269,20 @@ def test_verdict_rejects_unknown_mode(chain):
     m, exact = chain
     with pytest.raises(ValueError):
         check_final_policy(m, exact, exact.policy, 0.1, "loose")
+
+
+def test_metrics_and_verdict_reject_an_infeasible_solution():
+    m = preset("two_state_chain")
+    m = TabularCmdp(m.num_states, m.num_actions, m.horizon, m.transition,
+                    m.reward, np.maximum(m.cost, 0.5), m.budget, m.initial_state)
+    exact = solve_cmdp_exact(m)
+    assert exact.status == "infeasible"
+    match = r"^infeasible instance: the min-cost policy has V_c = 1 > b = 0\.6$"
+    with pytest.raises(ValueError, match=match):
+        compute_metrics(m, exact, log_stream([safe_policy()]))
+    with pytest.raises(ValueError, match=match):
+        check_final_policy(m, exact, MixturePolicy.single(safe_policy()), 1.0,
+                           "relaxed")
 
 
 # ---------------------------------------------------------------------------
