@@ -1,0 +1,95 @@
+"""Print a digest of every output of a fixed set of cmdplab runs.
+
+The runs go through cmdplab.cli.main in this process, in a temporary
+directory:
+
+- train on the two_state_chain preset with perfbench's train_dual options
+  (-K 2000 -T 100, epsilon 0.1, bonus 0, dual cap 4, grid step 2^-8) at
+  learner seeds 1, 2 and 3;
+- generate a 10x4x8 instance at seed 3 (zeta 0.5), solve it, and train on it
+  with perfbench's train_plan options (-K 300 -T 3, epsilon 1, seed 3) at
+  bonus scales 0 and 0.1, and in strict mode at -K 200 -T 37, bonus 0.1;
+- evaluate the bonus-0.1 run's policy over 20,000 Monte Carlo episodes, and
+  render that run's charts again with report, from a copy of its run.csv;
+- print each subcommand's --help (at a fixed 80-column width).
+
+Each call gets a directory of its own, named by its label. The script prints
+one line `sha256 label name` per file in that directory after the call, per
+captured stdout (name `stdout`, with the temporary directory replaced by
+`TMP`) and per help text (label `help`). Two checkouts produce the same
+outputs exactly when their lines match, so diff the output of
+
+    PYTHONPATH=<checkout>/src python3 scripts/output_digests.py
+
+at two checkouts. The script takes no options.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
+from cmdplab.cli import main
+
+INSTANCE = "{tmp}/generate/instance.json"
+DUAL = ["--preset", "two_state_chain", "-K", "2000", "-T", "100",
+        "--epsilon", "0.1", "--bonus-scale", "0", "--dual-cap", "4",
+        "--grid-step", "0.00390625", "--out", "{out}"]
+PLAN = ["--instance", INSTANCE, "--epsilon", "1.0", "--seed", "3", "--out", "{out}"]
+RUNS = [
+    *((f"train_dual_seed{s}", ["train", *DUAL, "--seed", str(s)]) for s in (1, 2, 3)),
+    ("generate", ["generate", "--S", "10", "--A", "4", "--H", "8", "--zeta", "0.5",
+                  "--seed", "3", "--out", INSTANCE]),
+    ("solve", ["solve", "--instance", INSTANCE]),
+    ("train_plan_bonus0", ["train", *PLAN, "-K", "300", "-T", "3", "--bonus-scale", "0"]),
+    ("train_plan_bonus0.1", ["train", *PLAN, "-K", "300", "-T", "3",
+                             "--bonus-scale", "0.1"]),
+    ("train_strict", ["train", *PLAN, "--mode", "strict", "-K", "200", "-T", "37",
+                      "--bonus-scale", "0.1"]),
+    ("evaluate", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
+                  "--policy", "{tmp}/train_plan_bonus0.1/policy.json"]),
+    ("report", ["report", "--run-dir", "{out}"]),  # on a copy of the bonus-0.1 run.csv
+]
+COMMANDS = ("generate", "solve", "train", "evaluate", "report", "suite")
+
+
+def digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def call(argv, tmp) -> str:
+    """Run main(argv); returns its stdout with the temporary directory
+    replaced. A --help call ends in SystemExit(0), which counts as success."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        try:
+            main(argv)
+        except SystemExit as e:
+            if e.code not in (0, None):
+                raise
+    return buf.getvalue().replace(str(tmp), "TMP")
+
+
+def main_digests() -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
+    with tempfile.TemporaryDirectory() as tmp_dir:
+        tmp = Path(tmp_dir)
+        for label, argv in RUNS:
+            out = tmp / label
+            out.mkdir()
+            if label == "report":
+                shutil.copy(tmp / "train_plan_bonus0.1" / "run.csv", out)
+            stdout = call([a.format(tmp=tmp, out=out) for a in argv], tmp)
+            for path in sorted(out.iterdir()):
+                print(digest(path.read_bytes()), label, path.name)
+            print(digest(stdout.encode()), label, "stdout")
+        print(digest(call(["--help"], tmp).encode()), "help", "cmdplab")
+        for command in COMMANDS:
+            print(digest(call([command, "--help"], tmp).encode()), "help", command)
+
+
+if __name__ == "__main__":
+    main_digests()

@@ -38,7 +38,7 @@ from .harness import (
     render_charts,
     require_feasible,
 )
-from .learner import derive_config, run_learner
+from .learner import RELAXED, STRICT, derive_config, run_learner
 from .simulate import monte_carlo_value
 from .solver import solve_cmdp_exact
 
@@ -54,11 +54,11 @@ def _emit(obj):
 
 
 def _load_env(args):
-    if getattr(args, "preset", None) and getattr(args, "instance", None):
+    if args.preset and args.instance:
         raise ValueError("pass either --preset or --instance, not both")
-    if getattr(args, "preset", None):
+    if args.preset:
         return preset(args.preset)
-    if getattr(args, "instance", None):
+    if args.instance:
         return load_instance(args.instance)
     raise ValueError("an instance is required: --preset NAME or --instance FILE")
 
@@ -101,7 +101,7 @@ def cmd_solve(args) -> int:
 
 # long option name -> (type of a config-file value, default)
 _TRAIN_OPTIONS = {
-    "mode": (str, "relaxed"), "epsilon": (float, None), "delta": (float, 0.1),
+    "mode": (str, RELAXED), "epsilon": (float, None), "delta": (float, 0.1),
     "episodes": (int, None), "iters": (int, None), "dual_cap": (float, None),
     "grid_step": (float, None), "bonus_scale": (float, 1.0), "seed": (int, 0),
     "timing": (bool, False),
@@ -159,13 +159,9 @@ def cmd_train(args) -> int:
     policy_path = os.path.join(args.out, "policy.json")
     save_policy(res.final_policy, m, policy_path)
     paths["policy.json"] = policy_path
-    last = record.rows[-1]
     _emit({
         "paths": paths,
-        "episodes": len(record.rows),
-        "regret": last.regret_cum,
-        "cv": last.cv_cum,
-        "model_updates": last.model_updates_cum,
+        **record.totals(),
         "verdict": {
             "mode": verdict.mode, "passed": verdict.passed,
             "v_r": verdict.v_r, "v_c": verdict.v_c,
@@ -224,6 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     names = sorted(preset_names())
+    env = argparse.ArgumentParser(add_help=False)  # the instance of solve, train, evaluate
+    env.add_argument("--instance")
+    env.add_argument("--preset", choices=names)
 
     g = sub.add_parser("generate", help="write an instance JSON file")
     g.add_argument("--preset", choices=names)
@@ -238,18 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default="instance.json")
     g.set_defaults(fn=cmd_generate)
 
-    s = sub.add_parser("solve", help="exact solve; prints JSON")
-    s.add_argument("--instance")
-    s.add_argument("--preset", choices=names)
+    s = sub.add_parser("solve", parents=[env], help="exact solve; prints JSON")
     s.add_argument("--tol", type=float, default=1e-8)
     s.set_defaults(fn=cmd_solve)
 
-    t = sub.add_parser("train", help="online primal-dual run plus report")
-    t.add_argument("--instance")
-    t.add_argument("--preset", choices=names)
+    t = sub.add_parser("train", parents=[env], help="online primal-dual run plus report")
     t.add_argument("--config", help="JSON file with train options; "
                                     "flags override file values")
-    t.add_argument("--mode", choices=("relaxed", "strict"), default=None)
+    t.add_argument("--mode", choices=(RELAXED, STRICT), default=None)
     t.add_argument("--epsilon", type=float, default=None)
     t.add_argument("--delta", type=float, default=None)
     t.add_argument("--episodes", "-K", type=int, default=None)
@@ -264,9 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--no-charts", action="store_true")
     t.set_defaults(fn=cmd_train)
 
-    e = sub.add_parser("evaluate", help="Monte-Carlo check of a saved policy")
-    e.add_argument("--instance")
-    e.add_argument("--preset", choices=names)
+    e = sub.add_parser("evaluate", parents=[env], help="Monte-Carlo check of a saved policy")
     e.add_argument("--policy", required=True)
     e.add_argument("--episodes", type=int, default=20_000)
     e.add_argument("--seed", type=int, default=0)

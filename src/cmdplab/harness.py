@@ -14,9 +14,10 @@ violation max(0, sum(V_c - b)) are sequential cumulative sums from 0.0, the
 bits of a running total. Verdicts apply the relaxed / strict acceptance
 predicates to the final averaged policy.
 
-emit_report writes a deterministic run.csv (17 significant digits, so parsing
-reproduces every float bit-for-bit), a summary.json, and small static SVG
-line charts of the regret and violation curves.
+emit_report writes a deterministic run.csv, whose columns and their types are
+Row's fields (floats with 17 significant digits, so parsing reproduces every
+float bit-for-bit), a summary.json, and small static SVG line charts of the
+regret and violation curves.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -34,15 +35,13 @@ from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, evaluate_policy,
 from .learner import RELAXED, STRICT, LearnerConfig
 from .solver import INFEASIBLE, ExactSolution
 
-CSV_COLUMNS = ("k", "v_r_true", "v_c_true", "regret_cum", "cv_cum",
-               "lambda_mean", "model_updates_cum", "wall_ms")
-
 # Absolute tolerance for the strict-mode cost check (pure float hygiene).
 STRICT_COST_TOL = 1e-9
 
 
 class Row(NamedTuple):
-    """One episode's metrics."""
+    """One episode's metrics: a line of run.csv, whose header is CSV_COLUMNS
+    and whose cells are parsed with these types."""
 
     k: int
     v_r_true: float
@@ -52,6 +51,12 @@ class Row(NamedTuple):
     lambda_mean: float
     model_updates_cum: int
     wall_ms: float
+
+
+CSV_COLUMNS = Row._fields
+_COLUMN_TYPES = tuple(get_type_hints(Row)[name] for name in CSV_COLUMNS)
+# 17 significant digits parse back to the same double
+_ROW_TEMPLATE = ",".join("%d" if t is int else "%.17g" for t in _COLUMN_TYPES) + "\n"
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,13 @@ class RunRecord:
     v_star: float
     budget: float
     rows: tuple
+
+    def totals(self) -> dict:
+        """The run's totals: its episode count and the last row's cumulative
+        regret, violation and model updates (zeros for a run of no rows)."""
+        last = self.rows[-1] if self.rows else Row._make(t() for t in _COLUMN_TYPES)
+        return {"episodes": len(self.rows), "regret": last.regret_cum,
+                "cv": last.cv_cum, "model_updates": last.model_updates_cum}
 
 
 @dataclass(frozen=True)
@@ -195,38 +207,29 @@ def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePoli
 # Files.
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_run_csv(record: RunRecord, path) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for r in record.rows:
-        lines.append(",".join([
-            str(r.k), _fmt(r.v_r_true), _fmt(r.v_c_true), _fmt(r.regret_cum),
-            _fmt(r.cv_cum), _fmt(r.lambda_mean), str(r.model_updates_cum),
-            _fmt(r.wall_ms)]))
     with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+        f.write(",".join(CSV_COLUMNS) + "\n")
+        f.write("".join(map(_ROW_TEMPLATE.__mod__, record.rows)))
 
 
 def read_run_csv(path) -> list[Row]:
     """Parse a run.csv back into rows (floats reproduce exactly). Columns past
-    the eighth, such as the `interpolated` flag of older files, are ignored.
+    Row's eight, such as the `interpolated` flag of older files, are ignored.
     An empty file, a wrong header, a short or unparsable row, a NaN or
     infinite cell, or no rows at all raise a ValueError naming the file and
     line."""
     with open(path) as f:
         lines = f.read().splitlines()
-    if not lines or tuple(lines[0].split(",")[:8]) != CSV_COLUMNS:
+    width = len(CSV_COLUMNS)
+    if not lines or tuple(lines[0].split(",")[:width]) != CSV_COLUMNS:
         raise ValueError(f"{path} line 1: expected the header {','.join(CSV_COLUMNS)}")
     rows = []
     for n, c in ((n, ln.split(",")) for n, ln in enumerate(lines[1:], start=2) if ln):
         try:
-            if len(c) < 8:
-                raise ValueError(f"{len(c)} cells, expected at least 8")
-            row = Row(int(c[0]), float(c[1]), float(c[2]), float(c[3]),
-                      float(c[4]), float(c[5]), int(c[6]), float(c[7]))
+            if len(c) < width:
+                raise ValueError(f"{len(c)} cells, expected at least {width}")
+            row = Row._make(t(x) for t, x in zip(_COLUMN_TYPES, c))
             bad = [name for name in CSV_COLUMNS if not math.isfinite(getattr(row, name))]
             if bad:
                 raise ValueError(f"non-finite {', '.join(bad)}")
@@ -280,9 +283,10 @@ def render_charts(rows, out_dir) -> dict:
     """Write regret.svg and cv.svg for a sequence of rows; returns {name: path}."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    ks, _, _, regret, cv, *_ = zip(*rows)
-    for name, ys in (("regret.svg", regret), ("cv.svg", cv)):
+    ks = [r.k for r in rows]
+    for name, column in (("regret.svg", "regret_cum"), ("cv.svg", "cv_cum")):
         chart_path = os.path.join(out_dir, name)
+        ys = [getattr(r, column) for r in rows]
         _line_chart(ks, ys, name.removesuffix(".svg"), chart_path)
         paths[name] = chart_path
     return paths
@@ -301,22 +305,8 @@ def emit_report(record: RunRecord, out_dir, verdicts=(), charts: bool = True) ->
     write_run_csv(record, csv_path)
     paths["run.csv"] = csv_path
 
-    last = record.rows[-1] if record.rows else None
-    summary = {
-        "config": record.config,
-        "seed": record.seed,
-        "instance_hash": record.instance_hash,
-        "zeta": record.zeta,
-        "v_star": record.v_star,
-        "budget": record.budget,
-        "totals": {
-            "episodes": len(record.rows),
-            "regret": last.regret_cum if last else 0.0,
-            "cv": last.cv_cum if last else 0.0,
-            "model_updates": last.model_updates_cum if last else 0,
-        },
-        "verdicts": [asdict(v) for v in verdicts],
-    }
+    summary = {f.name: getattr(record, f.name) for f in fields(record) if f.name != "rows"}
+    summary.update(totals=record.totals(), verdicts=[asdict(v) for v in verdicts])
     summary_path = os.path.join(out_dir, "summary.json")
     with open(summary_path, "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)

@@ -103,6 +103,26 @@ def test_train_writes_report_and_policy(tmp_path, capsys):
     assert mix.weights().sum() == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("instance", ["preset", "generated"])
+def test_train_prints_the_totals_summary_json_records(tmp_path, capsys, instance):
+    if instance == "preset":
+        env = ["--preset", "two_state_chain"]
+    else:
+        path = tmp_path / "instance.json"
+        json_out(capsys, "generate", "--S", "4", "--A", "3", "--H", "4",
+                 "--seed", "2", "--out", str(path))
+        env = ["--instance", str(path)]
+    out_dir = tmp_path / "run"
+    _, doc = json_out(capsys, "train", *env, "--epsilon", "0.5", "-K", "30", "-T", "6",
+                      "--bonus-scale", "0.1", "--seed", "3", "--no-charts",
+                      "--out", str(out_dir))
+    totals = json.loads((out_dir / "summary.json").read_text())["totals"]
+    assert sorted(totals) == ["cv", "episodes", "model_updates", "regret"]
+    assert totals["episodes"] == 30 and totals["regret"] != 0.0
+    printed = {key: doc[key] for key in totals}
+    assert [(type(x), x) for x in printed.values()] == [(type(x), x) for x in totals.values()]
+
+
 def test_train_config_file_and_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "train.json"
     cfg.write_text(json.dumps({"epsilon": 0.5, "episodes": 100, "iters": 5.0,

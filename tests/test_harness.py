@@ -13,8 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row,
+from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row, RunRecord,
                      TabularCmdp, check_final_policy, compute_metrics,
                      derive_config, emit_report, evaluate_mixture, generate,
                      preset, read_run_csv, render_charts, run_learner,
@@ -116,6 +118,8 @@ def test_empty_stream_has_no_rows(chain):
     m, exact = chain
     rec = compute_metrics(m, exact, [])
     assert rec.rows == ()
+    assert json.dumps(rec.totals()) == (
+        '{"episodes": 0, "regret": 0.0, "cv": 0.0, "model_updates": 0}')
 
 
 def test_learner_run_values_match_uncached_evaluation(chain):
@@ -301,6 +305,49 @@ def test_csv_round_trip_is_exact(chain, tmp_path):
         assert a == b  # %.17g round-trips doubles exactly
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
+
+
+def per_field_run_csv(record, path):
+    """The reference writer: str() for each int cell and f"{x:.17g}" for each
+    float cell, one call per field, as run.csv was first written."""
+    def _fmt(x):
+        return f"{x:.17g}"
+
+    lines = [",".join(CSV_COLUMNS)]
+    for r in record.rows:
+        lines.append(",".join([
+            str(r.k), _fmt(r.v_r_true), _fmt(r.v_c_true), _fmt(r.regret_cum),
+            _fmt(r.cv_cum), _fmt(r.lambda_mean), str(r.model_updates_cum),
+            _fmt(r.wall_ms)]))
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
+# signed zeros, the smallest subnormal and normal, the largest finite, 0.1
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+counts = st.integers(0, 2**62)
+cells = st.one_of(st.sampled_from(EDGE_FLOATS),
+                  st.floats(allow_nan=False, allow_infinity=False))
+rows = st.builds(Row, counts, cells, cells, cells, cells, cells, counts, cells)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(rows, min_size=1, max_size=6))
+def test_template_writer_keeps_the_per_field_bytes(tmp_path, rows):
+    rec = RunRecord({}, 0, "", 0.5, 0.6, 0.6, tuple(rows))
+    write_run_csv(rec, tmp_path / "run.csv")
+    per_field_run_csv(rec, tmp_path / "reference.csv")
+    assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    back = read_run_csv(tmp_path / "run.csv")
+    assert len(back) == len(rows)
+    for want, got in zip(rows, back):
+        for name, x, y in zip(CSV_COLUMNS, want, got):
+            if isinstance(x, float):  # hex tells -0.0 from 0.0
+                assert type(y) is float and y.hex() == x.hex(), name
+            else:
+                assert type(y) is int and y == x, name
 
 
 def test_nine_column_csv_of_older_runs_still_loads(tmp_path, capsys):

@@ -48,6 +48,22 @@ def test_learner_timing_prints_one_line_per_run(tmp_path):
         assert float(r[8]) > 0 and float(r[9]) > 0  # metrics seconds, peak RSS
 
 
+def test_output_digests_prints_one_line_per_output(tmp_path):
+    proc = run_script("output_digests.py", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line.split(" ") for line in proc.stdout.splitlines()]
+    for line in lines:
+        assert len(line) == 3 and re.fullmatch(r"[0-9a-f]{64}", line[0]), line
+    outputs = [(label, name) for _, label, name in lines]
+    assert len(set(outputs)) == len(outputs)
+    for output in [("train_dual_seed3", "run.csv"), ("train_plan_bonus0", "summary.json"),
+                   ("train_strict", "policy.json"), ("generate", "instance.json"),
+                   ("solve", "stdout"), ("evaluate", "stdout"), ("report", "regret.svg"),
+                   ("help", "cmdplab"), ("help", "suite")]:
+        assert output in outputs
+    assert not any(tmp_path.iterdir())  # every file went to a temporary directory
+
+
 def test_readme_library_sketch_runs(tmp_path, monkeypatch):
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert len(blocks) == 1
