@@ -13,9 +13,9 @@ axis: evaluate_policy prices a sequence of P policies in one (P, k, H+1, S)
 sweep. Its expectation runs one gemv per (policy, table, state) row, never a
 gemm over the stack, so each policy's slice has the bits of its own sweep;
 callers that price many policies (the harness memo, the brute-force oracle)
-stack PRICE_CHUNK of them per sweep. The greedy branch likewise takes a
-leading problem axis, which the learner uses to back up L Lagrangian
-multipliers in one (L, k, H+1, S) sweep.
+stack PRICE_CHUNK of them per sweep. The greedy branch takes any leading
+problem axes, (*lead, H+1, S) values and (H, *lead[:-1], S) actions, through
+one flat gather; the learner backs up L multipliers in one such sweep.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -268,30 +268,27 @@ def _backward_induction(q_step, shape, rule=None, score=None):
     of shape (H, ..., S, A) when one is given, so an axis of rules after the
     step axis prices that many policies in one sweep; the step axis leads so
     that rule[h] is a plain index, which keeps a one-policy sweep as cheap as
-    an (H, S, A) rule alone. Otherwise shape is (k, H, S) or (L, k, H, S) and
-    each table is read at the per-state argmax of score(q), which maps the
-    (k, S, A) or (L, k, S, A) tables to (S, A) or (L, S, A) scores (ties go
-    to the lowest action); a leading L axis backs up L greedy problems in
-    one sweep, each with the bits of its own. Returns the (H, S) or (H, L, S)
-    actions (None with a rule) and the (..., k, H + 1, S) values, whose row
-    H is zero.
+    an (H, S, A) rule alone. Otherwise each table is read at the per-state
+    argmax of score(q), which maps the (..., k, S, A) tables to (..., S, A)
+    scores (ties go to the lowest action): axes before k back up that many
+    greedy problems in one sweep, each with the bits of its own, and one
+    flat gather reads q.ravel() at starts, where each (..., k, s) row
+    begins. Returns the (H, *lead[:-1], S) actions (None with a rule) and
+    the (..., k, H + 1, S) values, whose row H is zero.
     """
     *lead, horizon, num_states = shape
     v = np.zeros((*lead, horizon + 1, num_states))
     actions = (None if rule is not None else
                np.zeros((horizon, *lead[:-1], num_states), dtype=int))
-    rows = np.arange(num_states)
-    problems = np.arange(lead[0])[:, None] if len(lead) == 2 else None
     for h in range(horizon - 1, -1, -1):
         q = q_step(h, v[..., h + 1, :])
         if rule is not None:
             v[..., h, :] = np.einsum("...sa,...ksa->...ks", rule[h], q)
             continue
+        if h == horizon - 1:  # every step's q has the first one's shape
+            starts = np.arange(0, q.size, q.shape[-1]).reshape(q.shape[:-1])
         actions[h] = best = score(q).argmax(axis=-1)
-        if problems is None:
-            v[:, h] = q[:, rows, best]
-        else:  # the advanced indices broadcast to (L, S) and lead the result
-            v[:, :, h] = q[problems, :, rows, best].transpose(0, 2, 1)
+        v[..., h, :] = q.ravel()[starts + best[..., None, :]]
     return actions, v
 
 

@@ -13,13 +13,11 @@ behavior policy mixes the greedy policies by visits / T; one trajectory is
 sampled from it and folded into the counts. The final policy weights each
 distinct greedy policy by the iterations it was played / (K T).
 
-A replan usually revisits most of the previous walk's indices, so it backs
-them up first, with index 0, in one sweep with a leading lambda axis, and
-then walks through those results, backing up each index outside them on its
-own. The previous walk is the hint only if it closed its cycle within T: a
-walk that T cut off is a poor guess for the next one (at T = 3 many of its
-indices go unvisited), and pricing unvisited indices costs more than the
-sweeps it saves. A hint changes which sweeps run, never the walk.
+A replan usually revisits most of the previous walk's indices, so the
+previous walk is always its hint: it backs them up first, with index 0, in
+one sweep with a leading lambda axis, and then walks through those results,
+backing up each index outside them on its own. A hint changes which sweeps
+run, never the walk.
 Equal greedy backups within a run share one Policy object, interned by the
 bytes of their action table, so dict lookups on policies stop at the
 identity check.
@@ -119,7 +117,9 @@ class LearnerConfig:
              grid_step, delta, mode, shift, eta=None, c1=BONUS_C1, c2=BONUS_C2,
              bonus_scale=1.0) -> "LearnerConfig":
         """Validate, round U up to the grid, and default eta = U / (H sqrt(T))."""
-        for name, count in (("episodes", episodes), ("iters", iters)):
+        counts = {"num_states": num_states, "num_actions": num_actions,
+                  "horizon": horizon, "episodes": episodes, "iters": iters}
+        for name, count in counts.items():
             if isinstance(count, bool) or not float(count).is_integer() or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
         reals = {"dual_cap": dual_cap, "grid_step": grid_step, "shift": shift,
@@ -149,7 +149,7 @@ class LearnerConfig:
         if not (delta_prime > 0 and math.isfinite(1.0 / delta_prime)):
             raise ValueError(f"delta={delta} is too small: 1/delta' = "
                              f"200 S A H^2 K^2 / delta is not finite")
-        return cls(num_states, num_actions, horizon, int(episodes), int(iters),
+        return cls(*map(int, counts.values()),
                    float(dual_cap), float(grid_step), float(eta), float(delta),
                    float(delta_prime), mode, float(shift), float(c1), float(c2),
                    float(bonus_scale))
@@ -371,7 +371,7 @@ def lagrangian_greedy_backup(model, reward, cost, lam, cfg: LearnerConfig,
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not lams.size:
         raise ValueError(f"lam must be a number or a non-empty sequence, got {lam!r}")
-    single = lams.size == 1  # then the sweep has no lambda axis
+    single = lams.size == 1  # no lambda axis, and one dict.get a step: cheaper than a batch
     stages = np.array((reward, cost))
     num_states, num_actions = reward.shape[1:]
 
@@ -468,28 +468,25 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
 
     The walk starts at grid index 0 and stops at the first repeated index or
     after T distinct ones; the remaining iterations go round the cycle and
-    are counted, not run. Index 0 and the grid indices in hint are backed up
-    first, in one batched sweep; every index the walk reaches outside them
-    gets a backup of its own. A hint changes which sweeps run, never the
-    walk. memo and pool go unchanged to each backup (see
+    are counted, not run. The walk's first miss, index 0, is backed up with
+    the grid indices in hint in one batched sweep; every later index outside
+    them gets a backup of its own. A hint changes which sweeps run, never
+    the walk. memo and pool go unchanged to each backup (see
     lagrangian_greedy_backup for when they may be shared). Returns
     (mixture, DualWalk); the mixture has one component per visited index, in
     first-visit order, weighted by visits / T.
     """
-    batch = list(dict.fromkeys((0, *hint)))
     priced = {}  # grid index -> (policy, v_c)
-    if len(batch) > 1:  # index 0 alone is backed up by the walk itself
-        policies, v = lagrangian_greedy_backup(
-            model, reward, cost, [i * cfg.grid_step for i in batch], cfg, memo, pool)
-        priced = {i: (pi, float(vi[1, 0, initial_state]))
-                  for i, pi, vi in zip(batch, policies, v)}
     seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
     while i not in seen and len(seen) < cfg.iters:
         lam = i * cfg.grid_step
         if i not in priced:
-            pi, v = lagrangian_greedy_backup(model, reward, cost, lam, cfg, memo, pool)
-            priced[i] = (pi, float(v[1, 0, initial_state]))
+            batch = [i] if priced else list(dict.fromkeys((0, *hint)))
+            policies, v = lagrangian_greedy_backup(
+                model, reward, cost, [j * cfg.grid_step for j in batch], cfg, memo, pool)
+            priced.update((j, (pj, float(vj[1, 0, initial_state])))
+                          for j, pj, vj in zip(batch, policies, v))
         pi, v_c = priced[i]
         seen[i] = (lam, pi, v_c)
         i = grid_index(lam + cfg.eta * (v_c - b_prime), cfg.grid_step, cfg.dual_cap)
@@ -566,11 +563,9 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     for k in range(cfg.episodes):
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
-            # the last walk is the hint only if it closed its cycle (see the module docstring)
-            hint = walk.index if walks and walk.cycle_start < len(walk.lam) else ()
             mixture, walk = primal_dual_episode(
                 model, env.reward, env.cost, env.initial_state, cfg, b_prime, memo,
-                hint, pool)
+                walk.index if walks else (), pool)
             walks.append([mixture, walk, 0])
         if k % _BLOCK == 0:
             rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),

@@ -16,7 +16,7 @@ from cmdplab import (MixturePolicy, Policy, TabularCmdp,
                      instance_hash, load_instance, load_policy,
                      normalize_transition_rows, preset, save_instance,
                      save_policy, slater_constant, validate_cmdp)
-from cmdplab.core import PRICE_CHUNK
+from cmdplab.core import PRICE_CHUNK, _backward_induction, _expected_stage
 from conftest import all_deterministic_policies, random_instance
 
 
@@ -204,6 +204,54 @@ def test_greedy_backup_breaks_ties_toward_lower_action():
     stage = np.array([[[0.4, 0.4, 0.4]]])
     actions, _ = greedy_backup(kernel, stage, maximize=True)
     assert actions[0, 0] == 0
+
+
+def _two_gather_induction(q_step, shape, score):
+    """The greedy sweep before one flat gather served every shape: q[:, rows,
+    best] for (k, H, S), and q[problems, :, rows, best] for (L, k, H, S).
+    Kept to pin the flat gather's bits."""
+    *lead, horizon, num_states = shape
+    v = np.zeros((*lead, horizon + 1, num_states))
+    actions = np.zeros((horizon, *lead[:-1], num_states), dtype=int)
+    rows = np.arange(num_states)
+    problems = np.arange(lead[0])[:, None] if len(lead) == 2 else None
+    for h in range(horizon - 1, -1, -1):
+        q = q_step(h, v[..., h + 1, :])
+        actions[h] = best = score(q).argmax(axis=-1)
+        if problems is None:
+            v[:, h] = q[:, rows, best]
+        else:  # the advanced indices broadcast to (L, S) and lead the result
+            v[:, :, h] = q[problems, :, rows, best].transpose(0, 2, 1)
+    return actions, v
+
+
+@pytest.mark.parametrize("lead", [(1,), (2,), (1, 2), (3, 2), (50, 2)],
+                         ids=lambda lead: "x".join(map(str, lead)))
+def test_flat_gather_matches_the_two_gathers_it_replaced(lead):
+    # action 1 duplicates action 0 (an exact tie at every score, which action
+    # 0 must win) and action 3 is one ulp above action 2 in every table
+    m = random_instance(6, 5, 4, seed=17)
+    base = _expected_stage(m.transition, m.stages[:lead[-1]])
+
+    def q_step(h, v_next):
+        q = base(h, v_next)
+        q[..., 1] = q[..., 0]
+        q[..., 3] = np.nextafter(q[..., 2], np.inf)
+        return q
+
+    lams = np.random.default_rng(len(lead) * lead[0]).uniform(0.0, 2.0, lead[0])
+    lams[0] = 0.0
+    lam_col = lams[:, None, None]
+    score = {(1,): lambda q: q[0], (2,): lambda q: q[0] - lams[-1] * q[1]}.get(
+        lead, lambda q: q[:, 0] - lam_col * q[:, 1])
+    shape = (*lead, m.horizon, m.num_states)
+    actions, v = _backward_induction(q_step, shape, score=score)
+    want_actions, want_v = _two_gather_induction(q_step, shape, score)
+    assert actions.shape == (m.horizon, *lead[:-1], m.num_states)
+    assert np.array_equal(actions, want_actions)
+    assert np.array_equal(v, want_v)
+    assert not (actions == 1).any()
+    assert (actions == 3).any()
 
 
 def test_slater_constant_matches_enumerated_min_cost():

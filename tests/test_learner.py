@@ -266,6 +266,19 @@ def test_make_validation_errors():
             LearnerConfig.make(**{**good, "delta": delta})
 
 
+@pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon"])
+@pytest.mark.parametrize("value", [0, -1, 2.5, True, math.nan, math.inf])
+def test_make_rejects_bad_dimensions_by_name(name, value):
+    # each dimension is checked like episodes and iters, before the delta'
+    # formula divides by it (num_states=0) or flips its sign (num_actions=-1)
+    good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
+                dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
+        LearnerConfig.make(**{**good, name: value})
+    cfg = LearnerConfig.make(**{**good, name: 3.0})  # an integral float is an int
+    assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
+
+
 @pytest.mark.parametrize("name", ["dual_cap", "grid_step", "shift", "eta", "c1",
                                   "c2", "bonus_scale"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -693,6 +706,42 @@ def test_walk_matches_reference_loop_on_random_instances(iters):
         assert shapes == {(True, True), (False, True), (True, False)}
 
 
+@pytest.mark.parametrize("iters", [2, 5, 37])
+def test_hint_changes_which_sweeps_run_never_the_walk(monkeypatch, iters):
+    # with no hint, with the walk's own indices (as run_learner passes the
+    # previous walk) and with indices it never visits (duplicates, 0 and the
+    # top grid index), the mixture and the DualWalk are the same; a hint
+    # that covers the walk prices all of it in one lagrangian_greedy_backup
+    # call. Walks that T cuts short are hinted too, as run_learner does.
+    original, calls = learner.lagrangian_greedy_backup, []
+    monkeypatch.setattr(learner, "lagrangian_greedy_backup",
+                        lambda *args: calls.append(np.size(args[3])) or original(*args))
+    cut_short = closed = 0
+    for seed in range(6):
+        m = random_instance(4, 3, 4, seed)
+        model = EmpiricalModel.from_kernel(m.transition, batch_size=50)
+        cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters, dual_cap=4.0,
+                                 grid_step=0.0625, delta=0.1, mode="relaxed",
+                                 shift=0.0, eta=1.0, bonus_scale=0.0)
+        top = grid_index(cfg.dual_cap, cfg.grid_step, cfg.dual_cap)
+        episode = partial(primal_dual_episode, model, m.reward, m.cost,
+                          m.initial_state, cfg, 1.0)
+        mix, walk = episode(hint=())
+        unvisited = [j for j in range(top + 1) if j not in walk.index]
+        hints = (walk.index, (*walk.index[::-1], 0, *walk.index, top, top),
+                 (0, 0, top, top, *unvisited[:3]))
+        shared = [{} for _ in range(m.horizon)]  # one memo over every call, as in a run
+        for hint in hints:
+            for memo in (None, shared):
+                calls.clear()
+                assert episode(memo=memo, hint=hint) == (mix, walk)
+                assert calls[0] == len(set(hint) | {0})
+                assert calls[1:] == [1] * len(set(walk.index) - set(hint) - {0})
+        cut_short += walk.cycle_start == len(walk.lam) == iters
+        closed += walk.cycle_start < len(walk.lam)
+    assert cut_short and (closed or iters == 2)
+
+
 # ---------------------------------------------------------------------------
 # Full online runs.
 
@@ -854,7 +903,7 @@ def test_run_learner_interns_its_greedy_policies(monkeypatch):
 
 
 @pytest.mark.parametrize("episodes, iters, multipliers, sweeps", [
-    pytest.param(200, 20, 344, 344, id="200-20-344"),
+    pytest.param(200, 20, 344, 40, id="200-20-344"),
     pytest.param(2000, 100, 671, 55, id="2000-100-671")])
 def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters,
                                                   multipliers, sweeps):
