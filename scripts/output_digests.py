@@ -9,8 +9,12 @@ directory:
 - generate a 10x4x8 instance at seed 3 (zeta 0.5), solve it, and train on it
   with perfbench's train_plan options (-K 300 -T 3, epsilon 1, seed 3) at
   bonus scales 0 and 0.1, and in strict mode at -K 200 -T 37, bonus 0.1;
-- evaluate the bonus-0.1 run's policy over 20,000 Monte Carlo episodes, and
-  render that run's charts again with report, from a copy of its run.csv;
+- evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
+  solve run's optimal mixture (perfbench's evaluate_mc path: one-hot
+  components) and a one-component policy whose rule is uniform over the 4
+  actions (stochastic draws); the script writes the last two policy files;
+- render the bonus-0.1 run's charts again with report, from a copy of its
+  run.csv;
 - print each subcommand's --help (at a fixed 80-column width).
 
 Each call gets a directory of its own, named by its label. The script prints
@@ -27,6 +31,7 @@ at two checkouts. The script takes no options.
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import tempfile
@@ -51,9 +56,13 @@ RUNS = [
                       "--bonus-scale", "0.1"]),
     ("evaluate", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                   "--policy", "{tmp}/train_plan_bonus0.1/policy.json"]),
+    *((f"evaluate_{name}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
+                            "--policy", "{out}/policy.json"]) for name in ("optimal", "uniform")),
     ("report", ["report", "--run-dir", "{out}"]),  # on a copy of the bonus-0.1 run.csv
 ]
 COMMANDS = ("generate", "solve", "train", "evaluate", "report", "suite")
+UNIFORM = {"S": 10, "A": 4, "H": 8,
+           "components": [{"weight": 1.0, "rule": [[[0.25] * 4] * 10] * 8}]}
 
 
 def digest(data: bytes) -> str:
@@ -77,12 +86,18 @@ def main_digests() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps help to the terminal width
     with tempfile.TemporaryDirectory() as tmp_dir:
         tmp = Path(tmp_dir)
+        stdouts = {}
         for label, argv in RUNS:
             out = tmp / label
             out.mkdir()
             if label == "report":
                 shutil.copy(tmp / "train_plan_bonus0.1" / "run.csv", out)
-            stdout = call([a.format(tmp=tmp, out=out) for a in argv], tmp)
+            elif label == "evaluate_optimal":  # the mixture solve printed
+                optimal = json.loads(stdouts["solve"])["policy"]
+                (out / "policy.json").write_text(json.dumps(optimal))
+            elif label == "evaluate_uniform":
+                (out / "policy.json").write_text(json.dumps(UNIFORM))
+            stdout = stdouts[label] = call([a.format(tmp=tmp, out=out) for a in argv], tmp)
             for path in sorted(out.iterdir()):
                 print(digest(path.read_bytes()), label, path.name)
             print(digest(stdout.encode()), label, "stdout")

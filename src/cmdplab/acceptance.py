@@ -78,12 +78,8 @@ def _budget(budget_s):
 
 def _small_instances(n, dims, zetas, seed0=0):
     """Deterministic stream of generated instances cycling dims and zeta."""
-    out = []
-    for i in range(n):
-        s, a, h = dims[i % len(dims)]
-        z = zetas[i % len(zetas)]
-        out.append(generate(GenSpec(s, a, h, zeta_target=z, seed=seed0 + i)))
-    return out
+    return [generate(GenSpec(*dims[i % len(dims)], zeta_target=zetas[i % len(zetas)],
+                             seed=seed0 + i)) for i in range(n)]
 
 
 @_budget(10.0)
@@ -109,18 +105,13 @@ def check_mc_dp_agreement():
     dims = [(2, 2, 2), (3, 2, 2), (2, 2, 3)]
     worst = 0.0
     for i, m in enumerate(_small_instances(20, dims, (0.3, 0.5), seed0=40)):
-        rng = np.random.default_rng(1000 + i)
-        acts = rng.integers(0, m.num_actions,
-                            size=(2, m.horizon, m.num_states))
-        comps = [Policy.from_actions(acts[j], m.num_actions)
-                 for j in range(2)]
-        mix = MixturePolicy(((0.65, comps[0]), (0.35, comps[1])))
+        acts = np.random.default_rng(1000 + i).integers(
+            0, m.num_actions, size=(2, m.horizon, m.num_states))
+        mix = MixturePolicy(((0.65, Policy.from_actions(acts[0], m.num_actions)),
+                             (0.35, Policy.from_actions(acts[1], m.num_actions))))
         est = monte_carlo_value(m, mix, episodes=100_000, seed=2000 + i)
-        vr, vc = evaluate_mixture(m, mix)
-        for label, mean, se, truth in (
-                ("reward", est["reward_mean"], est["reward_se"], vr),
-                ("cost", est["cost_mean"], est["cost_se"], vc)):
-            z = abs(mean - truth) / max(se, 1e-12)
+        for label, truth in zip(("reward", "cost"), evaluate_mixture(m, mix)):
+            z = abs(est[f"{label}_mean"] - truth) / max(est[f"{label}_se"], 1e-12)
             worst = max(worst, z)
             if z > 4.0:
                 return False, f"{label} off by {z:.2f} SE on instance {i}"
@@ -135,9 +126,8 @@ def check_dual_regret_bound():
     for mode in ("relaxed", "strict"):
         cfg = derive_config(mode, 0.5 * m.horizon, 0.1, m,
                             bonus_scale=0.0, episodes=200, iters=100)
-        t_len = cfg.iters
-        bound = (2.0 * cfg.grid_step * m.horizon * math.sqrt(t_len)
-                 + cfg.dual_cap * m.horizon / math.sqrt(t_len))
+        bound = (2.0 * cfg.grid_step * m.horizon * math.sqrt(cfg.iters)
+                 + cfg.dual_cap * m.horizon / math.sqrt(cfg.iters))
         b_prime = cfg.b_prime(m.budget)
         res = run_learner(m, cfg, seed=17)
         for ep in res.episodes:
@@ -187,9 +177,7 @@ def check_optimism_frequency():
     cfg = LearnerConfig.make(
         num_states=3, num_actions=2, horizon=3, episodes=200, iters=1,
         dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
-    rng_pol = np.random.default_rng(99)
-    rule = rng_pol.dirichlet(np.ones(2), size=(3, 3))
-    ref = Policy(rule)
+    ref = Policy(np.random.default_rng(99).dirichlet(np.ones(2), size=(3, 3)))
     s1 = m.initial_state
     vr_true, vc_true = evaluate_policy(m.transition, m.stages, ref)[:, 0, s1]
     n = 512
@@ -211,8 +199,7 @@ def check_optimism_frequency():
 def check_dual_variable_bounds():
     """Shadow prices stay under H/zeta and iterates never escape the grid."""
     worst = 0.0
-    for i in range(50):
-        m = generate(GenSpec(3, 2, 3, zeta_target=0.5, seed=500 + i))
+    for i, m in enumerate(_small_instances(50, [(3, 2, 3)], (0.5,), seed0=500)):
         zeta, _ = slater_constant(m)
         sol = solve_cmdp_exact(m)
         cap = m.horizon / zeta
@@ -236,14 +223,12 @@ def check_dual_variable_bounds():
 def check_greedy_backup_exactness():
     """Stagewise greedy planning matches exhaustive policy enumeration."""
     worst = 0.0
-    for i in range(50):
-        m = generate(GenSpec(2, 2, 2, zeta_target=(0.3, 0.5)[i % 2],
-                             seed=700 + i))
+    cfg = LearnerConfig.make(
+        num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
+        dual_cap=2.0, grid_step=0.5, delta=0.1, mode="relaxed",
+        shift=0.0, bonus_scale=0.0)
+    for i, m in enumerate(_small_instances(50, [(2, 2, 2)], (0.3, 0.5), seed0=700)):
         model = EmpiricalModel.from_kernel(m.transition, batch_size=4)
-        cfg = LearnerConfig.make(
-            num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
-            dual_cap=2.0, grid_step=0.5, delta=0.1, mode="relaxed",
-            shift=0.0, bonus_scale=0.0)
         for lam in (0.0, 0.5, cfg.dual_cap):
             _, v = lagrangian_greedy_backup(model, m.reward, m.cost,
                                             lam, cfg)

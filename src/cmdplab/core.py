@@ -366,22 +366,27 @@ def slater_constant(m: TabularCmdp):
 
 
 def _instance_payload(m: TabularCmdp) -> dict:
-    return {
-        "S": m.num_states,
-        "A": m.num_actions,
-        "H": m.horizon,
-        "P": m.transition.tolist(),
-        "r": m.reward.tolist(),
-        "c": m.cost.tolist(),
-        "b": m.budget,
-        "s1": m.initial_state,
-    }
+    return {"S": m.num_states, "A": m.num_actions, "H": m.horizon, "P": m.transition.tolist(),
+            "r": m.reward.tolist(), "c": m.cost.tolist(), "b": m.budget, "s1": m.initial_state}
+
+
+def _indented_json(x, indent="\n") -> str:
+    """json.dumps(x, indent=2, sort_keys=True) for a dict of numbers and of
+    regular lists of finite floats, byte for byte and without the pure-Python
+    encoder: an innermost list joins the reprs of its floats, which json uses."""
+    inner = indent + "  "
+    if isinstance(x, dict):
+        return "{" + ",".join(f"{inner}{json.dumps(k)}: {_indented_json(v, inner)}"
+                              for k, v in sorted(x.items())) + indent + "}"
+    if not isinstance(x, list) or not x:
+        return json.dumps(x)
+    rows = map(_indented_json, x, [inner] * len(x)) if isinstance(x[0], list) else map(repr, x)
+    return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
 def save_instance(m: TabularCmdp, path) -> None:
     with open(path, "w") as f:
-        json.dump(_instance_payload(m), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(_indented_json(_instance_payload(m)) + "\n")
 
 
 def _int_field(raw: dict, key: str) -> int:

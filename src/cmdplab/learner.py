@@ -119,9 +119,11 @@ class LearnerConfig:
         """Validate, round U up to the grid, and default eta = U / (H sqrt(T))."""
         counts = {"num_states": num_states, "num_actions": num_actions,
                   "horizon": horizon, "episodes": episodes, "iters": iters}
-        for name, count in counts.items():
-            if isinstance(count, bool) or not float(count).is_integer() or count < 1:
+        for name, count in counts.items():  # count % 1, unlike float(count), cannot overflow
+            if isinstance(count, bool) or not count % 1 == 0 or count < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+            if count > 2**53:  # past the float range or its exact integers
+                raise ValueError(f"{name}={count} exceeds 2**53")
         reals = {"dual_cap": dual_cap, "grid_step": grid_step, "shift": shift,
                  "eta": eta, "c1": c1, "c2": c2, "bonus_scale": bonus_scale}
         for name, x in reals.items():

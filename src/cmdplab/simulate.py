@@ -29,10 +29,12 @@ A mixture episode consumes exactly 1 + 2H uniforms: uniform 0 picks the
 component, 1 + 2h the action at step h and 2 + 2h its successor. The learner
 draws one episode at a time (sample_mixture_episode) by bisect over running
 sums their owners cache (MixturePolicy.cumulative, TabularCmdp.transition_cdf),
-and a one-hot policy reads its action from Policy.actions; monte_carlo_value
-draws a block at once with numpy. All sums accumulate left to right like
-categorical's, so every draw, and every episode's totals, are the ones the
-scalar inversion gives on the same row.
+and a one-hot policy reads its action from Policy.actions. monte_carlo_value
+draws a block at once, each draw as the count of running sums at or below u
+capped at the fallback (_draw): sums of non-negative entries never decrease,
+so the count is the first index whose sum exceeds u. All sums accumulate left
+to right like categorical's, so every draw, and every episode's totals, are
+the ones the scalar inversion gives on the same row.
 """
 
 from __future__ import annotations
@@ -80,20 +82,25 @@ def _stream_floats(seed: int, start: int, count: int, draws: int) -> np.ndarray:
 
 
 def _cdf_table(probs) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF table over the last axis of probs: the running sums
-    (accumulated left to right, like categorical's acc += p) and the fallback,
-    the last index with positive probability (0 when there is none)."""
+    """Inverse-CDF table of (rows, categories) probs, category axis first:
+    cdf[:, i] holds row i's running sums (added left to right, like categorical's
+    acc += p), last[i] its fallback, the last index with positive mass (else 0)."""
     probs = np.asarray(probs, dtype=float)
     positive = probs[..., ::-1] > 0
     last = np.where(positive.any(-1), probs.shape[-1] - 1 - positive.argmax(-1), 0)
-    return np.cumsum(probs, axis=-1), last
+    return np.cumsum(probs, axis=-1).T.copy(), last
 
 
-def _draw(cdf: np.ndarray, fallback: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """categorical for a batch: the first index whose cumulative probability
-    in cdf[i] exceeds u[i], else fallback[i]."""
-    above = cdf > u[:, None]
-    return np.where(above.any(-1), above.argmax(-1), fallback)
+def _draw(cdf: np.ndarray, last: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """categorical for a batch: draw i reads the running sums cdf[:, i] and
+    returns min(#{k : cdf[k, i] <= u[i]}, last[i]).
+
+    That is categorical's draw, bit for bit, on rows of non-negative entries.
+    Their running sums never decrease (rounding is monotone), so the sums
+    <= u form a prefix and its length is the first index whose sum exceeds u.
+    That index never passes last, since the sums stop growing there. When no
+    sum exceeds u, the count is the row length and min gives the fallback."""
+    return np.minimum((cdf <= u).sum(0), last)
 
 
 def categorical(probs, u: float) -> int:
@@ -148,33 +155,31 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     """
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    shape = (m.horizon, m.num_states, m.num_actions)
+    h_, s_, a_ = shape = (m.horizon, m.num_states, m.num_actions)
     for _, policy in mix.components:
         if policy.rule.shape != shape:
             raise ValueError(f"policy shape {policy.rule.shape} does not match instance {shape}")
-    weight_cdf, weight_last = _cdf_table([w for w, _ in mix.components])
-    rule_cdf, rule_last = _cdf_table([p.rule for _, p in mix.components])
-    kernel_cdf, kernel_last = _cdf_table(m.transition)
-    rewards = np.empty(episodes)
-    costs = np.empty(episodes)
+    weight_cdf, weight_last = _cdf_table([[w for w, _ in mix.components]])
+    # rows by (component, h, s) and (h, s, a): take gathers contiguous (categories, count)
+    rule_cdf, rule_last = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
+    kernel_cdf, kernel_last = _cdf_table(m.transition.reshape(-1, s_))
+    stages = m.stages.reshape(2, -1)
+    totals = np.empty((2, episodes))  # each episode's reward and cost
     for start in range(0, episodes, _BLOCK):
         count = min(_BLOCK, episodes - start)
-        u = _stream_floats(seed, start, count, 1 + 2 * m.horizon)
-        comp = _draw(weight_cdf, weight_last, u[:, 0])
+        u = _stream_floats(seed, start, count, 1 + 2 * h_).T.copy()
+        comp = _draw(weight_cdf, weight_last, u[0])
         s = np.full(count, m.initial_state)
-        reward = np.zeros(count)
-        cost = np.zeros(count)
-        for h in range(m.horizon):  # totals add up in h order
-            a = _draw(rule_cdf[comp, h, s], rule_last[comp, h, s], u[:, 1 + 2 * h])
-            reward += m.reward[h, s, a]
-            cost += m.cost[h, s, a]
-            s = _draw(kernel_cdf[h, s, a], kernel_last[h, s, a], u[:, 2 + 2 * h])
-        rewards[start:start + count] = reward
-        costs[start:start + count] = cost
-    return {
-        "episodes": episodes,
-        "reward_mean": float(rewards.mean()),
-        "reward_se": float(rewards.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0,
-        "cost_mean": float(costs.mean()),
-        "cost_se": float(costs.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0,
-    }
+        total = np.zeros((2, count))
+        for h in range(h_):  # totals add up in h order
+            row = (comp * h_ + h) * s_ + s
+            a = _draw(rule_cdf.take(row, 1), rule_last[row], u[1 + 2 * h])
+            row = (h * s_ + s) * a_ + a
+            total += stages.take(row, 1)
+            s = _draw(kernel_cdf.take(row, 1), kernel_last[row], u[2 + 2 * h])
+        totals[:, start:start + count] = total
+    out = {"episodes": episodes}
+    for name, x in zip(("reward", "cost"), totals):
+        out[f"{name}_mean"] = float(x.mean())
+        out[f"{name}_se"] = float(x.std(ddof=1) / math.sqrt(episodes)) if episodes > 1 else 0.0
+    return out

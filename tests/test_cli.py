@@ -335,6 +335,19 @@ def test_evaluate_rejects_nan_weight(tmp_path):
               "--episodes", "10"])
 
 
+def test_train_rejects_a_count_too_large_for_a_float(tmp_path):
+    # float(count) raised OverflowError and escaped as a traceback
+    huge = "1" + "0" * 400
+    with pytest.raises(SystemExit, match=rf"^cmdplab train: episodes={huge} exceeds 2\*\*53$"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "1", "-K", huge,
+              "-T", "3", "--out", str(tmp_path / "run")])
+    # the derived K = 8e154 squared overflowed the delta' formula
+    with pytest.raises(SystemExit, match=r"^cmdplab train: episodes=\d+ exceeds 2\*\*53$"):
+        main(["train", "--preset", "two_state_chain", "--epsilon", "2e-77",
+              "--out", str(tmp_path / "run")])
+    assert not (tmp_path / "run").exists()
+
+
 def test_library_errors_exit_with_one_line(tmp_path):
     with pytest.raises(SystemExit, match=r"^cmdplab solve: .*No such file"):
         main(["solve", "--instance", str(tmp_path / "missing.json")])

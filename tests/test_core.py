@@ -16,7 +16,8 @@ from cmdplab import (MixturePolicy, Policy, TabularCmdp,
                      instance_hash, load_instance, load_policy,
                      normalize_transition_rows, preset, save_instance,
                      save_policy, slater_constant, validate_cmdp)
-from cmdplab.core import PRICE_CHUNK, _backward_induction, _expected_stage
+from cmdplab.core import PRICE_CHUNK, _backward_induction, _expected_stage, _instance_payload
+from cmdplab.generate import GenSpec, generate, preset_names
 from conftest import all_deterministic_policies, random_instance
 
 
@@ -476,6 +477,29 @@ def test_save_load_round_trip_exact_for_exact_kernels(tmp_path):
     assert np.array_equal(m.cost, m2.cost)
     assert (m2.budget, m2.initial_state) == (m.budget, m.initial_state)
     assert instance_hash(m2) == instance_hash(m)
+
+
+def _saved_instances():
+    for dims in ((10, 4, 8), (3, 2, 3), (1, 1, 1), (30, 5, 10)):
+        for seed in range(1, 6):
+            m = generate(GenSpec(*dims, zeta_target=0.5, seed=seed))
+            yield "x".join(map(str, dims)) + f"-seed{seed}", m
+    yield from ((name, preset(name)) for name in preset_names())
+    # reprs with exponents, subnormals and integral floats
+    m = random_instance(2, 2, 2, seed=5)
+    reward = np.array(m.reward)
+    reward.flat[:6] = [1e-05, 5e-324, 1e16, 1.0, 0.0, 2.2250738585072014e-308]
+    yield "odd-floats", _with(m, reward=reward, budget=1e-7)
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=label) for label, m in _saved_instances()])
+def test_save_instance_writes_json_dump_bytes(tmp_path, m):
+    # save_instance's own writer stands in for json.dump(indent=2), which
+    # runs the pure-Python encoder; the file must not move by a byte
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    want = json.dumps(_instance_payload(m), indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode()
 
 
 def test_save_load_round_trip_random_kernel(tmp_path):

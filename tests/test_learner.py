@@ -279,6 +279,20 @@ def test_make_rejects_bad_dimensions_by_name(name, value):
     assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
 
 
+@pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon", "episodes", "iters"])
+def test_make_rejects_counts_past_2_53_by_name(name):
+    # float(10**400) raised OverflowError, and a count past 1e154 overflowed
+    # the delta' formula's K**2 or H**2 on its way to a float
+    good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
+                dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
+    for value in (10**400, 10**200, 1e300, 2**53 + 1):
+        with pytest.raises(ValueError) as e:
+            LearnerConfig.make(**{**good, name: value})
+        assert str(e.value) == f"{name}={value!r} exceeds 2**53"
+    cfg = LearnerConfig.make(**{**good, name: float(2**53)})
+    assert getattr(cfg, name) == 2**53 and 0 < cfg.delta_prime
+
+
 @pytest.mark.parametrize("name", ["dual_cap", "grid_step", "shift", "eta", "c1",
                                   "c2", "bonus_scale"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

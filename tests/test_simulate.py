@@ -223,6 +223,17 @@ def random_mixture(m, components, seed):
     return MixturePolicy(tuple(comps))
 
 
+def mixed_mixture(m, seed):
+    """One-hot and stochastic components, with zero weight on one of each
+    (the last one included, so the weights' running sum ends in a tie)."""
+    rng = np.random.default_rng(seed)
+    one_hot = [Policy.from_actions(rng.integers(m.num_actions, size=(m.horizon, m.num_states)),
+                                   m.num_actions) for _ in range(2)]
+    stochastic = [p for _, p in random_mixture(m, 2, seed).components]
+    return MixturePolicy(((0.3, stochastic[0]), (0.0, stochastic[1]), (0.7, one_hot[0]),
+                          (0.0, one_hot[1])))
+
+
 @pytest.mark.parametrize("dims, components, episodes", [
     ((2, 2, 2), 1, 1),
     ((3, 2, 3), 2, 2),
@@ -230,11 +241,17 @@ def random_mixture(m, components, seed):
     ((2, 3, 4), 1, _BLOCK),
     ((5, 2, 3), 2, _BLOCK + 1),
     ((3, 3, 2), 3, 2 * _BLOCK + 7),
+    ((4, 3, 5), "mixed", _BLOCK + 300),
 ])
 def test_batched_monte_carlo_matches_reference_loop(dims, components, episodes):
     s_, a_, h_ = dims
-    m = random_instance(s_, a_, h_, seed=episodes + components)
-    mix = random_mixture(m, components, seed=31 * episodes)
+    if components == "mixed":
+        m = random_instance(s_, a_, h_, seed=episodes)
+        mix = mixed_mixture(m, seed=episodes)
+        assert [p.actions is None for _, p in mix.components] == [True, True, False, False]
+    else:
+        m = random_instance(s_, a_, h_, seed=episodes + components)
+        mix = random_mixture(m, components, seed=31 * episodes)
     for seed in (0, -3):
         assert (monte_carlo_value(m, mix, episodes, seed)
                 == reference_monte_carlo(m, mix, episodes, seed))
@@ -347,25 +364,34 @@ def test_vectorised_draw_matches_categorical():
         [0.0, 0.0],  # no mass at all: categorical falls back to index 0
         [1.0],
         [0.1, 0.2, 0.3, 0.4],  # 0.1 + 0.2 rounds above 0.3
+        [0.0, -0.0, 0.6, -0.0, 0.4, 0.0],  # signed zeros around the mass
+        [0.7, 0.2, 0.1],  # the sum rounds to 0.9999999999999999
     ]
     uniforms = [0.0, 0.1, 0.2499, 0.25, 0.3, 0.30000000000000004, 0.5,
                 0.59, 0.6, 0.99999999, 0.9999, 1.0 - 2.0**-53]
     uniforms += np.random.default_rng(0).uniform(size=50).tolist()
     for row in rows:
-        cdf, last = _cdf_table(row)
-        got = _draw(cdf, last, np.array(uniforms))
-        want = [Scripted([u]).categorical(row) for u in uniforms]
+        # near ties: every running sum and its neighbours one ulp away
+        sums = np.cumsum(row)
+        near = np.concatenate([sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)])
+        us = uniforms + near.tolist()
+        cdf, last = _cdf_table([row])  # one row: cdf is (len(row), 1)
+        assert cdf[:, 0].tolist() == sums.tolist()
+        got = _draw(cdf, last, np.array(us))
+        want = [Scripted([u]).categorical(row) for u in us]
         assert got.tolist() == want, row
-        assert [categorical(row, u) for u in uniforms] == want, row
+        assert [categorical(row, u) for u in us] == want, row
 
 
 def test_cdf_tables_draw_per_row():
-    # stacked (rows, k) tables: each episode looks up its own row
+    # stacked (rows, k) tables, stored category-major as (k, rows): each
+    # episode gathers its own row's column
     probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.0, 0.79999]])
     cdf, last = _cdf_table(probs)
+    assert cdf.flags.c_contiguous and cdf.tolist() == np.cumsum(probs, axis=1).T.tolist()
     assert last.tolist() == [1, 2, 2]
     pick = np.array([0, 1, 2, 2, 0])
     u = np.array([0.7, 0.1, 0.1, 1.0 - 2.0**-53, 0.2])
-    got = _draw(cdf[pick], last[pick], u)
+    got = _draw(cdf.take(pick, 1), last[pick], u)
     want = [Scripted([x]).categorical(probs[r]) for r, x in zip(pick, u)]
     assert got.tolist() == want == [1, 2, 0, 2, 0]
