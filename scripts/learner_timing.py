@@ -40,7 +40,7 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     backup, sizes = learner.lagrangian_greedy_backup, []
 
     def counted(*args):
-        sizes.append(np.size(args[3]))  # the multipliers of this sweep
+        sizes.append(np.size(args[1]))  # the multipliers of this sweep
         return backup(*args)
 
     learner.lagrangian_greedy_backup = counted

@@ -156,7 +156,7 @@ def check_doubling_epochs():
     for key in map(tuple, np.argwhere(counts.total).tolist()):
         # replay the pair's visits on a one-pair model, reading the batch
         # behind its row after each rebuild
-        replay = EmpiricalModel.empty(1, 1, 1)
+        replay = EmpiricalModel.empty(np.zeros((2, 1, 1, 1)), cfg)
         sizes = [int(replay.counts.batch_size[0, 0, 0])
                  for _ in range(int(counts.total[key]))
                  if record_transition(replay, 0, 0, 0, 0)]
@@ -185,9 +185,8 @@ def check_optimism_frequency():
     for trial in range(200):
         # one multinomial batch of n per (h, s, a) row, drawn in row order
         draws = np.random.default_rng(3000 + trial).multinomial(n, m.transition)
-        model = EmpiricalModel.from_kernel(draws / n, batch_size=n)
-        vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost,
-                                             ref, cfg)[:, 0, s1]
+        model = EmpiricalModel.from_kernel(draws / n, m.stages, cfg, batch_size=n)
+        vr_hat, vc_hat = policy_value_bounds(model, ref)[:, 0, s1]
         if vr_hat >= vr_true - 1e-12 and vc_hat <= vc_true + 1e-12:
             hits += 1
     if hits < 198:
@@ -228,10 +227,9 @@ def check_greedy_backup_exactness():
         dual_cap=2.0, grid_step=0.5, delta=0.1, mode="relaxed",
         shift=0.0, bonus_scale=0.0)
     for i, m in enumerate(_small_instances(50, [(2, 2, 2)], (0.3, 0.5), seed0=700)):
-        model = EmpiricalModel.from_kernel(m.transition, batch_size=4)
+        model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=4)
         for lam in (0.0, 0.5, cfg.dual_cap):
-            _, v = lagrangian_greedy_backup(model, m.reward, m.cost,
-                                            lam, cfg)
+            _, v = lagrangian_greedy_backup(model, lam)
             vr, vc = v[:, 0, m.initial_state]
             got = vr - lam * vc
             best = -math.inf
@@ -240,8 +238,7 @@ def check_greedy_backup_exactness():
                     repeat=m.horizon * m.num_states):
                 table = np.asarray(acts).reshape(m.horizon, m.num_states)
                 pol = Policy.from_actions(table, m.num_actions)
-                evr, evc = policy_value_bounds(model, m.reward, m.cost,
-                                               pol, cfg)[:, 0, m.initial_state]
+                evr, evc = policy_value_bounds(model, pol)[:, 0, m.initial_state]
                 best = max(best, evr - lam * evc)
             gap = abs(got - best)
             worst = max(worst, gap)

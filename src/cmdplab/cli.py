@@ -11,6 +11,7 @@ unreadable file or an allocation it cannot make exits with one line,
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -212,6 +213,7 @@ def cmd_suite(args) -> int:
 # Parser.
 
 
+@functools.cache  # built once per process, however often main runs
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cmdplab",

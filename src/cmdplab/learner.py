@@ -39,14 +39,14 @@ one bonus; the broadcast form rounds like a one-table `p @ v`, so the tables
 keep the bits of pricing each table on its own, and a sweep over L
 multipliers keeps the bits of L single sweeps.
 
-A run keeps one memo of these Q-tables per step, keyed by the bytes of the
-next step's (2, S) values: the lambdas of a walk often agree on their late
-greedy choices, and every walk starts at lambda = 0. A batched sweep looks
-up each lambda's key and computes only the distinct misses, in one call.
-Step h's tables are a pure function of kernel[h], batch_size[h], the fixed
-stage tables and config, and the key, and only a rebuild of a step-h row
-changes kernel[h] or batch_size[h]; so run_learner clears memo[h], and no
-other step, when record_transition rebuilds a row of step h, and a hit
+The empirical model keeps one memo of these Q-tables per step, keyed by the
+bytes of the next step's (2, S) values: the lambdas of a walk often agree on
+their late greedy choices, and every walk starts at lambda = 0. A batched
+sweep looks up each lambda's key and computes only the distinct misses, in
+one call. Step h's tables are a pure function of kernel[h], batch_size[h],
+the model's stage tables and config, and the key, and only a rebuild of a
+step-h row changes kernel[h] or batch_size[h]; record_transition clears
+memo[h], and no other step, when it rebuilds a row of step h, so a hit
 returns the very array a fresh computation would.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
@@ -56,7 +56,7 @@ since the previous rebuild; batch sizes per pair therefore follow
 
 Budget shift: relaxed mode aims at b' = b + shift (slack spent on faster
 learning), strict mode at b' = b - shift (margin spent on safety). The true
-kernel is never read here; callers pass in the known reward/cost tables and
+kernel is never read here; the model holds the known reward/cost tables and
 the learner sees the environment only through sampled transitions.
 """
 
@@ -239,18 +239,28 @@ class CountTables:
 
 @dataclass
 class EmpiricalModel:
-    """Counts plus the current empirical kernel.
+    """Counts, the current empirical kernel, and what its backups depend on.
 
     kernel rows are defined only where counts.batch_size >= 1; undefined rows
     stay zero and are never consulted (the backup takes the default branch).
+    stages holds the known (2, H, S, A) reward and cost tables and cfg the
+    run's config. memo caches each step's Q-tables by the next-step values'
+    bytes (see the module docstring), and pool maps an action table's bytes
+    to the one Policy built for it, so equal backups return the same object.
+    Once a backup has run, change kernel and counts only through
+    record_transition, which keeps the memo valid.
     """
 
     counts: CountTables
     kernel: np.ndarray  # (H, S, A, S)
+    stages: np.ndarray  # (2, H, S, A)
+    cfg: LearnerConfig
+    memo: list  # per step: next-step values' bytes -> (2, S, A) Q-tables
+    pool: dict  # action-table bytes -> Policy
 
     @classmethod
-    def empty(cls, num_states: int, num_actions: int, horizon: int) -> "EmpiricalModel":
-        shape = (horizon, num_states, num_actions)
+    def empty(cls, stages: np.ndarray, cfg: LearnerConfig) -> "EmpiricalModel":
+        horizon, num_states, _ = shape = stages.shape[1:]
         return cls(
             CountTables(
                 total=np.zeros(shape, dtype=np.int64),
@@ -258,14 +268,13 @@ class EmpiricalModel:
                 batch_size=np.zeros(shape, dtype=np.int64),
                 epochs=np.zeros(shape, dtype=np.int64),
             ),
-            kernel=np.zeros(shape + (num_states,)),
-        )
+            np.zeros(shape + (num_states,)), stages, cfg, [{} for _ in range(horizon)], {})
 
     @classmethod
-    def from_kernel(cls, kernel: np.ndarray, batch_size: int = 1) -> "EmpiricalModel":
+    def from_kernel(cls, kernel: np.ndarray, stages: np.ndarray, cfg: LearnerConfig,
+                    batch_size: int = 1) -> "EmpiricalModel":
         """Fully populated model with every row backed by a batch of the given size."""
-        horizon, s_, a_, _ = kernel.shape
-        model = cls.empty(s_, a_, horizon)
+        model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
         model.counts.total[:] = batch_size
         model.counts.batch_size[:] = batch_size
@@ -278,7 +287,7 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
 
     Rebuilds happen when the lifetime count hits a power of two (1, 2, 4, ...);
     the new row is the distribution of the batch accumulated since the last
-    rebuild, and the batch then resets.
+    rebuild, the batch then resets, and step h's memo is cleared.
     """
     c = model.counts
     c.total[h, s, a] += 1
@@ -292,6 +301,7 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     c.batch_size[h, s, a] = size
     c.epochs[h, s, a] += 1
     batch[:] = 0
+    model.memo[h].clear()
     return True
 
 
@@ -320,10 +330,10 @@ def compute_bonus(p_hat, v_next, n, cfg: LearnerConfig):
 _BONUS_SIGN = np.array([1.0, -1.0])[:, None, None]  # optimistic reward, pessimistic cost
 
 
-def _q_tables(model, stages, cfg, h, v_next):
+def _q_tables(model, h, v_next):
     """Clipped optimistic-reward and pessimistic-cost Q-tables at step h,
-    stacked (..., 2, S, A) from the stage tables `stages` (2, H, S, A) and
-    the (..., 2, S) next-step values; any leading axes are kept.
+    stacked (..., 2, S, A) from the model's stage tables and the (..., 2, S)
+    next-step values; any leading axes are kept.
 
     One broadcast matvec prices E[V] and E[V^2] of both tables for every row.
     It rounds like the one-table `p @ v` (core._expected_stage relies on the
@@ -331,12 +341,13 @@ def _q_tables(model, stages, cfg, h, v_next):
     equals subtracting it, so the tables keep the bits of two separate
     compute_bonus + `p @ v` calls, whatever the leading axes.
     """
+    stages = model.stages
     horizon = float(stages.shape[1])
     p, n = model.kernel[h], model.counts.batch_size[h]
     vv = np.concatenate((v_next, v_next * v_next), axis=-2)
     moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A)
     mean = moments[..., :2, :, :]
-    bonus = _bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), cfg)  # n = 0 is overwritten
+    bonus = _bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), model.cfg)  # n = 0: overwritten
     q = stages[:, h] + _BONUS_SIGN * bonus + mean
     np.minimum(q[..., 0, :, :], horizon, out=q[..., 0, :, :])
     np.maximum(q[..., 1, :, :], 0.0, out=q[..., 1, :, :])
@@ -346,8 +357,7 @@ def _q_tables(model, stages, cfg, h, v_next):
     return q
 
 
-def lagrangian_greedy_backup(model, reward, cost, lam, cfg: LearnerConfig,
-                             memo=None, pool=None):
+def lagrangian_greedy_backup(model: EmpiricalModel, lam):
     """Greedy backward induction on q_r - lam * q_c over the empirical model.
 
     lam is one multiplier or a non-empty sequence of L, all backed up in one
@@ -355,27 +365,16 @@ def lagrangian_greedy_backup(model, reward, cost, lam, cfg: LearnerConfig,
     lowest action index, and v the (2, H+1, S) stack of the policy's
     optimistic reward and pessimistic cost values; for L, returns the list of
     L policies and their (L, 2, H+1, S) values, each policy and slice equal,
-    bit for bit, to that multiplier's own backup.
-
-    memo is a list of H dicts, one per step, from the next-step values' bytes
-    to that step's Q-tables; it is read and filled here, and each step
-    computes only the distinct keys it misses, in one _q_tables call. Since
-    the key holds only the next-step values, calls may share a memo only if
-    they pass the same model object, reward, cost and cfg, and the caller
-    must clear memo[h] whenever a row of step h is rebuilt. None means a
-    fresh memo for this call. pool maps an action table's bytes to its
-    Policy; it is read and filled here, so equal backups that share a pool
-    return the same object (None: a fresh pool). A pool may be shared by any
-    calls with the same (H, S, A).
+    bit for bit, to that multiplier's own backup. Each step reads and fills
+    model.memo[h], computing only the distinct keys it misses in one
+    _q_tables call, and each policy comes from model.pool.
     """
-    memo = [{} for _ in range(cfg.horizon)] if memo is None else memo
-    pool = {} if pool is None else pool
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not lams.size:
         raise ValueError(f"lam must be a number or a non-empty sequence, got {lam!r}")
     single = lams.size == 1  # no lambda axis, and one dict.get a step: cheaper than a batch
-    stages = np.array((reward, cost))
-    num_states, num_actions = reward.shape[1:]
+    memo, pool = model.memo, model.pool
+    value_shape = model.stages.shape[:3]  # (2, H, S)
 
     def q_step(h, v_next):
         table = memo[h]
@@ -383,42 +382,42 @@ def lagrangian_greedy_backup(model, reward, cost, lam, cfg: LearnerConfig,
             key = v_next.tobytes()
             q = table.get(key)
             if q is None:
-                q = table[key] = _q_tables(model, stages, cfg, h, v_next)
+                q = table[key] = _q_tables(model, h, v_next)
             return q
         keys = [row.tobytes() for row in v_next]
         new = {key: row for key, row in zip(keys, v_next) if key not in table}
         if new:
-            table.update(zip(new, _q_tables(model, stages, cfg, h, np.array(list(new.values())))))
+            table.update(zip(new, _q_tables(model, h, np.array(list(new.values())))))
         return np.array([table[key] for key in keys])
 
     if single:
         lam0 = lams.item(0)
-        actions, v = _backward_induction(q_step, (2,) + reward.shape[:2],
+        actions, v = _backward_induction(q_step, value_shape,
                                          score=lambda q: q[0] - lam0 * q[1])
         actions, v = actions[:, None], v[None]
     else:
         lam_col = lams[:, None, None]
-        actions, v = _backward_induction(q_step, (lams.size, 2) + reward.shape[:2],
+        actions, v = _backward_induction(q_step, (lams.size,) + value_shape,
                                          score=lambda q: q[:, 0] - lam_col * q[:, 1])
     policies = []
     for j in range(lams.size):
         key = actions[:, j].tobytes()
         pi = pool.get(key)
         if pi is None:
-            pi = pool[key] = Policy.from_actions(actions[:, j], num_actions)
+            pi = pool[key] = Policy.from_actions(actions[:, j], model.stages.shape[3])
         policies.append(pi)
     return (policies[0], v[0]) if lams.ndim == 0 else (policies, v)
 
 
-def policy_value_bounds(model, reward, cost, policy: Policy, cfg: LearnerConfig):
+def policy_value_bounds(model: EmpiricalModel, policy: Policy):
     """Optimistic-reward and pessimistic-cost values of a fixed policy.
 
     Same clipped backups as the greedy sweep, but combined with the policy's
     own action distribution; used to check the optimism guarantee. Returns
     the (2, H+1, S) stack of optimistic reward and pessimistic cost values.
     """
-    q_step = partial(_q_tables, model, np.stack((reward, cost)), cfg)
-    return _backward_induction(q_step, (2,) + reward.shape[:2], rule=policy.rule)[1]
+    return _backward_induction(partial(_q_tables, model), model.stages.shape[:3],
+                               rule=policy.rule)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -464,20 +463,19 @@ class DualWalk(NamedTuple):
         return np.asarray(values)[np.where(t < j, t, j + (t - j) % max(period, 1))]
 
 
-def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
-                        b_prime: float, memo=None, hint=(), pool=None):
-    """Run the T inner primal-dual iterations against the fixed model.
+def primal_dual_episode(model: EmpiricalModel, initial_state: int, b_prime: float,
+                        hint=()):
+    """Run the T = model.cfg.iters inner primal-dual iterations against the fixed model.
 
     The walk starts at grid index 0 and stops at the first repeated index or
     after T distinct ones; the remaining iterations go round the cycle and
     are counted, not run. The walk's first miss, index 0, is backed up with
     the grid indices in hint in one batched sweep; every later index outside
     them gets a backup of its own. A hint changes which sweeps run, never
-    the walk. memo and pool go unchanged to each backup (see
-    lagrangian_greedy_backup for when they may be shared). Returns
-    (mixture, DualWalk); the mixture has one component per visited index, in
-    first-visit order, weighted by visits / T.
+    the walk. Returns (mixture, DualWalk); the mixture has one component per
+    visited index, in first-visit order, weighted by visits / T.
     """
+    cfg = model.cfg
     priced = {}  # grid index -> (policy, v_c)
     seen: dict = {}  # grid index -> (lambda, policy, v_c), in first-visit order
     i = 0
@@ -485,8 +483,7 @@ def primal_dual_episode(model, reward, cost, initial_state, cfg: LearnerConfig,
         lam = i * cfg.grid_step
         if i not in priced:
             batch = [i] if priced else list(dict.fromkeys((0, *hint)))
-            policies, v = lagrangian_greedy_backup(
-                model, reward, cost, [j * cfg.grid_step for j in batch], cfg, memo, pool)
+            policies, v = lagrangian_greedy_backup(model, [j * cfg.grid_step for j in batch])
             priced.update((j, (pj, float(vj[1, 0, initial_state])))
                           for j, pj, vj in zip(batch, policies, v))
         pi, v_c = priced[i]
@@ -537,7 +534,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     is drawn from its 1 + 2H uniforms, row k of the seed's stream table
     (simulate's randomness contract); the rows come _BLOCK episodes at a time,
     and since a row depends only on (seed, k), every drawn row is used.
-    The Q-table memo lives for the whole run (see the module docstring), and
+    One empirical model, with its Q-table memo, lives for the whole run, and
     the final policy folds each walk's visit counts once, times the episodes
     that played it, in first-play order. Identical (env, cfg, seed)
     reproduce bit-identical results; wall_ms stays 0.0 unless measure_time
@@ -555,9 +552,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     b_prime = cfg.b_prime(env.budget)
     if b_prime <= 0:
         raise ValueError(f"shifted budget b'={b_prime} must be positive")
-    model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
-    memo = [{} for _ in range(env.horizon)]  # step h's Q-tables by next values
-    pool: dict = {}  # action-table bytes -> the run's one Policy for them
+    model = EmpiricalModel.empty(env.stages, cfg)
     logs = []
     walks = []  # [mixture, walk, episodes that played it], one per replan
     touched = True  # an episode replans only after a row rebuild
@@ -566,8 +561,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
             mixture, walk = primal_dual_episode(
-                model, env.reward, env.cost, env.initial_state, cfg, b_prime, memo,
-                walk.index if walks else (), pool)
+                model, env.initial_state, b_prime, walk.index if walks else ())
             walks.append([mixture, walk, 0])
         if k % _BLOCK == 0:
             rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),
@@ -576,7 +570,6 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
         touched = False
         for h, (s, a, s_next) in enumerate(steps):
             if record_transition(model, h, s, a, s_next):
-                memo[h].clear()
                 touched = True
                 updates += 1
         walks[-1][2] += 1

@@ -86,12 +86,11 @@ def dual_value(m: TabularCmdp, lam: float):
 
 
 def _mix_two(m, feas, inf, lambda_star):
-    """Mix the bracket ends, each (policy, (V_r, V_c)), so the mixture cost
-    equals b exactly."""
+    """Mix the bracket ends, each (policy, (V_r, V_c)) with cost_feas <= b <
+    cost_inf, so the mixture cost equals b exactly."""
     (pi_feas, (r_feas, cost_feas)), (pi_inf, (r_inf, cost_inf)) = feas, inf
-    if cost_inf <= m.budget or abs(cost_feas - cost_inf) < 1e-15:
-        # Degenerate bracket: both endpoints feasible (or equal cost); the
-        # higher-reward endpoint alone is optimal among the two.
+    if abs(cost_feas - cost_inf) < 1e-15:
+        # Degenerate bracket of equal costs: the higher-reward end alone.
         r, c, pi = max((r_feas, cost_feas, pi_feas), (r_inf, cost_inf, pi_inf),
                        key=lambda t: t[0])
         return ExactSolution(OPTIMAL, r, c, MixturePolicy.single(pi), lambda_star)

@@ -2,15 +2,20 @@
 
 perfbench/tracing.py lists them in BINDINGS as "module.attr" paths; a
 refactor that renames or moves one of those attributes would make every
-traced benchmark run fail. This test reads the list (without changing
-anything) and checks that each path still resolves.
+traced benchmark run fail. One test reads the list (without changing
+anything) and checks that each path still resolves; another runs the
+benchmark's own smoke test, which calls every workload through those
+bindings, so a changed signature fails here too.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def load_bindings():
@@ -29,3 +34,12 @@ def test_every_traced_binding_resolves():
         if not callable(getattr(importlib.import_module(f"cmdplab.{mod}"), attr, None)):
             missing.append(path)
     assert missing == []
+
+
+def test_benchmark_selftest_passes():
+    # every workload once untraced and once traced, at tiny sizes, run from
+    # the repository root as perfbench/selftest.py expects
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.endswith("selftest passed\n")

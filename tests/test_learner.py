@@ -34,6 +34,12 @@ def exact_log_config(**kw):
     return LearnerConfig(**base)
 
 
+def fresh(model):
+    """The model with empty Q-table and policy caches: what a backup would
+    see with nothing memoized."""
+    return replace(model, memo=[{} for _ in model.memo], pool={})
+
+
 # ---------------------------------------------------------------------------
 # Bernstein bonus.
 
@@ -96,7 +102,7 @@ def test_bonus_broadcasts_over_leading_axes():
 
 
 def test_rebuild_fires_exactly_at_powers_of_two():
-    model = EmpiricalModel.empty(2, 1, 1)
+    model = EmpiricalModel.empty(np.zeros((2, 1, 2, 1)), exact_log_config())
     flags, sizes = [], []  # sizes: the batch behind the row after each rebuild
     for _ in range(20):
         flags.append(record_transition(model, 0, 0, 0, 0))
@@ -109,7 +115,7 @@ def test_rebuild_fires_exactly_at_powers_of_two():
 
 
 def test_kernel_row_is_last_batch_distribution():
-    model = EmpiricalModel.empty(2, 1, 1)
+    model = EmpiricalModel.empty(np.zeros((2, 1, 2, 1)), exact_log_config())
     # counts 1..8; the batch built at n=8 holds transitions 5..8
     for s_next in (0, 1, 1, 0, 1, 0, 1, 1):
         record_transition(model, 0, 0, 0, s_next)
@@ -123,16 +129,38 @@ def test_kernel_row_is_last_batch_distribution():
 
 def test_from_kernel_marks_every_row_built():
     m = preset("two_state_chain")
-    model = EmpiricalModel.from_kernel(m.transition, batch_size=4)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
+                                       batch_size=4)
     assert np.array_equal(model.kernel, m.transition)
     assert np.all(model.counts.batch_size == 4)
     assert np.all(model.counts.epochs == 1)
 
 
 def test_empty_model_has_no_built_rows():
-    model = EmpiricalModel.empty(3, 2, 4)
+    model = EmpiricalModel.empty(np.zeros((2, 4, 3, 2)), exact_log_config())
+    assert model.kernel.shape == (4, 3, 2, 3)
     assert np.all(model.counts.batch_size == 0)
     assert np.all(model.kernel == 0.0)
+    assert model.memo == [{}] * 4 and model.pool == {}
+
+
+def test_record_transition_clears_only_the_rebuilt_step():
+    # a rebuild of a step-h row empties model.memo[h] and keeps every other
+    # step's tables; an arrival that rebuilds nothing clears nothing
+    m = random_instance(3, 2, 4, seed=9)
+    cfg = exact_log_config(num_states=3, num_actions=2, horizon=4)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)  # lifetime counts 1
+    for h in range(m.horizon):
+        lagrangian_greedy_backup(model, [0.0, 0.5, 1.0])
+        sizes = [len(table) for table in model.memo]
+        assert all(sizes)
+        assert record_transition(model, h, 1, 0, 2)  # count 2: a rebuild
+        assert [len(table) for table in model.memo] == [
+            0 if j == h else n for j, n in enumerate(sizes)]
+        lagrangian_greedy_backup(model, [0.0, 0.5, 1.0])
+        sizes = [len(table) for table in model.memo]
+        assert not record_transition(model, h, 1, 0, 2)  # count 3: none
+        assert [len(table) for table in model.memo] == sizes
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +280,8 @@ def test_make_validation_errors():
                        ({"grid_step": 0.0}, r"^grid_step must be positive, got 0\.0$"),
                        ({"delta": 1.0}, r"^delta must be in \(0, 1\), got 1\.0$"),
                        ({"mode": "loose"}, "^mode must be 'relaxed' or 'strict', got 'loose'$"),
+                       ({"shift": -0.5}, r"^shift must be >= 0, got -0\.5$"),
+                       ({"bonus_scale": -1.0}, r"^bonus_scale must be >= 0, got -1\.0$"),
                        ({"episodes": 2.5}, r"^episodes must be an integer >= 1, got 2\.5$"),
                        ({"iters": math.inf}, "^iters must be an integer >= 1, got inf$"),
                        ({"episodes": math.nan}, "^episodes must be an integer >= 1, got nan$"),
@@ -349,8 +379,8 @@ def test_empty_model_defaults_saturate():
     # unseen pairs score H on reward and 0 on cost at every step
     m = preset("two_state_chain")
     cfg = exact_log_config()
-    model = EmpiricalModel.empty(2, 2, 2)
-    pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg)
+    model = EmpiricalModel.empty(m.stages, cfg)
+    pi, v = lagrangian_greedy_backup(model, 0.0)
     assert np.all(v[0, :2] == 2.0)  # every non-terminal row saturates
     assert np.all(v[1] == 0.0)
     assert pi.validate() == []
@@ -361,9 +391,9 @@ def test_zero_bonus_full_model_reduces_to_exact_dp():
     m = random_instance(3, 2, 3, seed=5)
     cfg = exact_log_config(num_states=3, num_actions=2, horizon=3,
                            bonus_scale=0.0, dual_cap=2.0)
-    model = EmpiricalModel.from_kernel(m.transition)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
     for lam in (0.0, 0.5, 2.0):
-        _, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+        _, v = lagrangian_greedy_backup(model, lam)
         _, ref = greedy_backup(m.transition, m.reward - lam * m.cost, maximize=True)
         got = v[0, 0, 0] - lam * v[1, 0, 0]
         assert got == pytest.approx(ref[0, 0], abs=1e-9)
@@ -372,9 +402,9 @@ def test_zero_bonus_full_model_reduces_to_exact_dp():
 def test_policy_value_bounds_match_backup_for_greedy_policy():
     m = random_instance(2, 2, 2, seed=6)
     cfg = exact_log_config(bonus_scale=0.0)
-    model = EmpiricalModel.from_kernel(m.transition)
-    pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, 0.5, cfg)
-    v2 = policy_value_bounds(model, m.reward, m.cost, pi, cfg)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
+    pi, v = lagrangian_greedy_backup(model, 0.5)
+    v2 = policy_value_bounds(model, pi)
     assert np.allclose(v2, v, atol=1e-12)
 
 
@@ -382,17 +412,18 @@ def test_optimism_with_true_kernel_and_full_bonus():
     # with the exact kernel the bonus can only push vr up and vc down
     m = random_instance(3, 2, 3, seed=7)
     cfg = exact_log_config(num_states=3, num_actions=2, horizon=3)
-    model = EmpiricalModel.from_kernel(m.transition, batch_size=32)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=32)
     rng = np.random.default_rng(8)
     pi = Policy.from_actions(rng.integers(0, 2, size=(3, 3)), 2)
-    vr_hat, vc_hat = policy_value_bounds(model, m.reward, m.cost, pi, cfg)[:, 0, 0]
+    vr_hat, vc_hat = policy_value_bounds(model, pi)[:, 0, 0]
     vr, vc = evaluate_policy(m.transition, m.stages, pi)[:, 0, 0]
     assert vr_hat >= vr - 1e-12
     assert vc_hat <= vc + 1e-12
 
 
-def _reference_q_tables(model, reward, cost, cfg, vr_next, vc_next, h):
+def _reference_q_tables(model, vr_next, vc_next, h):
     """The per-(s, a) loop the vectorised backup replaced, kept as an oracle."""
+    (reward, cost), cfg = model.stages, model.cfg
     horizon, s_, a_ = reward.shape
     qr, qc = np.empty((s_, a_)), np.empty((s_, a_))
     for s in range(s_):
@@ -409,13 +440,13 @@ def _reference_q_tables(model, reward, cost, cfg, vr_next, vc_next, h):
     return qr, qc
 
 
-def _reference_sweep(model, reward, cost, cfg, lam=None, rule=None):
+def _reference_sweep(model, lam=None, rule=None):
     """Greedy on qr - lam * qc, or the average over `rule`, loop by loop."""
-    horizon, s_, a_ = reward.shape
+    _, horizon, s_, a_ = model.stages.shape
     vr, vc = np.zeros((horizon + 1, s_)), np.zeros((horizon + 1, s_))
     actions = np.zeros((horizon, s_), dtype=int)
     for h in range(horizon - 1, -1, -1):
-        qr, qc = _reference_q_tables(model, reward, cost, cfg, vr[h + 1], vc[h + 1], h)
+        qr, qc = _reference_q_tables(model, vr[h + 1], vc[h + 1], h)
         if rule is None:
             actions[h] = best = (qr - lam * qc).argmax(axis=1)
             vr[h], vc[h] = qr[np.arange(s_), best], qc[np.arange(s_), best]
@@ -425,12 +456,14 @@ def _reference_sweep(model, reward, cost, cfg, lam=None, rule=None):
     return actions, vr, vc
 
 
-def _partly_built_model(m, seed):
-    """Empirical model of m with power-of-two batch sizes up to 2**16 (large
-    enough that some bonuses leave the clips) and about one (h, s, a) row in
-    ten unbuilt (zero row, batch size 0)."""
+def _partly_built_model(m, seed, cfg, stages=None):
+    """Empirical model of m (with m's stage tables unless given) with
+    power-of-two batch sizes up to 2**16 (large enough that some bonuses
+    leave the clips) and about one (h, s, a) row in ten unbuilt (zero row,
+    batch size 0)."""
     rng = np.random.default_rng(seed)
-    model = EmpiricalModel.from_kernel(m.transition)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages if stages is None else stages,
+                                       cfg)
     sizes = 2 ** rng.integers(0, 17, size=m.reward.shape)
     sizes[rng.random(m.reward.shape) < 0.1] = 0
     model.counts.batch_size[:] = sizes
@@ -442,28 +475,29 @@ def _partly_built_model(m, seed):
 def test_vectorised_backup_matches_per_pair_loop(bonus_scale):
     grid_step, cap = 0.25, 2.0
     midpoints = [(i + 0.5) * grid_step for i in range(int(cap / grid_step))]
+    cfg = LearnerConfig.make(10, 4, 8, episodes=300, iters=3, dual_cap=cap,
+                             grid_step=grid_step, delta=0.1, mode="relaxed",
+                             shift=0.5, bonus_scale=bonus_scale)
     for seed in (0, 1):
         m = random_instance(10, 4, 8, seed=100 + seed)
-        model = _partly_built_model(m, seed)
-        cfg = LearnerConfig.make(10, 4, 8, episodes=300, iters=3, dual_cap=cap,
-                                 grid_step=grid_step, delta=0.1, mode="relaxed",
-                                 shift=0.5, bonus_scale=bonus_scale)
+        model = _partly_built_model(m, seed, cfg)
         for lam in [0.0, *midpoints, cap]:
-            pi, (vr, vc) = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
-            actions, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, lam=lam)
+            pi, (vr, vc) = lagrangian_greedy_backup(model, lam)
+            actions, ref_vr, ref_vc = _reference_sweep(model, lam=lam)
             assert np.array_equal(pi.rule, Policy.from_actions(actions, 4).rule)
             assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
             assert np.allclose(vc, ref_vc, rtol=0.0, atol=1e-12)
         rule = np.random.default_rng(seed).dirichlet(np.ones(4), size=(8, 10))
-        vr, vc = policy_value_bounds(model, m.reward, m.cost, Policy(rule), cfg)
-        _, ref_vr, ref_vc = _reference_sweep(model, m.reward, m.cost, cfg, rule=rule)
+        vr, vc = policy_value_bounds(model, Policy(rule))
+        _, ref_vr, ref_vc = _reference_sweep(model, rule=rule)
         assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
         assert np.allclose(vc, ref_vc, rtol=0.0, atol=1e-12)
 
 
-def _two_call_q_tables(model, reward, cost, cfg, h, v_next):
+def _two_call_q_tables(model, h, v_next):
     """The q-step before the stacked matvec: compute_bonus and p @ v once per
     table. Kept to pin the stacked step's bits."""
+    (reward, cost), cfg = model.stages, model.cfg
     horizon = float(reward.shape[0])
     p, n = model.kernel[h], model.counts.batch_size[h]
     vr, vc = v_next
@@ -485,31 +519,28 @@ def test_stacked_q_step_keeps_the_two_call_bits(bonus_scale, dims):
     rng = np.random.default_rng(s_ * a_)
     for seed in (0, 1):
         m = random_instance(s_, a_, h_, seed=200 + seed)
-        model = _partly_built_model(m, seed)
-        reference = partial(_two_call_q_tables, model, m.reward, m.cost, cfg)
-        stages = np.stack((m.reward, m.cost))
+        model = _partly_built_model(m, seed, cfg)
+        reference = partial(_two_call_q_tables, model)
         for h in range(h_):  # next-step values off the sweeps' paths
             v_next = rng.uniform(0.0, h_, size=(2, s_))
-            assert np.array_equal(learner._q_tables(model, stages, cfg, h, v_next),
-                                  reference(h, v_next))
+            assert np.array_equal(learner._q_tables(model, h, v_next), reference(h, v_next))
         for lam in [0.0, *midpoints, cap]:
-            pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+            pi, v = lagrangian_greedy_backup(model, lam)
             actions, ref_v = _backward_induction(reference, (2, h_, s_),
                                                  score=lambda q: q[0] - lam * q[1])
             assert np.array_equal(pi.rule, Policy.from_actions(actions, a_).rule)
             assert np.array_equal(v, ref_v)
         rule = rng.dirichlet(np.ones(a_), size=(h_, s_))
         _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
-        assert np.array_equal(policy_value_bounds(model, m.reward, m.cost, Policy(rule), cfg),
-                              ref_v)
+        assert np.array_equal(policy_value_bounds(model, Policy(rule)), ref_v)
 
 
 @pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
 def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
-    # one memo shared by every lambda and kept across rebuilds, with memo[h]
-    # cleared when a row of step h is rebuilt (as run_learner does), gives
-    # the policies and values of a backup with a fresh memo
+    # the model's memo, shared by every lambda and kept across rebuilds,
+    # with memo[h] cleared by record_transition when it rebuilds a row of
+    # step h, gives the policies and values of a backup with a fresh memo
     s_, a_, h_ = dims
     grid_step, cap = 0.25, 2.0
     lams = [0.0, *((i + 0.5) * grid_step for i in range(int(cap / grid_step))), cap]
@@ -519,23 +550,21 @@ def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
     rng = np.random.default_rng(s_ * a_ + 1)
     for seed in (0, 1):
         m = random_instance(s_, a_, h_, seed=300 + seed)
-        model = _partly_built_model(m, seed)
-        memo = [{} for _ in range(h_)]
+        model = _partly_built_model(m, seed, cfg)
 
         def assert_memo_free_bits():
             for lam in lams:
-                pi, v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg, memo)
-                want_pi, want_v = lagrangian_greedy_backup(model, m.reward, m.cost, lam, cfg)
+                pi, v = lagrangian_greedy_backup(model, lam)
+                want_pi, want_v = lagrangian_greedy_backup(fresh(model), lam)
                 assert np.array_equal(pi.rule, want_pi.rule)
                 assert np.array_equal(v, want_v)
 
         assert_memo_free_bits()
-        assert len(memo[h_ - 1]) == 1  # the last step only ever sees zeros
+        assert len(model.memo[h_ - 1]) == 1  # the last step only ever sees zeros
         for h in range(h_):  # rebuild a row of each step in turn
             s, a = rng.integers(s_), rng.integers(a_)
             while not record_transition(model, h, s, a, rng.integers(s_)):
                 pass
-            memo[h].clear()
             assert_memo_free_bits()
 
 
@@ -545,7 +574,7 @@ def test_batched_backup_matches_single_backups(bonus_scale, dims):
     # L multipliers backed up in one sweep give each multiplier the actions
     # and (2, H+1, S) values of its own backup, bit for bit: for L = 1, 2 and
     # 50 with repeats, at lambda = 0 and U, on partly built and empty models,
-    # with a fresh memo and with one shared with single backups. Action 1
+    # with a fresh memo and with one kept across calls. Action 1
     # duplicates action 0 (same reward, cost and kernel rows, same batch
     # sizes), so every step has exact ties, which go to action 0.
     s_, a_, h_ = dims
@@ -557,48 +586,45 @@ def test_batched_backup_matches_single_backups(bonus_scale, dims):
     rng = np.random.default_rng(s_ * a_ + 2)
     for seed in (0, 1):
         m = random_instance(s_, a_, h_, seed=400 + seed)
-        reward, cost = m.reward.copy(), m.cost.copy()
-        model = _partly_built_model(m, seed)
+        stages = m.stages.copy()
+        model = _partly_built_model(m, seed, cfg, stages)
         if a_ > 1:
-            for table in (reward, cost, model.kernel, model.counts.batch_size):
+            stages[..., 1] = stages[..., 0]
+            for table in (model.kernel, model.counts.batch_size):
                 table[:, :, 1] = table[:, :, 0]
-        shared = [{} for _ in range(h_)]
         for lams in ([cap], [0.0, cap], rng.choice(grid, 50).tolist()):
-            for mdl in (model, EmpiricalModel.empty(s_, a_, h_)):
-                memo = shared if mdl is model else None
-                policies, v = lagrangian_greedy_backup(mdl, reward, cost, lams, cfg, memo)
+            for mdl in (model, EmpiricalModel.empty(stages, cfg)):
+                policies, v = lagrangian_greedy_backup(mdl, lams)
                 assert v.shape == (len(lams), 2, h_ + 1, s_)
                 for lam, pi, v_lam in zip(lams, policies, v):
-                    want_pi, want_v = lagrangian_greedy_backup(mdl, reward, cost, lam, cfg)
+                    want_pi, want_v = lagrangian_greedy_backup(fresh(mdl), lam)
                     assert np.array_equal(pi.rule, want_pi.rule)
                     assert np.array_equal(v_lam, want_v)
                     if a_ > 1:
                         assert not pi.rule[:, :, 1].any()
-                if memo is shared:  # single backups on the shared memo agree too
+                if mdl is model:  # single backups on the kept memo agree too
                     for lam, pi, v_lam in zip(lams, policies, v):
-                        got_pi, got_v = lagrangian_greedy_backup(mdl, reward, cost, lam, cfg,
-                                                                 shared)
+                        got_pi, got_v = lagrangian_greedy_backup(mdl, lam)
                         assert np.array_equal(got_pi.rule, pi.rule)
                         assert np.array_equal(got_v, v_lam)
 
 
 def test_backup_rejects_an_empty_multiplier_sequence():
     m = preset("two_state_chain")
-    model = EmpiricalModel.from_kernel(m.transition)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
     with pytest.raises(ValueError, match="non-empty sequence"):
-        lagrangian_greedy_backup(model, m.reward, m.cost, [], exact_log_config())
+        lagrangian_greedy_backup(model, [])
 
 
 def test_backups_sharing_a_pool_return_one_policy_object():
+    # backups on one model share its pool
     m = preset("two_state_chain")
-    cfg = exact_log_config()
-    model = EmpiricalModel.from_kernel(m.transition)
-    pool = {}
-    (a, b), _ = lagrangian_greedy_backup(model, m.reward, m.cost, [0.0, 0.0], cfg, None, pool)
-    c, _ = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg, None, pool)
-    assert a is b is c and list(pool.values()) == [a]
-    d, _ = lagrangian_greedy_backup(model, m.reward, m.cost, 0.0, cfg)
-    assert d == a and d is not a  # no pool: a fresh object
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
+    (a, b), _ = lagrangian_greedy_backup(model, [0.0, 0.0])
+    c, _ = lagrangian_greedy_backup(model, 0.0)
+    assert a is b is c and list(model.pool.values()) == [a]
+    d, _ = lagrangian_greedy_backup(fresh(model), 0.0)
+    assert d == a and d is not a  # an empty pool: a fresh object
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +635,8 @@ def test_empty_model_episode_keeps_dual_at_zero():
     # pessimistic cost is 0 everywhere, so the dual gradient is always -b'
     m = preset("two_state_chain")
     cfg = exact_log_config(iters=25)
-    model = EmpiricalModel.empty(2, 2, 2)
-    mix, walk = primal_dual_episode(
-        model, m.reward, m.cost, m.initial_state, cfg, b_prime=0.65)
+    model = EmpiricalModel.empty(m.stages, cfg)
+    mix, walk = primal_dual_episode(model, m.initial_state, b_prime=0.65)
     assert walk.trace(walk.lam).tolist() == [0.0] * 25
     assert walk.trace(walk.vc).tolist() == [0.0] * 25
     assert [w for w, _ in mix.components] == [1.0]  # identical iterates merge
@@ -621,9 +646,8 @@ def test_dual_iterates_live_on_the_grid():
     m = preset("two_state_chain")
     cfg = exact_log_config(bonus_scale=0.0, iters=60, dual_cap=2.0,
                            grid_step=0.125, eta=0.25)
-    model = EmpiricalModel.from_kernel(m.transition)
-    _, walk = primal_dual_episode(
-        model, m.reward, m.cost, m.initial_state, cfg, b_prime=0.45)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
+    _, walk = primal_dual_episode(model, m.initial_state, b_prime=0.45)
     lam_trace = walk.trace(walk.lam)
     assert np.all(lam_trace >= 0.0)
     assert np.all(lam_trace <= 2.0)
@@ -636,25 +660,25 @@ def test_backup_cache_is_reused_and_consistent():
     m = preset("two_state_chain")
     cfg = exact_log_config(bonus_scale=0.0, iters=30, dual_cap=2.0,
                            grid_step=0.125, eta=0.25)
-    model = EmpiricalModel.from_kernel(m.transition)
-    mix1, walk1 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
+    mix1, walk1 = primal_dual_episode(model, 0, 0.45)
     assert {round(lam / 0.125) for lam in walk1.lam} <= set(range(17))
-    mix2, walk2 = primal_dual_episode(model, m.reward, m.cost, 0, cfg, 0.45)
+    mix2, walk2 = primal_dual_episode(model, 0, 0.45)
     assert walk1 == walk2
     assert mix1.components == mix2.components
 
 
-def _reference_episode(model, reward, cost, initial_state, cfg, b_prime):
+def _reference_episode(model, initial_state, b_prime):
     """The one-step-per-iteration loop the orbit walk replaced: T dual steps,
-    backups memoized by grid index. Returns ([(visits, policy)] in
-    first-visit order, lambda trace, v_c trace)."""
-    cache, visits = {}, {}
+    backups memoized by grid index, each on a fresh Q-table memo. Returns
+    ([(visits, policy)] in first-visit order, lambda trace, v_c trace)."""
+    cfg, cache, visits = model.cfg, {}, {}
     lam_trace, vc_trace = np.empty(cfg.iters), np.empty(cfg.iters)
     i = 0
     for t in range(cfg.iters):
         lam = i * cfg.grid_step
         if i not in cache:
-            cache[i] = lagrangian_greedy_backup(model, reward, cost, lam, cfg)
+            cache[i] = lagrangian_greedy_backup(fresh(model), lam)
         v_c = float(cache[i][1][1, 0, initial_state])
         lam_trace[t], vc_trace[t] = lam, v_c
         visits[i] = visits.get(i, 0) + 1
@@ -662,11 +686,10 @@ def _reference_episode(model, reward, cost, initial_state, cfg, b_prime):
     return [(n, cache[j][0]) for j, n in visits.items()], lam_trace, vc_trace
 
 
-def _assert_walk_matches_reference(model, m, cfg, b_prime):
-    mix, walk = primal_dual_episode(model, m.reward, m.cost, m.initial_state,
-                                    cfg, b_prime)
-    plays, lam_trace, vc_trace = _reference_episode(
-        model, m.reward, m.cost, m.initial_state, cfg, b_prime)
+def _assert_walk_matches_reference(model, initial_state, b_prime):
+    cfg = model.cfg
+    mix, walk = primal_dual_episode(model, initial_state, b_prime)
+    plays, lam_trace, vc_trace = _reference_episode(model, initial_state, b_prime)
     assert walk.trace(walk.lam).tobytes() == lam_trace.tobytes()
     assert walk.trace(walk.vc).tobytes() == vc_trace.tobytes()
     assert np.mean(walk.trace(walk.lam)) == np.mean(lam_trace)
@@ -697,7 +720,7 @@ def test_walk_matches_reference_loop_on_chain(case):
                              grid_step=step, delta=0.1, mode="relaxed",
                              shift=0.0, eta=eta, bonus_scale=0.0)
     walk = _assert_walk_matches_reference(
-        EmpiricalModel.from_kernel(m.transition), m, cfg, 0.45)
+        EmpiricalModel.from_kernel(m.transition, m.stages, cfg), m.initial_state, 0.45)
     assert (walk.cycle_start, len(walk.lam) - walk.cycle_start) == (prefix, period)
     assert sum(walk.counts) == iters
 
@@ -707,14 +730,14 @@ def test_walk_matches_reference_loop_on_random_instances(iters):
     shapes = set()
     for seed in range(6):
         m = random_instance(4, 3, 4, seed)
-        model = EmpiricalModel.from_kernel(m.transition, batch_size=50)
         for eta in (0.3, 1.0):
+            cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters,
+                                     dual_cap=4.0, grid_step=0.0625,
+                                     delta=0.1, mode="relaxed", shift=0.0,
+                                     eta=eta, bonus_scale=0.0)
+            model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=50)
             for b_prime in (1.0, 1.5):
-                cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters,
-                                         dual_cap=4.0, grid_step=0.0625,
-                                         delta=0.1, mode="relaxed", shift=0.0,
-                                         eta=eta, bonus_scale=0.0)
-                walk = _assert_walk_matches_reference(model, m, cfg, b_prime)
+                walk = _assert_walk_matches_reference(model, m.initial_state, b_prime)
                 shapes.add((walk.cycle_start > 0, len(walk.lam) > walk.cycle_start))
     if iters == 37:  # prefixes, cycles and walks that never close all occur
         assert shapes == {(True, True), (False, True), (True, False)}
@@ -724,31 +747,29 @@ def test_walk_matches_reference_loop_on_random_instances(iters):
 def test_hint_changes_which_sweeps_run_never_the_walk(monkeypatch, iters):
     # with no hint, with the walk's own indices (as run_learner passes the
     # previous walk) and with indices it never visits (duplicates, 0 and the
-    # top grid index), the mixture and the DualWalk are the same; a hint
+    # top grid index), the mixture and the DualWalk are the same, on a fresh
+    # memo and on the model's own, kept over every call as in a run; a hint
     # that covers the walk prices all of it in one lagrangian_greedy_backup
     # call. Walks that T cuts short are hinted too, as run_learner does.
     original, calls = learner.lagrangian_greedy_backup, []
     monkeypatch.setattr(learner, "lagrangian_greedy_backup",
-                        lambda *args: calls.append(np.size(args[3])) or original(*args))
+                        lambda *args: calls.append(np.size(args[1])) or original(*args))
     cut_short = closed = 0
     for seed in range(6):
         m = random_instance(4, 3, 4, seed)
-        model = EmpiricalModel.from_kernel(m.transition, batch_size=50)
         cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters, dual_cap=4.0,
                                  grid_step=0.0625, delta=0.1, mode="relaxed",
                                  shift=0.0, eta=1.0, bonus_scale=0.0)
+        model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=50)
         top = grid_index(cfg.dual_cap, cfg.grid_step, cfg.dual_cap)
-        episode = partial(primal_dual_episode, model, m.reward, m.cost,
-                          m.initial_state, cfg, 1.0)
-        mix, walk = episode(hint=())
+        mix, walk = primal_dual_episode(fresh(model), m.initial_state, 1.0)
         unvisited = [j for j in range(top + 1) if j not in walk.index]
         hints = (walk.index, (*walk.index[::-1], 0, *walk.index, top, top),
                  (0, 0, top, top, *unvisited[:3]))
-        shared = [{} for _ in range(m.horizon)]  # one memo over every call, as in a run
         for hint in hints:
-            for memo in (None, shared):
+            for mdl in (fresh(model), model):
                 calls.clear()
-                assert episode(memo=memo, hint=hint) == (mix, walk)
+                assert primal_dual_episode(mdl, m.initial_state, 1.0, hint) == (mix, walk)
                 assert calls[0] == len(set(hint) | {0})
                 assert calls[1:] == [1] * len(set(walk.index) - set(hint) - {0})
         cut_short += walk.cycle_start == len(walk.lam) == iters
@@ -856,12 +877,11 @@ def _memo_free_run(env, cfg, seed):
     folded every episode: each episode's (mixture, walk), and the final
     mixture's components."""
     b_prime = cfg.b_prime(env.budget)
-    model = EmpiricalModel.empty(env.num_states, env.num_actions, env.horizon)
+    model = EmpiricalModel.empty(env.stages, cfg)
     played, plays, touched = [], {}, True
     for k in range(cfg.episodes):
         if touched:
-            mixture, walk = primal_dual_episode(model, env.reward, env.cost,
-                                                env.initial_state, cfg, b_prime)
+            mixture, walk = primal_dual_episode(fresh(model), env.initial_state, b_prime)
         u = _stream_floats(seed, k, 1, 1 + 2 * env.horizon)[0].tolist()
         _, steps = learner.sample_mixture_episode(env, mixture, u)
         touched = False
@@ -875,8 +895,9 @@ def _memo_free_run(env, cfg, seed):
 
 
 def test_run_learner_matches_a_memo_free_per_episode_loop():
-    # run_learner keeps its Q-table memo across lambdas and replans, clears
-    # only the rebuilt step, and folds the plays once per walk, counts times
+    # run_learner keeps its model's Q-table memo across lambdas and replans,
+    # record_transition clears only the rebuilt step, and the run folds the
+    # plays once per walk, counts times
     # the episodes that replayed it. Its walks, mixtures and final components
     # (order and weight bits) equal a loop that plans with a fresh memo and
     # folds every episode; dropping the clear, or clearing another step,
@@ -931,7 +952,7 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters,
                         grid_step=0.00390625)
     original, calls = learner.lagrangian_greedy_backup, []
     monkeypatch.setattr(learner, "lagrangian_greedy_backup",
-                        lambda *args: calls.append(np.size(args[3])) or original(*args))
+                        lambda *args: calls.append(np.size(args[1])) or original(*args))
     res = run_learner(m, cfg, seed=1)
     assert (sum(calls), len(calls)) == (multipliers, sweeps)
     prev = [0] + [log.model_updates_cum for log in res.episodes]

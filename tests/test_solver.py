@@ -215,6 +215,36 @@ def test_degenerate_bracket_raises_when_too_large():
         solve_cmdp_exact(near_tie_instance(num_states=3, horizon=5))  # 2**15 policies
 
 
+def test_equal_cost_bracket_returns_the_higher_reward_end():
+    # bracket ends whose costs straddle b by less than 1e-15 are not mixed:
+    # the higher-reward end comes back alone, on either side of b
+    m = preset("single_state_tradeoff")
+    cheap, dear = (Policy.from_actions(np.full((1, 1), a), 2) for a in (0, 1))
+    above = float(np.nextafter(m.budget, np.inf))
+    for r_feas, r_inf, want, cost in ((0.3, 0.7, dear, above), (0.7, 0.3, cheap, m.budget)):
+        sol = solver._mix_two(m, (cheap, (r_feas, m.budget)), (dear, (r_inf, above)), 0.25)
+        assert (sol.status, sol.optimal_value, sol.optimal_cost, sol.lambda_star) == (
+            OPTIMAL, max(r_feas, r_inf), cost, 0.25)
+        assert sol.policy == MixturePolicy.single(want)
+
+
+def test_vertex_optimum_agrees_with_the_bisection_mixture():
+    # one state, one step, actions (r, c) = (0, 0), (0.5, 0.5), (1, 1) and
+    # b = 0.5. Brute force returns the action-1 vertex, priced by its best
+    # straddling pair (actions 0 and 2, slope 1); bisection mixes actions 0
+    # and 2 half and half to the same value and cost, lambda* within its tol
+    stage = np.array([[[0.0, 0.5, 1.0]]])
+    m = TabularCmdp(1, 3, 1, np.ones((1, 1, 3, 1)), stage, stage, 0.5, 0)
+    bf = brute_force_cmdp(m)
+    assert (bf.optimal_value, bf.optimal_cost, bf.lambda_star) == (0.5, 0.5, 1.0)
+    assert bf.policy == MixturePolicy.single(Policy.from_actions(np.ones((1, 1), int), 3))
+    sol = solve_cmdp_exact(m)
+    assert (sol.status, sol.optimal_value, sol.optimal_cost) == (OPTIMAL, 0.5, 0.5)
+    assert abs(sol.lambda_star - bf.lambda_star) <= 1e-8
+    assert [(w, p.rule[0, 0].argmax()) for w, p in sol.policy.components] == [(0.5, 0),
+                                                                              (0.5, 2)]
+
+
 def test_mixture_cost_pinned_to_budget_when_binding():
     # when the constraint binds, the optimal mixture sits exactly on it
     m = preset("two_state_chain")
