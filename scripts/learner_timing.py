@@ -6,10 +6,11 @@ delta = 0.1 with derive_config (or takes -K / -T), and runs run_learner with
 learner seed 0 once in a fresh process. It prints one line per run: wall
 seconds of run_learner, the backward sweeps of its Lagrangian backups and
 the multipliers they priced (a batched sweep prices several), the episodes
-that replanned, the metrics seconds (compute_metrics plus the final verdict
-on a fresh memo, after an untimed exact solve), and the process's peak resident
-memory (ru_maxrss, which includes the interpreter and numpy). Runs go one
-after another, so their times do not compete.
+that replanned, the metrics seconds (compute_metrics plus the final verdict,
+starting from the instance's empty prices, after an untimed exact solve),
+and the process's peak resident memory (ru_maxrss, which includes the
+interpreter and numpy). Runs go one after another, so their times do not
+compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
            [-K episodes] [-T iters]
@@ -51,9 +52,8 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     replans = 1 + sum(b.walk is not a.walk for a, b in zip(logs, logs[1:]))
     exact = solve_cmdp_exact(m)
     t0 = time.perf_counter()
-    memo = {}
-    compute_metrics(m, exact, logs, cfg, LEARNER_SEED, memo=memo)
-    check_final_policy(m, exact, res.final_policy, EPSILON, MODE, memo=memo)
+    compute_metrics(m, exact, logs, cfg, LEARNER_SEED)
+    check_final_policy(m, exact, res.final_policy, EPSILON, MODE)
     metrics_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
             "sweeps": len(sizes), "multipliers": sum(sizes), "replans": replans,

@@ -150,11 +150,9 @@ def cmd_train(args) -> int:
     exact = solve_cmdp_exact(m)
     require_feasible(m, exact)  # before the learner runs or a file is written
     res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
-    memo: dict = {}  # the final mixture's policies were all priced per episode
-    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed,
-                             memo=memo)
+    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed)
     verdict = check_final_policy(m, exact, res.final_policy,
-                                 opt["epsilon"], opt["mode"], memo=memo)
+                                 opt["epsilon"], opt["mode"])
     paths = emit_report(record, args.out, verdicts=[verdict],
                         charts=not args.no_charts)
     policy_path = os.path.join(args.out, "policy.json")

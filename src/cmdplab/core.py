@@ -12,15 +12,18 @@ over the stack TabularCmdp.stages. The kernel also takes a leading policy
 axis: evaluate_policy prices a sequence of P policies in one (P, k, H+1, S)
 sweep. Its expectation runs one gemv per (policy, table, state) row, never a
 gemm over the stack, so each policy's slice has the bits of its own sweep;
-callers that price many policies (the harness memo, the brute-force oracle)
+callers that price many policies (the harness's prices, the brute-force oracle)
 stack PRICE_CHUNK of them per sweep. The greedy branch takes any leading
 problem axes, (*lead, H+1, S) values and (H, *lead[:-1], S) actions, through
 one flat gather; the learner backs up L multipliers in one such sweep.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
-Instance and policy arrays are copied and frozen at construction; every
-function here is pure, so both can be shared freely across threads or processes.
+Instance and policy arrays are copied and frozen at construction, and every
+function here is pure. An instance owns the exact prices of the policies the
+harness evaluated on it (TabularCmdp.prices); a price depends on the instance
+and the policy alone, so concurrent fills write the same bits, and both can
+still be shared across threads or processes.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class Violation:
 
 @dataclass(frozen=True)
 class TabularCmdp:
-    """Immutable tabular CMDP.
+    """Immutable tabular CMDP (but for the prices memo the harness fills).
 
     transition has shape (H, S, A, S), reward and cost have shape (H, S, A).
     Construction freezes the arrays but does not validate; run validate_cmdp
@@ -87,6 +90,9 @@ class TabularCmdp:
     # once at construction; None when the two shapes differ (validate_cmdp
     # flags that).
     stages: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # Policy -> its exact [V_r, V_c] at s1 on this instance, filled by the
+    # harness; every instance, a replace() copy included, starts empty.
+    prices: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "transition", _frozen(self.transition))
@@ -302,7 +308,7 @@ def _expected_stage(kernel, stages):
 
 
 # Policies per stacked evaluate_policy sweep where a caller prices many: the
-# harness's memo fill and the brute-force oracle. It bounds a sweep's
+# harness's price fill and the brute-force oracle. It bounds a sweep's
 # (H, P, S, A) rules and (P, k, H + 1, S) values; it is a constant because
 # the values do not depend on it.
 PRICE_CHUNK = 128

@@ -29,10 +29,11 @@ class GenerationError(ValueError):
 class GenSpec:
     """Generator knobs: dimensions, target budget slack, Dirichlet concentration, seed.
 
-    zeta_target must be positive (generated instances are always strictly
-    feasible) and at most H, the largest value the budget may take;
-    dirichlet_alpha must be positive and finite; seed is a non-negative
-    integer.
+    The dimensions are integers >= 1 and seed is a non-negative integer
+    (an int or numpy integer, not a bool). zeta_target must be positive
+    (generated instances are always strictly feasible) and at most H, the
+    largest value the budget may take; dirichlet_alpha must be positive and
+    finite.
     """
 
     num_states: int
@@ -43,8 +44,10 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.num_states, self.num_actions, self.horizon) < 1:
-            raise ValueError("dimensions must be >= 1")
+        for name in ("num_states", "num_actions", "horizon"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
         if not self.zeta_target > 0:
             raise ValueError(f"zeta_target must be positive, got {self.zeta_target}")
         if not 0 < self.dirichlet_alpha < math.inf:

@@ -2,9 +2,10 @@
 
 evaluate_mixture prices a mixture exactly on the true kernel: the (reward,
 cost) values of each component policy, weighted by the mixing weights.
-Policies are priced into a memo by _price_new, PRICE_CHUNK at a time in one
-stacked evaluate_policy sweep each; every row of that sweep rounds like a
-sweep of its policy alone, so the prices carry the same bits either way.
+Policies are priced into the instance's own TabularCmdp.prices by _price_new,
+PRICE_CHUNK at a time in one stacked evaluate_policy sweep each; every row of
+that sweep rounds like a sweep of its policy alone, so the prices carry the
+same bits either way.
 compute_metrics replays a learner run against the exact solution: it first
 prices every new component policy of the run's distinct mixtures (so each
 distinct policy is swept once, in ceil(new / PRICE_CHUNK) sweeps), then
@@ -94,15 +95,15 @@ class Verdict:
     cost_cap: float
 
 
-def _price_new(m: TabularCmdp, policies, memo: dict) -> None:
-    """Price each policy of the iterable that memo lacks into memo as its
+def _price_new(m: TabularCmdp, policies) -> None:
+    """Price each policy of the iterable that m.prices lacks into it as its
     [V_r, V_c] at s1: once each, in first-seen order, PRICE_CHUNK per stacked
     sweep. No new policy means no sweep."""
-    new = [p for p in dict.fromkeys(policies) if p not in memo]
+    new = [p for p in dict.fromkeys(policies) if p not in m.prices]
     for i in range(0, len(new), PRICE_CHUNK):
         chunk = new[i:i + PRICE_CHUNK]
         values = evaluate_policy(m.transition, m.stages, chunk)[:, :, 0, m.initial_state]
-        memo.update(zip(chunk, values.tolist()))
+        m.prices.update(zip(chunk, values.tolist()))
 
 
 def _new_mixtures(episodes):
@@ -115,21 +116,16 @@ def _new_mixtures(episodes):
             yield mixture
 
 
-def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy, memo: dict | None = None):
+def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy):
     """Exact (V_r, V_c) of a mixture at s1: the weighted sums of its component
-    values. memo maps a Policy to its [V_r, V_c] and is filled as policies are
-    priced; the first miss prices all of the mixture's new policies in
-    stacked sweeps. Sharing one memo across calls skips repeated sweeps, and
-    the result is the same bits with or without it."""
-    memo = {} if memo is None else memo
+    values, each read from m.prices after the components m has not priced yet
+    are swept there."""
+    _price_new(m, (p for _, p in mix.components))
     r_total = c_total = 0.0
     for w, p in mix.components:
-        got = memo.get(p)
-        if got is None:
-            _price_new(m, (q for _, q in mix.components), memo)
-            got = memo[p]
-        r_total += w * got[0]
-        c_total += w * got[1]
+        v_r, v_c = m.prices[p]
+        r_total += w * v_r
+        c_total += w * v_c
     return r_total, c_total
 
 
@@ -143,31 +139,28 @@ def require_feasible(m: TabularCmdp, exact: ExactSolution) -> None:
 
 
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
-                    config: LearnerConfig | None = None, seed: int = 0,
-                    memo: dict | None = None) -> RunRecord:
+                    config: LearnerConfig | None = None, seed: int = 0) -> RunRecord:
     """Build the RunRecord for a stream (any iterable) of EpisodeLog entries.
 
     Every episode's mixture is priced exactly. A first pass over the run's
     distinct mixtures prices each new component policy once, in stacked
-    sweeps, and the per-episode pass then reads the memo; an episode whose
+    sweeps, and the per-episode pass then reads m.prices; an episode whose
     mixture is the previous episode's object (a replay) reuses that
-    episode's pair outright. Pass a memo (as for evaluate_mixture) to share
-    those prices with later calls. Likewise each distinct dual walk's mean
+    episode's pair outright. Likewise each distinct dual walk's mean
     multiplier is taken once. An infeasible exact raises a ValueError.
     """
     require_feasible(m, exact)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
-    memo = {} if memo is None else memo
     episodes = list(episodes)  # read twice
-    _price_new(m, (p for mix in _new_mixtures(episodes) for _, p in mix.components), memo)
+    _price_new(m, (p for mix in _new_mixtures(episodes) for _, p in mix.components))
     lambda_means: dict = {}  # DualWalk -> mean multiplier; replays share a walk
     v_rs, v_cs, lam_means = [], [], []
     mixture = walk = None  # the last episode's; a replay shares both objects
     for log in episodes:
         if log.mixture is not mixture:
             mixture = log.mixture
-            v_r, v_c = evaluate_mixture(m, mixture, memo)
+            v_r, v_c = evaluate_mixture(m, mixture)
         if log.walk is not walk:
             walk = log.walk
             lam_mean = lambda_means.get(walk)
@@ -188,15 +181,14 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
 
 
 def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePolicy,
-                       epsilon: float, mode: str, memo: dict | None = None) -> Verdict:
+                       epsilon: float, mode: str) -> Verdict:
     """Relaxed: V_r >= V* - eps and V_c <= b + eps.
     Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance).
-    memo is evaluate_mixture's: pass compute_metrics' to price no policy twice.
     An infeasible exact raises a ValueError."""
     if mode not in (RELAXED, STRICT):
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
     require_feasible(m, exact)
-    v_r, v_c = evaluate_mixture(m, pi_bar, memo)
+    v_r, v_c = evaluate_mixture(m, pi_bar)
     reward_floor = exact.optimal_value - epsilon
     cost_cap = m.budget + (epsilon if mode == RELAXED else STRICT_COST_TOL)
     return Verdict(mode, epsilon, bool(v_r >= reward_floor and v_c <= cost_cap),

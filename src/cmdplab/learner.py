@@ -129,8 +129,8 @@ class LearnerConfig:
         for name, x in reals.items():
             if x is not None and not math.isfinite(x):
                 raise ValueError(f"{name} must be finite, got {x!r}")
-        for name, x in (("dual_cap", dual_cap), ("grid_step", grid_step)):
-            if not x > 0:
+        for name, x in (("dual_cap", dual_cap), ("grid_step", grid_step), ("eta", eta)):
+            if x is not None and not x > 0:
                 raise ValueError(f"{name} must be positive, got {x!r}")
         if not math.isfinite(dual_cap / grid_step):
             raise ValueError(f"dual_cap / grid_step = {dual_cap} / {grid_step} overflows")
@@ -522,7 +522,6 @@ class LearnerResult:
     final_policy: MixturePolicy
     episodes: list
     model: EmpiricalModel
-    config: LearnerConfig
     seed: int
 
 
@@ -581,4 +580,4 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             plays[p] = plays.get(p, 0) + n * replays
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
-    return LearnerResult(final, logs, model, cfg, seed)
+    return LearnerResult(final, logs, model, seed)

@@ -4,6 +4,7 @@ Expected numbers are hand-derived on instances small enough to enumerate;
 each derivation is spelled out next to the assertion that uses it.
 """
 
+import dataclasses
 import json
 
 import numpy as np
@@ -146,6 +147,23 @@ def test_stages_are_reward_then_cost_and_read_only():
         m.stages[0, 0, 0, 0] = 0.5
     with pytest.raises(AttributeError):
         m.stages = m.stages
+
+
+def test_copies_and_loaded_instances_start_with_no_prices(tmp_path):
+    # prices belong to the instance they were taken on: a replace() copy and
+    # a loaded instance (load_instance returns a replace() of what it
+    # parsed) each start empty, and prices play no part in repr or hash
+    m = preset("two_state_chain")
+    evaluate_mixture(m, MixturePolicy.single(Policy.uniform(2, 2, 2)))
+    assert len(m.prices) == 1
+    copy = dataclasses.replace(m)
+    assert copy.prices == {} and copy.prices is not m.prices
+    path = tmp_path / "inst.json"
+    save_instance(m, path)
+    loaded = load_instance(path)
+    assert loaded.prices == {}
+    assert "prices" not in repr(m)
+    assert instance_hash(copy) == instance_hash(loaded) == instance_hash(m)
 
 
 def test_mixture_value_matches_hand_mix():

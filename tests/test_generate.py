@@ -1,6 +1,7 @@
 """Instance generation with an exactly pinned feasibility margin."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,20 @@ def test_spec_validation():
                            match=rf"^seed must be a non-negative integer, got {seed!r}$"):
             GenSpec(2, 2, 2, zeta_target=0.5, seed=seed)
     assert GenSpec(2, 2, 2, zeta_target=0.5, seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon"])
+@pytest.mark.parametrize("value", [0, -1, np.int64(0), 2.5, 2.0, True, math.nan,
+                                   math.inf, None])
+def test_spec_rejects_bad_dimensions_by_name(name, value):
+    # each dimension is checked like seed, by name, before generate sizes an
+    # array with it or compares zeta_target with it
+    good = dict(num_states=2, num_actions=2, horizon=2, zeta_target=0.5)
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer >= 1, got {re.escape(repr(value))}$"):
+        GenSpec(**{**good, name: value})
+    spec = GenSpec(**{**good, name: np.int64(3)})
+    assert getattr(spec, name) == getattr(generate(spec), name) == 3
 
 
 def test_preset_names_and_unknown():

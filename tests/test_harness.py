@@ -6,6 +6,7 @@ optimum 0.6 at weights 0.4/0.6), so every cumulative column is checkable by
 mental arithmetic.
 """
 
+import dataclasses
 import filecmp
 import json
 import re
@@ -19,8 +20,8 @@ from hypothesis import strategies as st
 from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row, RunRecord,
                      TabularCmdp, check_final_policy, compute_metrics,
                      derive_config, emit_report, evaluate_mixture, generate,
-                     preset, read_run_csv, render_charts, run_learner,
-                     solve_cmdp_exact, write_run_csv)
+                     evaluate_policy, preset, read_run_csv, render_charts,
+                     run_learner, solve_cmdp_exact, write_run_csv)
 import cmdplab.harness as harness
 from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
@@ -30,6 +31,12 @@ from cmdplab.harness import CSV_COLUMNS
 def chain():
     m = preset("two_state_chain")
     return m, solve_cmdp_exact(m)
+
+
+def fresh(m):
+    """A copy of m with no prices yet: the reference for any check of cached
+    prices, which must not read the instance's own."""
+    return dataclasses.replace(m)
 
 
 def log_stream(policies, lam=0.0):
@@ -132,7 +139,7 @@ def test_learner_run_values_match_uncached_evaluation(chain):
     assert len({p for log in logs for _, p in log.mixture.components}) < len(logs)
     rec = compute_metrics(m, exact, logs)
     for row, log in zip(rec.rows, logs, strict=True):
-        assert (row.v_r_true, row.v_c_true) == evaluate_mixture(m, log.mixture)
+        assert (row.v_r_true, row.v_c_true) == evaluate_mixture(fresh(m), log.mixture)
 
 
 def test_replayed_episodes_are_priced_once(chain, monkeypatch):
@@ -147,7 +154,7 @@ def test_replayed_episodes_are_priced_once(chain, monkeypatch):
     assert replans < len(logs) // 10
     want, regret, violation_sum = [], 0.0, 0.0
     for log in logs:
-        v_r, v_c = evaluate_mixture(m, log.mixture)
+        v_r, v_c = evaluate_mixture(fresh(m), log.mixture)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
         want.append((v_r, v_c, regret, max(0.0, violation_sum)))
@@ -164,11 +171,11 @@ def test_metrics_prepass_sweeps_each_policy_once(chain, chunk, monkeypatch):
     # on a replaying run, the pre-pass sweeps each distinct component policy
     # exactly once, first seen first, in ceil(new / chunk) stacked calls; the
     # per-episode pass then sweeps nothing, and the record keeps its bits
-    m, exact = chain
+    m, exact = fresh(chain[0]), chain[1]
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
                         iters=100, dual_cap=4.0, grid_step=0.00390625)
     logs = run_learner(m, cfg, seed=1).episodes
-    want = compute_metrics(m, exact, logs)
+    want = compute_metrics(fresh(m), exact, logs)
     original, calls = harness.evaluate_policy, []
     monkeypatch.setattr(harness, "evaluate_policy",
                         lambda kernel, stages, ps: calls.append(list(ps))
@@ -185,59 +192,76 @@ def test_metrics_prepass_sweeps_each_policy_once(chain, chunk, monkeypatch):
 
 def test_metrics_read_a_one_shot_stream_and_sweep_only_new_policies(chain, monkeypatch):
     # the pre-pass must not use up an iterator; an empty stream, or a run
-    # whose policies are all in the memo already, makes no sweep
-    m, exact = chain
+    # whose policies the instance has all priced already, makes no sweep
+    m, exact = fresh(chain[0]), chain[1]
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=200, iters=100)
     logs = run_learner(m, cfg, seed=1).episodes
-    memo = {}
-    record = compute_metrics(m, exact, logs, memo=memo)
-    assert compute_metrics(m, exact, iter(logs)) == record
+    record = compute_metrics(m, exact, logs)
+    assert compute_metrics(fresh(m), exact, iter(logs)) == record
     original, calls = harness.evaluate_policy, []
     monkeypatch.setattr(harness, "evaluate_policy",
                         lambda kernel, stages, ps: calls.append(ps)
                         or original(kernel, stages, ps))
-    assert compute_metrics(m, exact, iter(logs), memo=memo) == record
-    assert compute_metrics(m, exact, []).rows == ()
+    assert compute_metrics(m, exact, iter(logs)) == record
+    assert compute_metrics(fresh(m), exact, []).rows == ()
     assert calls == []
 
 
 def test_shared_memo_prices_each_policy_once(chain, monkeypatch):
-    # over a run whose episodes replay policies, one shared memo sweeps each
-    # distinct policy once, and every result keeps the bits of a memo-less call
-    m, _ = chain
+    # over a run whose episodes replay policies, the instance's prices sweep
+    # each distinct policy once, and every result keeps the bits of a call on
+    # an instance that has priced nothing
+    m = fresh(chain[0])
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=200, iters=100)
     logs = run_learner(m, cfg, seed=1).episodes
-    fresh = [evaluate_mixture(m, log.mixture) for log in logs]
+    unshared = [evaluate_mixture(fresh(m), log.mixture) for log in logs]
     original, priced = harness.evaluate_policy, []
     monkeypatch.setattr(harness, "evaluate_policy",
                         lambda kernel, stages, ps: priced.extend(ps)
                         or original(kernel, stages, ps))
-    memo = {}
-    shared = [evaluate_mixture(m, log.mixture, memo) for log in logs]
+    shared = [evaluate_mixture(m, log.mixture) for log in logs]
     distinct = {p for log in logs for _, p in log.mixture.components}
-    assert len(priced) == len(set(priced)) == len(distinct) == len(memo) < len(logs)
-    assert shared == fresh
+    assert len(priced) == len(set(priced)) == len(distinct) == len(m.prices) < len(logs)
+    assert shared == unshared
 
 
 def test_verdict_reuses_the_metrics_memo(chain, monkeypatch):
     # the final mixture holds only policies that some episode played, so once
-    # compute_metrics has filled the memo the verdict sweeps no policy again
-    m, exact = chain
+    # compute_metrics has priced them on the instance the verdict sweeps no
+    # policy again
+    m, exact = fresh(chain[0]), chain[1]
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=200, iters=100)
     res = run_learner(m, cfg, seed=1)
-    fresh_record = compute_metrics(m, exact, res.episodes)
-    fresh = check_final_policy(m, exact, res.final_policy, 0.1, "relaxed")
-    memo = {}
-    assert compute_metrics(m, exact, res.episodes, memo=memo) == fresh_record
+    fresh_record = compute_metrics(fresh(m), exact, res.episodes)
+    unshared = check_final_policy(fresh(m), exact, res.final_policy, 0.1, "relaxed")
+    assert compute_metrics(m, exact, res.episodes) == fresh_record
     original, priced = harness.evaluate_policy, []
     monkeypatch.setattr(harness, "evaluate_policy",
                         lambda kernel, stages, p: priced.append(p) or original(kernel, stages, p))
-    shared = check_final_policy(m, exact, res.final_policy, 0.1, "relaxed", memo=memo)
+    shared = check_final_policy(m, exact, res.final_policy, 0.1, "relaxed")
     assert priced == []
-    assert repr(shared) == repr(fresh)  # float reprs round-trip, so bit for bit
+    assert repr(shared) == repr(unshared)  # float reprs round-trip, so bit for bit
+
+
+def test_each_instance_prices_its_own_policies():
+    # the same Policy objects priced on an instance and on its action-reversed
+    # copy get each instance's own values, each equal to a direct sweep there
+    m = preset("two_state_chain")
+    flipped = TabularCmdp(m.num_states, m.num_actions, m.horizon,
+                          m.transition[:, :, ::-1], m.reward[:, :, ::-1],
+                          m.cost[:, :, ::-1], m.budget, m.initial_state)
+    exact = solve_cmdp_exact(m)
+    policies = [safe_policy(), engage_policy(), *(p for _, p in exact.policy.components)]
+    for inst in (m, flipped, m):
+        for p in policies:
+            direct = evaluate_policy(inst.transition, inst.stages, p)[:, 0, inst.initial_state]
+            assert evaluate_mixture(inst, MixturePolicy.single(p)) == tuple(direct.tolist())
+    assert m.prices.keys() == flipped.prices.keys() == set(policies)
+    assert evaluate_mixture(m, exact.policy) == pytest.approx((0.6, 0.6), abs=1e-12)
+    assert evaluate_mixture(flipped, exact.policy) == pytest.approx((0.4, 1.0), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +438,11 @@ def test_render_charts_from_read_back_rows(chain, tmp_path):
 
 def per_episode_rows(m, exact, episodes):
     """Rows from running totals updated episode by episode: the reference
-    for compute_metrics' column-wise build."""
-    rows, regret, violation_sum, memo = [], 0.0, 0.0, {}
+    for compute_metrics' column-wise build. It prices on a copy of m, so it
+    reads none of the prices compute_metrics left on m."""
+    rows, regret, violation_sum, ref = [], 0.0, 0.0, fresh(m)
     for log in episodes:
-        v_r, v_c = evaluate_mixture(m, log.mixture, memo)
+        v_r, v_c = evaluate_mixture(ref, log.mixture)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
         rows.append(Row(

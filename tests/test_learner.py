@@ -282,6 +282,8 @@ def test_make_validation_errors():
                        ({"mode": "loose"}, "^mode must be 'relaxed' or 'strict', got 'loose'$"),
                        ({"shift": -0.5}, r"^shift must be >= 0, got -0\.5$"),
                        ({"bonus_scale": -1.0}, r"^bonus_scale must be >= 0, got -1\.0$"),
+                       ({"eta": 0.0}, r"^eta must be positive, got 0\.0$"),
+                       ({"eta": -1.0}, r"^eta must be positive, got -1\.0$"),
                        ({"episodes": 2.5}, r"^episodes must be an integer >= 1, got 2\.5$"),
                        ({"iters": math.inf}, "^iters must be an integer >= 1, got inf$"),
                        ({"episodes": math.nan}, "^episodes must be an integer >= 1, got nan$"),
