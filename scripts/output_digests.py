@@ -9,6 +9,8 @@ directory:
 - generate a 10x4x8 instance at seed 3 (zeta 0.5), solve it, and train on it
   with perfbench's train_plan options (-K 300 -T 3, epsilon 1, seed 3) at
   bonus scales 0 and 0.1, and in strict mode at -K 200 -T 37, bonus 0.1;
+- solve each preset (their dual bisections reach exact ties, such as
+  lambda = 0.5 on two_state_chain);
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
   solve run's optimal mixture (perfbench's evaluate_mc path: one-hot
   components) and a one-component policy whose rule is uniform over the 4
@@ -38,6 +40,7 @@ import tempfile
 from pathlib import Path
 
 from cmdplab.cli import main
+from cmdplab.generate import preset_names
 
 INSTANCE = "{tmp}/generate/instance.json"
 DUAL = ["--preset", "two_state_chain", "-K", "2000", "-T", "100",
@@ -49,6 +52,7 @@ RUNS = [
     ("generate", ["generate", "--S", "10", "--A", "4", "--H", "8", "--zeta", "0.5",
                   "--seed", "3", "--out", INSTANCE]),
     ("solve", ["solve", "--instance", INSTANCE]),
+    *((f"solve_{name}", ["solve", "--preset", name]) for name in preset_names()),
     ("train_plan_bonus0", ["train", *PLAN, "-K", "300", "-T", "3", "--bonus-scale", "0"]),
     ("train_plan_bonus0.1", ["train", *PLAN, "-K", "300", "-T", "3",
                              "--bonus-scale", "0.1"]),

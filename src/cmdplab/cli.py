@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from .acceptance import run_checks
 from .core import (
@@ -161,12 +162,7 @@ def cmd_train(args) -> int:
     _emit({
         "paths": paths,
         **record.totals(),
-        "verdict": {
-            "mode": verdict.mode, "passed": verdict.passed,
-            "v_r": verdict.v_r, "v_c": verdict.v_c,
-            "reward_floor": verdict.reward_floor,
-            "cost_cap": verdict.cost_cap,
-        },
+        "verdict": {k: v for k, v in asdict(verdict).items() if k != "epsilon"},
     })
     return 0 if verdict.passed else 1
 

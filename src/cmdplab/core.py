@@ -8,14 +8,16 @@ values (harness.evaluate_mixture; the mixing draw happens once per episode, so
 the identity is exact). One backward-induction kernel serves evaluate_policy,
 greedy_backup and both of the learner's clipped sweeps; each returns its plain
 (k, H+1, S) value array, and a policy's (V_r, V_c) is v[:, 0, s1] of one sweep
-over the stack TabularCmdp.stages. The kernel also takes a leading policy
-axis: evaluate_policy prices a sequence of P policies in one (P, k, H+1, S)
-sweep. Its expectation runs one gemv per (policy, table, state) row, never a
-gemm over the stack, so each policy's slice has the bits of its own sweep;
-callers that price many policies (the harness's prices, the brute-force oracle)
-stack PRICE_CHUNK of them per sweep. The greedy branch takes any leading
-problem axes, (*lead, H+1, S) values and (H, *lead[:-1], S) actions, through
-one flat gather; the learner backs up L multipliers in one such sweep.
+over the stack TabularCmdp.stages. greedy_backup maximizes its stack's first
+table and reads every table along the chosen actions. The kernel also takes a
+leading policy axis: evaluate_policy prices a sequence of P policies in one
+(P, k, H+1, S) sweep. Its expectation runs one gemv per (policy, table, state)
+row, never a gemm over the stack, so each policy's slice has the bits of its
+own sweep; callers that price many policies (the harness's prices, the
+brute-force oracle) stack PRICE_CHUNK of them per sweep. The greedy branch
+takes any leading problem axes, (*lead, H+1, S) values and (H, *lead[:-1], S)
+actions, through one flat gather; the learner backs up L multipliers in one
+such sweep.
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -343,15 +345,12 @@ def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy) -> np.ndarra
     return v
 
 
-def greedy_backup(kernel: np.ndarray, stage: np.ndarray, maximize: bool = True):
-    """Unconstrained backward induction; returns ((H, S) action table, (H+1, S) values).
-
-    Ties resolve to the lowest action index (numpy argmax semantics).
-    """
-    actions, v = _backward_induction(
-        _expected_stage(kernel, stage[None]), (1,) + stage.shape[:2],
-        score=(lambda q: q[0]) if maximize else (lambda q: -q[0]))
-    return actions, v[0]
+def greedy_backup(kernel: np.ndarray, stages: np.ndarray):
+    """evaluate_policy's greedy twin: the (H, S) actions that maximize
+    stages[0] of a (k, H, S, A) stack (ties go to the lowest action) and the
+    (k, H+1, S) values of every table along them, from one sweep."""
+    return _backward_induction(_expected_stage(kernel, stages), stages.shape[:3],
+                               score=lambda q: q[0])
 
 
 def slater_constant(m: TabularCmdp):
@@ -360,8 +359,8 @@ def slater_constant(m: TabularCmdp):
     zeta > 0 means the constraint has interior slack; zeta < 0 means the
     instance is infeasible (even the cheapest policy exceeds the budget).
     """
-    actions, v = greedy_backup(m.transition, m.cost, maximize=False)
-    zeta = m.budget - float(v[0, m.initial_state])
+    actions, v = greedy_backup(m.transition, -m.cost[None])
+    zeta = m.budget + float(v[0, 0, m.initial_state])
     return zeta, Policy.from_actions(actions, m.num_actions)
 
 

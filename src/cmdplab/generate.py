@@ -30,10 +30,10 @@ class GenSpec:
     """Generator knobs: dimensions, target budget slack, Dirichlet concentration, seed.
 
     The dimensions are integers >= 1 and seed is a non-negative integer
-    (an int or numpy integer, not a bool). zeta_target must be positive
-    (generated instances are always strictly feasible) and at most H, the
-    largest value the budget may take; dirichlet_alpha must be positive and
-    finite.
+    (an int or numpy integer, not a bool), each stored as an int. zeta_target
+    must be positive (generated instances are always strictly feasible) and
+    at most H, the largest value the budget may take; dirichlet_alpha must be
+    positive and finite.
     """
 
     num_states: int
@@ -48,6 +48,7 @@ class GenSpec:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, name, int(n))
         if not self.zeta_target > 0:
             raise ValueError(f"zeta_target must be positive, got {self.zeta_target}")
         if not 0 < self.dirichlet_alpha < math.inf:
@@ -56,6 +57,7 @@ class GenSpec:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
 
 
 def generate(spec: GenSpec) -> TabularCmdp:

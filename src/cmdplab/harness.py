@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, get_type_hints
@@ -176,7 +177,7 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
         np.where(violation > 0.0, violation, 0.0).tolist(), lam_means,
         (int(log.model_updates_cum) for log in episodes),
         (float(log.wall_ms) for log in episodes))))
-    return RunRecord(header_cfg, seed, instance_hash(m), zeta,
+    return RunRecord(header_cfg, operator.index(seed), instance_hash(m), zeta,
                      exact.optimal_value, m.budget, rows)
 
 

@@ -63,6 +63,7 @@ the learner sees the environment only through sampled transitions.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -580,4 +581,4 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             plays[p] = plays.get(p, 0) + n * replays
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
-    return LearnerResult(final, logs, model, seed)
+    return LearnerResult(final, logs, model, operator.index(seed))

@@ -40,6 +40,7 @@ the ones the scalar inversion gives on the same row.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 
 import numpy as np
@@ -55,8 +56,8 @@ _BLOCK = 1024
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: a 64-bit bijective avalanche mix."""
-    z &= _MASK
+    """SplitMix64 finalizer: a 64-bit bijective avalanche mix of an integer."""
+    z = operator.index(z) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return z ^ (z >> 31)

@@ -12,11 +12,10 @@ max V_r(s1) subject to V_c(s1) <= b:
   policies plus every feasible/infeasible two-policy mixing, exact up to
   floating point. Used as the ground-truth oracle for small instances.
 
-Each policy's (V_r, V_c) is v[:, 0, s1] of an evaluate_policy sweep over
-m.stages: one sweep per dual point's policy, and for the enumeration one
-stacked sweep per PRICE_CHUNK policies, whose rows keep the bits of
-single-policy sweeps. Each dual point runs one greedy_backup on the
-Lagrangian stage.
+Each dual point is one greedy_backup sweep of (r - lambda c, r, c): g and
+the greedy policy's (V_r, V_c) are its rows, each with its own sweep's bits.
+The enumeration prices policies with evaluate_policy over m.stages, one
+stacked sweep per PRICE_CHUNK policies, rows again bit-equal to single sweeps.
 
 Both return an ExactSolution; the mixture-of-two form is fully general here
 because the achievable (V_r, V_c) set is the convex hull of the deterministic
@@ -74,15 +73,15 @@ class ExactSolution:
 def dual_value(m: TabularCmdp, lam: float):
     """Evaluate the dual: g(lambda) = max_pi [V_{r - lambda c}] + lambda*b.
 
-    Returns (g(lambda), maximizing deterministic policy pi, (V_r, V_c) of pi
-    at s1 from one stacked sweep). b - V_c is a subgradient of g at lambda.
+    Returns (g(lambda), maximizing deterministic policy pi, [V_r, V_c] of pi
+    at s1) from one sweep. b - V_c is a subgradient of g at lambda.
     """
     if lam < 0:
         raise ValueError(f"dual variable must be >= 0, got {lam}")
-    actions, v = greedy_backup(m.transition, m.reward - lam * m.cost)
-    pi = Policy.from_actions(actions, m.num_actions)
-    g = float(v[0, m.initial_state]) + lam * m.budget
-    return g, pi, evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state].tolist()
+    stages = np.concatenate((m.stages[:1] - lam * m.stages[1:], m.stages))
+    actions, v = greedy_backup(m.transition, stages)
+    g, *pair = v[:, 0, m.initial_state].tolist()
+    return g + lam * m.budget, Policy.from_actions(actions, m.num_actions), pair
 
 
 def _mix_two(m, feas, inf, lambda_star):

@@ -116,11 +116,17 @@ def test_train_prints_the_totals_summary_json_records(tmp_path, capsys, instance
     _, doc = json_out(capsys, "train", *env, "--epsilon", "0.5", "-K", "30", "-T", "6",
                       "--bonus-scale", "0.1", "--seed", "3", "--no-charts",
                       "--out", str(out_dir))
-    totals = json.loads((out_dir / "summary.json").read_text())["totals"]
+    summary = json.loads((out_dir / "summary.json").read_text())
+    totals = summary["totals"]
     assert sorted(totals) == ["cv", "episodes", "model_updates", "regret"]
     assert totals["episodes"] == 30 and totals["regret"] != 0.0
     printed = {key: doc[key] for key in totals}
     assert [(type(x), x) for x in printed.values()] == [(type(x), x) for x in totals.values()]
+    # the printed verdict is summary.json's, less the epsilon that was passed in
+    (verdict,) = summary["verdicts"]
+    assert verdict.pop("epsilon") == 0.5
+    assert doc["verdict"] == verdict and sorted(doc["verdict"]) == [
+        "cost_cap", "mode", "passed", "reward_floor", "v_c", "v_r"]
 
 
 def test_train_config_file_and_flag_precedence(tmp_path, capsys):

@@ -19,7 +19,7 @@ from cmdplab import (MixturePolicy, Policy, TabularCmdp,
                      save_policy, slater_constant, validate_cmdp)
 from cmdplab.core import PRICE_CHUNK, _backward_induction, _expected_stage, _instance_payload
 from cmdplab.generate import GenSpec, generate, preset_names
-from conftest import all_deterministic_policies, random_instance
+from conftest import all_deterministic_policies, random_instance, tie_instances
 
 
 def chain_kernel(horizon, num_states, num_actions):
@@ -208,20 +208,20 @@ def test_values_bounded_by_remaining_steps(num_states, num_actions, horizon, see
 
 def test_greedy_backup_dominates_enumeration():
     m = random_instance(2, 2, 2, seed=11)
-    _, v = greedy_backup(m.transition, m.reward, maximize=True)
+    _, v = greedy_backup(m.transition, m.reward[None])
     best = max(evaluate_policy(m.transition, m.reward[None], p)[0, 0, 0]
                for p in all_deterministic_policies(m))
-    assert v[0, 0] == pytest.approx(best, abs=1e-12)
-    _, v_min = greedy_backup(m.transition, m.cost, maximize=False)
+    assert v[0, 0, 0] == pytest.approx(best, abs=1e-12)
+    _, v_min = greedy_backup(m.transition, -m.cost[None])  # the minimum, negated
     worst = min(evaluate_policy(m.transition, m.cost[None], p)[0, 0, 0]
                 for p in all_deterministic_policies(m))
-    assert v_min[0, 0] == pytest.approx(worst, abs=1e-12)
+    assert -v_min[0, 0, 0] == pytest.approx(worst, abs=1e-12)
 
 
 def test_greedy_backup_breaks_ties_toward_lower_action():
     kernel = np.ones((1, 1, 3, 1))
     stage = np.array([[[0.4, 0.4, 0.4]]])
-    actions, _ = greedy_backup(kernel, stage, maximize=True)
+    actions, _ = greedy_backup(kernel, stage[None])
     assert actions[0, 0] == 0
 
 
@@ -281,6 +281,21 @@ def test_slater_constant_matches_enumerated_min_cost():
     assert zeta == pytest.approx(m.budget - best, abs=1e-12)
     got = evaluate_policy(m.transition, m.cost[None], pi_min)[0, 0, 0]
     assert got == pytest.approx(best, abs=1e-12)
+
+
+def test_slater_constant_bits_match_minimizing_sweep():
+    # maximizing -c is the minimizing sweep on c, negated exactly: the same
+    # lowest-index argmin at ties, and zeta is b less the policy's own V_c
+    for m in tie_instances() + [random_instance(4, 3, 5, seed=s) for s in range(4)]:
+        zeta, pi_min = slater_constant(m)
+        want_actions, want_v = _backward_induction(
+            _expected_stage(m.transition, m.cost[None]), (1, m.horizon, m.num_states),
+            score=lambda q: -q[0])
+        assert pi_min == Policy.from_actions(want_actions, m.num_actions)
+        s1 = m.initial_state
+        assert zeta == m.budget - want_v[0, 0, s1]
+        assert zeta == m.budget - evaluate_policy(m.transition, m.cost[None], pi_min)[0, 0, s1]
+        assert type(zeta) is float
 
 
 def test_slater_constant_invariant_under_state_relabeling():

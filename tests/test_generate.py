@@ -8,7 +8,7 @@ import pytest
 
 from cmdplab import (GenerationError, GenSpec, brute_force_cmdp,
                      evaluate_policy, instance_hash, preset, preset_names,
-                     slater_constant, validate_cmdp)
+                     save_instance, slater_constant, validate_cmdp)
 from cmdplab.generate import generate
 
 
@@ -94,6 +94,22 @@ def test_spec_rejects_bad_dimensions_by_name(name, value):
         GenSpec(**{**good, name: value})
     spec = GenSpec(**{**good, name: np.int64(3)})
     assert getattr(spec, name) == getattr(generate(spec), name) == 3
+
+
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_spec_is_stored_as_python_ints(tmp_path):
+    # numpy dimensions and seed build the same instance, with int dimensions
+    # that save and hash like the Python ones
+    want = generate(GenSpec(3, 2, 3, 0.5, seed=1))
+    save_instance(want, tmp_path / "want.json")
+    for kind in (np.int64, np.uint64, np.int32):
+        spec = GenSpec(kind(3), kind(2), kind(3), 0.5, seed=kind(1))
+        assert all(type(getattr(spec, f)) is int
+                   for f in ("num_states", "num_actions", "horizon", "seed"))
+        m = generate(spec)
+        assert instance_hash(m) == instance_hash(want)
+        save_instance(m, tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_preset_names_and_unknown():

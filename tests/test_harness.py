@@ -142,6 +142,27 @@ def test_learner_run_values_match_uncached_evaluation(chain):
         assert (row.v_r_true, row.v_c_true) == evaluate_mixture(fresh(m), log.mixture)
 
 
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_write_the_python_seeds_report(chain, tmp_path):
+    # the learner and the metrics store a numpy seed as its int, so the run
+    # and its report are byte for byte the Python seed's
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=50, iters=20)
+    for seed in (3, np.int64(3), np.uint64(3)):
+        res = run_learner(m, cfg, seed=seed)
+        rec = compute_metrics(m, exact, res.episodes, config=cfg, seed=seed)
+        assert type(res.seed) is int and type(rec.seed) is int
+        emit_report(rec, tmp_path / type(seed).__name__, charts=False)
+    for name in ("run.csv", "summary.json"):
+        want = (tmp_path / "int" / name).read_bytes()
+        for kind in ("int64", "uint64"):
+            assert (tmp_path / kind / name).read_bytes() == want, (kind, name)
+    with pytest.raises(TypeError):
+        run_learner(m, cfg, seed=3.0)
+    with pytest.raises(TypeError):
+        compute_metrics(m, exact, res.episodes, seed=3.0)
+
+
 def test_replayed_episodes_are_priced_once(chain, monkeypatch):
     # a replay shares its mixture object with the episode before it, and
     # compute_metrics reuses that episode's values; every row keeps the bits

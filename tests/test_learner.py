@@ -396,9 +396,9 @@ def test_zero_bonus_full_model_reduces_to_exact_dp():
     model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
     for lam in (0.0, 0.5, 2.0):
         _, v = lagrangian_greedy_backup(model, lam)
-        _, ref = greedy_backup(m.transition, m.reward - lam * m.cost, maximize=True)
+        _, ref = greedy_backup(m.transition, (m.reward - lam * m.cost)[None])
         got = v[0, 0, 0] - lam * v[1, 0, 0]
-        assert got == pytest.approx(ref[0, 0], abs=1e-9)
+        assert got == pytest.approx(ref[0, 0, 0], abs=1e-9)
 
 
 def test_policy_value_bounds_match_backup_for_greedy_policy():

@@ -58,7 +58,8 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
     assert len(set(outputs)) == len(outputs)
     for output in [("train_dual_seed3", "run.csv"), ("train_plan_bonus0", "summary.json"),
                    ("train_strict", "policy.json"), ("generate", "instance.json"),
-                   ("solve", "stdout"), ("evaluate", "stdout"), ("evaluate_optimal", "stdout"),
+                   ("solve", "stdout"), ("solve_two_state_chain", "stdout"),
+                   ("evaluate", "stdout"), ("evaluate_optimal", "stdout"),
                    ("evaluate_uniform", "policy.json"), ("report", "regret.svg"),
                    ("help", "cmdplab"), ("help", "suite")]:
         assert output in outputs

@@ -174,6 +174,23 @@ def test_monte_carlo_single_episode_has_zero_se():
     assert stats["cost_se"] == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_numpy_integer_seeds_mix_like_python_ints():
+    # a numpy seed is mixed as the Python int it holds, without overflow
+    m = preset("two_state_chain")
+    mix = MixturePolicy.single(Policy.uniform(2, 2, 2))
+    want = monte_carlo_value(m, mix, episodes=300, seed=3)
+    for seed in (np.int64(3), np.uint64(3), np.int8(3)):
+        assert type(mix64(seed)) is int and mix64(seed) == mix64(3)
+        assert monte_carlo_value(m, mix, episodes=300, seed=seed) == want
+    assert mix64(np.uint64(_MASK)) == mix64(_MASK)
+    for seed in (3.0, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            mix64(seed)
+        with pytest.raises(TypeError):
+            monte_carlo_value(m, mix, episodes=300, seed=seed)
+
+
 def test_monte_carlo_rejects_bad_episode_counts():
     m = preset("single_state_tradeoff")
     mix = MixturePolicy.single(Policy.uniform(1, 1, 2))

@@ -16,7 +16,7 @@ from cmdplab import (INFEASIBLE, OPTIMAL, MixturePolicy, Policy, TabularCmdp,
                      evaluate_policy, greedy_backup, load_instance, preset,
                      preset_names, solve_cmdp_exact)
 from cmdplab.solver import DegenerateInstanceError, InstanceTooLargeError
-from conftest import all_deterministic_policies, random_instance
+from conftest import all_deterministic_policies, random_instance, tie_instances
 
 
 def infeasible_instance():
@@ -47,12 +47,12 @@ def near_tie_instance(num_states, horizon):
 
 def test_unconstrained_dominates_enumeration():
     m = random_instance(2, 2, 2, seed=31)
-    _, v = greedy_backup(m.transition, m.reward, maximize=True)
+    _, v = greedy_backup(m.transition, m.reward[None])
     vals = [evaluate_policy(m.transition, m.reward[None], p)[0, 0, 0]
             for p in all_deterministic_policies(m)]
-    assert v[0, 0] == pytest.approx(max(vals), abs=1e-12)
-    _, v_min = greedy_backup(m.transition, m.reward, maximize=False)
-    assert v_min[0, 0] == pytest.approx(min(vals), abs=1e-12)
+    assert v[0, 0, 0] == pytest.approx(max(vals), abs=1e-12)
+    _, v_min = greedy_backup(m.transition, -m.reward[None])  # the minimum, negated
+    assert -v_min[0, 0, 0] == pytest.approx(min(vals), abs=1e-12)
 
 
 def test_dual_value_rejects_negative_lambda():
@@ -66,6 +66,28 @@ def test_dual_value_single_state_closed_form():
     for lam, expect in [(0.0, 1.0), (0.5, 0.75), (1.0, 0.5), (2.0, 1.0)]:
         g, _, _ = dual_value(m, lam)
         assert g == pytest.approx(expect, abs=1e-12)
+
+
+def _two_sweep_dual_value(m, lam):
+    """dual_value as two sweeps: a one-table greedy_backup on r - lam*c, then
+    evaluate_policy of its policy on (r, c)."""
+    actions, v = greedy_backup(m.transition, (m.reward - lam * m.cost)[None])
+    pi = Policy.from_actions(actions, m.num_actions)
+    g = float(v[0, 0, m.initial_state]) + lam * m.budget
+    return g, pi, evaluate_policy(m.transition, m.stages, pi)[:, 0, m.initial_state].tolist()
+
+
+def test_dual_value_bits_match_two_sweeps():
+    # one stacked sweep of (r - lam c, r, c) reads g and (V_r, V_c) with the
+    # bits of the two-sweep formula, at exact ties (dyadic lam) and off them
+    rng = np.random.default_rng(7)
+    lams = [0.0, 0.5, 1.0, 2.0, *(np.arange(1, 64) / 16.0), *rng.uniform(0.0, 5.0, 8)]
+    for m in tie_instances() + [random_instance(4, 3, 5, seed=s) for s in range(4)]:
+        for lam in lams:
+            g, pi, pair = dual_value(m, float(lam))
+            want_g, want_pi, want_pair = _two_sweep_dual_value(m, float(lam))
+            assert (g, pi, pair) == (want_g, want_pi, want_pair), (m, lam)
+            assert type(g) is float and all(type(x) is float for x in pair)
 
 
 def test_dual_function_is_convex_along_grid():
@@ -151,7 +173,7 @@ def test_unconstrained_optimum_feasible_gives_zero_lambda():
     bf = brute_force_cmdp(m)
     assert sol.lambda_star == 0.0
     assert bf.lambda_star == 0.0
-    actions, _ = greedy_backup(m.transition, m.reward, maximize=True)
+    actions, _ = greedy_backup(m.transition, m.reward[None])
     best = Policy.from_actions(actions, m.num_actions)
     vr = evaluate_policy(m.transition, m.reward[None], best)[0, 0, 0]
     assert sol.optimal_value == pytest.approx(vr, abs=1e-12)
