@@ -23,7 +23,6 @@ from .core import (
     _float_field,
     _int_field,
     _mixture_json,
-    instance_hash,
     load_instance,
     load_policy,
     save_instance,
@@ -75,11 +74,11 @@ def cmd_generate(args) -> int:
     else:
         m = generate(GenSpec(args.S, args.A, args.H, zeta_target=args.zeta,
                              dirichlet_alpha=args.alpha, seed=args.seed))
-    save_instance(m, args.out)
+    digest = save_instance(m, args.out)
     zeta, _ = slater_constant(m)
     _emit({
         "path": args.out,
-        "hash": instance_hash(m),
+        "hash": digest,
         "S": m.num_states, "A": m.num_actions, "H": m.horizon,
         "budget": m.budget,
         "zeta": zeta,

@@ -389,9 +389,13 @@ def _indented_json(x, indent="\n") -> str:
     return "[" + inner + ("," + inner).join(rows) + indent + "]"
 
 
-def save_instance(m: TabularCmdp, path) -> None:
+def save_instance(m: TabularCmdp, path) -> str:
+    """Write m as indented JSON. Returns instance_hash(m): the text less its
+    whitespace is the compact JSON instance_hash encodes."""
+    text = _indented_json(_instance_payload(m))
     with open(path, "w") as f:
-        f.write(_indented_json(_instance_payload(m)) + "\n")
+        f.write(text + "\n")
+    return hashlib.sha256("".join(text.split()).encode()).hexdigest()
 
 
 def _int_field(raw: dict, key: str) -> int:

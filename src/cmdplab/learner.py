@@ -35,9 +35,9 @@ build these Q-tables for all pairs at once and run core's backward-induction
 kernel, the one behind evaluate_policy and greedy_backup; both return the
 stacked (2, H+1, S) array of optimistic reward and pessimistic cost values.
 Each step prices E[V] and E[V^2] of both tables in one broadcast matvec and
-one bonus; the broadcast form rounds like a one-table `p @ v`, so the tables
-keep the bits of pricing each table on its own, and a sweep over L
-multipliers keeps the bits of L single sweeps.
+one bonus, or E[V] alone at bonus scale 0 (the bonus is +0.0, see _q_tables);
+this rounds like a one-table `p @ v`, so the tables keep the bits of pricing
+each table on its own, and a sweep over L multipliers keeps L sweeps' bits.
 
 The empirical model keeps one memo of these Q-tables per step, keyed by the
 bytes of the next step's (2, S) values: the lambdas of a walk often agree on
@@ -139,10 +139,9 @@ class LearnerConfig:
             raise ValueError(f"delta must be in (0, 1), got {delta}")
         if mode not in (RELAXED, STRICT):
             raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
-        if shift < 0:
-            raise ValueError(f"shift must be >= 0, got {shift}")
-        if bonus_scale < 0:
-            raise ValueError(f"bonus_scale must be >= 0, got {bonus_scale}")
+        for name, x in (("shift", shift), ("c1", c1), ("c2", c2), ("bonus_scale", bonus_scale)):
+            if x < 0:
+                raise ValueError(f"{name} must be >= 0, got {x}")
         steps = math.ceil(dual_cap / grid_step - 1e-12)
         dual_cap = steps * grid_step
         if eta is None:
@@ -154,12 +153,8 @@ class LearnerConfig:
                              f"200 S A H^2 K^2 / delta is not finite")
         return cls(*map(int, counts.values()),
                    float(dual_cap), float(grid_step), float(eta), float(delta),
-                   float(delta_prime), mode, float(shift), float(c1), float(c2),
-                   float(bonus_scale))
-
-    @property
-    def log_inv_delta_prime(self) -> float:
-        return math.log(1.0 / self.delta_prime)
+                   float(delta_prime), mode, float(shift),
+                   *(float(x) + 0.0 for x in (c1, c2, bonus_scale)))  # -0.0 -> +0.0: see _q_tables
 
     def b_prime(self, budget: float) -> float:
         """The shifted budget the dual update tracks."""
@@ -310,7 +305,7 @@ def _bonus(mean, second, n, cfg: LearnerConfig):
     """Bernstein bonus from the row moments mean = E[V] and second = E[V^2]
     and the batch sizes n behind the rows, all broadcast together."""
     var = np.maximum(second - mean * mean, 0.0)
-    log_term = cfg.log_inv_delta_prime
+    log_term = math.log(1.0 / cfg.delta_prime)
     return cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n)
                               + cfg.c2 * cfg.horizon * log_term / n)
 
@@ -341,15 +336,23 @@ def _q_tables(model, h, v_next):
     same fact; a gemm over the stack would not), and adding the negated bonus
     equals subtracting it, so the tables keep the bits of two separate
     compute_bonus + `p @ v` calls, whatever the leading axes.
+
+    At bonus scale 0 it prices E[V] alone, with the full formula's bits
+    wherever its unscaled bonus is finite (0 * inf would be NaN): each batch
+    item of the matvec is its own product, and with c1, c2 >= 0 (make stores
+    +0.0 for -0.0) that bonus is >= +0, so the scaled one is +0.0 and
+    _BONUS_SIGN times it (+0.0, -0.0). That zero is still added first: it
+    turns a -0.0 reward into +0.0 whatever zero the matvec gives.
     """
-    stages = model.stages
-    horizon = float(stages.shape[1])
+    horizon = float(model.stages.shape[1])
     p, n = model.kernel[h], model.counts.batch_size[h]
-    vv = np.concatenate((v_next, v_next * v_next), axis=-2)
-    moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A)
+    scaled = model.cfg.bonus_scale != 0
+    vv = np.concatenate((v_next, v_next * v_next), axis=-2) if scaled else v_next
+    moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A), or (..., 2, S, A)
     mean = moments[..., :2, :, :]
-    bonus = _bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), model.cfg)  # n = 0: overwritten
-    q = stages[:, h] + _BONUS_SIGN * bonus + mean
+    bonus = (_bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), model.cfg)  # n = 0: overwritten
+             if scaled else 0.0)
+    q = model.stages[:, h] + _BONUS_SIGN * bonus + mean
     np.minimum(q[..., 0, :, :], horizon, out=q[..., 0, :, :])
     np.maximum(q[..., 1, :, :], 0.0, out=q[..., 1, :, :])
     unbuilt = n == 0

@@ -535,6 +535,12 @@ def test_save_instance_writes_json_dump_bytes(tmp_path, m):
     assert path.read_bytes() == want.encode()
 
 
+@pytest.mark.parametrize("m", [pytest.param(m, id=label) for label, m in _saved_instances()])
+def test_save_instance_returns_the_instance_hash(tmp_path, m):
+    # the saved text less its whitespace is the compact JSON instance_hash hashes
+    assert save_instance(m, tmp_path / "inst.json") == instance_hash(m)
+
+
 def test_save_load_round_trip_random_kernel(tmp_path):
     # rows that sum to 1 only within float error get renormalized on load,
     # so the kernel may move by an ulp; everything else is exact

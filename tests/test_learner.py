@@ -282,6 +282,8 @@ def test_make_validation_errors():
                        ({"mode": "loose"}, "^mode must be 'relaxed' or 'strict', got 'loose'$"),
                        ({"shift": -0.5}, r"^shift must be >= 0, got -0\.5$"),
                        ({"bonus_scale": -1.0}, r"^bonus_scale must be >= 0, got -1\.0$"),
+                       ({"c1": -5.0}, r"^c1 must be >= 0, got -5\.0$"),
+                       ({"c2": -1e-300}, r"^c2 must be >= 0, got -1e-300$"),
                        ({"eta": 0.0}, r"^eta must be positive, got 0\.0$"),
                        ({"eta": -1.0}, r"^eta must be positive, got -1\.0$"),
                        ({"episodes": 2.5}, r"^episodes must be an integer >= 1, got 2\.5$"),
@@ -296,6 +298,15 @@ def test_make_validation_errors():
     for delta in (1e-308, 1e-320, 5e-324):
         with pytest.raises(ValueError, match=rf"^delta={delta} is too small"):
             LearnerConfig.make(**{**good, "delta": delta})
+
+
+def test_make_stores_a_negative_zero_constant_as_positive_zero():
+    # a -0.0 bonus scale, or c1 = c2 = -0.0, would make the bonus -0.0
+    good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
+                dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
+    cfg = LearnerConfig.make(**good, c1=-0.0, c2=-0.0, bonus_scale=-0.0)
+    for x in (cfg.c1, cfg.c2, cfg.bonus_scale):
+        assert x == 0.0 and math.copysign(1.0, x) == 1.0
 
 
 @pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon"])
@@ -535,6 +546,86 @@ def test_stacked_q_step_keeps_the_two_call_bits(bonus_scale, dims):
         rule = rng.dirichlet(np.ones(a_), size=(h_, s_))
         _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
         assert np.array_equal(policy_value_bounds(model, Policy(rule)), ref_v)
+
+
+def _full_formula_q_tables(model, h, v_next):
+    """The q-step without its scale-0 branch: E[V] and E[V^2] of both tables
+    and the Bernstein bonus, written out, at every scale. Kept to pin the
+    scale-0 branch's bits."""
+    stages, cfg = model.stages, model.cfg
+    horizon = float(stages.shape[1])
+    p, n = model.kernel[h], model.counts.batch_size[h]
+    vv = np.concatenate((v_next, v_next * v_next), axis=-2)
+    moments = (p @ vv[..., None, :, None])[..., 0]
+    mean, second = moments[..., :2, :, :], moments[..., 2:, :, :]
+    log_term = math.log(1.0 / cfg.delta_prime)
+    n1 = np.maximum(n, 1)
+    var = np.maximum(second - mean * mean, 0.0)
+    bonus = cfg.bonus_scale * (cfg.c1 * np.sqrt(var * log_term / n1)
+                               + cfg.c2 * cfg.horizon * log_term / n1)
+    q = stages[:, h] + np.array([1.0, -1.0])[:, None, None] * bonus + mean
+    np.minimum(q[..., 0, :, :], horizon, out=q[..., 0, :, :])
+    np.maximum(q[..., 1, :, :], 0.0, out=q[..., 1, :, :])
+    unbuilt = n == 0
+    if unbuilt.any():
+        q[..., unbuilt] = ((horizon,), (0.0,))
+    return q
+
+
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1])
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+@pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
+def test_q_step_keeps_the_full_formula_bytes(bonus_scale, mode, dims):
+    # at scale 0 the q-step prices the means alone; its tables, sweeps and
+    # policy bounds keep the bytes of the full formula (scale 0.1 pins the
+    # full path against the same reference). Stage tables and next values
+    # hold +0.0 and -0.0 entries, the models have unbuilt rows, and v_next
+    # comes with no lambda axis and with 1 and 3 rows.
+    s_, a_, h_ = dims
+    cfg = LearnerConfig.make(s_, a_, h_, episodes=300, iters=3, dual_cap=2.0,
+                             grid_step=0.25, delta=0.1, mode=mode, shift=0.5,
+                             bonus_scale=bonus_scale)
+    rng = np.random.default_rng(s_ * a_ + 3)
+
+    def with_zeros(x):
+        pick = rng.integers(3, size=x.shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x))
+
+    for seed in (0, 1):
+        m = random_instance(s_, a_, h_, seed=500 + seed)
+        model = _partly_built_model(m, seed, cfg, with_zeros(m.stages))
+        reference = partial(_full_formula_q_tables, model)
+        for h in range(h_):
+            for lead in ((), (1,), (3,)):
+                v_next = with_zeros(rng.uniform(0.0, h_, size=lead + (2, s_)))
+                got = learner._q_tables(model, h, v_next)
+                assert got.tobytes() == reference(h, v_next).tobytes()
+                assert got.shape == lead + (2, s_, a_)
+        for lam in (0.0, 0.375, 2.0):
+            pi, v = lagrangian_greedy_backup(fresh(model), lam)
+            actions, ref_v = _backward_induction(reference, (2, h_, s_),
+                                                 score=lambda q: q[0] - lam * q[1])
+            assert pi.rule.tobytes() == Policy.from_actions(actions, a_).rule.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+        rule = rng.dirichlet(np.ones(a_), size=(h_, s_))
+        _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
+        assert policy_value_bounds(model, Policy(rule)).tobytes() == ref_v.tobytes()
+
+
+def test_scale_zero_means_no_bonus():
+    # at scale 0, bonus constants whose bonus overflows to inf (0 * inf is
+    # NaN) give the tables of the default constants
+    s_, a_, h_ = 3, 2, 3
+    m = random_instance(s_, a_, h_, seed=7)
+    make = partial(LearnerConfig.make, s_, a_, h_, episodes=300, iters=3, dual_cap=2.0,
+                   grid_step=0.25, delta=0.1, mode="relaxed", shift=0.5, bonus_scale=0.0)
+    huge = _partly_built_model(m, 0, make(c1=1e308, c2=1e308))
+    default = _partly_built_model(m, 0, make())
+    v_next = np.random.default_rng(7).uniform(0.0, h_, size=(2, s_))
+    for h in range(h_):
+        q = learner._q_tables(huge, h, v_next)
+        assert not np.isnan(q).any()
+        assert q.tobytes() == learner._q_tables(default, h, v_next).tobytes()
 
 
 @pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
