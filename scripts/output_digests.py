@@ -8,8 +8,8 @@ directory:
   learner seeds 1, 2 and 3;
 - generate a 10x4x8 instance at seed 3 (zeta 0.5), solve it, and train on it
   with perfbench's train_plan options (-K 300 -T 3, epsilon 1, seed 3) at
-  bonus scales 0 and 0.1, and in strict mode at -K 200 -T 37, bonus 0.1
-  and bonus 0;
+  bonus scales 0 and 0.1 and at the CLI's default scale 1 (no
+  --bonus-scale), and in strict mode at -K 200 -T 37, bonus 0.1 and bonus 0;
 - solve each preset (their dual bisections reach exact ties, such as
   lambda = 0.5 on two_state_chain);
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
@@ -57,6 +57,7 @@ RUNS = [
     ("train_plan_bonus0", ["train", *PLAN, "-K", "300", "-T", "3", "--bonus-scale", "0"]),
     ("train_plan_bonus0.1", ["train", *PLAN, "-K", "300", "-T", "3",
                              "--bonus-scale", "0.1"]),
+    ("train_plan_bonus1", ["train", *PLAN, "-K", "300", "-T", "3"]),  # the default scale
     ("train_strict", ["train", *PLAN, "--mode", "strict", "-K", "200", "-T", "37",
                       "--bonus-scale", "0.1"]),
     ("train_strict_bonus0", ["train", *PLAN, "--mode", "strict", "-K", "200", "-T", "37",

@@ -38,6 +38,8 @@ Each step prices E[V] and E[V^2] of both tables in one broadcast matvec and
 one bonus, or E[V] alone at bonus scale 0 (the bonus is +0.0, see _q_tables);
 this rounds like a one-table `p @ v`, so the tables keep the bits of pricing
 each table on its own, and a sweep over L multipliers keeps L sweeps' bits.
+Each step starts from the model's base table, which record_transition keeps
+at the stage tables on built rows and at the defaults on the others.
 
 The empirical model keeps one memo of these Q-tables per step, keyed by the
 bytes of the next step's (2, S) values: the lambdas of a walk often agree on
@@ -66,7 +68,7 @@ import math
 import operator
 import time
 from dataclasses import asdict, dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -238,13 +240,13 @@ class EmpiricalModel:
     """Counts, the current empirical kernel, and what its backups depend on.
 
     kernel rows are defined only where counts.batch_size >= 1; undefined rows
-    stay zero and are never consulted (the backup takes the default branch).
-    stages holds the known (2, H, S, A) reward and cost tables and cfg the
-    run's config. memo caches each step's Q-tables by the next-step values'
-    bytes (see the module docstring), and pool maps an action table's bytes
-    to the one Policy built for it, so equal backups return the same object.
-    Once a backup has run, change kernel and counts only through
-    record_transition, which keeps the memo valid.
+    stay zero. stages holds the known (2, H, S, A) reward and cost tables and
+    cfg the run's config. base, built from the counts on first use, is where
+    each q-step starts (see _q_tables). memo caches each step's Q-tables by
+    the next-step values' bytes (see the module docstring), and pool maps an
+    action table's bytes to the one Policy built for it, so equal backups
+    return the same object. Once a backup has run, change kernel and counts
+    only through record_transition, which keeps base and the memo valid.
     """
 
     counts: CountTables
@@ -270,6 +272,8 @@ class EmpiricalModel:
     def from_kernel(cls, kernel: np.ndarray, stages: np.ndarray, cfg: LearnerConfig,
                     batch_size: int = 1) -> "EmpiricalModel":
         """Fully populated model with every row backed by a batch of the given size."""
+        if batch_size < 1:  # an unbuilt row's kernel row must be zero (see _q_tables)
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
         model.counts.total[:] = batch_size
@@ -277,14 +281,21 @@ class EmpiricalModel:
         model.counts.epochs[:] = 1
         return model
 
+    @cached_property
+    def base(self) -> np.ndarray:
+        unbuilt = np.array([self.stages.shape[1], 0.0])[:, None, None, None]  # (H, 0.0)
+        return np.where(self.counts.batch_size, self.stages + _BONUS_SIGN[:, None] * 0.0, unbuilt)
+
 
 def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int) -> bool:
     """Fold one transition into the counts; True iff the (h, s, a) row was rebuilt.
 
     Rebuilds happen when the lifetime count hits a power of two (1, 2, 4, ...);
     the new row is the distribution of the batch accumulated since the last
-    rebuild, the batch then resets, and step h's memo is cleared.
+    rebuild, the batch resets, base takes the row's stages, and memo[h] clears.
     """
+    if h < 0 or s < 0 or a < 0 or s_next < 0:  # numpy would wrap them round
+        raise ValueError(f"indices must be >= 0, got h={h}, s={s}, a={a}, s_next={s_next}")
     c = model.counts
     c.total[h, s, a] += 1
     c.batch_counts[h, s, a, s_next] += 1
@@ -297,6 +308,8 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     c.batch_size[h, s, a] = size
     c.epochs[h, s, a] += 1
     batch[:] = 0
+    model.base[0, h, s, a] = model.stages[0, h, s, a] + 0.0  # -0.0 -> +0.0: see _q_tables
+    model.base[1, h, s, a] = model.stages[1, h, s, a]
     model.memo[h].clear()
     return True
 
@@ -328,7 +341,7 @@ _BONUS_SIGN = np.array([1.0, -1.0])[:, None, None]  # optimistic reward, pessimi
 
 def _q_tables(model, h, v_next):
     """Clipped optimistic-reward and pessimistic-cost Q-tables at step h,
-    stacked (..., 2, S, A) from the model's stage tables and the (..., 2, S)
+    stacked (..., 2, S, A) from the model's base table and the (..., 2, S)
     next-step values; any leading axes are kept.
 
     One broadcast matvec prices E[V] and E[V^2] of both tables for every row.
@@ -340,24 +353,24 @@ def _q_tables(model, h, v_next):
     At bonus scale 0 it prices E[V] alone, with the full formula's bits
     wherever its unscaled bonus is finite (0 * inf would be NaN): each batch
     item of the matvec is its own product, and with c1, c2 >= 0 (make stores
-    +0.0 for -0.0) that bonus is >= +0, so the scaled one is +0.0 and
-    _BONUS_SIGN times it (+0.0, -0.0). That zero is still added first: it
-    turns a -0.0 reward into +0.0 whatever zero the matvec gives.
+    +0.0 for -0.0) the bonus b is >= +0, so the scaled one is +0.0. Starting
+    from model.base moves no bit. On built rows base is stages + (+0.0, -0.0),
+    and (r + 0.0) + b == r + b, (c - 0.0) - b == c - b. Unbuilt rows have base
+    (H, 0.0) and a zero kernel row, so the mean is +-0.0: the reward
+    H (+ b) +- 0 >= H clips to exactly H, and the cost 0.0 (- b) +- 0 is +0.0
+    or negative, which np.maximum(., 0.0) makes +0.0 (np.clip keeps a -0.0).
     """
-    horizon = float(model.stages.shape[1])
-    p, n = model.kernel[h], model.counts.batch_size[h]
-    scaled = model.cfg.bonus_scale != 0
-    vv = np.concatenate((v_next, v_next * v_next), axis=-2) if scaled else v_next
-    moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A), or (..., 2, S, A)
-    mean = moments[..., :2, :, :]
-    bonus = (_bonus(mean, moments[..., 2:, :, :], np.maximum(n, 1), model.cfg)  # n = 0: overwritten
-             if scaled else 0.0)
-    q = model.stages[:, h] + _BONUS_SIGN * bonus + mean
-    np.minimum(q[..., 0, :, :], horizon, out=q[..., 0, :, :])
+    p, base = model.kernel[h], model.base[:, h]
+    if model.cfg.bonus_scale:
+        vv = np.concatenate((v_next, v_next * v_next), axis=-2)
+        moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A)
+        mean = moments[..., :2, :, :]
+        n = np.maximum(model.counts.batch_size[h], 1)  # n = 0: an unbuilt row, see above
+        q = base + _BONUS_SIGN * _bonus(mean, moments[..., 2:, :, :], n, model.cfg) + mean
+    else:
+        q = base + (p @ v_next[..., None, :, None])[..., 0]
+    np.minimum(q[..., 0, :, :], float(model.stages.shape[1]), out=q[..., 0, :, :])
     np.maximum(q[..., 1, :, :], 0.0, out=q[..., 1, :, :])
-    unbuilt = n == 0
-    if unbuilt.any():
-        q[..., unbuilt] = ((horizon,), (0.0,))
     return q
 
 
@@ -374,8 +387,8 @@ def lagrangian_greedy_backup(model: EmpiricalModel, lam):
     _q_tables call, and each policy comes from model.pool.
     """
     lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1 or not lams.size:
-        raise ValueError(f"lam must be a number or a non-empty sequence, got {lam!r}")
+    if lams.ndim > 1 or not lams.size or not all(map(math.isfinite, lams.ravel().tolist())):
+        raise ValueError(f"lam must be finite: a number or a non-empty sequence, got {lam!r}")
     single = lams.size == 1  # no lambda axis, and one dict.get a step: cheaper than a batch
     memo, pool = model.memo, model.pool
     value_shape = model.stages.shape[:3]  # (2, H, S)
@@ -420,6 +433,8 @@ def policy_value_bounds(model: EmpiricalModel, policy: Policy):
     own action distribution; used to check the optimism guarantee. Returns
     the (2, H+1, S) stack of optimistic reward and pessimistic cost values.
     """
+    if policy.rule.shape != model.stages.shape[1:]:
+        raise ValueError(f"policy shape {policy.rule.shape} != (H, S, A) {model.stages.shape[1:]}")
     return _backward_induction(partial(_q_tables, model), model.stages.shape[:3],
                                rule=policy.rule)[1]
 

@@ -5,6 +5,7 @@ is exact (log term 1, dyadic probabilities); derivations inline.
 """
 
 import math
+import re
 from dataclasses import replace
 from functools import partial
 
@@ -161,6 +162,24 @@ def test_record_transition_clears_only_the_rebuilt_step():
         sizes = [len(table) for table in model.memo]
         assert not record_transition(model, h, 1, 0, 2)  # count 3: none
         assert [len(table) for table in model.memo] == sizes
+
+
+def test_record_transition_rejects_negative_indices():
+    # numpy would wrap a negative index round to the last row or state
+    model = EmpiricalModel.empty(np.zeros((2, 2, 3, 2)), exact_log_config())
+    for args in ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)):
+        with pytest.raises(ValueError, match="indices must be >= 0"):
+            record_transition(model, *args)
+    assert not model.counts.total.any() and not model.kernel.any()
+    assert record_transition(model, np.int64(1), 2, 1, 0)  # numpy integers pass
+
+
+def test_from_kernel_rejects_an_unbuilt_batch_size():
+    m = preset("two_state_chain")
+    for size in (0, -1):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
+                                       batch_size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +453,16 @@ def test_optimism_with_true_kernel_and_full_bonus():
     assert vc_hat <= vc + 1e-12
 
 
+def test_policy_value_bounds_rejects_a_rule_of_another_shape():
+    m = random_instance(3, 2, 3, seed=4)
+    cfg = exact_log_config(num_states=3, num_actions=2, horizon=3)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
+    for shape in ((3, 3, 3), (2, 3, 2), (3, 2, 2)):
+        rule = np.full(shape, 1.0 / shape[-1])
+        with pytest.raises(ValueError, match=re.escape(f"{shape} != (H, S, A) (3, 3, 2)")):
+            policy_value_bounds(model, Policy(rule))
+
+
 def _reference_q_tables(model, vr_next, vc_next, h):
     """The per-(s, a) loop the vectorised backup replaced, kept as an oracle."""
     (reward, cost), cfg = model.stages, model.cfg
@@ -629,6 +658,60 @@ def test_scale_zero_means_no_bonus():
 
 
 @pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("mode", ["relaxed", "strict"])
+def test_base_table_keeps_the_full_formula_bytes_through_record_transition(bonus_scale,
+                                                                            mode):
+    # a model built only through record_transition, from an empty one, with
+    # a backup before the first arrival and after every rebuild: after each
+    # rebuild the q-step at every step, the greedy sweeps and the policy
+    # bounds keep the bytes of the full formula, which reads stages, counts
+    # and kernel, never model.base; so does a fresh copy, whose base is built
+    # from the counts. Stage tables and next values hold +0.0 and -0.0, and
+    # small bonus constants keep the bonus of a small batch below the clips.
+    s_, a_, h_ = 4, 3, 3
+    cfg = LearnerConfig.make(s_, a_, h_, episodes=300, iters=3, dual_cap=2.0,
+                             grid_step=0.25, delta=0.1, mode=mode, shift=0.5,
+                             c1=0.01, c2=0.01, bonus_scale=bonus_scale)
+    rng = np.random.default_rng(int(10 * bonus_scale) + (mode == "strict"))
+
+    def with_zeros(x):
+        pick = rng.integers(3, size=x.shape)
+        return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x))
+
+    m = random_instance(s_, a_, h_, seed=600)
+    model = EmpiricalModel.empty(with_zeros(m.stages), cfg)
+    reference = partial(_full_formula_q_tables, model)
+    lams = [0.0, 0.375, 2.0]
+    rule = rng.dirichlet(np.ones(a_), size=(h_, s_))
+    lagrangian_greedy_backup(model, lams)
+    rows = rng.random((h_, s_, a_)) ** 3  # skewed, so rows build at different times
+    rebuilds = 0
+    for _ in range(200):
+        h, s, a = np.unravel_index(rng.choice(rows.size, p=(rows / rows.sum()).ravel()),
+                                   rows.shape)
+        if not record_transition(model, h, s, a, rng.integers(s_)):
+            continue
+        rebuilds += 1
+        for mdl in (model, fresh(model)):
+            for step in range(h_):
+                for v_next in (with_zeros(rng.uniform(0.0, h_, size=(2, s_))),
+                               np.full((3, 2, s_), -0.0)):
+                    got = learner._q_tables(mdl, step, v_next)
+                    assert got.tobytes() == reference(step, v_next).tobytes()
+            policies, v = lagrangian_greedy_backup(mdl, lams)
+            for lam, pi, v_lam in zip(lams, policies, v):
+                actions, ref_v = _backward_induction(reference, (2, h_, s_),
+                                                     score=lambda q: q[0] - lam * q[1])
+                one_pi, one_v = lagrangian_greedy_backup(mdl, lam)
+                for got_pi, got_v in ((pi, v_lam), (one_pi, one_v)):  # batched and single
+                    assert got_pi.rule.tobytes() == Policy.from_actions(actions, a_).rule.tobytes()
+                    assert got_v.tobytes() == ref_v.tobytes()
+            _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
+            assert policy_value_bounds(mdl, Policy(rule)).tobytes() == ref_v.tobytes()
+    assert rebuilds > 50 and not model.counts.batch_size.all()  # some rows stay unbuilt
+
+
+@pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
 @pytest.mark.parametrize("dims", [(10, 4, 8), (1, 4, 6), (5, 1, 6)])
 def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
     # the model's memo, shared by every lambda and kept across rebuilds,
@@ -707,6 +790,10 @@ def test_backup_rejects_an_empty_multiplier_sequence():
     model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
     with pytest.raises(ValueError, match="non-empty sequence"):
         lagrangian_greedy_backup(model, [])
+    for lam in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1.0]):
+        with pytest.raises(ValueError, match=re.escape(f"must be finite: a number or a "
+                                                       f"non-empty sequence, got {lam!r}")):
+            lagrangian_greedy_backup(model, lam)
 
 
 def test_backups_sharing_a_pool_return_one_policy_object():

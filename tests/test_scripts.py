@@ -57,6 +57,7 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
     outputs = [(label, name) for _, label, name in lines]
     assert len(set(outputs)) == len(outputs)
     for output in [("train_dual_seed3", "run.csv"), ("train_plan_bonus0", "summary.json"),
+                   ("train_plan_bonus1", "run.csv"), ("train_plan_bonus1", "policy.json"),
                    ("train_strict", "policy.json"), ("train_strict_bonus0", "run.csv"),
                    ("generate", "instance.json"),
                    ("solve", "stdout"), ("solve_two_state_chain", "stdout"),
