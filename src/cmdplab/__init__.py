@@ -17,7 +17,7 @@ from .learner import (RELAXED, STRICT, DualWalk, EmpiricalModel, EpisodeLog,
                       LearnerConfig, LearnerResult, compute_bonus,
                       derive_config, grid_index, lagrangian_greedy_backup,
                       policy_value_bounds, primal_dual_episode,
-                      record_transition, round_to_grid, run_learner)
+                      record_transition, run_learner)
 from .simulate import monte_carlo_value, sample_mixture_episode
 from .solver import (INFEASIBLE, OPTIMAL, ExactSolution, brute_force_cmdp,
                      dual_value, solve_cmdp_exact)

@@ -26,10 +26,10 @@ from .learner import (
     EmpiricalModel,
     LearnerConfig,
     derive_config,
+    grid_index,
     lagrangian_greedy_backup,
     policy_value_bounds,
     record_transition,
-    round_to_grid,
     run_learner,
 )
 from .simulate import monte_carlo_value
@@ -152,20 +152,20 @@ def check_doubling_epochs():
     total = res.episodes[-1].model_updates_cum
     if total > cap:
         return False, f"{total} model updates > bound {cap}"
-    counts = res.model.counts
-    for key in map(tuple, np.argwhere(counts.total).tolist()):
+    model = res.model
+    for key in map(tuple, np.argwhere(model.total).tolist()):
         # replay the pair's visits on a one-pair model, reading the batch
         # behind its row after each rebuild
         replay = EmpiricalModel.empty(np.zeros((2, 1, 1, 1)), cfg)
-        sizes = [int(replay.counts.batch_size[0, 0, 0])
-                 for _ in range(int(counts.total[key]))
+        sizes = [int(replay.batch_size[0, 0, 0])
+                 for _ in range(int(model.total[key]))
                  if record_transition(replay, 0, 0, 0, 0)]
         want = [1] + [2 ** i for i in range(len(sizes) - 1)]
         if sizes != want:
             return False, f"batch sizes {sizes} at {key} not doubling"
-        if (counts.epochs[key], counts.batch_size[key]) != (len(sizes), sizes[-1]):
-            return False, (f"{key}: {counts.epochs[key]} rebuilds, last batch "
-                           f"{counts.batch_size[key]}; the replay gives "
+        if (model.epochs[key], model.batch_size[key]) != (len(sizes), sizes[-1]):
+            return False, (f"{key}: {model.epochs[key]} rebuilds, last batch "
+                           f"{model.batch_size[key]}; the replay gives "
                            f"{len(sizes)}, {sizes[-1]}")
     return True, f"{total} updates <= {cap}, all batches 1,1,2,4,..."
 
@@ -229,8 +229,8 @@ def check_greedy_backup_exactness():
     for i, m in enumerate(_small_instances(50, [(2, 2, 2)], (0.3, 0.5), seed0=700)):
         model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=4)
         for lam in (0.0, 0.5, cfg.dual_cap):
-            _, v = lagrangian_greedy_backup(model, lam)
-            vr, vc = v[:, 0, m.initial_state]
+            _, v = lagrangian_greedy_backup(model, [lam])
+            vr, vc = v[0, :, 0, m.initial_state]
             got = vr - lam * vc
             best = -math.inf
             for acts in itertools.product(
@@ -291,7 +291,7 @@ def check_grid_rounding():
     lam = rng.uniform(-0.5, cap + 0.5, size=100_000)
     worst = 0.0
     for x in lam:
-        r = round_to_grid(float(x), step, cap)
+        r = grid_index(float(x), step, cap) * step
         if x < 0.0:
             ok = r == 0.0
         elif x > cap:

@@ -150,7 +150,7 @@ def cmd_train(args) -> int:
     exact = solve_cmdp_exact(m)
     require_feasible(m, exact)  # before the learner runs or a file is written
     res = run_learner(m, cfg, seed=opt["seed"], measure_time=opt["timing"])
-    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=res.seed)
+    record = compute_metrics(m, exact, res.episodes, config=cfg, seed=opt["seed"])
     verdict = check_final_policy(m, exact, res.final_policy,
                                  opt["epsilon"], opt["mode"])
     paths = emit_report(record, args.out, verdicts=[verdict],

@@ -16,8 +16,8 @@ distinct greedy policy by the iterations it was played / (K T).
 A replan usually revisits most of the previous walk's indices, so the
 previous walk is always its hint: it backs them up first, with index 0, in
 one sweep with a leading lambda axis, and then walks through those results,
-backing up each index outside them on its own. A hint changes which sweeps
-run, never the walk.
+backing up each index outside them on its own, in a sweep with no lambda
+axis. A hint changes which sweeps run, never the walk.
 Equal greedy backups within a run share one Policy object, interned by the
 bytes of their action table, so dict lookups on policies stop at the
 identity check.
@@ -52,9 +52,10 @@ memo[h], and no other step, when it rebuilds a row of step h, so a hit
 returns the very array a fresh computation would.
 
 The empirical kernel row for a pair is rebuilt from scratch each time its
-total visit count crosses a power of two, using only the transitions observed
-since the previous rebuild; batch sizes per pair therefore follow
-1, 1, 2, 4, 8, ... and each pair is rebuilt at most log2(K) + 1 times.
+lifetime visit count (the model's total) reaches a power of two, using only
+the transitions observed since the previous rebuild (batch_counts); the sizes
+of the batches behind the rows (batch_size) therefore follow 1, 1, 2, 4, 8, ...
+and each pair is rebuilt (epochs) at most log2(K) + 1 times.
 
 Budget shift: relaxed mode aims at b' = b + shift (slack spent on faster
 learning), strict mode at b' = b - shift (margin spent on safety). The true
@@ -65,7 +66,6 @@ the learner sees the environment only through sampled transitions.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import asdict, dataclass
 from functools import cached_property, partial
@@ -225,31 +225,26 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, bonus_scale=1.0,
 
 
 @dataclass
-class CountTables:
-    """Visit statistics per (h, s, a): lifetime totals, the accumulating batch,
-    the size of the last built batch (0 = none yet) and the rebuild count."""
+class EmpiricalModel:
+    """Visit counts, the current empirical kernel, and what its backups depend on.
+
+    Per (h, s, a), total counts lifetime visits, batch_counts the transitions
+    since the last rebuild, batch_size the size of the batch behind the kernel
+    row (0 = none built yet) and epochs the rebuilds. kernel rows are defined
+    only where batch_size >= 1; undefined rows stay zero. stages holds the
+    known (2, H, S, A) reward and cost tables and cfg the run's config. base,
+    built from batch_size on first use, is where each q-step starts (see
+    _q_tables). memo caches each step's Q-tables by the next-step values'
+    bytes (see the module docstring), and pool maps an action table's bytes
+    to the one Policy built for it, so equal backups return the same object.
+    Once a backup has run, change the counts and kernel only through
+    record_transition, which keeps base and the memo valid.
+    """
 
     total: np.ndarray  # (H, S, A) lifetime visits
     batch_counts: np.ndarray  # (H, S, A, S) transitions since last rebuild
     batch_size: np.ndarray  # (H, S, A) size of the batch behind kernel rows
     epochs: np.ndarray  # (H, S, A) number of rebuilds
-
-
-@dataclass
-class EmpiricalModel:
-    """Counts, the current empirical kernel, and what its backups depend on.
-
-    kernel rows are defined only where counts.batch_size >= 1; undefined rows
-    stay zero. stages holds the known (2, H, S, A) reward and cost tables and
-    cfg the run's config. base, built from the counts on first use, is where
-    each q-step starts (see _q_tables). memo caches each step's Q-tables by
-    the next-step values' bytes (see the module docstring), and pool maps an
-    action table's bytes to the one Policy built for it, so equal backups
-    return the same object. Once a backup has run, change kernel and counts
-    only through record_transition, which keeps base and the memo valid.
-    """
-
-    counts: CountTables
     kernel: np.ndarray  # (H, S, A, S)
     stages: np.ndarray  # (2, H, S, A)
     cfg: LearnerConfig
@@ -259,14 +254,9 @@ class EmpiricalModel:
     @classmethod
     def empty(cls, stages: np.ndarray, cfg: LearnerConfig) -> "EmpiricalModel":
         horizon, num_states, _ = shape = stages.shape[1:]
-        return cls(
-            CountTables(
-                total=np.zeros(shape, dtype=np.int64),
-                batch_counts=np.zeros(shape + (num_states,), dtype=np.int64),
-                batch_size=np.zeros(shape, dtype=np.int64),
-                epochs=np.zeros(shape, dtype=np.int64),
-            ),
-            np.zeros(shape + (num_states,)), stages, cfg, [{} for _ in range(horizon)], {})
+        total, batch_size, epochs = (np.zeros(shape, dtype=np.int64) for _ in range(3))
+        return cls(total, np.zeros(shape + (num_states,), dtype=np.int64), batch_size, epochs,
+                   np.zeros(shape + (num_states,)), stages, cfg, [{} for _ in range(horizon)], {})
 
     @classmethod
     def from_kernel(cls, kernel: np.ndarray, stages: np.ndarray, cfg: LearnerConfig,
@@ -276,15 +266,15 @@ class EmpiricalModel:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
-        model.counts.total[:] = batch_size
-        model.counts.batch_size[:] = batch_size
-        model.counts.epochs[:] = 1
+        model.total[:] = batch_size
+        model.batch_size[:] = batch_size
+        model.epochs[:] = 1
         return model
 
     @cached_property
     def base(self) -> np.ndarray:
         unbuilt = np.array([self.stages.shape[1], 0.0])[:, None, None, None]  # (H, 0.0)
-        return np.where(self.counts.batch_size, self.stages + _BONUS_SIGN[:, None] * 0.0, unbuilt)
+        return np.where(self.batch_size, self.stages + _BONUS_SIGN[:, None] * 0.0, unbuilt)
 
 
 def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int) -> bool:
@@ -296,17 +286,16 @@ def record_transition(model: EmpiricalModel, h: int, s: int, a: int, s_next: int
     """
     if h < 0 or s < 0 or a < 0 or s_next < 0:  # numpy would wrap them round
         raise ValueError(f"indices must be >= 0, got h={h}, s={s}, a={a}, s_next={s_next}")
-    c = model.counts
-    c.total[h, s, a] += 1
-    c.batch_counts[h, s, a, s_next] += 1
-    n = int(c.total[h, s, a])
+    model.batch_counts[h, s, a, s_next] += 1  # all four indices: a bad one raises first
+    model.total[h, s, a] += 1
+    n = int(model.total[h, s, a])
     if n & (n - 1):
         return False
-    batch = c.batch_counts[h, s, a]
+    batch = model.batch_counts[h, s, a]
     size = int(batch.sum())
     model.kernel[h, s, a] = batch / size
-    c.batch_size[h, s, a] = size
-    c.epochs[h, s, a] += 1
+    model.batch_size[h, s, a] = size
+    model.epochs[h, s, a] += 1
     batch[:] = 0
     model.base[0, h, s, a] = model.stages[0, h, s, a] + 0.0  # -0.0 -> +0.0: see _q_tables
     model.base[1, h, s, a] = model.stages[1, h, s, a]
@@ -365,7 +354,7 @@ def _q_tables(model, h, v_next):
         vv = np.concatenate((v_next, v_next * v_next), axis=-2)
         moments = (p @ vv[..., None, :, None])[..., 0]  # (..., 4, S, A)
         mean = moments[..., :2, :, :]
-        n = np.maximum(model.counts.batch_size[h], 1)  # n = 0: an unbuilt row, see above
+        n = np.maximum(model.batch_size[h], 1)  # n = 0: an unbuilt row, see above
         q = base + _BONUS_SIGN * _bonus(mean, moments[..., 2:, :, :], n, model.cfg) + mean
     else:
         q = base + (p @ v_next[..., None, :, None])[..., 0]
@@ -374,22 +363,22 @@ def _q_tables(model, h, v_next):
     return q
 
 
-def lagrangian_greedy_backup(model: EmpiricalModel, lam):
-    """Greedy backward induction on q_r - lam * q_c over the empirical model.
+def lagrangian_greedy_backup(model: EmpiricalModel, lams):
+    """Greedy backward induction on q_r - lam * q_c over the empirical model,
+    for each lam of the non-empty 1-D sequence lams, all in one sweep.
 
-    lam is one multiplier or a non-empty sequence of L, all backed up in one
-    sweep. For one, returns (deterministic Policy, v), with ties going to the
-    lowest action index, and v the (2, H+1, S) stack of the policy's
-    optimistic reward and pessimistic cost values; for L, returns the list of
-    L policies and their (L, 2, H+1, S) values, each policy and slice equal,
-    bit for bit, to that multiplier's own backup. Each step reads and fills
+    Returns the list of L deterministic policies, ties going to the lowest
+    action index, and their (L, 2, H+1, S) optimistic reward and pessimistic
+    cost values; each policy and slice equals, bit for bit, that multiplier's
+    own backup. One multiplier is swept with no lambda axis and one dict.get
+    a step, which is cheaper than a batch of one. Each step reads and fills
     model.memo[h], computing only the distinct keys it misses in one
     _q_tables call, and each policy comes from model.pool.
     """
-    lams = np.asarray(lam, dtype=float)
-    if lams.ndim > 1 or not lams.size or not all(map(math.isfinite, lams.ravel().tolist())):
-        raise ValueError(f"lam must be finite: a number or a non-empty sequence, got {lam!r}")
-    single = lams.size == 1  # no lambda axis, and one dict.get a step: cheaper than a batch
+    lam = np.asarray(lams, dtype=float)
+    if lam.ndim != 1 or not lam.size or not all(map(math.isfinite, lam.tolist())):
+        raise ValueError(f"lams must be a non-empty 1-D sequence of finite numbers, got {lams!r}")
+    single = lam.size == 1
     memo, pool = model.memo, model.pool
     value_shape = model.stages.shape[:3]  # (2, H, S)
 
@@ -408,22 +397,22 @@ def lagrangian_greedy_backup(model: EmpiricalModel, lam):
         return np.array([table[key] for key in keys])
 
     if single:
-        lam0 = lams.item(0)
+        lam0 = lam.item(0)
         actions, v = _backward_induction(q_step, value_shape,
                                          score=lambda q: q[0] - lam0 * q[1])
         actions, v = actions[:, None], v[None]
     else:
-        lam_col = lams[:, None, None]
-        actions, v = _backward_induction(q_step, (lams.size,) + value_shape,
+        lam_col = lam[:, None, None]
+        actions, v = _backward_induction(q_step, (lam.size,) + value_shape,
                                          score=lambda q: q[:, 0] - lam_col * q[:, 1])
     policies = []
-    for j in range(lams.size):
+    for j in range(lam.size):
         key = actions[:, j].tobytes()
         pi = pool.get(key)
         if pi is None:
             pi = pool[key] = Policy.from_actions(actions[:, j], model.stages.shape[3])
         policies.append(pi)
-    return (policies[0], v[0]) if lams.ndim == 0 else (policies, v)
+    return policies, v
 
 
 def policy_value_bounds(model: EmpiricalModel, policy: Policy):
@@ -456,11 +445,6 @@ def grid_index(lam_raw: float, grid_step: float, cap: float) -> int:
     if x - i > 0.5:
         i += 1
     return min(i, top)
-
-
-def round_to_grid(lam_raw: float, grid_step: float, cap: float) -> float:
-    """The grid point grid_index picks, as a multiplier value."""
-    return grid_index(lam_raw, grid_step, cap) * grid_step
 
 
 class DualWalk(NamedTuple):
@@ -541,7 +525,6 @@ class LearnerResult:
     final_policy: MixturePolicy
     episodes: list
     model: EmpiricalModel
-    seed: int
 
 
 def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
@@ -599,4 +582,4 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             plays[p] = plays.get(p, 0) + n * replays
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
-    return LearnerResult(final, logs, model, operator.index(seed))
+    return LearnerResult(final, logs, model)

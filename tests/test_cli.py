@@ -10,6 +10,7 @@ import pytest
 from cmdplab import (MixturePolicy, Policy, instance_hash, load_instance,
                      load_policy, preset, save_instance, save_policy,
                      slater_constant)
+import cmdplab.acceptance as acceptance
 from cmdplab.cli import main
 
 
@@ -321,6 +322,27 @@ def test_suite_runs_a_repeated_name_once(capsys):
     lines = [l for l in out.splitlines() if l.startswith("[")]
     assert len(lines) == 1 and lines[0].startswith("[PASS] grid-rounding:")
     assert "all 1 checks passed" in out
+
+
+def test_suite_runs_the_whole_battery_and_reports_failures(capsys, monkeypatch):
+    # with no --only the suite runs every check in ALL_CHECKS; one failure
+    # prints the count and names and exits 1
+    monkeypatch.setattr(acceptance, "_REGISTRY", {})
+
+    @acceptance._budget(60.0)
+    def check_stub_pass():
+        return True, "fine"
+
+    @acceptance._budget(60.0)
+    def check_stub_fail():
+        return False, "broke"
+
+    monkeypatch.setattr(acceptance, "ALL_CHECKS", (check_stub_pass, check_stub_fail))
+    code, out = run_cli(capsys, "suite")
+    assert code == 1
+    assert out.splitlines() == ["[PASS] stub-pass: fine (0.0s)",
+                                "[FAIL] stub-fail: broke (0.0s)",
+                                "1 of 2 checks failed: stub-fail"]
 
 
 def test_suite_unknown_check_name(capsys):

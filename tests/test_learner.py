@@ -18,7 +18,7 @@ from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
                      compute_bonus, derive_config, evaluate_policy, generate,
                      greedy_backup, grid_index, lagrangian_greedy_backup,
                      policy_value_bounds, preset, primal_dual_episode,
-                     record_transition, round_to_grid, run_learner)
+                     record_transition, run_learner)
 import cmdplab.learner as learner
 from cmdplab.core import _backward_induction
 from cmdplab.simulate import _BLOCK, _stream_floats
@@ -33,6 +33,12 @@ def exact_log_config(**kw):
                 delta_prime=math.exp(-1.0), mode="relaxed", shift=0.0)
     base.update(kw)
     return LearnerConfig(**base)
+
+
+def backup_one(model, lam):
+    """The backup of the one multiplier lam: its policy and (2, H+1, S) values."""
+    (pi,), v = lagrangian_greedy_backup(model, [lam])
+    return pi, v[0]
 
 
 def fresh(model):
@@ -108,11 +114,11 @@ def test_rebuild_fires_exactly_at_powers_of_two():
     for _ in range(20):
         flags.append(record_transition(model, 0, 0, 0, 0))
         if flags[-1]:
-            sizes.append(int(model.counts.batch_size[0, 0, 0]))
+            sizes.append(int(model.batch_size[0, 0, 0]))
     assert [i for i, f in enumerate(flags, start=1) if f] == [1, 2, 4, 8, 16]
     assert sizes == [1, 1, 2, 4, 8]
-    assert int(model.counts.epochs[0, 0, 0]) == 5
-    assert int(model.counts.total[0, 0, 0]) == 20
+    assert int(model.epochs[0, 0, 0]) == 5
+    assert int(model.total[0, 0, 0]) == 20
 
 
 def test_kernel_row_is_last_batch_distribution():
@@ -121,7 +127,7 @@ def test_kernel_row_is_last_batch_distribution():
     for s_next in (0, 1, 1, 0, 1, 0, 1, 1):
         record_transition(model, 0, 0, 0, s_next)
     assert model.kernel[0, 0, 0].tolist() == [0.25, 0.75]
-    assert int(model.counts.batch_size[0, 0, 0]) == 4
+    assert int(model.batch_size[0, 0, 0]) == 4
     # three more arrivals sit in the unbuilt batch; kernel unchanged
     for s_next in (0, 0, 0):
         assert not record_transition(model, 0, 0, 0, s_next)
@@ -133,14 +139,14 @@ def test_from_kernel_marks_every_row_built():
     model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
                                        batch_size=4)
     assert np.array_equal(model.kernel, m.transition)
-    assert np.all(model.counts.batch_size == 4)
-    assert np.all(model.counts.epochs == 1)
+    assert np.all(model.batch_size == 4)
+    assert np.all(model.epochs == 1)
 
 
 def test_empty_model_has_no_built_rows():
     model = EmpiricalModel.empty(np.zeros((2, 4, 3, 2)), exact_log_config())
     assert model.kernel.shape == (4, 3, 2, 3)
-    assert np.all(model.counts.batch_size == 0)
+    assert np.all(model.batch_size == 0)
     assert np.all(model.kernel == 0.0)
     assert model.memo == [{}] * 4 and model.pool == {}
 
@@ -170,8 +176,28 @@ def test_record_transition_rejects_negative_indices():
     for args in ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)):
         with pytest.raises(ValueError, match="indices must be >= 0"):
             record_transition(model, *args)
-    assert not model.counts.total.any() and not model.kernel.any()
+    assert not model.total.any() and not model.kernel.any()
     assert record_transition(model, np.int64(1), 2, 1, 0)  # numpy integers pass
+
+
+def test_record_transition_rejects_an_index_out_of_range_unchanged():
+    # an index past its axis raises before any count, kernel row or batch
+    # moves, so the row keeps its doubling schedule: after a rejected
+    # s_next = 2 on two_state_chain the next visit is count 2, a rebuild
+    # from a batch of 1
+    m = preset("two_state_chain")
+    model = EmpiricalModel.empty(m.stages, exact_log_config())
+    assert record_transition(model, 0, 0, 0, 1)  # count 1: a rebuild
+    names = ("total", "batch_counts", "batch_size", "epochs", "kernel")
+    before = [getattr(model, name).copy() for name in names]
+    for args in ((0, 0, 0, 2), (0, 0, 2, 0), (0, 2, 0, 0), (2, 0, 0, 0)):
+        with pytest.raises(IndexError):
+            record_transition(model, *args)
+        for name, want in zip(names, before):
+            assert np.array_equal(getattr(model, name), want), name
+    assert record_transition(model, 0, 0, 0, 0)  # count 2: a rebuild
+    assert model.kernel[0, 0, 0].tolist() == [1.0, 0.0]
+    assert (model.total[0, 0, 0], model.batch_size[0, 0, 0], model.epochs[0, 0, 0]) == (2, 1, 2)
 
 
 def test_from_kernel_rejects_an_unbuilt_batch_size():
@@ -186,22 +212,25 @@ def test_from_kernel_rejects_an_unbuilt_batch_size():
 # Dual grid projection and ascent.
 
 
-def test_round_to_grid_hand_cases():
-    assert round_to_grid(0.3, 0.25, 1.0) == 0.25
-    assert round_to_grid(0.375, 0.25, 1.0) == 0.25  # midpoint rounds down
-    assert round_to_grid(0.38, 0.25, 1.0) == 0.5
-    assert round_to_grid(1.7, 0.25, 1.0) == 1.0  # clamp to cap
-    assert round_to_grid(-0.2, 0.25, 1.0) == 0.0
-    assert round_to_grid(0.0, 0.25, 1.0) == 0.0
-    assert round_to_grid(1.0, 0.25, 1.0) == 1.0
+def test_grid_point_hand_cases():
+    def point(lam):
+        return grid_index(lam, 0.25, 1.0) * 0.25
+
+    assert point(0.3) == 0.25
+    assert point(0.375) == 0.25  # midpoint rounds down
+    assert point(0.38) == 0.5
+    assert point(1.7) == 1.0  # clamp to cap
+    assert point(-0.2) == 0.0
+    assert point(0.0) == 0.0
+    assert point(1.0) == 1.0
 
 
 @settings(max_examples=300, deadline=None)
 @given(lam=st.floats(-1.0, 3.0), step_pow=st.integers(1, 8))
-def test_round_to_grid_properties(lam, step_pow):
+def test_grid_point_properties(lam, step_pow):
     step = 2.0**-step_pow
     cap = 2.0
-    out = round_to_grid(lam, step, cap)
+    out = grid_index(lam, step, cap) * step
     assert 0.0 <= out <= cap
     assert out / step == round(out / step)  # exact grid multiple (dyadic step)
     clamped = min(max(lam, 0.0), cap)
@@ -412,7 +441,7 @@ def test_empty_model_defaults_saturate():
     m = preset("two_state_chain")
     cfg = exact_log_config()
     model = EmpiricalModel.empty(m.stages, cfg)
-    pi, v = lagrangian_greedy_backup(model, 0.0)
+    pi, v = backup_one(model, 0.0)
     assert np.all(v[0, :2] == 2.0)  # every non-terminal row saturates
     assert np.all(v[1] == 0.0)
     assert pi.validate() == []
@@ -425,7 +454,7 @@ def test_zero_bonus_full_model_reduces_to_exact_dp():
                            bonus_scale=0.0, dual_cap=2.0)
     model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
     for lam in (0.0, 0.5, 2.0):
-        _, v = lagrangian_greedy_backup(model, lam)
+        _, v = backup_one(model, lam)
         _, ref = greedy_backup(m.transition, (m.reward - lam * m.cost)[None])
         got = v[0, 0, 0] - lam * v[1, 0, 0]
         assert got == pytest.approx(ref[0, 0, 0], abs=1e-9)
@@ -435,7 +464,7 @@ def test_policy_value_bounds_match_backup_for_greedy_policy():
     m = random_instance(2, 2, 2, seed=6)
     cfg = exact_log_config(bonus_scale=0.0)
     model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg)
-    pi, v = lagrangian_greedy_backup(model, 0.5)
+    pi, v = backup_one(model, 0.5)
     v2 = policy_value_bounds(model, pi)
     assert np.allclose(v2, v, atol=1e-12)
 
@@ -470,7 +499,7 @@ def _reference_q_tables(model, vr_next, vc_next, h):
     qr, qc = np.empty((s_, a_)), np.empty((s_, a_))
     for s in range(s_):
         for a in range(a_):
-            n = int(model.counts.batch_size[h, s, a])
+            n = int(model.batch_size[h, s, a])
             if n == 0:
                 qr[s, a], qc[s, a] = horizon, 0.0
                 continue
@@ -501,15 +530,17 @@ def _reference_sweep(model, lam=None, rule=None):
 def _partly_built_model(m, seed, cfg, stages=None):
     """Empirical model of m (with m's stage tables unless given) with
     power-of-two batch sizes up to 2**16 (large enough that some bonuses
-    leave the clips) and about one (h, s, a) row in ten unbuilt (zero row,
-    batch size 0)."""
+    leave the clips) and about one (h, s, a) row in ten never visited (zero
+    row and zero counts)."""
     rng = np.random.default_rng(seed)
     model = EmpiricalModel.from_kernel(m.transition, m.stages if stages is None else stages,
                                        cfg)
     sizes = 2 ** rng.integers(0, 17, size=m.reward.shape)
     sizes[rng.random(m.reward.shape) < 0.1] = 0
-    model.counts.batch_size[:] = sizes
-    model.kernel[sizes == 0] = 0.0
+    model.batch_size[:] = sizes
+    unbuilt = sizes == 0
+    model.kernel[unbuilt] = 0.0
+    model.total[unbuilt] = model.epochs[unbuilt] = 0
     return model
 
 
@@ -524,7 +555,7 @@ def test_vectorised_backup_matches_per_pair_loop(bonus_scale):
         m = random_instance(10, 4, 8, seed=100 + seed)
         model = _partly_built_model(m, seed, cfg)
         for lam in [0.0, *midpoints, cap]:
-            pi, (vr, vc) = lagrangian_greedy_backup(model, lam)
+            pi, (vr, vc) = backup_one(model, lam)
             actions, ref_vr, ref_vc = _reference_sweep(model, lam=lam)
             assert np.array_equal(pi.rule, Policy.from_actions(actions, 4).rule)
             assert np.allclose(vr, ref_vr, rtol=0.0, atol=1e-12)
@@ -541,7 +572,7 @@ def _two_call_q_tables(model, h, v_next):
     table. Kept to pin the stacked step's bits."""
     (reward, cost), cfg = model.stages, model.cfg
     horizon = float(reward.shape[0])
-    p, n = model.kernel[h], model.counts.batch_size[h]
+    p, n = model.kernel[h], model.batch_size[h]
     vr, vc = v_next
     n1 = np.maximum(n, 1)
     qr = np.minimum(reward[h] + compute_bonus(p, vr, n1, cfg) + p @ vr, horizon)
@@ -567,7 +598,7 @@ def test_stacked_q_step_keeps_the_two_call_bits(bonus_scale, dims):
             v_next = rng.uniform(0.0, h_, size=(2, s_))
             assert np.array_equal(learner._q_tables(model, h, v_next), reference(h, v_next))
         for lam in [0.0, *midpoints, cap]:
-            pi, v = lagrangian_greedy_backup(model, lam)
+            pi, v = backup_one(model, lam)
             actions, ref_v = _backward_induction(reference, (2, h_, s_),
                                                  score=lambda q: q[0] - lam * q[1])
             assert np.array_equal(pi.rule, Policy.from_actions(actions, a_).rule)
@@ -583,7 +614,7 @@ def _full_formula_q_tables(model, h, v_next):
     scale-0 branch's bits."""
     stages, cfg = model.stages, model.cfg
     horizon = float(stages.shape[1])
-    p, n = model.kernel[h], model.counts.batch_size[h]
+    p, n = model.kernel[h], model.batch_size[h]
     vv = np.concatenate((v_next, v_next * v_next), axis=-2)
     moments = (p @ vv[..., None, :, None])[..., 0]
     mean, second = moments[..., :2, :, :], moments[..., 2:, :, :]
@@ -631,7 +662,7 @@ def test_q_step_keeps_the_full_formula_bytes(bonus_scale, mode, dims):
                 assert got.tobytes() == reference(h, v_next).tobytes()
                 assert got.shape == lead + (2, s_, a_)
         for lam in (0.0, 0.375, 2.0):
-            pi, v = lagrangian_greedy_backup(fresh(model), lam)
+            pi, v = backup_one(fresh(model), lam)
             actions, ref_v = _backward_induction(reference, (2, h_, s_),
                                                  score=lambda q: q[0] - lam * q[1])
             assert pi.rule.tobytes() == Policy.from_actions(actions, a_).rule.tobytes()
@@ -702,13 +733,13 @@ def test_base_table_keeps_the_full_formula_bytes_through_record_transition(bonus
             for lam, pi, v_lam in zip(lams, policies, v):
                 actions, ref_v = _backward_induction(reference, (2, h_, s_),
                                                      score=lambda q: q[0] - lam * q[1])
-                one_pi, one_v = lagrangian_greedy_backup(mdl, lam)
+                one_pi, one_v = backup_one(mdl, lam)
                 for got_pi, got_v in ((pi, v_lam), (one_pi, one_v)):  # batched and single
                     assert got_pi.rule.tobytes() == Policy.from_actions(actions, a_).rule.tobytes()
                     assert got_v.tobytes() == ref_v.tobytes()
             _, ref_v = _backward_induction(reference, (2, h_, s_), rule=rule)
             assert policy_value_bounds(mdl, Policy(rule)).tobytes() == ref_v.tobytes()
-    assert rebuilds > 50 and not model.counts.batch_size.all()  # some rows stay unbuilt
+    assert rebuilds > 50 and not model.batch_size.all()  # some rows stay unbuilt
 
 
 @pytest.mark.parametrize("bonus_scale", [0.0, 0.1, 1.0])
@@ -730,8 +761,8 @@ def test_memoized_backup_keeps_the_memo_free_bits(bonus_scale, dims):
 
         def assert_memo_free_bits():
             for lam in lams:
-                pi, v = lagrangian_greedy_backup(model, lam)
-                want_pi, want_v = lagrangian_greedy_backup(fresh(model), lam)
+                pi, v = backup_one(model, lam)
+                want_pi, want_v = backup_one(fresh(model), lam)
                 assert np.array_equal(pi.rule, want_pi.rule)
                 assert np.array_equal(v, want_v)
 
@@ -766,34 +797,35 @@ def test_batched_backup_matches_single_backups(bonus_scale, dims):
         model = _partly_built_model(m, seed, cfg, stages)
         if a_ > 1:
             stages[..., 1] = stages[..., 0]
-            for table in (model.kernel, model.counts.batch_size):
+            for table in (model.kernel, model.batch_size):
                 table[:, :, 1] = table[:, :, 0]
         for lams in ([cap], [0.0, cap], rng.choice(grid, 50).tolist()):
             for mdl in (model, EmpiricalModel.empty(stages, cfg)):
                 policies, v = lagrangian_greedy_backup(mdl, lams)
                 assert v.shape == (len(lams), 2, h_ + 1, s_)
                 for lam, pi, v_lam in zip(lams, policies, v):
-                    want_pi, want_v = lagrangian_greedy_backup(fresh(mdl), lam)
+                    want_pi, want_v = backup_one(fresh(mdl), lam)
                     assert np.array_equal(pi.rule, want_pi.rule)
                     assert np.array_equal(v_lam, want_v)
                     if a_ > 1:
                         assert not pi.rule[:, :, 1].any()
                 if mdl is model:  # single backups on the kept memo agree too
                     for lam, pi, v_lam in zip(lams, policies, v):
-                        got_pi, got_v = lagrangian_greedy_backup(mdl, lam)
+                        got_pi, got_v = backup_one(mdl, lam)
                         assert np.array_equal(got_pi.rule, pi.rule)
                         assert np.array_equal(got_v, v_lam)
 
 
 def test_backup_rejects_an_empty_multiplier_sequence():
+    # lams must be a non-empty 1-D sequence of finite numbers; a bare number
+    # is not one
     m = preset("two_state_chain")
     model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
-    with pytest.raises(ValueError, match="non-empty sequence"):
-        lagrangian_greedy_backup(model, [])
-    for lam in (math.nan, math.inf, -math.inf, [0.0, math.nan, 1.0]):
-        with pytest.raises(ValueError, match=re.escape(f"must be finite: a number or a "
-                                                       f"non-empty sequence, got {lam!r}")):
-            lagrangian_greedy_backup(model, lam)
+    for lams in ([], 0.0, math.nan, [[0.0, 1.0]], [math.inf], [0.0, math.nan, 1.0],
+                 [0.0, -math.inf]):
+        with pytest.raises(ValueError, match=re.escape(f"lams must be a non-empty 1-D sequence "
+                                                       f"of finite numbers, got {lams!r}")):
+            lagrangian_greedy_backup(model, lams)
 
 
 def test_backups_sharing_a_pool_return_one_policy_object():
@@ -801,9 +833,9 @@ def test_backups_sharing_a_pool_return_one_policy_object():
     m = preset("two_state_chain")
     model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
     (a, b), _ = lagrangian_greedy_backup(model, [0.0, 0.0])
-    c, _ = lagrangian_greedy_backup(model, 0.0)
+    c, _ = backup_one(model, 0.0)
     assert a is b is c and list(model.pool.values()) == [a]
-    d, _ = lagrangian_greedy_backup(fresh(model), 0.0)
+    d, _ = backup_one(fresh(model), 0.0)
     assert d == a and d is not a  # an empty pool: a fresh object
 
 
@@ -858,7 +890,7 @@ def _reference_episode(model, initial_state, b_prime):
     for t in range(cfg.iters):
         lam = i * cfg.grid_step
         if i not in cache:
-            cache[i] = lagrangian_greedy_backup(fresh(model), lam)
+            cache[i] = backup_one(fresh(model), lam)
         v_c = float(cache[i][1][1, 0, initial_state])
         lam_trace[t], vc_trace[t] = lam, v_c
         visits[i] = visits.get(i, 0) + 1
@@ -985,10 +1017,10 @@ def test_run_learner_counts_and_monotone_updates():
     m = preset("risky_shortcut")
     cfg = small_run_config(m, episodes=25)
     res = run_learner(m, cfg, seed=3)
-    assert int(res.model.counts.total.sum()) == 25 * m.horizon
+    assert int(res.model.total.sum()) == 25 * m.horizon
     ups = [log.model_updates_cum for log in res.episodes]
     assert all(a <= b for a, b in zip(ups, ups[1:]))
-    assert ups[-1] == int(res.model.counts.epochs.sum())
+    assert ups[-1] == int(res.model.epochs.sum())
     assert [log.episode for log in res.episodes] == list(range(25))
     assert all(log.wall_ms == 0.0 for log in res.episodes)  # timing off
 
@@ -1009,7 +1041,7 @@ def test_run_learner_calls_each_traced_binding_per_episode(monkeypatch):
 
     def counted_record(model, *args):
         rebuilt = record(model, *args)
-        rebuilds.append(int(model.counts.epochs.sum()))
+        rebuilds.append(int(model.epochs.sum()))
         return rebuilt
 
     monkeypatch.setattr(learner, "sample_mixture_episode", counted_sample)
