@@ -14,8 +14,10 @@ directory:
   lambda = 0.5 on two_state_chain);
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
   solve run's optimal mixture (perfbench's evaluate_mc path: one-hot
-  components) and a one-component policy whose rule is uniform over the 4
-  actions (stochastic draws); the script writes the last two policy files;
+  components), a one-component policy whose rule is uniform over the 4
+  actions (stochastic draws) and an even mixture of a one-hot component and
+  that uniform one (one stochastic component keeps every action on the
+  categorical draw); the script writes the last three policy files;
 - render the bonus-0.1 run's charts again with report, from a copy of its
   run.csv;
 - print each subcommand's --help (at a fixed 80-column width).
@@ -65,12 +67,18 @@ RUNS = [
     ("evaluate", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                   "--policy", "{tmp}/train_plan_bonus0.1/policy.json"]),
     *((f"evaluate_{name}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
-                            "--policy", "{out}/policy.json"]) for name in ("optimal", "uniform")),
+                            "--policy", "{out}/policy.json"])
+      for name in ("optimal", "uniform", "mixed")),
     ("report", ["report", "--run-dir", "{out}"]),  # on a copy of the bonus-0.1 run.csv
 ]
 COMMANDS = ("generate", "solve", "train", "evaluate", "report", "suite")
 UNIFORM = {"S": 10, "A": 4, "H": 8,
            "components": [{"weight": 1.0, "rule": [[[0.25] * 4] * 10] * 8}]}
+MIXED = {"S": 10, "A": 4, "H": 8,
+         "components": [{"weight": 0.5, "actions": [[(h + s) % 4 for s in range(10)]
+                                                    for h in range(8)]},
+                        {"weight": 0.5, "rule": UNIFORM["components"][0]["rule"]}]}
+POLICIES = {"evaluate_uniform": UNIFORM, "evaluate_mixed": MIXED}  # files the script writes
 
 
 def digest(data: bytes) -> str:
@@ -103,8 +111,8 @@ def main_digests() -> None:
             elif label == "evaluate_optimal":  # the mixture solve printed
                 optimal = json.loads(stdouts["solve"])["policy"]
                 (out / "policy.json").write_text(json.dumps(optimal))
-            elif label == "evaluate_uniform":
-                (out / "policy.json").write_text(json.dumps(UNIFORM))
+            elif label in POLICIES:
+                (out / "policy.json").write_text(json.dumps(POLICIES[label]))
             stdout = stdouts[label] = call([a.format(tmp=tmp, out=out) for a in argv], tmp)
             for path in sorted(out.iterdir()):
                 print(digest(path.read_bytes()), label, path.name)

@@ -16,25 +16,30 @@ top 53 bits of an output: (z >> 11) * 2**-53, giving values in [0, 1).
 Stream splitting: episode i of a run seeded with `seed` starts from state
 mix64(mix64(seed) + i), so its j-th uniform (j = 0, 1, ...) comes from the
 output mix64(state + (j + 1) * golden). A uniform depends only on (seed, i,
-j), which lets _stream_floats compute a block of episodes' uniforms at once
-as uint64 arrays; episodes may be sampled out of order or in blocks and still
-reproduce bit-identically.
+j), which lets _uniforms compute any of a block of episodes' uniforms at
+once as uint64 arrays, and skip the rest; episodes may be sampled out of
+order or in blocks and still reproduce bit-identically.
 
 Categorical draws invert the CDF in ascending index order: given u, return
 the first index whose cumulative probability exceeds u (or, when rounding
 leaves the total at or below u, the last index with positive probability).
 Identical seeds therefore give identical trajectories on any platform.
 
-A mixture episode consumes exactly 1 + 2H uniforms: uniform 0 picks the
-component, 1 + 2h the action at step h and 2 + 2h its successor. The learner
-draws one episode at a time (sample_mixture_episode) by bisect over running
-sums their owners cache (MixturePolicy.cumulative, TabularCmdp.transition_cdf),
-and a one-hot policy reads its action from Policy.actions. monte_carlo_value
-draws a block at once, each draw as the count of running sums at or below u
-capped at the fallback (_draw): sums of non-negative entries never decrease,
-so the count is the first index whose sum exceeds u. All sums accumulate left
-to right like categorical's, so every draw, and every episode's totals, are
-the ones the scalar inversion gives on the same row.
+A mixture episode owns exactly 1 + 2H uniforms: uniform 0 picks the
+component, 1 + 2h the action at step h and 2 + 2h its successor. A one-hot
+component reads its action from its action table (Policy.actions), so its
+action uniforms keep their positions but are never read: on an exactly
+one-hot row, categorical returns the row's argmax for every u in [0, 1).
+The learner draws one episode at a time (sample_mixture_episode) by bisect
+over running sums their owners cache (MixturePolicy.cumulative,
+TabularCmdp.transition_cdf). monte_carlo_value draws a block at once, each
+draw as the count of running sums at or below u capped at the fallback
+(_draw): sums of non-negative entries never decrease, so the count is the
+first index whose sum exceeds u. All sums accumulate left to right like
+categorical's, so every draw, and every episode's totals, are the ones the
+scalar inversion gives on the same row. When every component is one-hot it
+generates only the uniforms its draws read (_uniforms), 0 and 2 + 2h, and
+takes each action from the stacked action tables.
 """
 
 from __future__ import annotations
@@ -51,8 +56,8 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 # Episodes whose uniforms are drawn together, by monte_carlo_value and by the
-# learner: bounds the block's (episodes, 1 + 2H) table without slowing draws.
-_BLOCK = 1024
+# learner: bounds the block's (1 + 2H, episodes) table without slowing draws.
+_BLOCK = 2048
 
 
 def mix64(z: int) -> int:
@@ -64,22 +69,30 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 over a uint64 array; array arithmetic wraps mod 2**64."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(0xBF58476D1CE4E5B9)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+    """mix64 over a uint64 array, in place (array arithmetic wraps mod 2**64); returns z."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def _uniforms(seed: int, start: int, count: int, draws) -> np.ndarray:
+    """(len(draws), count) uniforms, draw-major: [k, i] is uniform draws[k] of
+    episode start + i's stream (the module docstring gives the formula)."""
+    states = _mix64_array(np.arange(start, start + count, dtype=np.uint64)
+                          + np.uint64(mix64(seed)))
+    steps = np.array([(j + 1) * _GOLDEN & _MASK for j in draws], dtype=np.uint64)
+    bits = _mix64_array(steps[:, None] + states)
+    bits >>= np.uint64(11)
+    return np.multiply(bits, 1.0 / (1 << 53), dtype=np.float64)
 
 
 def _stream_floats(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     """(count, draws) uniforms: row i holds the first `draws` uniforms of
-    episode start + i's stream (the module docstring gives the formula)."""
-    episodes = np.arange(start, start + count, dtype=np.uint64)
-    states = _mix64_array(np.uint64(mix64(seed)) + episodes)
-    steps = np.array([(j + 1) * _GOLDEN & _MASK for j in range(draws)], dtype=np.uint64)
-    bits = _mix64_array(states[:, None] + steps) >> np.uint64(11)
-    return bits.astype(np.float64) * (1.0 / (1 << 53))
+    episode start + i's stream, a transposed view of _uniforms."""
+    return _uniforms(seed, start, count, range(draws)).T
 
 
 def _cdf_table(probs) -> tuple[np.ndarray, np.ndarray]:
@@ -148,36 +161,51 @@ def sample_mixture_episode(m: TabularCmdp, mix: MixturePolicy, u):
 def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: int):
     """Monte-Carlo estimate of mixture reward and cost values at s1.
 
-    Episode i uses row i of the seed's uniforms, so estimates are reproducible
-    and independent of evaluation order; each episode's totals equal the
-    h-ordered sums over sample_mixture_episode's steps on that row, bit for
-    bit, though episodes are drawn _BLOCK at a time. Returns a dict with
-    means and standard errors for both stages; episodes must be at least 1.
+    Episode i uses the uniforms of stream i of the seed, so estimates are
+    reproducible and independent of evaluation order; each episode's totals
+    equal the h-ordered sums over sample_mixture_episode's steps on that row,
+    bit for bit, though episodes are drawn _BLOCK at a time. When every
+    component is one-hot, actions come from the stacked action tables and
+    only the uniforms the draws read are generated; any stochastic component
+    puts every action on the categorical draw. episodes must be an integer
+    (int or numpy integer, not a bool) >= 1. Returns a dict with episodes as
+    an int and means and standard errors for both stages.
     """
-    if episodes < 1:
-        raise ValueError(f"episodes must be >= 1, got {episodes}")
+    if (isinstance(episodes, bool) or not isinstance(episodes, (int, np.integer))
+            or episodes < 1):
+        raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
+    episodes = operator.index(episodes)
     h_, s_, a_ = shape = (m.horizon, m.num_states, m.num_actions)
     for _, policy in mix.components:
         if policy.rule.shape != shape:
             raise ValueError(f"policy shape {policy.rule.shape} does not match instance {shape}")
     weight_cdf, weight_last = _cdf_table([[w for w, _ in mix.components]])
-    # rows by (component, h, s) and (h, s, a): take gathers contiguous (categories, count)
-    rule_cdf, rule_last = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
-    kernel_cdf, kernel_last = _cdf_table(m.transition.reshape(-1, s_))
+    tables = [p.actions for _, p in mix.components]
+    one_hot = all(t is not None for t in tables)
+    if one_hot:  # uniforms 0 and 2 + 2h only; actions by (component, h, s)
+        actions = np.ravel(tables)
+        draws = [0, *range(2, 2 + 2 * h_, 2)]
+    else:  # rows by (component, h, s): take gathers contiguous (categories, count)
+        rule_cdf, rule_last = _cdf_table(np.reshape([p.rule for _, p in mix.components],
+                                                    (-1, a_)))
+        draws = range(1 + 2 * h_)
+    kernel_cdf, kernel_last = _cdf_table(m.transition.reshape(-1, s_))  # rows by (h, s, a)
     stages = m.stages.reshape(2, -1)
     totals = np.empty((2, episodes))  # each episode's reward and cost
     for start in range(0, episodes, _BLOCK):
         count = min(_BLOCK, episodes - start)
-        u = _stream_floats(seed, start, count, 1 + 2 * h_).T.copy()
+        u = _uniforms(seed, start, count, draws)
+        act, succ = (None, u[1:]) if one_hot else (u[1::2], u[2::2])
         comp = _draw(weight_cdf, weight_last, u[0])
         s = np.full(count, m.initial_state)
         total = np.zeros((2, count))
         for h in range(h_):  # totals add up in h order
             row = (comp * h_ + h) * s_ + s
-            a = _draw(rule_cdf.take(row, 1), rule_last[row], u[1 + 2 * h])
+            a = (actions.take(row) if one_hot
+                 else _draw(rule_cdf.take(row, 1), rule_last[row], act[h]))
             row = (h * s_ + s) * a_ + a
             total += stages.take(row, 1)
-            s = _draw(kernel_cdf.take(row, 1), kernel_last[row], u[2 + 2 * h])
+            s = _draw(kernel_cdf.take(row, 1), kernel_last[row], succ[h])
         totals[:, start:start + count] = total
     out = {"episodes": episodes}
     for name, x in zip(("reward", "cost"), totals):

@@ -448,6 +448,7 @@ def test_evaluate_rejects_bad_episode_counts(tmp_path):
     path = tmp_path / "p.json"
     save_policy(MixturePolicy.single(Policy.uniform(2, 2, 2)), m, path)
     for episodes in ("0", "-5"):
-        with pytest.raises(SystemExit, match="cmdplab evaluate: episodes must be >= 1"):
+        with pytest.raises(SystemExit,
+                           match="cmdplab evaluate: episodes must be an integer >= 1"):
             main(["evaluate", "--preset", "two_state_chain", "--policy", str(path),
                   "--episodes", episodes])

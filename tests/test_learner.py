@@ -531,13 +531,18 @@ def _partly_built_model(m, seed, cfg, stages=None):
     """Empirical model of m (with m's stage tables unless given) with
     power-of-two batch sizes up to 2**16 (large enough that some bonuses
     leave the clips) and about one (h, s, a) row in ten never visited (zero
-    row and zero counts)."""
+    row and zero counts). Each built row's counts are the ones the doubling
+    rule gives right after it built that batch: batch 1 at lifetime count 1
+    and epoch 1, batch 2**k (k >= 1) at count 2**(k + 1) and epoch k + 2."""
     rng = np.random.default_rng(seed)
     model = EmpiricalModel.from_kernel(m.transition, m.stages if stages is None else stages,
                                        cfg)
-    sizes = 2 ** rng.integers(0, 17, size=m.reward.shape)
+    powers = rng.integers(0, 17, size=m.reward.shape)
+    sizes = 2 ** powers
     sizes[rng.random(m.reward.shape) < 0.1] = 0
     model.batch_size[:] = sizes
+    model.total[:] = np.where(powers, 2 * sizes, sizes)
+    model.epochs[:] = np.where(powers, powers + 2, 1)
     unbuilt = sizes == 0
     model.kernel[unbuilt] = 0.0
     model.total[unbuilt] = model.epochs[unbuilt] = 0

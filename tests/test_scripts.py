@@ -62,7 +62,8 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
                    ("generate", "instance.json"),
                    ("solve", "stdout"), ("solve_two_state_chain", "stdout"),
                    ("evaluate", "stdout"), ("evaluate_optimal", "stdout"),
-                   ("evaluate_uniform", "policy.json"), ("report", "regret.svg"),
+                   ("evaluate_uniform", "policy.json"), ("evaluate_mixed", "policy.json"),
+                   ("evaluate_mixed", "stdout"), ("report", "regret.svg"),
                    ("help", "cmdplab"), ("help", "suite")]:
         assert output in outputs
     assert not any(tmp_path.iterdir())  # every file went to a temporary directory

@@ -6,6 +6,7 @@ array streams cmdplab draws from, so any drift in the golden constant or the
 mixing function shows up as a hard failure here.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -13,9 +14,9 @@ import numpy as np
 import pytest
 
 from cmdplab import (MixturePolicy, Policy, evaluate_policy, monte_carlo_value,
-                     preset, sample_mixture_episode)
-from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw,
-                              _mix64_array, _stream_floats, categorical, mix64)
+                     preset, sample_mixture_episode, simulate)
+from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw, _mix64_array,
+                              _stream_floats, _uniforms, categorical, mix64)
 from conftest import random_instance
 from splitmix_reference import (Scripted, SplitMix64, episode_stream,
                                 sample_episode, sample_mixture_trajectory)
@@ -194,9 +195,19 @@ def test_numpy_integer_seeds_mix_like_python_ints():
 def test_monte_carlo_rejects_bad_episode_counts():
     m = preset("single_state_tradeoff")
     mix = MixturePolicy.single(Policy.uniform(1, 1, 2))
-    for episodes in (0, -5):
-        with pytest.raises(ValueError, match="episodes must be >= 1"):
+    for episodes in (0, -5, True, False, 2.0, np.float64(3.0), "3", None, np.int64(0)):
+        with pytest.raises(ValueError, match=r"episodes must be an integer >= 1, got "):
             monte_carlo_value(m, mix, episodes=episodes, seed=0)
+
+
+def test_monte_carlo_stores_numpy_episode_counts_as_ints():
+    m = preset("single_state_tradeoff")
+    mix = MixturePolicy.single(Policy.uniform(1, 1, 2))
+    want = monte_carlo_value(m, mix, episodes=3, seed=0)
+    for episodes in (np.int64(3), np.uint8(3)):
+        got = monte_carlo_value(m, mix, episodes=episodes, seed=0)
+        assert type(got["episodes"]) is int and got == want
+        assert json.dumps(got) == json.dumps(want)
 
 
 def test_monte_carlo_rejects_mismatched_component():
@@ -281,6 +292,56 @@ def test_batched_monte_carlo_matches_reference_on_zero_transitions():
     mix = random_mixture(m, 2, seed=4)
     assert (monte_carlo_value(m, mix, 300, 9)
             == reference_monte_carlo(m, mix, 300, 9))
+
+
+@pytest.mark.parametrize("episodes", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("case", ["from_actions", "one_hot_rule", "both", "negative_zero",
+                                  "mixed", "one_hot_first"])
+def test_one_hot_monte_carlo_matches_reference_loop(monkeypatch, case, episodes):
+    # all-one-hot mixtures read their actions from the action tables and
+    # generate only uniforms 0 and 2 + 2h; a mixture with any component that
+    # is not one-hot by bytes keeps every draw categorical
+    if case in ("mixed", "one_hot_first"):
+        m = random_instance(4, 3, 5, seed=29)
+        mix = mixed_mixture(m, seed=29)
+        if case == "one_hot_first":  # the stochastic components come last
+            mix = MixturePolicy(mix.components[2:] + mix.components[:2])
+    else:
+        build = {"one_hot_rule": lambda p: Policy(p.rule),
+                 "negative_zero": negative_zero}.get(case, lambda p: p)
+        m, mix = one_hot_case(30, build)
+    if case == "both":  # the middle component found one-hot by its bytes
+        (w0, p0), (w1, p1), (w2, p2) = mix.components
+        mix = MixturePolicy(((w0, p0), (w1, Policy(p1.rule)), (w2, p2)))
+        assert [p._one_hot for _, p in mix.components] == [True, False, True]
+    one_hot = case in ("from_actions", "one_hot_rule", "both")
+    assert all(p.actions is not None for _, p in mix.components) == one_hot
+    h_ = m.horizon
+    drawn = []
+
+    def recording(seed, start, count, draws):
+        drawn.append(list(draws))
+        return _uniforms(seed, start, count, draws)
+
+    monkeypatch.setattr(simulate, "_uniforms", recording)
+    for seed in (0, -3):
+        assert (monte_carlo_value(m, mix, episodes, seed)
+                == reference_monte_carlo(m, mix, episodes, seed))
+    want = [0, *range(2, 2 + 2 * h_, 2)] if one_hot else list(range(1 + 2 * h_))
+    assert drawn == [want] * (2 * math.ceil(episodes / _BLOCK))  # two seeds
+
+
+def test_draw_subsets_are_stream_columns():
+    # _uniforms draws any subset of an episode's uniforms, draw-major, and
+    # each row equals that column of the full episode-major stream table
+    for seed in (-5, 0, 2**70):
+        for start, count in ((0, 1), (3, 7), (2**40, 5)):
+            full = _stream_floats(seed, start, count, 13)
+            assert full.shape == (count, 13)
+            for draws in ([0], [0, 2, 4, 6, 8, 10, 12], [12, 1], range(13), []):
+                got = _uniforms(seed, start, count, draws)
+                assert got.shape == (len(draws), count) and got.flags.c_contiguous
+                assert np.array_equal(got, full[:, list(draws)].T)
 
 
 def deficient_case(seed):
