@@ -18,6 +18,10 @@ directory:
   actions (stochastic draws) and an even mixture of a one-hot component and
   that uniform one (one stochastic component keeps every action on the
   categorical draw); the script writes the last three policy files;
+- evaluate on the risky_shortcut preset, whose kernel rows end in
+  zero-probability entries, two mixtures weighted (0.5, 0.5 - 1e-10, 0.0),
+  so the weights' running sum stops growing before its end: one of three
+  one-hot components, one whose middle component has a uniform rule;
 - render the bonus-0.1 run's charts again with report, from a copy of its
   run.csv;
 - print each subcommand's --help (at a fixed 80-column width).
@@ -69,6 +73,9 @@ RUNS = [
     *((f"evaluate_{name}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                             "--policy", "{out}/policy.json"])
       for name in ("optimal", "uniform", "mixed")),
+    *((f"evaluate_risky_{name}", ["evaluate", "--preset", "risky_shortcut", "--episodes",
+                                  "20000", "--policy", "{out}/policy.json"])
+      for name in ("actions", "rule")),
     ("report", ["report", "--run-dir", "{out}"]),  # on a copy of the bonus-0.1 run.csv
 ]
 COMMANDS = ("generate", "solve", "train", "evaluate", "report", "suite")
@@ -78,7 +85,15 @@ MIXED = {"S": 10, "A": 4, "H": 8,
          "components": [{"weight": 0.5, "actions": [[(h + s) % 4 for s in range(10)]
                                                     for h in range(8)]},
                         {"weight": 0.5, "rule": UNIFORM["components"][0]["rule"]}]}
-POLICIES = {"evaluate_uniform": UNIFORM, "evaluate_mixed": MIXED}  # files the script writes
+SHORT = (0.5, 0.5 - 1e-10, 0.0)  # sums to 1 - 1e-10, within PROB_TOL
+RISKY_ACTIONS = [[[(h + s + j) % 2 for s in range(3)] for h in range(3)] for j in range(3)]
+RISKY = {"S": 3, "A": 2, "H": 3,
+         "components": [{"weight": w, "actions": t} for w, t in zip(SHORT, RISKY_ACTIONS)]}
+RISKY_RULE = {**RISKY, "components": [RISKY["components"][0],
+                                      {"weight": SHORT[1], "rule": [[[0.5, 0.5]] * 3] * 3},
+                                      RISKY["components"][2]]}
+POLICIES = {"evaluate_uniform": UNIFORM, "evaluate_mixed": MIXED,  # files the script writes
+            "evaluate_risky_actions": RISKY, "evaluate_risky_rule": RISKY_RULE}
 
 
 def digest(data: bytes) -> str:

@@ -6,8 +6,8 @@ a saved policy), ``report`` (re-render charts from a run directory), and
 ``suite`` (the full acceptance battery). Train options may come from a JSON
 config file; explicit flags override file values. Exit code is nonzero iff a
 requested verdict or check fails; a subcommand that fails on bad input, an
-unreadable file or an allocation it cannot make exits with one line,
-``cmdplab <command>: <message>``.
+unreadable file, an allocation it cannot make or a degenerate instance
+exits with one line, ``cmdplab <command>: <message>``.
 """
 
 import argparse
@@ -41,7 +41,7 @@ from .harness import (
 )
 from .learner import RELAXED, STRICT, derive_config, run_learner
 from .simulate import monte_carlo_value
-from .solver import solve_cmdp_exact
+from .solver import DegenerateInstanceError, solve_cmdp_exact
 
 
 def _finite(x):
@@ -276,7 +276,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ValueError, MemoryError) as e:
+    except (OSError, ValueError, MemoryError, DegenerateInstanceError) as e:
         raise SystemExit(f"cmdplab {args.command}: {e}") from e
 
 

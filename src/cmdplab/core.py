@@ -43,6 +43,18 @@ import numpy as np
 PROB_TOL = 1e-9
 
 
+def running_sums(probs) -> np.ndarray:
+    """Inverse-CDF table of probs: running sums along the last axis, added left
+    to right, +inf from each row's last positive entry on (throughout a row with
+    none). The first sum above u is categorical's draw (see simulate's docstring)."""
+    probs = np.asarray(probs, dtype=float)
+    sums = np.cumsum(probs, axis=-1)
+    later = np.logical_or.accumulate(probs[..., :0:-1] > 0, axis=-1)[..., ::-1]
+    sums[..., :-1][~later] = np.inf  # no positive entry after this one
+    sums[..., -1] = np.inf
+    return sums
+
+
 def _frozen(a, dtype=float) -> np.ndarray:
     """Copy `a` into a read-only ndarray."""
     arr = np.array(a, dtype=dtype)
@@ -105,9 +117,8 @@ class TabularCmdp:
 
     @cached_property
     def transition_cdf(self) -> list:
-        """The transition rows' running sums as (H, S, A, S) lists, built on
-        first use; np.cumsum adds left to right like categorical's acc += p."""
-        return np.cumsum(self.transition, axis=-1).tolist()
+        """running_sums of the transition rows as (H, S, A, S) lists, built on first use."""
+        return running_sums(self.transition).tolist()
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +194,8 @@ class MixturePolicy:
 
     components is a sequence of (weight, Policy) pairs. Weights must be
     nonnegative and sum to 1 within PROB_TOL; at least one component.
-    cumulative holds the weights' running sums, added left to right.
+    cumulative holds the weights' running_sums, built in plain Python:
+    bisect_right over it draws the component.
     """
 
     components: tuple
@@ -199,7 +211,9 @@ class MixturePolicy:
         if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"mixture weights sum to {total!r}, expected 1")
         object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "cumulative", array("d", accumulate(w for w, _ in comps)))
+        last = max((i for i, (w, _) in enumerate(comps) if w > 0), default=0)
+        sums = [*accumulate(w for w, _ in comps[:last]), *[np.inf] * (len(comps) - last)]
+        object.__setattr__(self, "cumulative", array("d", sums))
 
     @classmethod
     def single(cls, policy: Policy) -> "MixturePolicy":

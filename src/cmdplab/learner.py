@@ -261,14 +261,16 @@ class EmpiricalModel:
     @classmethod
     def from_kernel(cls, kernel: np.ndarray, stages: np.ndarray, cfg: LearnerConfig,
                     batch_size: int = 1) -> "EmpiricalModel":
-        """Fully populated model with every row backed by a batch of the given size."""
-        if batch_size < 1:  # an unbuilt row's kernel row must be zero (see _q_tables)
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        """Model with every row built from a batch of batch_size = b = 2**k, as
+        record_transition leaves it: lifetime count 2b and k + 2 rebuilds, or 1 and 1 at b = 1."""
+        if (isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer))
+                or batch_size < 1 or batch_size & (batch_size - 1)):
+            raise ValueError(f"batch_size must be a power of two >= 1, got {batch_size!r}")
+        k = int(batch_size).bit_length() - 1
         model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
-        model.total[:] = batch_size
-        model.batch_size[:] = batch_size
-        model.epochs[:] = 1
+        model.total[:], model.batch_size[:], model.epochs[:] = (
+            (2 * batch_size, batch_size, k + 2) if k else (1, 1, 1))
         return model
 
     @cached_property

@@ -24,22 +24,25 @@ Categorical draws invert the CDF in ascending index order: given u, return
 the first index whose cumulative probability exceeds u (or, when rounding
 leaves the total at or below u, the last index with positive probability).
 Identical seeds therefore give identical trajectories on any platform.
+categorical is the scalar form. A cached table (core.running_sums) holds
+a row's running sums, added left to right like categorical's, +inf from
+its last positive entry on (throughout a row with none). The sums never
+decrease, so the first sum above u is the draw for every u in [0, 1),
+with no fallback branch: below the total it is unchanged; at or past it
+every finite sum is <= u and the first inf is the last index with mass.
 
 A mixture episode owns exactly 1 + 2H uniforms: uniform 0 picks the
 component, 1 + 2h the action at step h and 2 + 2h its successor. A one-hot
 component reads its action from its action table (Policy.actions), so its
 action uniforms keep their positions but are never read: on an exactly
 one-hot row, categorical returns the row's argmax for every u in [0, 1).
-The learner draws one episode at a time (sample_mixture_episode) by bisect
-over running sums their owners cache (MixturePolicy.cumulative,
-TabularCmdp.transition_cdf). monte_carlo_value draws a block at once, each
-draw as the count of running sums at or below u capped at the fallback
-(_draw): sums of non-negative entries never decrease, so the count is the
-first index whose sum exceeds u. All sums accumulate left to right like
-categorical's, so every draw, and every episode's totals, are the ones the
-scalar inversion gives on the same row. When every component is one-hot it
-generates only the uniforms its draws read (_uniforms), 0 and 2 + 2h, and
-takes each action from the stacked action tables.
+The learner draws one episode at a time (sample_mixture_episode) by
+bisect_right over the tables their owners cache (MixturePolicy.cumulative,
+TabularCmdp.transition_cdf); monte_carlo_value draws a block at once, each
+draw as the count of a row's sums at or below u (_draw). When every
+component is one-hot it generates only the uniforms its draws read
+(_uniforms), 0 and 2 + 2h, and takes each action from the stacked action
+tables.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import MixturePolicy, TabularCmdp
+from .core import MixturePolicy, TabularCmdp, running_sums
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -95,26 +98,17 @@ def _stream_floats(seed: int, start: int, count: int, draws: int) -> np.ndarray:
     return _uniforms(seed, start, count, range(draws)).T
 
 
-def _cdf_table(probs) -> tuple[np.ndarray, np.ndarray]:
+def _cdf_table(probs) -> np.ndarray:
     """Inverse-CDF table of (rows, categories) probs, category axis first:
-    cdf[:, i] holds row i's running sums (added left to right, like categorical's
-    acc += p), last[i] its fallback, the last index with positive mass (else 0)."""
-    probs = np.asarray(probs, dtype=float)
-    positive = probs[..., ::-1] > 0
-    last = np.where(positive.any(-1), probs.shape[-1] - 1 - positive.argmax(-1), 0)
-    return np.cumsum(probs, axis=-1).T.copy(), last
+    cdf[:, i] holds row i's running_sums, infinite tail included."""
+    return running_sums(probs).T.copy()
 
 
-def _draw(cdf: np.ndarray, last: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """categorical for a batch: draw i reads the running sums cdf[:, i] and
-    returns min(#{k : cdf[k, i] <= u[i]}, last[i]).
-
-    That is categorical's draw, bit for bit, on rows of non-negative entries.
-    Their running sums never decrease (rounding is monotone), so the sums
-    <= u form a prefix and its length is the first index whose sum exceeds u.
-    That index never passes last, since the sums stop growing there. When no
-    sum exceeds u, the count is the row length and min gives the fallback."""
-    return np.minimum((cdf <= u).sum(0), last)
+def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """categorical for a batch, bit for bit: draw i is #{k : cdf[k, i] <= u[i]}.
+    The sums never decrease, so that count is the index of the first sum
+    above u, the fallback included (see the module docstring)."""
+    return (cdf <= u).sum(0)
 
 
 def categorical(probs, u: float) -> int:
@@ -134,25 +128,17 @@ def sample_mixture_episode(m: TabularCmdp, mix: MixturePolicy, u):
     in [0, 1)): the component from u[0], then at step h the action from
     u[1 + 2h] and the successor from u[2 + 2h], each drawn as categorical
     would. Returns (component index, [(s, a, s'), ...])."""
-    cum = mix.cumulative
-    idx = bisect_right(cum, u[0])
-    if idx == len(cum):  # the total rounded to at most u: categorical's fallback
-        idx = categorical([w for w, _ in mix.components], u[0])
+    idx = bisect_right(mix.cumulative, u[0])
     policy = mix.components[idx][1]
-    rule = policy.rule
-    if rule.shape != (m.horizon, m.num_states, m.num_actions):
-        raise ValueError(
-            f"policy shape {rule.shape} does not match instance "
-            f"({m.horizon}, {m.num_states}, {m.num_actions})")
+    rule, shape = policy.rule, (m.horizon, m.num_states, m.num_actions)
+    if rule.shape != shape:
+        raise ValueError(f"policy shape {rule.shape} does not match instance {shape}")
     actions, kernel = policy.actions, m.transition_cdf
     s = m.initial_state
     steps = []
     for h in range(m.horizon):
         a = categorical(rule[h, s], u[1 + 2 * h]) if actions is None else actions[h][s]
-        cum = kernel[h][s][a]
-        sn = bisect_right(cum, u[2 + 2 * h])
-        if sn == len(cum):
-            sn = categorical(m.transition[h, s, a], u[2 + 2 * h])
+        sn = bisect_right(kernel[h][s][a], u[2 + 2 * h])
         steps.append((s, a, sn))
         s = sn
     return idx, steps
@@ -179,33 +165,31 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     for _, policy in mix.components:
         if policy.rule.shape != shape:
             raise ValueError(f"policy shape {policy.rule.shape} does not match instance {shape}")
-    weight_cdf, weight_last = _cdf_table([[w for w, _ in mix.components]])
+    weight_cdf = np.array(mix.cumulative)[:, None]
     tables = [p.actions for _, p in mix.components]
     one_hot = all(t is not None for t in tables)
     if one_hot:  # uniforms 0 and 2 + 2h only; actions by (component, h, s)
         actions = np.ravel(tables)
         draws = [0, *range(2, 2 + 2 * h_, 2)]
     else:  # rows by (component, h, s): take gathers contiguous (categories, count)
-        rule_cdf, rule_last = _cdf_table(np.reshape([p.rule for _, p in mix.components],
-                                                    (-1, a_)))
+        rule_cdf = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
         draws = range(1 + 2 * h_)
-    kernel_cdf, kernel_last = _cdf_table(m.transition.reshape(-1, s_))  # rows by (h, s, a)
+    kernel_cdf = _cdf_table(m.transition.reshape(-1, s_))  # rows by (h, s, a)
     stages = m.stages.reshape(2, -1)
     totals = np.empty((2, episodes))  # each episode's reward and cost
     for start in range(0, episodes, _BLOCK):
         count = min(_BLOCK, episodes - start)
         u = _uniforms(seed, start, count, draws)
         act, succ = (None, u[1:]) if one_hot else (u[1::2], u[2::2])
-        comp = _draw(weight_cdf, weight_last, u[0])
+        comp = _draw(weight_cdf, u[0])
         s = np.full(count, m.initial_state)
         total = np.zeros((2, count))
         for h in range(h_):  # totals add up in h order
             row = (comp * h_ + h) * s_ + s
-            a = (actions.take(row) if one_hot
-                 else _draw(rule_cdf.take(row, 1), rule_last[row], act[h]))
+            a = actions.take(row) if one_hot else _draw(rule_cdf.take(row, 1), act[h])
             row = (h * s_ + s) * a_ + a
             total += stages.take(row, 1)
-            s = _draw(kernel_cdf.take(row, 1), kernel_last[row], succ[h])
+            s = _draw(kernel_cdf.take(row, 1), succ[h])
         totals[:, start:start + count] = total
     out = {"episodes": episodes}
     for name, x in zip(("reward", "cost"), totals):

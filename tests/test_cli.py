@@ -443,6 +443,23 @@ def test_library_errors_exit_with_one_line(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_degenerate_instance_exits_with_one_line(tmp_path):
+    # no dual point below the cap is feasible and 2**13 deterministic
+    # policies are too many for brute force: the solver's
+    # DegenerateInstanceError escaped as a traceback
+    h = 13
+    doc = {"S": 1, "A": 2, "H": h, "P": [[[[1.0], [1.0]]]] * h, "r": [[[0.0, 1.0]]] * h,
+           "c": [[[0.0, 1e-12]]] * h, "b": 1e-300, "s1": 0}
+    path = tmp_path / "degenerate.json"
+    path.write_text(json.dumps(doc))
+    for command, *rest in (["solve"], ["train", "--epsilon", "1", "-K", "2", "-T", "2",
+                                       "--out", str(tmp_path / "run")]):
+        with pytest.raises(SystemExit, match=rf"^cmdplab {command}: no feasible dual point "
+                                             r"below cap 5\.2e\+09 \(zeta=1e-300\)$"):
+            main([command, "--instance", str(path), *rest])
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_rejects_bad_episode_counts(tmp_path):
     m = preset("two_state_chain")
     path = tmp_path / "p.json"

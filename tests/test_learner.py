@@ -140,7 +140,22 @@ def test_from_kernel_marks_every_row_built():
                                        batch_size=4)
     assert np.array_equal(model.kernel, m.transition)
     assert np.all(model.batch_size == 4)
+    # a batch of 4 is built at count 8, the fourth rebuild (1, 2, 4, 8)
+    assert np.all(model.total == 8) and np.all(model.epochs == 4)
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
+    assert np.all(model.batch_size == 1) and np.all(model.total == 1)
     assert np.all(model.epochs == 1)
+
+
+def test_from_kernel_continues_the_doubling_schedule():
+    # batch 4 at count 8: the next rebuild comes at count 16, from a batch of 8
+    m = preset("two_state_chain")
+    model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
+                                       batch_size=np.int64(4))
+    flags = [record_transition(model, 0, 0, 0, i % 2) for i in range(9, 17)]
+    assert flags == [False] * 7 + [True]
+    assert model.kernel[0, 0, 0].tolist() == [0.5, 0.5]
+    assert (model.total[0, 0, 0], model.batch_size[0, 0, 0], model.epochs[0, 0, 0]) == (16, 8, 5)
 
 
 def test_empty_model_has_no_built_rows():
@@ -201,9 +216,11 @@ def test_record_transition_rejects_an_index_out_of_range_unchanged():
 
 
 def test_from_kernel_rejects_an_unbuilt_batch_size():
+    # 0 leaves rows unbuilt; the doubling rule builds only batches of 2**k
     m = preset("two_state_chain")
-    for size in (0, -1):
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+    for size in (0, -1, -4, 3, 50, 4.0, True):
+        with pytest.raises(ValueError, match=rf"^batch_size must be a power of two >= 1, "
+                                             rf"got {size!r}$"):
             EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
                                        batch_size=size)
 
@@ -952,7 +969,7 @@ def test_walk_matches_reference_loop_on_random_instances(iters):
                                      dual_cap=4.0, grid_step=0.0625,
                                      delta=0.1, mode="relaxed", shift=0.0,
                                      eta=eta, bonus_scale=0.0)
-            model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=50)
+            model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=64)
             for b_prime in (1.0, 1.5):
                 walk = _assert_walk_matches_reference(model, m.initial_state, b_prime)
                 shapes.add((walk.cycle_start > 0, len(walk.lam) > walk.cycle_start))
@@ -977,7 +994,7 @@ def test_hint_changes_which_sweeps_run_never_the_walk(monkeypatch, iters):
         cfg = LearnerConfig.make(4, 3, 4, episodes=1, iters=iters, dual_cap=4.0,
                                  grid_step=0.0625, delta=0.1, mode="relaxed",
                                  shift=0.0, eta=1.0, bonus_scale=0.0)
-        model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=50)
+        model = EmpiricalModel.from_kernel(m.transition, m.stages, cfg, batch_size=64)
         top = grid_index(cfg.dual_cap, cfg.grid_step, cfg.dual_cap)
         mix, walk = primal_dual_episode(fresh(model), m.initial_state, 1.0)
         unvisited = [j for j in range(top + 1) if j not in walk.index]

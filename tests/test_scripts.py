@@ -63,7 +63,9 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
                    ("solve", "stdout"), ("solve_two_state_chain", "stdout"),
                    ("evaluate", "stdout"), ("evaluate_optimal", "stdout"),
                    ("evaluate_uniform", "policy.json"), ("evaluate_mixed", "policy.json"),
-                   ("evaluate_mixed", "stdout"), ("report", "regret.svg"),
+                   ("evaluate_mixed", "stdout"), ("evaluate_risky_actions", "policy.json"),
+                   ("evaluate_risky_actions", "stdout"), ("evaluate_risky_rule", "policy.json"),
+                   ("evaluate_risky_rule", "stdout"), ("report", "regret.svg"),
                    ("help", "cmdplab"), ("help", "suite")]:
         assert output in outputs
     assert not any(tmp_path.iterdir())  # every file went to a temporary directory

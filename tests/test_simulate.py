@@ -8,13 +8,17 @@ mixing function shows up as a hard failure here.
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmdplab import (MixturePolicy, Policy, evaluate_policy, monte_carlo_value,
+from cmdplab import (MixturePolicy, Policy, TabularCmdp, evaluate_policy, monte_carlo_value,
                      preset, sample_mixture_episode, simulate)
+from cmdplab.core import PROB_TOL
 from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw, _mix64_array,
                               _stream_floats, _uniforms, categorical, mix64)
 from conftest import random_instance
@@ -405,7 +409,7 @@ def test_sample_mixture_episode_matches_scalar_reference(case):
         m = random_instance(5, 3, 6, seed=28)
         policies = [p for _, p in random_mixture(m, 3, seed=28).components]
         mix = MixturePolicy(tuple(zip((0.5, 0.5 - 1e-10, 0.0), policies)))
-        assert mix.cumulative[-1] < 1.0 - 2.0**-53
+        assert sum(w for w, _ in mix.components) < 1.0 - 2.0**-53
     draws = 1 + 2 * m.horizon
 
     def reference(rng):
@@ -453,9 +457,12 @@ def test_vectorised_draw_matches_categorical():
         sums = np.cumsum(row)
         near = np.concatenate([sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)])
         us = uniforms + near.tolist()
-        cdf, last = _cdf_table([row])  # one row: cdf is (len(row), 1)
-        assert cdf[:, 0].tolist() == sums.tolist()
-        got = _draw(cdf, last, np.array(us))
+        cdf = _cdf_table([row])  # one row: cdf is (len(row), 1)
+        # the sums up to the last index with mass (categorical's fallback),
+        # +inf from there on
+        last = max((i for i, p in enumerate(row) if p > 0), default=0)
+        assert cdf[:, 0].tolist() == sums[:last].tolist() + [math.inf] * (len(row) - last)
+        got = _draw(cdf, np.array(us))
         want = [Scripted([u]).categorical(row) for u in us]
         assert got.tolist() == want, row
         assert [categorical(row, u) for u in us] == want, row
@@ -465,11 +472,66 @@ def test_cdf_tables_draw_per_row():
     # stacked (rows, k) tables, stored category-major as (k, rows): each
     # episode gathers its own row's column
     probs = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0], [0.2, 0.0, 0.79999]])
-    cdf, last = _cdf_table(probs)
-    assert cdf.flags.c_contiguous and cdf.tolist() == np.cumsum(probs, axis=1).T.tolist()
-    assert last.tolist() == [1, 2, 2]
+    cdf = _cdf_table(probs)
+    assert cdf.flags.c_contiguous
+    assert cdf.T.tolist() == [[0.5, math.inf, math.inf], [0.0, 0.0, math.inf],
+                              [0.2, 0.2, math.inf]]
     pick = np.array([0, 1, 2, 2, 0])
     u = np.array([0.7, 0.1, 0.1, 1.0 - 2.0**-53, 0.2])
-    got = _draw(cdf.take(pick, 1), last[pick], u)
+    got = _draw(cdf.take(pick, 1), u)
     want = [Scripted([x]).categorical(probs[r]) for r, x in zip(pick, u)]
     assert got.tolist() == want == [1, 2, 0, 2, 0]
+
+
+@st.composite
+def short_rows(draw):
+    """A probability row with zeros, -0.0 and a total short of 1 within
+    PROB_TOL, or a row with no mass at all."""
+    entries = draw(st.lists(st.one_of(st.just(0.0), st.just(-0.0), st.floats(1e-3, 1.0)),
+                            min_size=1, max_size=6))
+    total = sum(entries)
+    if total == 0:
+        return entries
+    short = draw(st.sampled_from([0.0, 1e-16, 1e-12, 1e-10, PROB_TOL / 2]))
+    return [p / total * (1 - short) for p in entries]
+
+
+@settings(max_examples=200, deadline=None)
+@given(row=short_rows(), spread=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=8))
+def test_table_draws_match_categorical(row, spread):
+    # every cached table, drawn by counting or by bisect_right, is
+    # categorical's draw: below the total, at the running sums and one ulp
+    # to either side, and past a total that falls short of 1
+    sums = np.cumsum(row)
+    near = np.concatenate([sums, np.nextafter(sums, -1.0), np.nextafter(sums, 2.0)])
+    us = [u for u in [*spread, *near.tolist(), 1.0 - 2.0**-53] if 0.0 <= u < 1.0]
+    want = [Scripted([u]).categorical(row) for u in us]
+    assert _draw(_cdf_table([row]), np.array(us)).tolist() == want, row
+    n = len(row)
+    m = TabularCmdp(n, 1, 1, np.tile(row, (1, n, 1, 1)), np.zeros((1, n, 1)),
+                    np.zeros((1, n, 1)), 1.0, 0)
+    assert [bisect_right(m.transition_cdf[0][n - 1][0], u) for u in us] == want, row
+    if sum(row) > 0:  # a mixture's weights must sum to 1
+        mix = MixturePolicy(tuple((w, Policy.uniform(1, 1, 1)) for w in row))
+        assert [bisect_right(mix.cumulative, u) for u in us] == want, row
+
+
+def test_one_hot_episodes_past_a_short_total_need_no_categorical(monkeypatch):
+    # a one-hot mixture draws every component and successor from its tables,
+    # even with u past a total that falls short of 1: categorical never runs
+    def no_categorical(*args):
+        raise AssertionError("categorical ran")
+
+    monkeypatch.setattr(simulate, "categorical", no_categorical)
+    m, deficient = deficient_case(seed=23)
+    rng = np.random.default_rng(23)
+    policies = [Policy.from_actions(rng.integers(m.num_actions, size=(m.horizon, m.num_states)),
+                                    m.num_actions) for _ in range(3)]
+    weights = ([w for w, _ in deficient.components], (0.5, 0.5 - 1e-10, 0.0))
+    row = [1.0 - 2.0**-53] * (1 + 2 * m.horizon)
+    for w in weights:
+        mix = MixturePolicy(tuple(zip(w, policies)))
+        idx, traj = sample_mixture_trajectory(m, mix, Scripted(row))
+        assert idx == (2 if w[2] > 0 else 1)
+        assert sample_mixture_episode(m, mix, row) == (
+            idx, [(step.state, step.action, step.next_state) for step in traj.steps])
