@@ -62,6 +62,23 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
+def _integer(name: str, x, low: int = 1) -> int:
+    """x as an int: an int or numpy integer, not a bool, >= low; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+    return int(x)
+
+
+def _real(name: str, x) -> float:
+    """x as a float: an int, float or numpy real, not a bool; else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {x!r}")
+    try:
+        return float(x)
+    except OverflowError:  # an int past the float range
+        raise ValueError(f"{name}={x} is past the float range") from None
+
+
 @dataclass(frozen=True)
 class Violation:
     """One invariant breach found by a validator.
@@ -150,8 +167,15 @@ class Policy:
 
     @classmethod
     def from_actions(cls, actions, num_actions: int) -> "Policy":
-        """One-hot policy from an (H, S) integer action table."""
-        actions = np.asarray(actions, dtype=int)
+        """One-hot policy from an (H, S) integer action table; ValueError names
+        every action outside [0, num_actions)."""
+        actions = np.asarray(actions)
+        if actions.dtype.kind not in "iu":
+            raise ValueError(f"actions must be integers, got dtype {actions.dtype}")
+        if actions.min() < 0 or actions.max() >= num_actions:  # numpy would wrap -1 round
+            raise ValueError("; ".join(
+                f"action {actions[h, s]} at (h={h}, s={s}) outside [0, {num_actions})"
+                for h, s in np.argwhere((actions < 0) | (actions >= num_actions))))
         h, s = actions.shape
         rule = np.zeros((h, s, num_actions))
         rule[np.arange(h)[:, None], np.arange(s)[None, :], actions] = 1.0
@@ -519,10 +543,7 @@ def _component_policy(body, m: TabularCmdp) -> Policy:
     elif body.shape != (m.horizon, m.num_states):
         problems = [f"actions shape {body.shape}"]
     else:
-        problems = [f"action {body[h, s]} at (h={h}, s={s}) outside [0, {m.num_actions})"
-                    for h, s in np.argwhere((body < 0) | (body >= m.num_actions))]
-        if not problems:
-            body = Policy.from_actions(body, m.num_actions)
+        return Policy.from_actions(body, m.num_actions)  # names out-of-range actions
     if problems:
         raise ValueError("; ".join(problems))
     return body

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TabularCmdp, normalize_transition_rows, validate_cmdp
+from .core import TabularCmdp, _integer, _real, normalize_transition_rows, validate_cmdp
 
 
 class GenerationError(ValueError):
@@ -29,11 +29,11 @@ class GenerationError(ValueError):
 class GenSpec:
     """Generator knobs: dimensions, target budget slack, Dirichlet concentration, seed.
 
-    The dimensions are integers >= 1 and seed is a non-negative integer
-    (an int or numpy integer, not a bool), each stored as an int. zeta_target
-    must be positive (generated instances are always strictly feasible) and
-    at most H, the largest value the budget may take; dirichlet_alpha must be
-    positive and finite.
+    The dimensions (>= 1) and seed (>= 0) follow core._integer: ints or numpy
+    integers, not bools or 2.0, stored as ints; the rest follow core._real,
+    stored as floats. zeta_target must be positive (generated instances are
+    always strictly feasible) and at most H, the largest value the budget may
+    take; dirichlet_alpha must be positive and finite.
     """
 
     num_states: int
@@ -44,20 +44,15 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_states", "num_actions", "horizon"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, name, int(n))
+        for name, low in (("num_states", 1), ("num_actions", 1), ("horizon", 1), ("seed", 0)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), low))
+        for name in ("zeta_target", "dirichlet_alpha"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
         if not self.zeta_target > 0:
             raise ValueError(f"zeta_target must be positive, got {self.zeta_target}")
         if not 0 < self.dirichlet_alpha < math.inf:
             raise ValueError(
                 f"dirichlet_alpha must be positive and finite, got {self.dirichlet_alpha}")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
 
 
 def generate(spec: GenSpec) -> TabularCmdp:
@@ -83,7 +78,7 @@ def generate(spec: GenSpec) -> TabularCmdp:
     cost = rng.uniform(size=(h_, s_, a_))
     cost[:, :, 0] = 0.0
     m = TabularCmdp(s_, a_, h_, kernel, reward, cost,
-                    budget=float(spec.zeta_target), initial_state=0)
+                    budget=spec.zeta_target, initial_state=0)
     problems = validate_cmdp(m)
     if problems:  # pragma: no cover - draws are valid by construction
         raise GenerationError(f"generated instance invalid: {problems[0]}")

@@ -73,8 +73,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction,
-                   slater_constant)
+from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction, _integer,
+                   _real, slater_constant)
 from .simulate import _BLOCK, _stream_floats, sample_mixture_episode
 
 BONUS_C1 = 460.0 / 9.0
@@ -119,19 +119,24 @@ class LearnerConfig:
     def make(cls, num_states, num_actions, horizon, episodes, iters, dual_cap,
              grid_step, delta, mode, shift, eta=None, c1=BONUS_C1, c2=BONUS_C2,
              bonus_scale=1.0) -> "LearnerConfig":
-        """Validate, round U up to the grid, and default eta = U / (H sqrt(T))."""
+        """Validate, round U up to the grid, and default eta = U / (H sqrt(T)).
+        Counts follow core._integer (no bools or 3.0) up to 2**53; reals, core._real."""
         counts = {"num_states": num_states, "num_actions": num_actions,
                   "horizon": horizon, "episodes": episodes, "iters": iters}
-        for name, count in counts.items():  # count % 1, unlike float(count), cannot overflow
-            if isinstance(count, bool) or not count % 1 == 0 or count < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {count!r}")
+        for name, count in counts.items():
+            counts[name] = count = _integer(name, count)
             if count > 2**53:  # past the float range or its exact integers
                 raise ValueError(f"{name}={count} exceeds 2**53")
+        num_states, num_actions, horizon, episodes, iters = counts.values()
+        delta = _real("delta", delta)
         reals = {"dual_cap": dual_cap, "grid_step": grid_step, "shift": shift,
                  "eta": eta, "c1": c1, "c2": c2, "bonus_scale": bonus_scale}
         for name, x in reals.items():
-            if x is not None and not math.isfinite(x):
-                raise ValueError(f"{name} must be finite, got {x!r}")
+            if x is not None or name != "eta":
+                reals[name] = x = _real(name, x)
+                if not math.isfinite(x):
+                    raise ValueError(f"{name} must be finite, got {x!r}")
+        dual_cap, grid_step, shift, eta, c1, c2, bonus_scale = reals.values()
         for name, x in (("dual_cap", dual_cap), ("grid_step", grid_step), ("eta", eta)):
             if x is not None and not x > 0:
                 raise ValueError(f"{name} must be positive, got {x!r}")
@@ -153,10 +158,8 @@ class LearnerConfig:
         if not (delta_prime > 0 and math.isfinite(1.0 / delta_prime)):
             raise ValueError(f"delta={delta} is too small: 1/delta' = "
                              f"200 S A H^2 K^2 / delta is not finite")
-        return cls(*map(int, counts.values()),
-                   float(dual_cap), float(grid_step), float(eta), float(delta),
-                   float(delta_prime), mode, float(shift),
-                   *(float(x) + 0.0 for x in (c1, c2, bonus_scale)))  # -0.0 -> +0.0: see _q_tables
+        return cls(*counts.values(), dual_cap, grid_step, eta, delta, delta_prime, mode, shift,
+                   c1 + 0.0, c2 + 0.0, bonus_scale + 0.0)  # -0.0 -> +0.0: see _q_tables
 
     def b_prime(self, budget: float) -> float:
         """The shifted budget the dual update tracks."""
@@ -183,6 +186,7 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, bonus_scale=1.0,
     formulas.
     """
     s_, a_, h_ = m.num_states, m.num_actions, m.horizon
+    epsilon = _real("epsilon", epsilon)
     try:
         if mode == RELAXED:
             if not 0 < epsilon <= h_:
@@ -214,8 +218,8 @@ def derive_config(mode, epsilon, delta, m: TabularCmdp, bonus_scale=1.0,
         raise ValueError(f"epsilon={epsilon} puts a rate formula out of range (0, inf)")
     episodes = episodes if episodes is not None else max(1, math.ceil(k0))
     iters = iters if iters is not None else max(1, math.ceil(t0))
-    dual_cap = float(dual_cap) if dual_cap is not None else u0
-    grid_step = float(grid_step) if grid_step is not None else e0
+    dual_cap = _real("dual_cap", dual_cap) if dual_cap is not None else u0
+    grid_step = _real("grid_step", grid_step) if grid_step is not None else e0
     return LearnerConfig.make(s_, a_, h_, episodes, iters, dual_cap, grid_step,
                               delta, mode, shift, bonus_scale=bonus_scale)
 
@@ -263,14 +267,14 @@ class EmpiricalModel:
                     batch_size: int = 1) -> "EmpiricalModel":
         """Model with every row built from a batch of batch_size = b = 2**k, as
         record_transition leaves it: lifetime count 2b and k + 2 rebuilds, or 1 and 1 at b = 1."""
-        if (isinstance(batch_size, bool) or not isinstance(batch_size, (int, np.integer))
-                or batch_size < 1 or batch_size & (batch_size - 1)):
+        b = _integer("batch_size", batch_size)
+        if b & (b - 1):
             raise ValueError(f"batch_size must be a power of two >= 1, got {batch_size!r}")
-        k = int(batch_size).bit_length() - 1
+        k = b.bit_length() - 1
         model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
         model.total[:], model.batch_size[:], model.epochs[:] = (
-            (2 * batch_size, batch_size, k + 2) if k else (1, 1, 1))
+            (2 * b, b, k + 2) if k else (1, 1, 1))
         return model
 
     @cached_property
@@ -462,10 +466,16 @@ class DualWalk(NamedTuple):
     index: tuple
 
     def trace(self, values) -> np.ndarray:
-        """Per-iteration values: the prefix, then the cycle tiled and cut to T."""
-        t = np.arange(sum(self.counts))
-        j, period = self.cycle_start, len(self.counts) - self.cycle_start
-        return np.asarray(values)[np.where(t < j, t, j + (t - j) % max(period, 1))]
+        """Per-iteration values: the prefix, then the cycle tiled and cut to T.
+        The cycle is broadcast into one buffer, the only length-T array built."""
+        values, t, j = np.asarray(values), sum(self.counts), self.cycle_start
+        period = len(values) - j
+        if t > j and period < 1:
+            raise ValueError(f"the counts sum to T = {t}, past the prefix of {j}, with no cycle")
+        reps = -((j - t) // period) if t > j else 0  # ceil((T - j) / period)
+        out = np.empty(j + reps * period, values.dtype)
+        out[:j], out[j:].reshape(reps, period)[:] = values[:j], values[j:]
+        return out[:t]
 
 
 def primal_dual_episode(model: EmpiricalModel, initial_state: int, b_prime: float,

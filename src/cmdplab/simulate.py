@@ -53,7 +53,7 @@ from bisect import bisect_right
 
 import numpy as np
 
-from .core import MixturePolicy, TabularCmdp, running_sums
+from .core import MixturePolicy, TabularCmdp, _integer, running_sums
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -157,10 +157,7 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     (int or numpy integer, not a bool) >= 1. Returns a dict with episodes as
     an int and means and standard errors for both stages.
     """
-    if (isinstance(episodes, bool) or not isinstance(episodes, (int, np.integer))
-            or episodes < 1):
-        raise ValueError(f"episodes must be an integer >= 1, got {episodes!r}")
-    episodes = operator.index(episodes)
+    episodes = _integer("episodes", episodes)
     h_, s_, a_ = shape = (m.horizon, m.num_states, m.num_actions)
     for _, policy in mix.components:
         if policy.rule.shape != shape:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (PRICE_CHUNK, MixturePolicy, Policy, TabularCmdp,
+from .core import (PRICE_CHUNK, MixturePolicy, Policy, TabularCmdp, _real,
                    evaluate_policy, greedy_backup, slater_constant)
 
 OPTIMAL = "optimal"
@@ -114,6 +114,7 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     degenerate: fall back to brute force when small enough, otherwise raise
     DegenerateInstanceError.
     """
+    tol = _real("tol", tol)
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be in (0, inf), got {tol}")
     zeta, _ = slater_constant(m)

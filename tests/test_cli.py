@@ -405,8 +405,8 @@ def test_library_errors_exit_with_one_line(tmp_path):
                                              rf"realizes zeta_target={float(zeta)}$"):
             main(["generate", "--zeta", zeta, "--H", "3", "--out", str(tmp_path / "g.json")])
     # numpy's own message named no field
-    with pytest.raises(SystemExit, match=r"^cmdplab generate: seed must be a non-negative "
-                                         r"integer, got -5$"):
+    with pytest.raises(SystemExit, match=r"^cmdplab generate: seed must be an integer >= 0, "
+                                         r"got -5$"):
         main(["generate", "--seed", "-5", "--out", str(tmp_path / "g.json")])
     # these drew NaN kernel rows and blamed "P entry (0, 0, 0, 0)"
     with pytest.raises(SystemExit, match=r"^cmdplab generate: dirichlet_alpha must be "

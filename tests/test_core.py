@@ -340,6 +340,21 @@ def test_policy_from_actions_is_one_hot():
     assert pi.validate() == []
 
 
+def test_policy_from_actions_rejects_truncated_or_wrapped_actions():
+    # int() truncated 1.7 to 1, and numpy's index wrapped -1 round to A - 1
+    for actions in ([[1.7, 0], [0, 0]], np.zeros((2, 2)), [[True, False], [False, False]]):
+        with pytest.raises(ValueError, match="^actions must be integers, got dtype "):
+            Policy.from_actions(actions, 2)
+    with pytest.raises(ValueError, match=r"^action -1 at \(h=0, s=0\) outside \[0, 2\)$"):
+        Policy.from_actions([[-1, 0], [0, 0]], 2)
+    with pytest.raises(ValueError, match=r"^action 2 at \(h=0, s=1\) outside \[0, 2\); "
+                                         r"action -3 at \(h=1, s=0\) outside \[0, 2\)$"):
+        Policy.from_actions(np.array([[0, 2], [-3, 1]], dtype=np.int8), 2)
+    for dtype in (np.int32, np.uint8, np.int64):
+        pi = Policy.from_actions(np.array([[1, 0], [0, 1]], dtype=dtype), 2)
+        assert pi == Policy.from_actions([[1, 0], [0, 1]], 2)
+
+
 def test_policy_validate_flags_bad_rows():
     bad = Policy(np.array([[[0.6, 0.3]]]))
     assert any("sums to" in p for p in bad.validate())

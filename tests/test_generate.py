@@ -76,10 +76,18 @@ def test_spec_validation():
                                              rf"got {alpha}$"):
             GenSpec(2, 2, 2, zeta_target=0.5, dirichlet_alpha=alpha)
     for seed in (-5, 1.5, 3.0, True, None):
-        with pytest.raises(ValueError,
-                           match=rf"^seed must be a non-negative integer, got {seed!r}$"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {seed!r}$"):
             GenSpec(2, 2, 2, zeta_target=0.5, seed=seed)
     assert GenSpec(2, 2, 2, zeta_target=0.5, seed=np.int64(3)).seed == 3
+    # "0.5" and None raised TypeError, and True ran as 1.0
+    for name, x in (("zeta_target", "0.5"), ("zeta_target", None), ("zeta_target", True),
+                    ("dirichlet_alpha", "1"), ("dirichlet_alpha", None),
+                    ("dirichlet_alpha", True)):
+        with pytest.raises(ValueError, match=rf"^{name} must be a number, got {x!r}$"):
+            GenSpec(**{"num_states": 2, "num_actions": 2, "horizon": 2, "zeta_target": 0.5,
+                       name: x})
+    spec = GenSpec(2, 2, 2, zeta_target=np.float32(0.5), dirichlet_alpha=2)
+    assert (type(spec.zeta_target), type(spec.dirichlet_alpha)) == (float, float)
 
 
 @pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon"])

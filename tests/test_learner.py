@@ -218,7 +218,12 @@ def test_record_transition_rejects_an_index_out_of_range_unchanged():
 def test_from_kernel_rejects_an_unbuilt_batch_size():
     # 0 leaves rows unbuilt; the doubling rule builds only batches of 2**k
     m = preset("two_state_chain")
-    for size in (0, -1, -4, 3, 50, 4.0, True):
+    for size in (0, -1, -4, 4.0, True):  # not a count: the library's integer rule
+        with pytest.raises(ValueError, match=rf"^batch_size must be an integer >= 1, "
+                                             rf"got {size!r}$"):
+            EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
+                                       batch_size=size)
+    for size in (3, 50):
         with pytest.raises(ValueError, match=rf"^batch_size must be a power of two >= 1, "
                                              rf"got {size!r}$"):
             EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config(),
@@ -324,6 +329,13 @@ def test_derive_config_rejects_bad_targets():
         # a power of epsilon underflows to 0 even when K and T are given
         with pytest.raises(ValueError, match="epsilon"):
             derive_config(mode, eps, 0.1, m, episodes=2, iters=2)
+    for eps in ("1", None, True):  # "1" and None raised TypeError; True ran as 1
+        with pytest.raises(ValueError, match=rf"^epsilon must be a number, got {eps!r}$"):
+            derive_config("relaxed", eps, 0.1, m)
+    # the overrides were passed through float(), which read a string
+    for key, x in (("dual_cap", "4"), ("grid_step", "0.5"), ("dual_cap", True)):
+        with pytest.raises(ValueError, match=rf"^{key} must be a number, got {x!r}$"):
+            derive_config("relaxed", 1.0, 0.1, m, **{key: x})
 
 
 def test_make_rounds_cap_up_to_grid():
@@ -355,6 +367,18 @@ def test_make_validation_errors():
                        ({"iters": math.inf}, "^iters must be an integer >= 1, got inf$"),
                        ({"episodes": math.nan}, "^episodes must be an integer >= 1, got nan$"),
                        ({"iters": True}, "^iters must be an integer >= 1, got True$"),
+                       ({"episodes": "3"}, "^episodes must be an integer >= 1, got '3'$"),
+                       ({"iters": None}, "^iters must be an integer >= 1, got None$"),
+                       ({"dual_cap": "1"}, "^dual_cap must be a number, got '1'$"),
+                       ({"dual_cap": True}, "^dual_cap must be a number, got True$"),
+                       ({"delta": "0.1"}, "^delta must be a number, got '0.1'$"),
+                       ({"delta": True}, "^delta must be a number, got True$"),
+                       ({"shift": None}, "^shift must be a number, got None$"),
+                       ({"grid_step": None}, "^grid_step must be a number, got None$"),
+                       ({"eta": "1"}, "^eta must be a number, got '1'$"),
+                       ({"c1": None}, "^c1 must be a number, got None$"),
+                       ({"bonus_scale": True}, "^bonus_scale must be a number, got True$"),
+                       ({"dual_cap": 10**400}, r"^dual_cap=1000\d+ is past the float range$"),
                        ({"dual_cap": 1e300, "grid_step": 1e-300},
                         r"^dual_cap / grid_step = 1e\+300 / 1e-300 overflows$")):
         with pytest.raises(ValueError, match=match):
@@ -375,15 +399,16 @@ def test_make_stores_a_negative_zero_constant_as_positive_zero():
 
 
 @pytest.mark.parametrize("name", ["num_states", "num_actions", "horizon"])
-@pytest.mark.parametrize("value", [0, -1, 2.5, True, math.nan, math.inf])
+@pytest.mark.parametrize("value", [0, -1, 2.5, 3.0, True, math.nan, math.inf, "3", None])
 def test_make_rejects_bad_dimensions_by_name(name, value):
     # each dimension is checked like episodes and iters, before the delta'
-    # formula divides by it (num_states=0) or flips its sign (num_actions=-1)
+    # formula divides by it (num_states=0) or flips its sign (num_actions=-1);
+    # an integral float such as 3.0 is not a count
     good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
                 dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got {value!r}$"):
         LearnerConfig.make(**{**good, name: value})
-    cfg = LearnerConfig.make(**{**good, name: 3.0})  # an integral float is an int
+    cfg = LearnerConfig.make(**{**good, name: np.int64(3)})  # a numpy integer is an int
     assert type(getattr(cfg, name)) is int and getattr(cfg, name) == 3
 
 
@@ -393,12 +418,18 @@ def test_make_rejects_counts_past_2_53_by_name(name):
     # the delta' formula's K**2 or H**2 on its way to a float
     good = dict(num_states=2, num_actions=2, horizon=2, episodes=10, iters=10,
                 dual_cap=1.0, grid_step=0.5, delta=0.1, mode="relaxed", shift=0.0)
-    for value in (10**400, 10**200, 1e300, 2**53 + 1):
+    for value in (10**400, 10**200, 2**53 + 1):
         with pytest.raises(ValueError) as e:
             LearnerConfig.make(**{**good, name: value})
         assert str(e.value) == f"{name}={value!r} exceeds 2**53"
-    cfg = LearnerConfig.make(**{**good, name: float(2**53)})
+    for value in (1e300, float(2**53)):  # floats are not counts, however large
+        with pytest.raises(ValueError) as e:
+            LearnerConfig.make(**{**good, name: value})
+        assert str(e.value) == f"{name} must be an integer >= 1, got {value!r}"
+    cfg = LearnerConfig.make(**{**good, name: 2**53})
     assert getattr(cfg, name) == 2**53 and 0 < cfg.delta_prime
+    # a numpy count is an int before delta' squares it: np.int64(2**53)**2 wraps
+    assert LearnerConfig.make(**{**good, name: np.int64(2**53)}) == cfg
 
 
 @pytest.mark.parametrize("name", ["dual_cap", "grid_step", "shift", "eta", "c1",
@@ -874,6 +905,28 @@ def test_empty_model_episode_keeps_dual_at_zero():
     assert walk.trace(walk.lam).tolist() == [0.0] * 25
     assert walk.trace(walk.vc).tolist() == [0.0] * 25
     assert [w for w, _ in mix.components] == [1.0]  # identical iterates merge
+
+
+@pytest.mark.parametrize("distinct,cycle_start,iters",
+                         [(1, 0, 1), (1, 0, 7), (1, 1, 1), (4, 4, 4), (4, 0, 9), (4, 1, 9),
+                          (4, 3, 9), (4, 2, 6), (5, 2, 1000), (6, 5, 6), (6, 5, 7)])
+def test_walk_trace_is_the_prefix_then_the_cycle(distinct, cycle_start, iters):
+    # iteration t reads index t in the prefix and j + (t - j) % period after it
+    j, period = cycle_start, distinct - cycle_start
+    counts = [1] * distinct
+    for t in range(distinct, iters):
+        counts[j + (t - j) % period] += 1
+    values = tuple(0.25 * i - 0.5 for i in range(distinct))
+    walk = learner.DualWalk(values, values, tuple(counts), j, tuple(range(distinct)))
+    want = [values[t] if t < j else values[j + (t - j) % max(period, 1)] for t in range(iters)]
+    assert walk.trace(values).tolist() == walk.trace(np.array(values)).tolist() == want
+
+
+def test_walk_trace_needs_the_cycle_its_counts_go_round():
+    # counts past the prefix with no cycle after it: no short or padded trace
+    walk = learner.DualWalk((0.0, 0.5), (0.0, 0.0), (1, 5), 2, (0, 1))
+    with pytest.raises(ValueError, match="no cycle"):
+        walk.trace(walk.lam)
 
 
 def test_dual_iterates_live_on_the_grid():

@@ -193,6 +193,9 @@ def test_solver_tolerance_must_be_positive():
     for tol in (0.0, -1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="tol"):
             solve_cmdp_exact(preset("risky_shortcut"), tol=tol)
+    for tol in ("1e-8", None, True):  # "1e-8" and None raised TypeError; True ran as 1.0
+        with pytest.raises(ValueError, match=rf"^tol must be a number, got {tol!r}$"):
+            solve_cmdp_exact(preset("risky_shortcut"), tol=tol)
 
 
 def test_brute_force_size_guard():
