@@ -6,11 +6,12 @@ delta = 0.1 with derive_config (or takes -K / -T), and runs run_learner with
 learner seed 0 once in a fresh process. It prints one line per run: wall
 seconds of run_learner, the backward sweeps of its Lagrangian backups and
 the multipliers they priced (a batched sweep prices several), the episodes
-that replanned, the metrics seconds (compute_metrics plus the final verdict,
-starting from the instance's empty prices, after an untimed exact solve),
-and the process's peak resident memory (ru_maxrss, which includes the
-interpreter and numpy). Runs go one after another, so their times do not
-compete.
+that replanned, the episodes drawn one at a time (sample_mixture_episode
+calls; the others were drawn in replay blocks), the metrics seconds
+(compute_metrics plus the final verdict, starting from the instance's empty
+prices, after an untimed exact solve), and the process's peak resident
+memory (ru_maxrss, which includes the interpreter and numpy). Runs go one
+after another, so their times do not compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
            [-K episodes] [-T iters]
@@ -39,12 +40,18 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     cfg = derive_config(MODE, EPSILON, DELTA, m, bonus_scale=bonus_scale,
                         episodes=episodes, iters=iters)
     backup, sizes = learner.lagrangian_greedy_backup, []
+    sample, samples = learner.sample_mixture_episode, []
 
     def counted(*args):
         sizes.append(np.size(args[1]))  # the multipliers of this sweep
         return backup(*args)
 
+    def counted_sample(*args):
+        samples.append(1)
+        return sample(*args)
+
     learner.lagrangian_greedy_backup = counted
+    learner.sample_mixture_episode = counted_sample
     t0 = time.perf_counter()
     res = run_learner(m, cfg, LEARNER_SEED)
     seconds = time.perf_counter() - t0
@@ -57,7 +64,7 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     metrics_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
             "sweeps": len(sizes), "multipliers": sum(sizes), "replans": replans,
-            "metrics_s": metrics_s,
+            "one_at_a_time": len(samples), "metrics_s": metrics_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -75,8 +82,8 @@ def main():
     print(f"{MODE} eps={EPSILON:g} {'x'.join(map(str, DIMS))} "
           f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
-          f"{'sweeps':>8} {'multipliers':>11} {'replans':>8} {'metrics_s':>9} "
-          f"{'peak_rss_mb':>11}")
+          f"{'sweeps':>8} {'multipliers':>11} {'replans':>8} {'one_at_a_time':>13} "
+          f"{'metrics_s':>9} {'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
@@ -85,7 +92,8 @@ def main():
                                 args.iters).result()
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
                   f"{r['seconds']:>8.2f} {r['sweeps']:>8} {r['multipliers']:>11} "
-                  f"{r['replans']:>8} {r['metrics_s']:>9.3f} {r['peak_rss_mb']:>11.1f}",
+                  f"{r['replans']:>8} {r['one_at_a_time']:>13} {r['metrics_s']:>9.3f} "
+                  f"{r['peak_rss_mb']:>11.1f}",
                   flush=True)
 
 

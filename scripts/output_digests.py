@@ -10,6 +10,10 @@ directory:
   with perfbench's train_plan options (-K 300 -T 3, epsilon 1, seed 3) at
   bonus scales 0 and 0.1 and at the CLI's default scale 1 (no
   --bonus-scale), and in strict mode at -K 200 -T 37, bonus 0.1 and bonus 0;
+- train on that instance at bonus 1e-4, -K 4100 -T 64 (label train_blocks):
+  the dual stays active, so most mixtures have several components, and
+  the learner draws most episodes in blocks, across both of its first two
+  2048-episode stream tables and into a third;
 - solve each preset (their dual bisections reach exact ties, such as
   lambda = 0.5 on two_state_chain);
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
@@ -68,6 +72,7 @@ RUNS = [
                       "--bonus-scale", "0.1"]),
     ("train_strict_bonus0", ["train", *PLAN, "--mode", "strict", "-K", "200", "-T", "37",
                              "--bonus-scale", "0"]),
+    ("train_blocks", ["train", *PLAN, "-K", "4100", "-T", "64", "--bonus-scale", "0.0001"]),
     ("evaluate", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                   "--policy", "{tmp}/train_plan_bonus0.1/policy.json"]),
     *((f"evaluate_{name}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",

@@ -62,10 +62,13 @@ def _frozen(a, dtype=float) -> np.ndarray:
     return arr
 
 
-def _integer(name: str, x, low: int = 1) -> int:
-    """x as an int: an int or numpy integer, not a bool, >= low; else ValueError."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {x!r}")
+def _integer(name: str, x, low: int | None = 1) -> int:
+    """x as an int: an int or numpy integer, not a bool, >= low (any size
+    when low is None); else ValueError."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or (
+            low is not None and x < low):
+        bound = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be an integer{bound}, got {x!r}")
     return int(x)
 
 

@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, evaluate_policy,
+from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, _integer, evaluate_policy,
                    instance_hash, slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
 from .solver import INFEASIBLE, ExactSolution
@@ -148,8 +147,10 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
     sweeps, and the per-episode pass then reads m.prices; an episode whose
     mixture is the previous episode's object (a replay) reuses that
     episode's pair outright. Likewise each distinct dual walk's mean
-    multiplier is taken once. An infeasible exact raises a ValueError.
+    multiplier is taken once. seed is stored as an int (core._integer, any
+    sign and size). An infeasible exact raises a ValueError.
     """
+    seed = _integer("seed", seed, None)
     require_feasible(m, exact)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
@@ -177,7 +178,7 @@ def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
         np.where(violation > 0.0, violation, 0.0).tolist(), lam_means,
         (int(log.model_updates_cum) for log in episodes),
         (float(log.wall_ms) for log in episodes))))
-    return RunRecord(header_cfg, operator.index(seed), instance_hash(m), zeta,
+    return RunRecord(header_cfg, seed, instance_hash(m), zeta,
                      exact.optimal_value, m.budget, rows)
 
 

@@ -57,6 +57,22 @@ the transitions observed since the previous rebuild (batch_counts); the sizes
 of the batches behind the rows (batch_size) therefore follow 1, 1, 2, 4, 8, ...
 and each pair is rebuilt (epochs) at most log2(K) + 1 times.
 
+Most episodes of a long run replay an unchanged plan. A stretch (the
+episodes that play one replan's mixture) draws its first _REPLAYS = 8
+episodes one at a time, sampled by bisect and folded by record_transition.
+After that it draws blocks of _GROWTH = 4 times its length so far, cut at K
+and at the end of the current stream table, with simulate's array sampler,
+and folds each block up to its first rebuild; the rest of the block is
+dropped and drawn again after the replan. This is the one-at-a-time run,
+bit for bit: _draw over the same running sums is the bisect draw;
+transitions that rebuild nothing only add to total and batch_counts, so
+they commute and fold in bulk by bincount; a row rebuilds exactly when its
+lifetime count reaches a power of two, so the first such count in the
+block, ranked in play order, is the first rebuild; and that episode goes
+through record_transition, the one code path for rebuilds, base and the
+memo clear. Under measure_time each episode of a block reports the block's
+wall time divided by the episodes it kept.
+
 Budget shift: relaxed mode aims at b' = b + shift (slack spent on faster
 learning), strict mode at b' = b - shift (margin spent on safety). The true
 kernel is never read here; the model holds the known reward/cost tables and
@@ -75,7 +91,8 @@ import numpy as np
 
 from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction, _integer,
                    _real, slater_constant)
-from .simulate import _BLOCK, _stream_floats, sample_mixture_episode
+from .simulate import (_BLOCK, _cdf_table, _draw, _one_hot_steps, _uniforms,
+                       sample_mixture_episode)
 
 BONUS_C1 = 460.0 / 9.0
 BONUS_C2 = 544.0 / 9.0
@@ -242,7 +259,9 @@ class EmpiricalModel:
     bytes (see the module docstring), and pool maps an action table's bytes
     to the one Policy built for it, so equal backups return the same object.
     Once a backup has run, change the counts and kernel only through
-    record_transition, which keeps base and the memo valid.
+    record_transition, which keeps base and the memo valid; a transition
+    that rebuilds no row may instead just add to total and batch_counts, as
+    _fold_replays does.
     """
 
     total: np.ndarray  # (H, S, A) lifetime visits
@@ -539,6 +558,41 @@ class LearnerResult:
     model: EmpiricalModel
 
 
+# A stretch (the episodes since a replan) draws its episodes in blocks once
+# it has played _REPLAYS of them, each block _GROWTH times the stretch so far.
+_REPLAYS = 8
+_GROWTH = 4
+
+
+def _fold_replays(model: EmpiricalModel, rows, nexts) -> tuple:
+    """Fold a block of episodes, given as the (H, count) (h, s, a) rows and
+    successors simulate._one_hot_steps returns, up to its first rebuild: the
+    episodes before the one that rebuilds go into total and batch_counts by
+    bincount, that one through record_transition, and the rest are dropped.
+    Returns (episodes kept, rows the last of them rebuilt)."""
+    count = rows.shape[1]
+    flat, flat_next = rows.T.ravel(), nexts.T.ravel()  # play order: h within each episode
+    total = model.total.ravel()
+    need = 2 ** np.frexp(total)[1].astype(np.int64) - total  # visits to the next power of two
+    rebuilt = np.bincount(flat, minlength=total.size) >= need
+    last = count  # the episode of the first rebuild, if any
+    if rebuilt.any():
+        pairs = np.flatnonzero(rebuilt)
+        at = np.flatnonzero(rebuilt[flat])
+        at = at[np.argsort(flat[at], kind="stable")]  # grouped by row, in play order
+        last = at[np.searchsorted(flat[at], pairs) + need[pairs] - 1].min() // rows.shape[0]
+    bulk = last * rows.shape[0]
+    model.total += np.bincount(flat[:bulk], minlength=total.size).reshape(model.total.shape)
+    model.batch_counts += np.bincount(
+        flat[:bulk] * model.kernel.shape[-1] + flat_next[:bulk],
+        minlength=model.batch_counts.size).reshape(model.batch_counts.shape)
+    if last == count:
+        return count, 0
+    h, s, a = (x.tolist() for x in np.unravel_index(rows[:, last], model.total.shape))
+    return last + 1, sum(record_transition(model, *step)
+                         for step in zip(h, s, a, nexts[:, last].tolist()))
+
+
 def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
                 measure_time: bool = False) -> LearnerResult:
     """Full online run: K episodes of plan / sample / update.
@@ -547,12 +601,30 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     is drawn from its 1 + 2H uniforms, row k of the seed's stream table
     (simulate's randomness contract); the rows come _BLOCK episodes at a time,
     and since a row depends only on (seed, k), every drawn row is used.
+    seed is an integer (core._integer) of any sign and size.
+
+    A stretch, the episodes that play one replan's mixture, draws its first
+    _REPLAYS episodes one at a time (sample_mixture_episode, then H
+    record_transition calls). Then, while no row rebuilds, it draws blocks
+    of _GROWTH times its length so far, cut at K and at the end of the
+    current stream table (simulate._one_hot_steps), and _fold_replays folds
+    each block up to its first rebuild and drops the rest. The run keeps the
+    one-at-a-time bits: _draw over the same running sums is the bisect draw;
+    episodes that only add counts commute; the first power-of-two lifetime
+    count in play order is the first rebuild; and that episode goes through
+    record_transition, which keeps rebuilds, base and memo[h] on one path.
+
+    Every episode gets its own EpisodeLog, and a stretch's episodes share its
+    mixture and walk objects (compute_metrics finds replays by identity).
     One empirical model, with its Q-table memo, lives for the whole run, and
     the final policy folds each walk's visit counts once, times the episodes
     that played it, in first-play order. Identical (env, cfg, seed)
     reproduce bit-identical results; wall_ms stays 0.0 unless measure_time
-    is set, because real timings cannot be reproducible.
+    is set, because real timings cannot be reproducible. Under measure_time
+    each episode of a block reports the block's wall time divided by the
+    episodes it kept.
     """
+    seed = _integer("seed", seed, None)
     if (cfg.num_states, cfg.num_actions, cfg.horizon) != (
             env.num_states, env.num_actions, env.horizon):
         raise ValueError(
@@ -570,24 +642,42 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     walks = []  # [mixture, walk, episodes that played it], one per replan
     touched = True  # an episode replans only after a row rebuild
     updates = 0  # rebuilds so far: epochs.sum(), since the model starts empty
-    for k in range(cfg.episodes):
+    kernel_cdf = None  # the block draws' transition table, built on first use
+    action_rows: dict = {}  # Policy -> its raveled action table, for block draws
+    k = 0
+    while k < cfg.episodes:
         t0 = time.perf_counter() if measure_time else 0.0
         if touched:
             mixture, walk = primal_dual_episode(
                 model, env.initial_state, b_prime, walk.index if walks else ())
             walks.append([mixture, walk, 0])
         if k % _BLOCK == 0:
-            rows = _stream_floats(seed, k, min(_BLOCK, cfg.episodes - k),
-                                  1 + 2 * env.horizon).tolist()
-        _, steps = sample_mixture_episode(env, mixture, rows[k % _BLOCK])
-        touched = False
-        for h, (s, a, s_next) in enumerate(steps):
-            if record_transition(model, h, s, a, s_next):
-                touched = True
-                updates += 1
-        walks[-1][2] += 1
-        wall = (time.perf_counter() - t0) * 1e3 if measure_time else 0.0
-        logs.append(EpisodeLog(k, mixture, walk, updates, wall))
+            table = _uniforms(seed, k, min(_BLOCK, cfg.episodes - k), range(1 + 2 * env.horizon))
+            rows = table.T.tolist()
+        played, i = walks[-1][2], k % _BLOCK
+        if played < _REPLAYS:
+            _, steps = sample_mixture_episode(env, mixture, rows[i])
+            rebuilds = sum(record_transition(model, h, s, a, s_next)
+                           for h, (s, a, s_next) in enumerate(steps))
+            kept = 1
+        else:
+            if kernel_cdf is None:
+                kernel_cdf = _cdf_table(env.transition.reshape(-1, env.num_states))
+            u = table[::2, i:i + min(_GROWTH * played, len(rows) - i)]  # uniforms 0, 2 + 2h
+            for _, p in mixture.components:
+                if p not in action_rows:
+                    action_rows[p] = np.ravel(p.actions)
+            actions = np.concatenate([action_rows[p] for _, p in mixture.components])
+            kept, rebuilds = _fold_replays(model, *_one_hot_steps(
+                env, _draw(np.array(mixture.cumulative)[:, None], u[0]), actions, kernel_cdf,
+                u[1:]))
+        touched = rebuilds > 0
+        walks[-1][2] += kept
+        wall = (time.perf_counter() - t0) * 1e3 / kept if measure_time else 0.0
+        logs.extend(EpisodeLog(k + j, mixture, walk, updates, wall) for j in range(kept - 1))
+        updates += rebuilds
+        logs.append(EpisodeLog(k + kept - 1, mixture, walk, updates, wall))
+        k += kept
     plays: dict = {}  # Policy -> iterations it was played, in first-play order
     for mixture, walk, replays in walks:
         for (_, p), n in zip(mixture.components, walk.counts):

@@ -36,13 +36,14 @@ component, 1 + 2h the action at step h and 2 + 2h its successor. A one-hot
 component reads its action from its action table (Policy.actions), so its
 action uniforms keep their positions but are never read: on an exactly
 one-hot row, categorical returns the row's argmax for every u in [0, 1).
-The learner draws one episode at a time (sample_mixture_episode) by
+The learner draws an episode on its own (sample_mixture_episode) by
 bisect_right over the tables their owners cache (MixturePolicy.cumulative,
-TabularCmdp.transition_cdf); monte_carlo_value draws a block at once, each
-draw as the count of a row's sums at or below u (_draw). When every
-component is one-hot it generates only the uniforms its draws read
-(_uniforms), 0 and 2 + 2h, and takes each action from the stacked action
-tables.
+TabularCmdp.transition_cdf). monte_carlo_value draws a block of episodes at
+once, each draw as the count of a row's sums at or below u (_draw), which
+is bisect_right's index. When every component is one-hot it generates only
+the uniforms its draws read (_uniforms), 0 and 2 + 2h, and takes each
+action from the stacked action tables. The learner draws the blocks of a
+long replay stretch the same way (_one_hot_steps).
 """
 
 from __future__ import annotations
@@ -111,6 +112,23 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u).sum(0)
 
 
+def _one_hot_steps(m: TabularCmdp, comp, actions, kernel_cdf, succ):
+    """A block of one-hot mixture episodes from s1, drawn as
+    sample_mixture_episode draws them: comp holds each episode's component,
+    actions the components' action tables raveled by (component, h, s),
+    kernel_cdf the _cdf_table of m's kernel rows by (h, s, a), and succ[h]
+    the successor uniforms of step h. Returns the (H, episodes) (h, s, a)
+    rows of the steps and their successors."""
+    h_, s_, a_ = m.horizon, m.num_states, m.num_actions
+    s = np.full(len(comp), m.initial_state)
+    rows, nexts = [], []
+    for h in range(h_):
+        rows.append((h * s_ + s) * a_ + actions.take((comp * h_ + h) * s_ + s))
+        s = _draw(kernel_cdf.take(rows[-1], 1), succ[h])
+        nexts.append(s)
+    return np.array(rows), np.array(nexts)
+
+
 def categorical(probs, u: float) -> int:
     """Inverse-CDF draw over ascending indices: the first index whose
     cumulative probability exceeds the uniform u, else the fallback."""
@@ -154,10 +172,11 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     component is one-hot, actions come from the stacked action tables and
     only the uniforms the draws read are generated; any stochastic component
     puts every action on the categorical draw. episodes must be an integer
-    (int or numpy integer, not a bool) >= 1. Returns a dict with episodes as
-    an int and means and standard errors for both stages.
+    (int or numpy integer, not a bool) >= 1 and seed one of any sign and
+    size. Returns a dict with episodes as an int and means and standard
+    errors for both stages.
     """
-    episodes = _integer("episodes", episodes)
+    episodes, seed = _integer("episodes", episodes), _integer("seed", seed, None)
     h_, s_, a_ = shape = (m.horizon, m.num_states, m.num_actions)
     for _, policy in mix.components:
         if policy.rule.shape != shape:

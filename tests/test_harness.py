@@ -158,10 +158,12 @@ def test_numpy_integer_seeds_write_the_python_seeds_report(chain, tmp_path):
         want = (tmp_path / "int" / name).read_bytes()
         for kind in ("int64", "uint64"):
             assert (tmp_path / kind / name).read_bytes() == want, (kind, name)
-    with pytest.raises(TypeError):
-        run_learner(m, cfg, seed=3.0)
-    with pytest.raises(TypeError):
-        compute_metrics(m, exact, res.episodes, seed=3.0)
+    for seed in (3.0, 1.5, True, "3", None):
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            run_learner(m, cfg, seed=seed)
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            compute_metrics(m, exact, res.episodes, seed=seed)
+    assert compute_metrics(m, exact, res.episodes, seed=-2**70).seed == -2**70
 
 
 def test_replayed_episodes_are_priced_once(chain, monkeypatch):

@@ -1101,14 +1101,18 @@ def test_run_learner_counts_and_monotone_updates():
 
 
 def test_run_learner_calls_each_traced_binding_per_episode(monkeypatch):
-    # run_learner samples through learner.sample_mixture_episode once per
-    # episode and folds through learner.record_transition H times per
-    # episode (bindings a tracer wraps), and every episode's
-    # model_updates_cum is the rebuild count epochs.sum() at its end
+    # run_learner samples through learner.sample_mixture_episode and folds
+    # through learner.record_transition, the bindings a tracer wraps. An
+    # episode drawn on its own makes one sample call and H record calls; a
+    # block folds its episodes before the first rebuild in bulk and the
+    # rebuilding one through H record calls. Every episode's
+    # model_updates_cum is the rebuild count epochs.sum() at its end: read
+    # after the H record calls of an episode that makes them (episode k ends
+    # at total.sum() = (k + 1) H), and unchanged over a bulk-folded episode
     m = preset("risky_shortcut")
-    cfg = small_run_config(m, episodes=40)
-    sample, record, samples, rebuilds = (learner.sample_mixture_episode,
-                                         learner.record_transition, [], [])
+    cfg = small_run_config(m, episodes=400)
+    sample, record, samples, records, ends = (learner.sample_mixture_episode,
+                                              learner.record_transition, [], [], {})
 
     def counted_sample(*args):
         samples.append(1)
@@ -1116,16 +1120,20 @@ def test_run_learner_calls_each_traced_binding_per_episode(monkeypatch):
 
     def counted_record(model, *args):
         rebuilt = record(model, *args)
-        rebuilds.append(int(model.epochs.sum()))
+        records.append(1)
+        done, into = divmod(int(model.total.sum()), m.horizon)
+        if not into:
+            ends[done - 1] = int(model.epochs.sum())
         return rebuilt
 
     monkeypatch.setattr(learner, "sample_mixture_episode", counted_sample)
     monkeypatch.setattr(learner, "record_transition", counted_record)
     res = run_learner(m, cfg, seed=5)
-    assert len(samples) == cfg.episodes
-    assert len(rebuilds) == cfg.episodes * m.horizon
+    assert 0 < len(samples) < len(ends) < cfg.episodes  # blocks, some ending in a rebuild
+    assert len(records) == len(ends) * m.horizon
     ups = [log.model_updates_cum for log in res.episodes]
-    assert ups == rebuilds[m.horizon - 1::m.horizon]
+    assert ups == [ends[k] if k in ends else ups[k - 1] for k in range(cfg.episodes)]
+    assert ups[-1] == int(res.model.epochs.sum())
     assert len(set(ups)) > 2  # the count moves during the run
 
 
@@ -1160,12 +1168,12 @@ def test_run_learner_final_mixture_merges_equal_policies():
 
 
 def _memo_free_run(env, cfg, seed):
-    """run_learner's loop with a fresh memo for every plan and the plays
-    folded every episode: each episode's (mixture, walk), and the final
-    mixture's components."""
+    """run_learner's loop with a fresh memo for every plan, each episode
+    sampled on its own and its plays folded: each episode's (mixture, walk)
+    and model_updates_cum, the final mixture's components, and the model."""
     b_prime = cfg.b_prime(env.budget)
     model = EmpiricalModel.empty(env.stages, cfg)
-    played, plays, touched = [], {}, True
+    played, updates, plays, touched = [], [], {}, True
     for k in range(cfg.episodes):
         if touched:
             mixture, walk = primal_dual_episode(fresh(model), env.initial_state, b_prime)
@@ -1177,20 +1185,27 @@ def _memo_free_run(env, cfg, seed):
         for (_, p), n in zip(mixture.components, walk.counts):
             plays[p] = plays.get(p, 0) + n
         played.append((mixture, walk))
+        updates.append(int(model.epochs.sum()))
     total = cfg.episodes * cfg.iters
-    return played, tuple((n / total, p) for p, n in plays.items())
+    return played, updates, tuple((n / total, p) for p, n in plays.items()), model
 
 
-def test_run_learner_matches_a_memo_free_per_episode_loop():
+def test_run_learner_matches_a_memo_free_per_episode_loop(monkeypatch):
     # run_learner keeps its model's Q-table memo across lambdas and replans,
-    # record_transition clears only the rebuilt step, and the run folds the
-    # plays once per walk, counts times
-    # the episodes that replayed it. Its walks, mixtures and final components
-    # (order and weight bits) equal a loop that plans with a fresh memo and
-    # folds every episode; dropping the clear, or clearing another step,
-    # leaves stale tables that change some walk. Each run replays walks:
-    # generated 10x4x8 at K 300, T 3, bonus 0 and 0.1, and two_state_chain
-    # at K 2000, T 100.
+    # record_transition clears only the rebuilt step, the run folds the
+    # plays once per walk, counts times the episodes that replayed it, and
+    # a long replay stretch draws its episodes in blocks and folds each up
+    # to its first rebuild. Its walks, mixtures, rebuild counts, final
+    # components (order and weight bits) and final model equal a loop that
+    # plans with a fresh memo and samples and folds every episode on its
+    # own; dropping the clear, or clearing another step, leaves stale tables
+    # that change some walk, and folding a block's rebuilding episode in
+    # bulk, or the episode after it in its place, changes the counts. Each run
+    # replays walks: generated 10x4x8 at K 300, T 3, bonus 0 and 0.1, and
+    # two runs that draw blocks: two_state_chain at K 2000, T 100, and
+    # 10x4x8 at K 4100, T 64, bonus 1e-4, whose dual keeps most mixtures at
+    # several components and whose blocks run through two stream tables and
+    # into a third.
     m = generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=3))
     chain = preset("two_state_chain")
     runs = [(m, derive_config("relaxed", 1.0, 0.1, m, bonus_scale=bonus_scale,
@@ -1198,13 +1213,25 @@ def test_run_learner_matches_a_memo_free_per_episode_loop():
     runs.append((chain, derive_config("relaxed", 0.1, 0.1, chain, bonus_scale=0.0,
                                       episodes=2000, iters=100, dual_cap=4.0,
                                       grid_step=0.00390625)))
+    runs.append((m, derive_config("relaxed", 1.0, 0.1, m, bonus_scale=1e-4,
+                                  episodes=2 * _BLOCK + 4, iters=64)))
+    sample, samples = learner.sample_mixture_episode, []
+    monkeypatch.setattr(learner, "sample_mixture_episode",
+                        lambda *args: samples.append(1) or sample(*args))
     for env, cfg in runs:
+        samples.clear()
         res = run_learner(env, cfg, seed=1)
+        drawn_alone = len(samples)
         logs = res.episodes
         assert any(b.walk is a.walk for a, b in zip(logs, logs[1:]))
-        played, final = _memo_free_run(env, cfg, seed=1)
+        played, updates, final, model = _memo_free_run(env, cfg, seed=1)
         assert [(log.mixture, log.walk) for log in logs] == played
+        assert [log.model_updates_cum for log in logs] == updates
         assert res.final_policy.components == final
+        for name in ("total", "batch_counts", "batch_size", "epochs", "kernel"):
+            assert getattr(res.model, name).tobytes() == getattr(model, name).tobytes(), name
+    several = sum(len(log.mixture.components) > 1 for log in logs)
+    assert several > cfg.episodes // 2 and drawn_alone < cfg.episodes - 1000  # blocks drawn
 
 
 def test_run_learner_interns_its_greedy_policies(monkeypatch):
@@ -1252,26 +1279,38 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters,
 @pytest.mark.parametrize("seed", [-7, 2**64 - 1])
 def test_run_learner_draws_each_episode_from_its_own_stream(monkeypatch, seed):
     # the learner reads its uniforms _BLOCK episodes at a time; K crosses two
-    # block boundaries and ends three rows into a third block. Row k must be
-    # the first 1 + 2H uniforms of the scalar stream of episode k, and the
-    # episode the scalar sampler's on that stream.
+    # block boundaries and ends three rows into a third block. An episode
+    # drawn on its own gets row k, the first 1 + 2H uniforms of the scalar
+    # stream of episode k, and a block draws from the same uniforms: every
+    # episode, block-drawn or not, has the scalar sampler's steps on that
+    # stream, and one drawn on its own its component too.
     m = preset("risky_shortcut")
     episodes = 2 * _BLOCK + 3
-    original, calls = learner.sample_mixture_episode, []
+    sample, fold, drawn = learner.sample_mixture_episode, learner._fold_replays, []
 
     def recording(env, mix, u):
-        calls.append((mix, list(u), original(env, mix, u)))
-        return calls[-1][2]
+        drawn.append((list(u), sample(env, mix, u)))
+        return drawn[-1][1]
+
+    def recording_fold(model, rows, nexts):
+        kept, rebuilds = fold(model, rows, nexts)
+        _, s, a = np.unravel_index(rows[:, :kept], model.total.shape)
+        drawn.extend((None, (None, list(zip(*step)))) for step in zip(
+            s.T.tolist(), a.T.tolist(), nexts[:, :kept].T.tolist()))
+        return kept, rebuilds
 
     monkeypatch.setattr(learner, "sample_mixture_episode", recording)
-    run_learner(m, small_run_config(m, episodes=episodes, iters=3), seed)
-    assert len(calls) == episodes
-    for k, (mix, row, (idx, steps)) in enumerate(calls):
-        rng = episode_stream(seed, k)
-        assert row == [rng.next_float() for _ in range(1 + 2 * m.horizon)]
-        want_idx, traj = sample_mixture_trajectory(m, mix, episode_stream(seed, k))
-        assert (idx, steps) == (want_idx, [(st.state, st.action, st.next_state)
-                                           for st in traj.steps])
+    monkeypatch.setattr(learner, "_fold_replays", recording_fold)
+    res = run_learner(m, small_run_config(m, episodes=episodes, iters=3), seed)
+    assert len(drawn) == episodes
+    assert 0 < sum(row is None for row, _ in drawn) < episodes
+    for k, (log, (row, (idx, steps))) in enumerate(zip(res.episodes, drawn)):
+        if row is not None:
+            rng = episode_stream(seed, k)
+            assert row == [rng.next_float() for _ in range(1 + 2 * m.horizon)]
+        want_idx, traj = sample_mixture_trajectory(m, log.mixture, episode_stream(seed, k))
+        assert steps == [(st.state, st.action, st.next_state) for st in traj.steps]
+        assert idx in (None, want_idx)
 
 
 def test_run_learner_validates_inputs(monkeypatch):
@@ -1280,8 +1319,13 @@ def test_run_learner_validates_inputs(monkeypatch):
     cfg = small_run_config(m)
     with pytest.raises(ValueError):
         run_learner(other, cfg, seed=0)  # dims mismatch
+    for seed in (-3, 2**70, np.int8(-3), np.uint64(2**64 - 1)):  # any sign and size
+        run_learner(m, small_run_config(m, episodes=2, iters=2), seed)
     monkeypatch.setattr(learner, "primal_dual_episode",
                         lambda *args: pytest.fail("a run started"))
+    for seed in (True, 1.5, 3.0, np.float64(3.0), "3", None):  # True ran as 1; 1.5 a TypeError
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
+            run_learner(m, cfg, seed=seed)
     with pytest.raises(ValueError, match="episodes"):
         run_learner(m, small_run_config(m, episodes=learner.MAX_EPISODES + 1), seed=0)
     with pytest.raises(ValueError, match="iters"):

@@ -192,7 +192,8 @@ def test_numpy_integer_seeds_mix_like_python_ints():
     for seed in (3.0, np.float64(3.0)):
         with pytest.raises(TypeError):
             mix64(seed)
-        with pytest.raises(TypeError):
+    for seed in (3.0, np.float64(3.0), 1.5, True, "3", None):  # True ran as seed 1
+        with pytest.raises(ValueError, match=r"^seed must be an integer, got "):
             monte_carlo_value(m, mix, episodes=300, seed=seed)
 
 
