@@ -38,14 +38,16 @@ def main():
     print(f"{'episode':>8} {'mean lambda':>12} {'last lambda':>12} "
           f"{'mix cost':>10} {'mix reward':>11}")
     step = max(1, args.episodes // 12)
-    for log in res.episodes:
-        k = log.episode
-        if k % step and k != args.episodes - 1:
+    for log in res.episodes:  # one per replan, played by episodes k of its range
+        shown = [k for k in range(log.episode, log.episode + log.count)
+                 if k % step == 0 or k == args.episodes - 1]
+        if not shown:
             continue
         v_r, v_c = evaluate_mixture(m, log.mixture)
         lam = log.walk.trace(log.walk.lam)
-        print(f"{k:>8} {lam.mean():>12.4f} "
-              f"{lam[-1]:>12.4f} {v_c:>10.4f} {v_r:>11.4f}")
+        for k in shown:
+            print(f"{k:>8} {lam.mean():>12.4f} "
+                  f"{lam[-1]:>12.4f} {v_c:>10.4f} {v_r:>11.4f}")
 
     last = res.episodes[-1].walk
     lam_final = last.trace(last.lam).mean()

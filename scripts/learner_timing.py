@@ -55,11 +55,10 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     t0 = time.perf_counter()
     res = run_learner(m, cfg, LEARNER_SEED)
     seconds = time.perf_counter() - t0
-    logs = res.episodes
-    replans = 1 + sum(b.walk is not a.walk for a, b in zip(logs, logs[1:]))
+    replans = len(res.episodes)  # one log per replan
     exact = solve_cmdp_exact(m)
     t0 = time.perf_counter()
-    compute_metrics(m, exact, logs, cfg, LEARNER_SEED)
+    compute_metrics(m, exact, res.episodes, cfg, LEARNER_SEED)
     check_final_policy(m, exact, res.final_policy, EPSILON, MODE)
     metrics_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,

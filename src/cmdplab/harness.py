@@ -6,14 +6,12 @@ Policies are priced into the instance's own TabularCmdp.prices by _price_new,
 PRICE_CHUNK at a time in one stacked evaluate_policy sweep each; every row of
 that sweep rounds like a sweep of its policy alone, so the prices carry the
 same bits either way.
-compute_metrics replays a learner run against the exact solution: it first
-prices every new component policy of the run's distinct mixtures (so each
-distinct policy is swept once, in ceil(new / PRICE_CHUNK) sweeps), then
-collects each episode's (V_r, V_c) and mean multiplier and builds the run's
-columns with numpy: cumulative regret sum(V* - V_r) and constraint
-violation max(0, sum(V_c - b)) are sequential cumulative sums from 0.0, the
-bits of a running total. Verdicts apply the relaxed / strict acceptance
-predicates to the final averaged policy.
+compute_metrics replays a learner run against the exact solution: it sweeps
+each new component policy once, prices each log's mixture and mean
+multiplier once, and repeats them over the log's episodes; cumulative regret
+sum(V* - V_r) and violation max(0, sum(V_c - b)) are sequential cumulative
+sums from 0.0 over the episodes, the bits of a running total. Verdicts apply
+the relaxed / strict acceptance predicates to the final averaged policy.
 
 emit_report writes a deterministic run.csv, whose columns and their types are
 Row's fields (floats with 17 significant digits, so parsing reproduces every
@@ -27,11 +25,12 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from itertools import chain, repeat
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
-from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, _integer, evaluate_policy,
+from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, _integer, _real, evaluate_policy,
                    instance_hash, slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
 from .solver import INFEASIBLE, ExactSolution
@@ -106,14 +105,18 @@ def _price_new(m: TabularCmdp, policies) -> None:
         m.prices.update(zip(chunk, values.tolist()))
 
 
-def _new_mixtures(episodes):
-    """The mixture of each episode that is not a replay: a replay shares its
-    mixture object with the episode before it."""
-    mixture = None
+def _repeat(values, counts):
+    """Each log's value, its count times: the same object, not a copy."""
+    return chain.from_iterable(map(repeat, values, counts))
+
+
+def _updates(episodes):
+    """Each episode's model_updates_cum: all but a log's last carry the previous log's."""
+    before = 0
     for log in episodes:
-        if log.mixture is not mixture:
-            mixture = log.mixture
-            yield mixture
+        yield from repeat(before, log.count - 1)
+        before = int(log.model_updates_cum)
+        yield before
 
 
 def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy):
@@ -140,44 +143,34 @@ def require_feasible(m: TabularCmdp, exact: ExactSolution) -> None:
 
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
                     config: LearnerConfig | None = None, seed: int = 0) -> RunRecord:
-    """Build the RunRecord for a stream (any iterable) of EpisodeLog entries.
+    """Build the RunRecord for a stream (any iterable) of EpisodeLog entries,
+    one Row per episode that a log covers.
 
-    Every episode's mixture is priced exactly. A first pass over the run's
-    distinct mixtures prices each new component policy once, in stacked
-    sweeps, and the per-episode pass then reads m.prices; an episode whose
-    mixture is the previous episode's object (a replay) reuses that
-    episode's pair outright. Likewise each distinct dual walk's mean
-    multiplier is taken once. seed is stored as an int (core._integer, any
-    sign and size). An infeasible exact raises a ValueError.
+    A first pass prices each new component policy once, in stacked sweeps;
+    then each log's mixture is read from m.prices, each distinct dual walk's
+    mean multiplier is taken once, and every episode of a log gets its
+    values. seed is stored as an int (core._integer, any sign and size). An
+    infeasible exact raises a ValueError.
     """
     seed = _integer("seed", seed, None)
     require_feasible(m, exact)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
     episodes = list(episodes)  # read twice
-    _price_new(m, (p for mix in _new_mixtures(episodes) for _, p in mix.components))
-    lambda_means: dict = {}  # DualWalk -> mean multiplier; replays share a walk
-    v_rs, v_cs, lam_means = [], [], []
-    mixture = walk = None  # the last episode's; a replay shares both objects
-    for log in episodes:
-        if log.mixture is not mixture:
-            mixture = log.mixture
-            v_r, v_c = evaluate_mixture(m, mixture)
-        if log.walk is not walk:
-            walk = log.walk
-            lam_mean = lambda_means.get(walk)
-            if lam_mean is None:
-                lam_mean = lambda_means[walk] = float(np.mean(walk.trace(walk.lam)))
-        v_rs.append(v_r)
-        v_cs.append(v_c)
-        lam_means.append(lam_mean)
-    regret = np.cumsum(np.concatenate(([0.0], exact.optimal_value - np.array(v_rs))))[1:]
-    violation = np.cumsum(np.concatenate(([0.0], np.array(v_cs) - m.budget)))[1:]
+    _price_new(m, (p for log in episodes for _, p in log.mixture.components))
+    lam_means = {w: float(np.mean(w.trace(w.lam))) for w in {log.walk for log in episodes}}
+    prices = np.array([evaluate_mixture(m, log.mixture) for log in episodes]).reshape(-1, 2)
+    counts = np.array([log.count for log in episodes], dtype=np.int64)
+    v_r, v_c = np.repeat(prices, counts, axis=0).T  # per episode
+    regret = np.cumsum(np.concatenate(([0.0], exact.optimal_value - v_r)))[1:]
+    violation = np.cumsum(np.concatenate(([0.0], v_c - m.budget)))[1:]
+    v_rs, v_cs = prices.T.tolist()  # per log
     rows = tuple(map(Row._make, zip(
-        (log.episode for log in episodes), v_rs, v_cs, regret.tolist(),
-        np.where(violation > 0.0, violation, 0.0).tolist(), lam_means,
-        (int(log.model_updates_cum) for log in episodes),
-        (float(log.wall_ms) for log in episodes))))
+        chain.from_iterable(range(log.episode, log.episode + log.count) for log in episodes),
+        _repeat(v_rs, counts), _repeat(v_cs, counts), regret.tolist(),
+        np.where(violation > 0.0, violation, 0.0).tolist(),
+        _repeat([lam_means[log.walk] for log in episodes], counts), _updates(episodes),
+        _repeat([float(log.wall_ms) for log in episodes], counts))))
     return RunRecord(header_cfg, seed, instance_hash(m), zeta,
                      exact.optimal_value, m.budget, rows)
 
@@ -186,9 +179,13 @@ def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePoli
                        epsilon: float, mode: str) -> Verdict:
     """Relaxed: V_r >= V* - eps and V_c <= b + eps.
     Strict: V_r >= V* - eps and V_c <= b (+ 1e-9 float tolerance).
-    An infeasible exact raises a ValueError."""
+    epsilon is a real (core._real) with 0 <= epsilon < inf. An infeasible
+    exact raises a ValueError."""
     if mode not in (RELAXED, STRICT):
         raise ValueError(f"mode must be {RELAXED!r} or {STRICT!r}, got {mode!r}")
+    epsilon = _real("epsilon", epsilon)
+    if not 0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be in [0, inf), got {epsilon!r}")
     require_feasible(m, exact)
     v_r, v_c = evaluate_mixture(m, pi_bar)
     reward_floor = exact.optimal_value - epsilon

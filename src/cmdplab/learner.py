@@ -70,8 +70,8 @@ they commute and fold in bulk by bincount; a row rebuilds exactly when its
 lifetime count reaches a power of two, so the first such count in the
 block, ranked in play order, is the first rebuild; and that episode goes
 through record_transition, the one code path for rebuilds, base and the
-memo clear. Under measure_time each episode of a block reports the block's
-wall time divided by the episodes it kept.
+memo clear. A run records each stretch once, as an EpisodeLog with its
+first episode and count.
 
 Budget shift: relaxed mode aims at b' = b + shift (slack spent on faster
 learning), strict mode at b' = b - shift (margin spent on safety). The true
@@ -285,10 +285,14 @@ class EmpiricalModel:
     def from_kernel(cls, kernel: np.ndarray, stages: np.ndarray, cfg: LearnerConfig,
                     batch_size: int = 1) -> "EmpiricalModel":
         """Model with every row built from a batch of batch_size = b = 2**k, as
-        record_transition leaves it: lifetime count 2b and k + 2 rebuilds, or 1 and 1 at b = 1."""
+        record_transition leaves it: lifetime count 2b and k + 2 rebuilds, or 1 and 1 at b = 1.
+        kernel must have the shape stages.shape[1:] + (S,), (H, S, A, S)."""
         b = _integer("batch_size", batch_size)
         if b & (b - 1):
             raise ValueError(f"batch_size must be a power of two >= 1, got {batch_size!r}")
+        if np.shape(kernel) != stages.shape[1:] + stages.shape[2:3]:
+            raise ValueError(f"kernel shape {np.shape(kernel)} != (H, S, A, S) "
+                             f"{stages.shape[1:] + stages.shape[2:3]}")
         k = b.bit_length() - 1
         model = cls.empty(stages, cfg)
         model.kernel = np.array(kernel, dtype=float)
@@ -538,20 +542,23 @@ def primal_dual_episode(model: EmpiricalModel, initial_state: int, b_prime: floa
 
 @dataclass
 class EpisodeLog:
-    """Per-episode artifacts: the behavior mixture, the dual walk, cumulative
-    model rebuilds, and (when timing is on) wall time in milliseconds."""
+    """One stretch: episodes episode .. episode + count - 1 play one replan's
+    behavior mixture and dual walk. model_updates_cum counts the rebuilds through
+    the last of them, the only one that can rebuild (the others carry the
+    previous log's count); wall_ms is their mean per episode when timing is on."""
 
     episode: int
     mixture: MixturePolicy
     walk: DualWalk
     model_updates_cum: int
     wall_ms: float
+    count: int = 1
 
 
 @dataclass
 class LearnerResult:
-    """Everything a run produced: the final averaged mixture, per-episode logs,
-    and the final empirical model."""
+    """Everything a run produced: the final averaged mixture, one EpisodeLog
+    per replan (their counts sum to K), and the final empirical model."""
 
     final_policy: MixturePolicy
     episodes: list
@@ -580,7 +587,7 @@ def _fold_replays(model: EmpiricalModel, rows, nexts) -> tuple:
         pairs = np.flatnonzero(rebuilt)
         at = np.flatnonzero(rebuilt[flat])
         at = at[np.argsort(flat[at], kind="stable")]  # grouped by row, in play order
-        last = at[np.searchsorted(flat[at], pairs) + need[pairs] - 1].min() // rows.shape[0]
+        last = int(at[np.searchsorted(flat[at], pairs) + need[pairs] - 1].min()) // rows.shape[0]
     bulk = last * rows.shape[0]
     model.total += np.bincount(flat[:bulk], minlength=total.size).reshape(model.total.shape)
     model.batch_counts += np.bincount(
@@ -614,15 +621,13 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     count in play order is the first rebuild; and that episode goes through
     record_transition, which keeps rebuilds, base and memo[h] on one path.
 
-    Every episode gets its own EpisodeLog, and a stretch's episodes share its
-    mixture and walk objects (compute_metrics finds replays by identity).
+    Each stretch gets one EpisodeLog, whose count is the episodes it played.
     One empirical model, with its Q-table memo, lives for the whole run, and
-    the final policy folds each walk's visit counts once, times the episodes
-    that played it, in first-play order. Identical (env, cfg, seed)
-    reproduce bit-identical results; wall_ms stays 0.0 unless measure_time
-    is set, because real timings cannot be reproducible. Under measure_time
-    each episode of a block reports the block's wall time divided by the
-    episodes it kept.
+    the final policy folds each log's visit counts once, times its count, in
+    first-play order. Identical (env, cfg, seed) reproduce bit-identical
+    results; wall_ms stays 0.0 unless measure_time is set, because real
+    timings cannot be reproducible. Under measure_time a log's wall_ms is its
+    stretch's wall time, replan included, divided by its count.
     """
     seed = _integer("seed", seed, None)
     if (cfg.num_states, cfg.num_actions, cfg.horizon) != (
@@ -638,23 +643,22 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     if b_prime <= 0:
         raise ValueError(f"shifted budget b'={b_prime} must be positive")
     model = EmpiricalModel.empty(env.stages, cfg)
-    logs = []
-    walks = []  # [mixture, walk, episodes that played it], one per replan
-    touched = True  # an episode replans only after a row rebuild
-    updates = 0  # rebuilds so far: epochs.sum(), since the model starts empty
+    logs = []  # one per replan; the last is the stretch being played
+    rebuilds = 1  # the first episode plans, and a later one only after a row rebuild
     kernel_cdf = None  # the block draws' transition table, built on first use
     action_rows: dict = {}  # Policy -> its raveled action table, for block draws
     k = 0
     while k < cfg.episodes:
-        t0 = time.perf_counter() if measure_time else 0.0
-        if touched:
+        if rebuilds:
+            t0 = time.perf_counter() if measure_time else 0.0
             mixture, walk = primal_dual_episode(
-                model, env.initial_state, b_prime, walk.index if walks else ())
-            walks.append([mixture, walk, 0])
+                model, env.initial_state, b_prime, logs[-1].walk.index if logs else ())
+            log = EpisodeLog(k, mixture, walk, logs[-1].model_updates_cum if logs else 0, 0.0, 0)
+            logs.append(log)
         if k % _BLOCK == 0:
             table = _uniforms(seed, k, min(_BLOCK, cfg.episodes - k), range(1 + 2 * env.horizon))
             rows = table.T.tolist()
-        played, i = walks[-1][2], k % _BLOCK
+        played, i = log.count, k % _BLOCK
         if played < _REPLAYS:
             _, steps = sample_mixture_episode(env, mixture, rows[i])
             rebuilds = sum(record_transition(model, h, s, a, s_next)
@@ -671,17 +675,15 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             kept, rebuilds = _fold_replays(model, *_one_hot_steps(
                 env, _draw(np.array(mixture.cumulative)[:, None], u[0]), actions, kernel_cdf,
                 u[1:]))
-        touched = rebuilds > 0
-        walks[-1][2] += kept
-        wall = (time.perf_counter() - t0) * 1e3 / kept if measure_time else 0.0
-        logs.extend(EpisodeLog(k + j, mixture, walk, updates, wall) for j in range(kept - 1))
-        updates += rebuilds
-        logs.append(EpisodeLog(k + kept - 1, mixture, walk, updates, wall))
+        log.count += kept
+        log.model_updates_cum += rebuilds
+        if measure_time:
+            log.wall_ms = (time.perf_counter() - t0) * 1e3 / log.count
         k += kept
     plays: dict = {}  # Policy -> iterations it was played, in first-play order
-    for mixture, walk, replays in walks:
-        for (_, p), n in zip(mixture.components, walk.counts):
-            plays[p] = plays.get(p, 0) + n * replays
+    for log in logs:
+        for (_, p), n in zip(log.mixture.components, log.walk.counts):
+            plays[p] = plays.get(p, 0) + n * log.count
     final = MixturePolicy(tuple(
         (n / (cfg.episodes * cfg.iters), p) for p, n in plays.items()))
     return LearnerResult(final, logs, model)

@@ -1,4 +1,5 @@
-"""Shared fixtures: small random instances and exhaustive policy enumeration."""
+"""Shared fixtures: small random instances, exhaustive policy enumeration,
+and the per-episode view of a learner run's logs."""
 
 import itertools
 
@@ -42,6 +43,24 @@ def all_deterministic_policies(m):
         for (h, s), a in zip(cells, choice):
             actions[h, s] = a
         yield Policy.from_actions(actions, m.num_actions)
+
+
+def per_episode(logs):
+    """(k, log) for each episode k that a run's logs cover, in order: a log
+    covers episodes log.episode .. log.episode + log.count - 1."""
+    return [(k, log) for log in logs for k in range(log.episode, log.episode + log.count)]
+
+
+def updates_per_episode(logs):
+    """Each episode's model_updates_cum: its log's for a stretch's last
+    episode, the only one that can rebuild, and the previous log's (0 for the
+    first log) for the episodes before it."""
+    ups, before = [], 0
+    for k, log in per_episode(logs):
+        if k == log.episode + log.count - 1:
+            before = log.model_updates_cum
+        ups.append(before)
+    return ups
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ mental arithmetic.
 import dataclasses
 import filecmp
 import json
+import math
 import re
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row, 
 import cmdplab.harness as harness
 from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
+from conftest import per_episode, updates_per_episode
 
 
 @pytest.fixture(scope="module")
@@ -105,20 +107,34 @@ def test_lambda_mean_and_update_columns(chain):
 
 
 def test_lambda_mean_is_taken_once_per_distinct_walk(chain, monkeypatch):
-    # replayed episodes share their walk, so a run with few distinct walks
-    # builds few length-T traces, and each row keeps the bits of its own mean
+    # replayed episodes share their log's walk, and equal walks share one
+    # mean, so a run with few distinct walks builds few length-T traces, and
+    # each row keeps the bits of its own mean
     m, exact = chain
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=300,
                         iters=100, dual_cap=4.0, grid_step=0.00390625)
     logs = run_learner(m, cfg, seed=1).episodes
-    want = [float(np.mean(log.walk.trace(log.walk.lam))) for log in logs]
+    want = [float(np.mean(log.walk.trace(log.walk.lam))) for _, log in per_episode(logs)]
     original, traced = DualWalk.trace, []
     monkeypatch.setattr(DualWalk, "trace",
                         lambda walk, values: traced.append(walk) or original(walk, values))
     rec = compute_metrics(m, exact, logs)
     assert [row.lambda_mean for row in rec.rows] == want
     distinct = {log.walk for log in logs}
-    assert len(traced) == len(set(traced)) == len(distinct) < len(logs)
+    assert len(traced) == len(set(traced)) == len(distinct) < len(want)
+
+
+def test_rows_of_a_block_drawn_run_encode_as_json(chain):
+    # k and model_updates_cum are Python ints on every row, also on the rows
+    # after the learner folds a block of replays
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
+                        iters=100, dual_cap=4.0, grid_step=0.00390625)
+    rows = compute_metrics(m, exact, run_learner(m, cfg, seed=1).episodes).rows
+    assert len(rows) == cfg.episodes
+    for row in rows:
+        assert type(row.k) is type(row.model_updates_cum) is int
+        assert json.loads(json.dumps(row._asdict())) == row._asdict()
 
 
 def test_empty_stream_has_no_rows(chain):
@@ -136,9 +152,11 @@ def test_learner_run_values_match_uncached_evaluation(chain):
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0,
                         episodes=200, iters=100)
     logs = run_learner(m, cfg, seed=1).episodes
-    assert len({p for log in logs for _, p in log.mixture.components}) < len(logs)
+    episodes = per_episode(logs)
+    assert len({p for log in logs for _, p in log.mixture.components}) < len(episodes)
     rec = compute_metrics(m, exact, logs)
-    for row, log in zip(rec.rows, logs, strict=True):
+    for row, (k, log) in zip(rec.rows, episodes, strict=True):
+        assert row.k == k
         assert (row.v_r_true, row.v_c_true) == evaluate_mixture(fresh(m), log.mixture)
 
 
@@ -167,17 +185,17 @@ def test_numpy_integer_seeds_write_the_python_seeds_report(chain, tmp_path):
 
 
 def test_replayed_episodes_are_priced_once(chain, monkeypatch):
-    # a replay shares its mixture object with the episode before it, and
-    # compute_metrics reuses that episode's values; every row keeps the bits
-    # of a loop that prices each episode on its own
+    # a replay belongs to its stretch's log, and compute_metrics prices each
+    # log once; every row keeps the bits of a loop that prices each episode
+    # on its own
     m, exact = chain
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
                         iters=100, dual_cap=4.0, grid_step=0.00390625)
     logs = run_learner(m, cfg, seed=1).episodes
-    replans = 1 + sum(b.mixture is not a.mixture for a, b in zip(logs, logs[1:]))
-    assert replans < len(logs) // 10
+    replans = len(logs)
+    assert replans < cfg.episodes // 10
     want, regret, violation_sum = [], 0.0, 0.0
-    for log in logs:
+    for _, log in per_episode(logs):
         v_r, v_c = evaluate_mixture(fresh(m), log.mixture)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
@@ -315,6 +333,20 @@ def test_strict_verdict_requires_feasibility(chain):
                              epsilon=0.1, mode="strict")
     assert not low.passed  # feasible but 0.3 < reward floor 0.5
     assert low.v_r == pytest.approx(0.3, abs=1e-12)
+
+
+def test_verdict_rejects_a_bad_epsilon(chain):
+    # a NaN epsilon made a NaN floor and cap, and a negative one a floor
+    # above V*; zero is the tightest check and is accepted
+    m, exact = chain
+    for eps in (math.nan, -5.0, -1e-300, math.inf):
+        with pytest.raises(ValueError, match=r"^epsilon must be in \[0, inf\), got "):
+            check_final_policy(m, exact, exact.policy, eps, "relaxed")
+    for eps in (True, "0.1", None):
+        with pytest.raises(ValueError, match=r"^epsilon must be a number, got "):
+            check_final_policy(m, exact, exact.policy, eps, "strict")
+    verdict = check_final_policy(m, exact, exact.policy, 0, "strict")
+    assert type(verdict.epsilon) is float and verdict.reward_floor == exact.optimal_value
 
 
 def test_verdict_rejects_unknown_mode(chain):
@@ -465,18 +497,18 @@ def per_episode_rows(m, exact, episodes):
     for compute_metrics' column-wise build. It prices on a copy of m, so it
     reads none of the prices compute_metrics left on m."""
     rows, regret, violation_sum, ref = [], 0.0, 0.0, fresh(m)
-    for log in episodes:
+    for (k, log), updates in zip(per_episode(episodes), updates_per_episode(episodes)):
         v_r, v_c = evaluate_mixture(ref, log.mixture)
         regret += exact.optimal_value - v_r
         violation_sum += v_c - m.budget
         rows.append(Row(
-            k=log.episode,
+            k=k,
             v_r_true=float(v_r),
             v_c_true=float(v_c),
             regret_cum=float(regret),
             cv_cum=float(max(0.0, violation_sum)),
             lambda_mean=float(np.mean(log.walk.trace(log.walk.lam))),
-            model_updates_cum=int(log.model_updates_cum),
+            model_updates_cum=int(updates),
             wall_ms=float(log.wall_ms),
         ))
     return rows

@@ -8,6 +8,8 @@ import math
 import re
 from dataclasses import replace
 from functools import partial
+from itertools import accumulate
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -15,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdplab import (EmpiricalModel, GenSpec, LearnerConfig, Policy,
-                     compute_bonus, derive_config, evaluate_policy, generate,
-                     greedy_backup, grid_index, lagrangian_greedy_backup,
-                     policy_value_bounds, preset, primal_dual_episode,
-                     record_transition, run_learner)
+                     compute_bonus, compute_metrics, derive_config, evaluate_policy,
+                     generate, greedy_backup, grid_index, lagrangian_greedy_backup,
+                     policy_value_bounds, preset, primal_dual_episode, read_run_csv,
+                     record_transition, run_learner, solve_cmdp_exact, write_run_csv)
 import cmdplab.learner as learner
 from cmdplab.core import _backward_induction
 from cmdplab.simulate import _BLOCK, _stream_floats
-from conftest import random_instance
+from conftest import per_episode, random_instance, updates_per_episode
 from splitmix_reference import episode_stream, sample_mixture_trajectory
 
 
@@ -145,6 +147,18 @@ def test_from_kernel_marks_every_row_built():
     model = EmpiricalModel.from_kernel(m.transition, m.stages, exact_log_config())
     assert np.all(model.batch_size == 1) and np.all(model.total == 1)
     assert np.all(model.epochs == 1)
+
+
+def test_from_kernel_rejects_a_kernel_of_the_wrong_shape():
+    # an (S, A, S) kernel would broadcast over the steps, an (H+1, S, A, S)
+    # one would be read up to step H, and a short last axis has too few
+    # successors; only stages.shape[1:] + (S,) is a model's kernel
+    m = preset("two_state_chain")
+    for kernel in (m.transition[0], np.concatenate((m.transition, m.transition[:1])),
+                   m.transition[..., :1]):
+        with pytest.raises(ValueError, match=re.escape(
+                f"kernel shape {kernel.shape} != (H, S, A, S) {m.transition.shape}")):
+            EmpiricalModel.from_kernel(kernel, m.stages, exact_log_config())
 
 
 def test_from_kernel_continues_the_doubling_schedule():
@@ -1080,8 +1094,9 @@ def test_run_learner_is_bit_reproducible():
     cfg = small_run_config(m)
     r1 = run_learner(m, cfg, seed=42)
     r2 = run_learner(m, cfg, seed=42)
-    assert len(r1.episodes) == 30
-    for a, b in zip(r1.episodes, r2.episodes):
+    assert [k for k, _ in per_episode(r1.episodes)] == list(range(30))
+    for a, b in zip(r1.episodes, r2.episodes, strict=True):
+        assert (a.episode, a.count) == (b.episode, b.count)
         assert a.walk == b.walk
         assert a.model_updates_cum == b.model_updates_cum
     assert np.array_equal(r1.final_policy.weights(), r2.final_policy.weights())
@@ -1093,10 +1108,10 @@ def test_run_learner_counts_and_monotone_updates():
     cfg = small_run_config(m, episodes=25)
     res = run_learner(m, cfg, seed=3)
     assert int(res.model.total.sum()) == 25 * m.horizon
-    ups = [log.model_updates_cum for log in res.episodes]
+    ups = updates_per_episode(res.episodes)
     assert all(a <= b for a, b in zip(ups, ups[1:]))
     assert ups[-1] == int(res.model.epochs.sum())
-    assert [log.episode for log in res.episodes] == list(range(25))
+    assert [k for k, _ in per_episode(res.episodes)] == list(range(25))
     assert all(log.wall_ms == 0.0 for log in res.episodes)  # timing off
 
 
@@ -1131,7 +1146,7 @@ def test_run_learner_calls_each_traced_binding_per_episode(monkeypatch):
     res = run_learner(m, cfg, seed=5)
     assert 0 < len(samples) < len(ends) < cfg.episodes  # blocks, some ending in a rebuild
     assert len(records) == len(ends) * m.horizon
-    ups = [log.model_updates_cum for log in res.episodes]
+    ups = updates_per_episode(res.episodes)
     assert ups == [ends[k] if k in ends else ups[k - 1] for k in range(cfg.episodes)]
     assert ups[-1] == int(res.model.epochs.sum())
     assert len(set(ups)) > 2  # the count moves during the run
@@ -1156,7 +1171,7 @@ def test_run_learner_final_mixture_merges_equal_policies():
                              shift=0.05, bonus_scale=0.0)
     res = run_learner(m, cfg, seed=1)
     plays = {}
-    for log in res.episodes:
+    for _, log in per_episode(res.episodes):
         for w, p in log.mixture.components:
             key = p.rule.tobytes()
             plays[key] = plays.get(key, 0) + round(w * cfg.iters)
@@ -1193,7 +1208,7 @@ def _memo_free_run(env, cfg, seed):
 def test_run_learner_matches_a_memo_free_per_episode_loop(monkeypatch):
     # run_learner keeps its model's Q-table memo across lambdas and replans,
     # record_transition clears only the rebuilt step, the run folds the
-    # plays once per walk, counts times the episodes that replayed it, and
+    # plays once per log, counts times the episodes that replayed it, and
     # a long replay stretch draws its episodes in blocks and folds each up
     # to its first rebuild. Its walks, mixtures, rebuild counts, final
     # components (order and weight bits) and final model equal a loop that
@@ -1222,15 +1237,15 @@ def test_run_learner_matches_a_memo_free_per_episode_loop(monkeypatch):
         samples.clear()
         res = run_learner(env, cfg, seed=1)
         drawn_alone = len(samples)
-        logs = res.episodes
-        assert any(b.walk is a.walk for a, b in zip(logs, logs[1:]))
+        logs = per_episode(res.episodes)
+        assert len(res.episodes) < len(logs) == cfg.episodes  # replays
         played, updates, final, model = _memo_free_run(env, cfg, seed=1)
-        assert [(log.mixture, log.walk) for log in logs] == played
-        assert [log.model_updates_cum for log in logs] == updates
+        assert [(log.mixture, log.walk) for _, log in logs] == played
+        assert updates_per_episode(res.episodes) == updates
         assert res.final_policy.components == final
         for name in ("total", "batch_counts", "batch_size", "epochs", "kernel"):
             assert getattr(res.model, name).tobytes() == getattr(model, name).tobytes(), name
-    several = sum(len(log.mixture.components) > 1 for log in logs)
+    several = sum(len(log.mixture.components) > 1 for _, log in logs)
     assert several > cfg.episodes // 2 and drawn_alone < cfg.episodes - 1000  # blocks drawn
 
 
@@ -1269,11 +1284,46 @@ def test_run_learner_replans_only_after_a_rebuild(monkeypatch, episodes, iters,
                         lambda *args: calls.append(np.size(args[1])) or original(*args))
     res = run_learner(m, cfg, seed=1)
     assert (sum(calls), len(calls)) == (multipliers, sweeps)
-    prev = [0] + [log.model_updates_cum for log in res.episodes]
-    for k, log in enumerate(res.episodes[1:], 1):
+    logs = per_episode(res.episodes)
+    prev = [0] + updates_per_episode(res.episodes)
+    for k, log in logs[1:]:
         replayed = prev[k] == prev[k - 1]  # episode k - 1 rebuilt no row
-        assert (log.walk is res.episodes[k - 1].walk) == replayed
+        assert (log.walk is logs[k - 1][1].walk) == replayed
         assert sum(log.walk.counts) == iters
+
+
+@pytest.mark.parametrize("case", ["train_dual", "blocks_10x4x8"])
+def test_run_learner_records_one_log_per_replan(monkeypatch, tmp_path, case):
+    # each replan opens one log, whose count is the episodes that played its
+    # mixture: the logs tile 0 .. K - 1 and their counts sum to K. Under
+    # measure_time each log's wall_ms is a positive mean per episode, which
+    # every run.csv row of its stretch carries, and the logs are otherwise
+    # the untimed run's. Both runs replay: two_state_chain at K 2000, T 100,
+    # and 10x4x8 at K 4100, T 64, bonus 1e-4, which draws blocks
+    if case == "train_dual":
+        env = preset("two_state_chain")
+        cfg = derive_config("relaxed", 0.1, 0.1, env, bonus_scale=0.0, episodes=2000,
+                            iters=100, dual_cap=4.0, grid_step=0.00390625)
+    else:
+        env = generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=3))
+        cfg = derive_config("relaxed", 1.0, 0.1, env, bonus_scale=1e-4,
+                            episodes=2 * _BLOCK + 4, iters=64)
+    plan, plans = learner.primal_dual_episode, []
+    monkeypatch.setattr(learner, "primal_dual_episode",
+                        lambda *args: plans.append(1) or plan(*args))
+    logs = run_learner(env, cfg, seed=1).episodes
+    assert len(plans) == len(logs) < cfg.episodes // 2
+    ends = list(accumulate(log.count for log in logs))
+    assert [log.episode for log in logs] == [0] + ends[:-1]
+    assert all(log.count >= 1 for log in logs) and sum(log.count for log in logs) == cfg.episodes
+    assert all(type(log.episode) is type(log.model_updates_cum) is int for log in logs)
+    timed = run_learner(env, cfg, seed=1, measure_time=True).episodes
+    key = attrgetter("episode", "count", "model_updates_cum", "walk")
+    assert list(map(key, timed)) == list(map(key, logs))
+    assert all(log.wall_ms > 0 for log in timed)
+    write_run_csv(compute_metrics(env, solve_cmdp_exact(env), timed), tmp_path / "run.csv")
+    rows = read_run_csv(tmp_path / "run.csv")
+    assert [row.wall_ms for row in rows] == [log.wall_ms for _, log in per_episode(timed)]
 
 
 @pytest.mark.parametrize("seed", [-7, 2**64 - 1])
@@ -1304,7 +1354,7 @@ def test_run_learner_draws_each_episode_from_its_own_stream(monkeypatch, seed):
     res = run_learner(m, small_run_config(m, episodes=episodes, iters=3), seed)
     assert len(drawn) == episodes
     assert 0 < sum(row is None for row, _ in drawn) < episodes
-    for k, (log, (row, (idx, steps))) in enumerate(zip(res.episodes, drawn)):
+    for (k, log), (row, (idx, steps)) in zip(per_episode(res.episodes), drawn, strict=True):
         if row is not None:
             rng = episode_stream(seed, k)
             assert row == [rng.next_float() for _ in range(1 + 2 * m.horizon)]
