@@ -9,9 +9,11 @@ the multipliers they priced (a batched sweep prices several), the episodes
 that replanned, the episodes drawn one at a time (sample_mixture_episode
 calls; the others were drawn in replay blocks), the metrics seconds
 (compute_metrics plus the final verdict, starting from the instance's empty
-prices, after an untimed exact solve), and the process's peak resident
-memory (ru_maxrss, which includes the interpreter and numpy). Runs go one
-after another, so their times do not compete.
+prices, after an untimed exact solve), the report seconds (emit_report into
+a temporary directory, charts off: run.csv and summary.json), and the
+process's peak resident memory (ru_maxrss, which includes the interpreter
+and numpy, and so covers the report write). Runs go one after another, so
+their times do not compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
            [-K episodes] [-T iters]
@@ -20,6 +22,7 @@ Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
 import argparse
 import multiprocessing
 import resource
+import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -27,7 +30,7 @@ import numpy as np
 
 import cmdplab.learner as learner
 from cmdplab import (GenSpec, check_final_policy, compute_metrics, derive_config,
-                     generate, run_learner, solve_cmdp_exact)
+                     emit_report, generate, run_learner, solve_cmdp_exact)
 
 DIMS, ZETA = (10, 4, 8), 0.5
 MODE, EPSILON, DELTA = "relaxed", 1.0, 0.1
@@ -58,12 +61,16 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
     replans = len(res.episodes)  # one log per replan
     exact = solve_cmdp_exact(m)
     t0 = time.perf_counter()
-    compute_metrics(m, exact, res.episodes, cfg, LEARNER_SEED)
-    check_final_policy(m, exact, res.final_policy, EPSILON, MODE)
+    record = compute_metrics(m, exact, res.episodes, cfg, LEARNER_SEED)
+    verdict = check_final_policy(m, exact, res.final_policy, EPSILON, MODE)
     metrics_s = time.perf_counter() - t0
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        emit_report(record, out, verdicts=[verdict], charts=False)
+        report_s = time.perf_counter() - t0
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
             "sweeps": len(sizes), "multipliers": sum(sizes), "replans": replans,
-            "one_at_a_time": len(samples), "metrics_s": metrics_s,
+            "one_at_a_time": len(samples), "metrics_s": metrics_s, "report_s": report_s,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -82,7 +89,7 @@ def main():
           f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
           f"{'sweeps':>8} {'multipliers':>11} {'replans':>8} {'one_at_a_time':>13} "
-          f"{'metrics_s':>9} {'peak_rss_mb':>11}")
+          f"{'metrics_s':>9} {'report_s':>8} {'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
@@ -92,7 +99,7 @@ def main():
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
                   f"{r['seconds']:>8.2f} {r['sweeps']:>8} {r['multipliers']:>11} "
                   f"{r['replans']:>8} {r['one_at_a_time']:>13} {r['metrics_s']:>9.3f} "
-                  f"{r['peak_rss_mb']:>11.1f}",
+                  f"{r['report_s']:>8.4f} {r['peak_rss_mb']:>11.1f}",
                   flush=True)
 
 

@@ -34,8 +34,7 @@ def one_run(m, exact, epsilon, episodes, iters, scale, seed):
                         iters=iters, bonus_scale=scale)
     res = run_learner(m, cfg, seed=seed)
     rec = compute_metrics(m, exact, res.episodes, config=cfg, seed=seed)
-    last = rec.rows[-1]
-    return cfg, res, rec, last.regret_cum, last.cv_cum
+    return cfg, res, rec, rec.totals()
 
 
 def main():
@@ -72,12 +71,11 @@ def main():
 
     final = None
     for k in args.budgets:
-        cfg, res, rec, regret, cv = one_run(m, exact, args.epsilon, k,
-                                            args.iters, args.bonus_scale,
-                                            args.seed)
-        print(f"{k:>6} {regret:>10.3f} {cv:>10.3f} "
-              f"{regret / math.sqrt(k):>15.3f} "
-              f"{rec.rows[-1].model_updates_cum:>8}")
+        cfg, res, rec, totals = one_run(m, exact, args.epsilon, k, args.iters,
+                                        args.bonus_scale, args.seed)
+        print(f"{k:>6} {totals['regret']:>10.3f} {totals['cv']:>10.3f} "
+              f"{totals['regret'] / math.sqrt(k):>15.3f} "
+              f"{totals['model_updates']:>8}")
         final = (cfg, res, rec)
 
     cfg, res, rec = final

@@ -10,7 +10,7 @@ from .core import (MixturePolicy, Policy, TabularCmdp, Violation,
                    load_instance, load_policy, normalize_transition_rows,
                    save_instance, save_policy, slater_constant, validate_cmdp)
 from .generate import GenSpec, GenerationError, generate, preset, preset_names
-from .harness import (RunRecord, Row, Verdict, check_final_policy,
+from .harness import (RunRecord, Row, Stretch, Verdict, check_final_policy,
                       compute_metrics, emit_report, evaluate_mixture,
                       read_run_csv, render_charts, write_run_csv)
 from .learner import (RELAXED, STRICT, DualWalk, EmpiricalModel, EpisodeLog,

@@ -233,9 +233,8 @@ def check_greedy_backup_exactness():
             vr, vc = v[0, :, 0, m.initial_state]
             got = vr - lam * vc
             best = -math.inf
-            for acts in itertools.product(
-                    range(m.num_actions),
-                    repeat=m.horizon * m.num_states):
+            for acts in itertools.product(range(m.num_actions),
+                                          repeat=m.horizon * m.num_states):
                 table = np.asarray(acts).reshape(m.horizon, m.num_states)
                 pol = Policy.from_actions(table, m.num_actions)
                 evr, evc = policy_value_bounds(model, pol)[:, 0, m.initial_state]
@@ -261,8 +260,7 @@ def check_convergence_trend():
                         bonus_scale=0.1, episodes=k, iters=50)
     res = run_learner(m, cfg, seed=11)
     rec = compute_metrics(m, exact, res.episodes, config=cfg, seed=11)
-    reg = np.array([row.regret_cum for row in rec.rows])
-    per = np.diff(np.concatenate([[0.0], reg]))
+    per = np.diff(np.concatenate([[0.0], rec.regret_cum]))
     first, last = per[:tenth].mean(), per[-tenth:].mean()
     if not last < 0.5 * first:
         return False, f"regret trend {first:.3f} -> {last:.3f} not halved"

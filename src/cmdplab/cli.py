@@ -184,7 +184,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_report(args) -> int:
     rows = read_run_csv(os.path.join(args.run_dir, "run.csv"))
-    paths = render_charts(rows, args.run_dir)
+    paths = render_charts(*zip(*((r.k, r.regret_cum, r.cv_cum) for r in rows)), args.run_dir)
     _emit({"paths": paths, "rows": len(rows)})
     return 0
 

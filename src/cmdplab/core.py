@@ -9,15 +9,10 @@ the identity is exact). One backward-induction kernel serves evaluate_policy,
 greedy_backup and both of the learner's clipped sweeps; each returns its plain
 (k, H+1, S) value array, and a policy's (V_r, V_c) is v[:, 0, s1] of one sweep
 over the stack TabularCmdp.stages. greedy_backup maximizes its stack's first
-table and reads every table along the chosen actions. The kernel also takes a
-leading policy axis: evaluate_policy prices a sequence of P policies in one
-(P, k, H+1, S) sweep. Its expectation runs one gemv per (policy, table, state)
-row, never a gemm over the stack, so each policy's slice has the bits of its
-own sweep; callers that price many policies (the harness's prices, the
-brute-force oracle) stack PRICE_CHUNK of them per sweep. The greedy branch
-takes any leading problem axes, (*lead, H+1, S) values and (H, *lead[:-1], S)
-actions, through one flat gather; the learner backs up L multipliers in one
-such sweep.
+table and reads every table along the chosen actions. Leading axes stack P
+policies (evaluate_policy, PRICE_CHUNK per sweep where a caller prices many)
+or the learner's L greedy problems into one sweep, and each slice keeps the
+bits of its own sweep (see _expected_stage and _backward_induction).
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.

@@ -6,17 +6,15 @@ Policies are priced into the instance's own TabularCmdp.prices by _price_new,
 PRICE_CHUNK at a time in one stacked evaluate_policy sweep each; every row of
 that sweep rounds like a sweep of its policy alone, so the prices carry the
 same bits either way.
-compute_metrics replays a learner run against the exact solution: it sweeps
-each new component policy once, prices each log's mixture and mean
-multiplier once, and repeats them over the log's episodes; cumulative regret
-sum(V* - V_r) and violation max(0, sum(V_c - b)) are sequential cumulative
-sums from 0.0 over the episodes, the bits of a running total. Verdicts apply
-the relaxed / strict acceptance predicates to the final averaged policy.
+compute_metrics replays a learner run against the exact solution into one
+Stretch per log (the episodes that play one replan's mixture) and the
+per-episode cumulative regret sum(V* - V_r) and violation max(0, sum(V_c - b)),
+sequential sums from 0.0 with the bits of a running total. Verdicts apply the
+relaxed / strict acceptance predicates to the final averaged policy.
 
-emit_report writes a deterministic run.csv, whose columns and their types are
-Row's fields (floats with 17 significant digits, so parsing reproduces every
-float bit-for-bit), a summary.json, and small static SVG line charts of the
-regret and violation curves.
+emit_report writes run.csv (one line per episode; its columns and their
+types are Row's fields, floats with 17 significant digits so that parsing
+reproduces every bit), a summary.json and SVG charts of the two curves.
 """
 
 from __future__ import annotations
@@ -24,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import asdict, dataclass, fields
-from itertools import chain, repeat
+from itertools import accumulate, chain, islice, repeat
+from operator import attrgetter
 from typing import NamedTuple, get_type_hints
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from .core import (PRICE_CHUNK, MixturePolicy, TabularCmdp, _integer, _real, evaluate_policy,
                    instance_hash, slater_constant)
 from .learner import RELAXED, STRICT, LearnerConfig
+from .simulate import _BLOCK
 from .solver import INFEASIBLE, ExactSolution
 
 # Absolute tolerance for the strict-mode cost check (pure float hygiene).
@@ -56,13 +57,34 @@ class Row(NamedTuple):
 CSV_COLUMNS = Row._fields
 _COLUMN_TYPES = tuple(get_type_hints(Row)[name] for name in CSV_COLUMNS)
 # 17 significant digits parse back to the same double
-_ROW_TEMPLATE = ",".join("%d" if t is int else "%.17g" for t in _COLUMN_TYPES) + "\n"
+_FORMATS = ["%d" if t is int else "%.17g" for t in _COLUMN_TYPES]
+_ROW_TEMPLATE = ",".join(_FORMATS) + "\n"
+# A stretch's line template is _STRETCH_TEMPLATE % _SHARED(stretch): its shared
+# cells formatted, and the cells that differ per episode left as formats.
+_PER_EPISODE = ("k", "regret_cum", "cv_cum")
+_SHARED = attrgetter(*(name for name in CSV_COLUMNS if name not in _PER_EPISODE))
+_STRETCH_TEMPLATE = ",".join("%" + f if name in _PER_EPISODE else f
+                             for name, f in zip(CSV_COLUMNS, _FORMATS)) + "\n"
+
+
+class Stretch(NamedTuple):
+    """One log's episodes k .. k + count - 1: the Row cells they share, and
+    model_updates_cum before their last episode and at it."""
+
+    k: int
+    count: int
+    v_r_true: float
+    v_c_true: float
+    lambda_mean: float
+    wall_ms: float
+    updates_before: int
+    model_updates_cum: int
 
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Header (config snapshot, seed, instance hash, zeta, V*, budget) plus
-    one Row per episode."""
+    """Header (config snapshot, seed, instance hash, zeta, V*, budget), one
+    Stretch per log, and the per-episode float64 arrays regret_cum and cv_cum."""
 
     config: dict
     seed: int
@@ -70,14 +92,21 @@ class RunRecord:
     zeta: float
     v_star: float
     budget: float
-    rows: tuple
+    stretches: tuple
+    regret_cum: array
+    cv_cum: array
+
+    def ks(self):
+        """Each episode's k, in order: a stretch's k .. k + count - 1."""
+        return chain.from_iterable(range(s.k, s.k + s.count) for s in self.stretches)
 
     def totals(self) -> dict:
-        """The run's totals: its episode count and the last row's cumulative
-        regret, violation and model updates (zeros for a run of no rows)."""
-        last = self.rows[-1] if self.rows else Row._make(t() for t in _COLUMN_TYPES)
-        return {"episodes": len(self.rows), "regret": last.regret_cum,
-                "cv": last.cv_cum, "model_updates": last.model_updates_cum}
+        """The run's totals: its episode count and the last episode's cumulative
+        regret, violation and model updates (zeros for a run of no episodes)."""
+        if not self.stretches:
+            return {"episodes": 0, "regret": 0.0, "cv": 0.0, "model_updates": 0}
+        return {"episodes": len(self.regret_cum), "regret": self.regret_cum[-1],
+                "cv": self.cv_cum[-1], "model_updates": self.stretches[-1].model_updates_cum}
 
 
 @dataclass(frozen=True)
@@ -105,20 +134,6 @@ def _price_new(m: TabularCmdp, policies) -> None:
         m.prices.update(zip(chunk, values.tolist()))
 
 
-def _repeat(values, counts):
-    """Each log's value, its count times: the same object, not a copy."""
-    return chain.from_iterable(map(repeat, values, counts))
-
-
-def _updates(episodes):
-    """Each episode's model_updates_cum: all but a log's last carry the previous log's."""
-    before = 0
-    for log in episodes:
-        yield from repeat(before, log.count - 1)
-        before = int(log.model_updates_cum)
-        yield before
-
-
 def evaluate_mixture(m: TabularCmdp, mix: MixturePolicy):
     """Exact (V_r, V_c) of a mixture at s1: the weighted sums of its component
     values, each read from m.prices after the components m has not priced yet
@@ -143,36 +158,36 @@ def require_feasible(m: TabularCmdp, exact: ExactSolution) -> None:
 
 def compute_metrics(m: TabularCmdp, exact: ExactSolution, episodes,
                     config: LearnerConfig | None = None, seed: int = 0) -> RunRecord:
-    """Build the RunRecord for a stream (any iterable) of EpisodeLog entries,
-    one Row per episode that a log covers.
-
-    A first pass prices each new component policy once, in stacked sweeps;
-    then each log's mixture is read from m.prices, each distinct dual walk's
-    mean multiplier is taken once, and every episode of a log gets its
-    values. seed is stored as an int (core._integer, any sign and size). An
-    infeasible exact raises a ValueError.
-    """
+    """The RunRecord of a stream (any iterable) of EpisodeLog entries that
+    tile the episodes from 0: each count an integer >= 1 (core._integer) and
+    each episode the sum of the counts before it, or a ValueError names the
+    log. Each new component policy is priced once, in stacked sweeps, then
+    each log's mixture and each distinct walk's mean multiplier once. seed is
+    stored as an int (core._integer, any sign and size). An infeasible exact
+    raises a ValueError."""
     seed = _integer("seed", seed, None)
     require_feasible(m, exact)
     zeta, _ = slater_constant(m)
     header_cfg = config.snapshot() if config is not None else {}
     episodes = list(episodes)  # read twice
+    counts = [_integer(f"log {i}: count", log.count) for i, log in enumerate(episodes)]
+    ks = list(accumulate(counts[:-1], initial=0))
+    for i, (log, k) in enumerate(zip(episodes, ks)):
+        if log.episode != k:
+            raise ValueError(f"log {i}: episode must be {k}, the sum of the counts "
+                             f"before it, got {log.episode!r}")
     _price_new(m, (p for log in episodes for _, p in log.mixture.components))
     lam_means = {w: float(np.mean(w.trace(w.lam))) for w in {log.walk for log in episodes}}
     prices = np.array([evaluate_mixture(m, log.mixture) for log in episodes]).reshape(-1, 2)
-    counts = np.array([log.count for log in episodes], dtype=np.int64)
-    v_r, v_c = np.repeat(prices, counts, axis=0).T  # per episode
-    regret = np.cumsum(np.concatenate(([0.0], exact.optimal_value - v_r)))[1:]
-    violation = np.cumsum(np.concatenate(([0.0], v_c - m.budget)))[1:]
-    v_rs, v_cs = prices.T.tolist()  # per log
-    rows = tuple(map(Row._make, zip(
-        chain.from_iterable(range(log.episode, log.episode + log.count) for log in episodes),
-        _repeat(v_rs, counts), _repeat(v_cs, counts), regret.tolist(),
-        np.where(violation > 0.0, violation, 0.0).tolist(),
-        _repeat([lam_means[log.walk] for log in episodes], counts), _updates(episodes),
-        _repeat([float(log.wall_ms) for log in episodes], counts))))
-    return RunRecord(header_cfg, seed, instance_hash(m), zeta,
-                     exact.optimal_value, m.budget, rows)
+    regret = np.cumsum(np.repeat(np.append(0.0, exact.optimal_value - prices[:, 0]), [1] + counts))
+    violation = np.cumsum(np.repeat(np.append(0.0, prices[:, 1] - m.budget), [1] + counts))
+    updates = [int(log.model_updates_cum) for log in episodes]
+    stretches = tuple(map(Stretch._make, zip(
+        ks, counts, *prices.T.tolist(), [lam_means[log.walk] for log in episodes],
+        [float(log.wall_ms) for log in episodes], [0] + updates[:-1], updates)))
+    return RunRecord(header_cfg, seed, instance_hash(m), zeta, exact.optimal_value, m.budget,
+                     stretches, array("d", regret[1:].tobytes()),
+                     array("d", np.where(violation > 0.0, violation, 0.0)[1:].tobytes()))
 
 
 def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePolicy,
@@ -198,10 +213,26 @@ def check_final_policy(m: TabularCmdp, exact: ExactSolution, pi_bar: MixturePoli
 # Files.
 
 
+def _templates(stretches):
+    """Each episode's line template: a stretch's shared cells formatted once."""
+    for s in stretches:
+        if s.count > 1:
+            before = s._replace(model_updates_cum=s.updates_before)
+            yield from repeat(_STRETCH_TEMPLATE % _SHARED(before), s.count - 1)
+        yield _STRETCH_TEMPLATE % _SHARED(s)
+
+
 def write_run_csv(record: RunRecord, path) -> None:
+    """Write the header and one _ROW_TEMPLATE line per episode, at most
+    _BLOCK lines a write: an episode formats only its k, regret_cum and
+    cv_cum into its stretch's line template."""
+    templates, ks = _templates(record.stretches), record.ks()
     with open(path, "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")
-        f.write("".join(map(_ROW_TEMPLATE.__mod__, record.rows)))
+        for i in range(0, len(record.regret_cum), _BLOCK):
+            cells = zip(islice(ks, _BLOCK), record.regret_cum[i:i + _BLOCK].tolist(),
+                        record.cv_cum[i:i + _BLOCK].tolist())
+            f.write("".join(map(str.__mod__, islice(templates, _BLOCK), cells)))
 
 
 def read_run_csv(path) -> list[Row]:
@@ -235,8 +266,7 @@ def read_run_csv(path) -> list[Row]:
 def _line_chart(xs, ys, title: str, path) -> None:
     """Minimal static SVG line chart (deterministic output, no dependencies)."""
     width, height, pad = 640, 400, 50
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())
     if x_hi == x_lo:
@@ -247,6 +277,9 @@ def _line_chart(xs, ys, title: str, path) -> None:
     sy = (height - 2 * pad) / (y_hi - y_lo)
     points = np.column_stack((pad + (xs - x_lo) * sx, height - pad - (ys - y_lo) * sy))
     pts = " ".join(["%.2f,%.2f"] * len(points)) % tuple(points.ravel().tolist())
+    end = ' text-anchor="end"'
+    labels = ((pad, height - pad + 20, "", x_lo), (width - pad, height - pad + 20, end, x_hi),
+              (pad - 6, height - pad, end, y_lo), (pad - 6, pad + 4, end, y_hi))
     svg = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
@@ -255,14 +288,8 @@ def _line_chart(xs, ys, title: str, path) -> None:
         f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
         f'y2="{height - pad}" stroke="black"/>',
         f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>',
-        f'<text x="{pad}" y="{height - pad + 20}" font-family="sans-serif" '
-        f'font-size="12">{x_lo:.6g}</text>',
-        f'<text x="{width - pad}" y="{height - pad + 20}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{x_hi:.6g}</text>',
-        f'<text x="{pad - 6}" y="{height - pad}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{y_lo:.6g}</text>',
-        f'<text x="{pad - 6}" y="{pad + 4}" text-anchor="end" '
-        f'font-family="sans-serif" font-size="12">{y_hi:.6g}</text>',
+        *(f'<text x="{x}" y="{y}"{anchor} font-family="sans-serif" font-size="12">{v:.6g}</text>'
+          for x, y, anchor, v in labels),
         f'<polyline points="{pts}" fill="none" stroke="#1f6feb" stroke-width="1.5"/>',
         "</svg>",
     ]
@@ -270,16 +297,13 @@ def _line_chart(xs, ys, title: str, path) -> None:
         f.write("\n".join(svg) + "\n")
 
 
-def render_charts(rows, out_dir) -> dict:
-    """Write regret.svg and cv.svg for a sequence of rows; returns {name: path}."""
+def render_charts(ks, regret_cum, cv_cum, out_dir) -> dict:
+    """Write regret.svg and cv.svg of the k, regret_cum and cv_cum columns: {name: path}."""
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    ks = [r.k for r in rows]
-    for name, column in (("regret.svg", "regret_cum"), ("cv.svg", "cv_cum")):
-        chart_path = os.path.join(out_dir, name)
-        ys = [getattr(r, column) for r in rows]
-        _line_chart(ks, ys, name.removesuffix(".svg"), chart_path)
-        paths[name] = chart_path
+    for name, ys in (("regret.svg", regret_cum), ("cv.svg", cv_cum)):
+        paths[name] = os.path.join(out_dir, name)
+        _line_chart(ks, ys, name.removesuffix(".svg"), paths[name])
     return paths
 
 
@@ -290,20 +314,16 @@ def emit_report(record: RunRecord, out_dir, verdicts=(), charts: bool = True) ->
     record and verdicts, so identical runs emit byte-identical files.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
+    paths = {name: os.path.join(out_dir, name) for name in ("run.csv", "summary.json")}
+    write_run_csv(record, paths["run.csv"])
 
-    csv_path = os.path.join(out_dir, "run.csv")
-    write_run_csv(record, csv_path)
-    paths["run.csv"] = csv_path
-
-    summary = {f.name: getattr(record, f.name) for f in fields(record) if f.name != "rows"}
+    summary = {f.name: getattr(record, f.name) for f in fields(record)
+               if f.name not in ("stretches", "regret_cum", "cv_cum")}
     summary.update(totals=record.totals(), verdicts=[asdict(v) for v in verdicts])
-    summary_path = os.path.join(out_dir, "summary.json")
-    with open(summary_path, "w") as f:
+    with open(paths["summary.json"], "w") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
         f.write("\n")
-    paths["summary.json"] = summary_path
-
-    if charts and record.rows:
-        paths.update(render_charts(record.rows, out_dir))
+    if charts and record.stretches:
+        paths.update(render_charts(np.fromiter(record.ks(), float), record.regret_cum,
+                                   record.cv_cum, out_dir))
     return paths

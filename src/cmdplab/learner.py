@@ -58,20 +58,10 @@ of the batches behind the rows (batch_size) therefore follow 1, 1, 2, 4, 8, ...
 and each pair is rebuilt (epochs) at most log2(K) + 1 times.
 
 Most episodes of a long run replay an unchanged plan. A stretch (the
-episodes that play one replan's mixture) draws its first _REPLAYS = 8
-episodes one at a time, sampled by bisect and folded by record_transition.
-After that it draws blocks of _GROWTH = 4 times its length so far, cut at K
-and at the end of the current stream table, with simulate's array sampler,
-and folds each block up to its first rebuild; the rest of the block is
-dropped and drawn again after the replan. This is the one-at-a-time run,
-bit for bit: _draw over the same running sums is the bisect draw;
-transitions that rebuild nothing only add to total and batch_counts, so
-they commute and fold in bulk by bincount; a row rebuilds exactly when its
-lifetime count reaches a power of two, so the first such count in the
-block, ranked in play order, is the first rebuild; and that episode goes
-through record_transition, the one code path for rebuilds, base and the
-memo clear. A run records each stretch once, as an EpisodeLog with its
-first episode and count.
+episodes that play one replan's mixture) draws them in blocks once it has
+played _REPLAYS = 8 one at a time, with the one-at-a-time run's bits, and is
+recorded once, as an EpisodeLog with its first episode and count (see
+run_learner).
 
 Budget shift: relaxed mode aims at b' = b + shift (slack spent on faster
 learning), strict mode at b' = b - shift (margin spent on safety). The true

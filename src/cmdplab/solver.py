@@ -25,7 +25,7 @@ policies' value pairs and a single linear constraint cuts it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -200,20 +200,17 @@ def brute_force_cmdp(m: TabularCmdp, max_policies: int = _BRUTE_FORCE_CAP) -> Ex
     alpha = np.clip((m.budget - c_vals[ii][None, :]) / denom, 0.0, 1.0)
     mix_r = alpha * r_vals[fi][:, None] + (1 - alpha) * r_vals[ii][None, :]
     pair_best = np.unravel_index(np.argmax(mix_r), mix_r.shape)
+    i, j = fi[pair_best[0]], ii[pair_best[1]]  # c_i <= b + slack < c_j
+    slope = max(float((r_vals[j] - r_vals[i]) / (c_vals[j] - c_vals[i])), 0.0)
     if mix_r[pair_best] <= best_value:
         # The best single policy wins; lambda_star = 0 only if it is the
         # unconstrained maximum, otherwise the constraint is active at a vertex
         # and the shadow price comes from the best straddling pair.
         if best_value >= r_vals.max() - _FEAS_SLACK:
             return best
-        i, j = fi[pair_best[0]], ii[pair_best[1]]
-        slope = (r_vals[j] - r_vals[i]) / (c_vals[j] - c_vals[i])
-        return ExactSolution(best.status, best.optimal_value, best.optimal_cost,
-                             best.policy, max(float(slope), 0.0))
-    i, j = fi[pair_best[0]], ii[pair_best[1]]
+        return replace(best, lambda_star=slope)
     a = float(alpha[pair_best])
-    value = float(mix_r[pair_best])
     cost = a * c_vals[i] + (1 - a) * c_vals[j]
-    slope = max(float((r_vals[j] - r_vals[i]) / (c_vals[j] - c_vals[i])), 0.0)
     comps = tuple((w, p) for w, p in ((a, policy(i)), (1 - a, policy(j))) if w > 0)
-    return ExactSolution(OPTIMAL, value, float(cost), MixturePolicy(comps), slope)
+    return ExactSolution(OPTIMAL, float(mix_r[pair_best]), float(cost), MixturePolicy(comps),
+                         slope)

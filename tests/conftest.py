@@ -1,12 +1,12 @@
 """Shared fixtures: small random instances, exhaustive policy enumeration,
-and the per-episode view of a learner run's logs."""
+and the per-episode views of a learner run's logs and of a metrics record."""
 
 import itertools
 
 import numpy as np
 import pytest
 
-from cmdplab import Policy, TabularCmdp, preset, preset_names
+from cmdplab import Policy, Row, TabularCmdp, preset, preset_names
 
 
 def random_instance(num_states, num_actions, horizon, seed, budget=None):
@@ -61,6 +61,20 @@ def updates_per_episode(logs):
             before = log.model_updates_cum
         ups.append(before)
     return ups
+
+
+def record_rows(record):
+    """A RunRecord's Row for each episode, in order: its stretch's shared
+    cells, its own k, regret_cum and cv_cum (as Python floats), and the
+    stretch's model_updates_cum on the stretch's last episode only
+    (updates_before on the ones before it)."""
+    rows, regret, cv = [], record.regret_cum.tolist(), record.cv_cum.tolist()
+    for s in record.stretches:
+        for j in range(s.count):
+            updates = s.model_updates_cum if j == s.count - 1 else s.updates_before
+            rows.append(Row(s.k + j, s.v_r_true, s.v_c_true, regret[len(rows)], cv[len(rows)],
+                            s.lambda_mean, updates, s.wall_ms))
+    return tuple(rows)
 
 
 @pytest.fixture

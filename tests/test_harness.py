@@ -11,22 +11,24 @@ import filecmp
 import json
 import math
 import re
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cmdplab import (DualWalk, EpisodeLog, GenSpec, MixturePolicy, Policy, Row, RunRecord,
-                     TabularCmdp, check_final_policy, compute_metrics,
+                     Stretch, TabularCmdp, check_final_policy, compute_metrics,
                      derive_config, emit_report, evaluate_mixture, generate,
                      evaluate_policy, preset, read_run_csv, render_charts,
                      run_learner, solve_cmdp_exact, write_run_csv)
 import cmdplab.harness as harness
 from cmdplab.cli import main
 from cmdplab.harness import CSV_COLUMNS
-from conftest import per_episode, updates_per_episode
+from conftest import per_episode, record_rows, updates_per_episode
 
 
 @pytest.fixture(scope="module")
@@ -65,11 +67,12 @@ def test_optimal_mixture_has_zero_regret_and_violation(chain):
     logs = [EpisodeLog(i, exact.policy, DualWalk((0.5,), (0.6,), (1,), 0, (1,)), 0, 0.0)
             for i in range(6)]
     rec = compute_metrics(m, exact, logs)
-    assert len(rec.rows) == 6
-    assert abs(rec.rows[-1].regret_cum) < 1e-9
-    assert rec.rows[-1].cv_cum == 0.0
-    assert rec.rows[0].v_r_true == pytest.approx(0.6, abs=1e-12)
-    assert rec.rows[0].v_c_true == pytest.approx(0.6, abs=1e-12)
+    rows = record_rows(rec)
+    assert len(rows) == 6
+    assert abs(rows[-1].regret_cum) < 1e-9
+    assert rows[-1].cv_cum == 0.0
+    assert rows[0].v_r_true == pytest.approx(0.6, abs=1e-12)
+    assert rows[0].v_c_true == pytest.approx(0.6, abs=1e-12)
     assert rec.v_star == pytest.approx(0.6, abs=1e-9)
     assert rec.zeta == pytest.approx(0.6)
     assert rec.budget == 0.6
@@ -79,7 +82,7 @@ def test_safe_policy_accumulates_linear_regret(chain):
     m, exact = chain
     rec = compute_metrics(m, exact, log_stream([safe_policy()] * 5))
     # regret grows by V* - 0.3 = 0.3 per episode; cost 0 never violates
-    for i, row in enumerate(rec.rows):
+    for i, row in enumerate(record_rows(rec)):
         assert row.regret_cum == pytest.approx(0.3 * (i + 1), abs=1e-9)
         assert row.cv_cum == 0.0
         assert row.v_c_true == 0.0
@@ -90,9 +93,9 @@ def test_violation_uses_positive_part_of_running_sum(chain):
     policies = [engage_policy(), safe_policy(), engage_policy()]
     rec = compute_metrics(m, exact, log_stream(policies))
     # sums of (v_c - b): 0.4, -0.2, 0.2 -> positive parts 0.4, 0, 0.2
-    assert [round(r.cv_cum, 9) for r in rec.rows] == [0.4, 0.0, 0.2]
+    assert [round(r.cv_cum, 9) for r in record_rows(rec)] == [0.4, 0.0, 0.2]
     # regret can be negative when the learner overspends: 0.6 - 0.8 = -0.2
-    assert rec.rows[0].regret_cum == pytest.approx(-0.2, abs=1e-12)
+    assert record_rows(rec)[0].regret_cum == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_lambda_mean_and_update_columns(chain):
@@ -100,10 +103,10 @@ def test_lambda_mean_and_update_columns(chain):
     logs = [EpisodeLog(0, MixturePolicy.single(safe_policy()),
                        DualWalk((0.0, 0.5, 1.0), (0.0, 0.0, 0.0), (1, 1, 1), 3, (0, 1, 2)),
                        7, 3.25)]
-    rec = compute_metrics(m, exact, logs)
-    assert rec.rows[0].lambda_mean == 0.5
-    assert rec.rows[0].model_updates_cum == 7
-    assert rec.rows[0].wall_ms == 3.25
+    row, = record_rows(compute_metrics(m, exact, logs))
+    assert row.lambda_mean == 0.5
+    assert row.model_updates_cum == 7
+    assert row.wall_ms == 3.25
 
 
 def test_lambda_mean_is_taken_once_per_distinct_walk(chain, monkeypatch):
@@ -119,7 +122,7 @@ def test_lambda_mean_is_taken_once_per_distinct_walk(chain, monkeypatch):
     monkeypatch.setattr(DualWalk, "trace",
                         lambda walk, values: traced.append(walk) or original(walk, values))
     rec = compute_metrics(m, exact, logs)
-    assert [row.lambda_mean for row in rec.rows] == want
+    assert [row.lambda_mean for row in record_rows(rec)] == want
     distinct = {log.walk for log in logs}
     assert len(traced) == len(set(traced)) == len(distinct) < len(want)
 
@@ -130,19 +133,45 @@ def test_rows_of_a_block_drawn_run_encode_as_json(chain):
     m, exact = chain
     cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=2000,
                         iters=100, dual_cap=4.0, grid_step=0.00390625)
-    rows = compute_metrics(m, exact, run_learner(m, cfg, seed=1).episodes).rows
+    rows = record_rows(compute_metrics(m, exact, run_learner(m, cfg, seed=1).episodes))
     assert len(rows) == cfg.episodes
     for row in rows:
         assert type(row.k) is type(row.model_updates_cum) is int
         assert json.loads(json.dumps(row._asdict())) == row._asdict()
 
 
-def test_empty_stream_has_no_rows(chain):
+def test_empty_stream_has_no_rows(chain, tmp_path):
     m, exact = chain
     rec = compute_metrics(m, exact, [])
-    assert rec.rows == ()
+    assert rec.stretches == () and len(rec.regret_cum) == len(rec.cv_cum) == 0
+    assert record_rows(rec) == ()
     assert json.dumps(rec.totals()) == (
         '{"episodes": 0, "regret": 0.0, "cv": 0.0, "model_updates": 0}')
+    write_run_csv(rec, tmp_path / "run.csv")
+    assert (tmp_path / "run.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+
+
+@pytest.fixture(scope="module")
+def chain_logs(chain):
+    m, _ = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=20, iters=10)
+    return run_learner(m, cfg, seed=1).episodes
+
+
+@pytest.mark.parametrize("index, change, message", [
+    (0, {"count": 0}, "log 0: count must be an integer >= 1, got 0"),
+    (1, {"count": -2}, "log 1: count must be an integer >= 1, got -2"),
+    (1, {"episode": 6}, "log 1: episode must be 1, the sum of the counts before it, got 6"),
+], ids=["first_count_0", "count_-2", "episode_moved_up"])
+def test_metrics_reject_logs_that_do_not_tile_the_episodes(chain, chain_logs, index,
+                                                           change, message):
+    # at k = 0, 1, 2, ...: each log starts where the counts before it end
+    m, exact = chain
+    assert [log.episode for log in chain_logs[:3]] == [0, 1, 2]
+    logs = list(chain_logs)
+    logs[index] = dataclasses.replace(logs[index], **change)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        compute_metrics(m, exact, logs)
 
 
 def test_learner_run_values_match_uncached_evaluation(chain):
@@ -155,7 +184,7 @@ def test_learner_run_values_match_uncached_evaluation(chain):
     episodes = per_episode(logs)
     assert len({p for log in logs for _, p in log.mixture.components}) < len(episodes)
     rec = compute_metrics(m, exact, logs)
-    for row, (k, log) in zip(rec.rows, episodes, strict=True):
+    for row, (k, log) in zip(record_rows(rec), episodes, strict=True):
         assert row.k == k
         assert (row.v_r_true, row.v_c_true) == evaluate_mixture(fresh(m), log.mixture)
 
@@ -204,7 +233,7 @@ def test_replayed_episodes_are_priced_once(chain, monkeypatch):
     monkeypatch.setattr(harness, "evaluate_mixture",
                         lambda *args: priced.append(1) or original(*args))
     rec = compute_metrics(m, exact, logs)
-    assert [(r.v_r_true, r.v_c_true, r.regret_cum, r.cv_cum) for r in rec.rows] == want
+    assert [(r.v_r_true, r.v_c_true, r.regret_cum, r.cv_cum) for r in record_rows(rec)] == want
     assert len(priced) == replans
 
 
@@ -246,7 +275,7 @@ def test_metrics_read_a_one_shot_stream_and_sweep_only_new_policies(chain, monke
                         lambda kernel, stages, ps: calls.append(ps)
                         or original(kernel, stages, ps))
     assert compute_metrics(m, exact, iter(logs)) == record
-    assert compute_metrics(fresh(m), exact, []).rows == ()
+    assert compute_metrics(fresh(m), exact, []).stretches == ()
     assert calls == []
 
 
@@ -381,20 +410,20 @@ def test_csv_round_trip_is_exact(chain, tmp_path):
     write_run_csv(rec, path)
     rows = read_run_csv(path)
     assert len(rows) == 4
-    for a, b in zip(rec.rows, rows):
+    for a, b in zip(record_rows(rec), rows, strict=True):
         assert a == b  # %.17g round-trips doubles exactly
     header = path.read_text().splitlines()[0]
     assert header == ",".join(CSV_COLUMNS)
 
 
-def per_field_run_csv(record, path):
+def per_field_run_csv(rows, path):
     """The reference writer: str() for each int cell and f"{x:.17g}" for each
     float cell, one call per field, as run.csv was first written."""
     def _fmt(x):
         return f"{x:.17g}"
 
     lines = [",".join(CSV_COLUMNS)]
-    for r in record.rows:
+    for r in rows:
         lines.append(",".join([
             str(r.k), _fmt(r.v_r_true), _fmt(r.v_c_true), _fmt(r.regret_cum),
             _fmt(r.cv_cum), _fmt(r.lambda_mean), str(r.model_updates_cum),
@@ -416,9 +445,13 @@ rows = st.builds(Row, counts, cells, cells, cells, cells, cells, counts, cells)
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=st.lists(rows, min_size=1, max_size=6))
 def test_template_writer_keeps_the_per_field_bytes(tmp_path, rows):
-    rec = RunRecord({}, 0, "", 0.5, 0.6, 0.6, tuple(rows))
+    # one one-episode stretch per row
+    stretches = tuple(Stretch(r.k, 1, r.v_r_true, r.v_c_true, r.lambda_mean, r.wall_ms, 0,
+                              r.model_updates_cum) for r in rows)
+    rec = RunRecord({}, 0, "", 0.5, 0.6, 0.6, stretches,
+                    array("d", [r.regret_cum for r in rows]), array("d", [r.cv_cum for r in rows]))
     write_run_csv(rec, tmp_path / "run.csv")
-    per_field_run_csv(rec, tmp_path / "reference.csv")
+    per_field_run_csv(rows, tmp_path / "reference.csv")
     assert (tmp_path / "run.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     back = read_run_csv(tmp_path / "run.csv")
     assert len(back) == len(rows)
@@ -428,6 +461,106 @@ def test_template_writer_keeps_the_per_field_bytes(tmp_path, rows):
                 assert type(y) is float and y.hex() == x.hex(), name
             else:
                 assert type(y) is int and y == x, name
+
+
+def expand(record):
+    """The record's Row per episode, built column by column: the reference
+    for write_run_csv's per-stretch templates."""
+    ks, v_r, v_c, lam, updates, wall = [], [], [], [], [], []
+    for s in record.stretches:
+        ks += range(s.k, s.k + s.count)
+        for column, x in ((v_r, s.v_r_true), (v_c, s.v_c_true), (lam, s.lambda_mean),
+                          (wall, s.wall_ms)):
+            column += [x] * s.count
+        updates += [s.updates_before] * (s.count - 1) + [s.model_updates_cum]
+    return list(map(Row, ks, v_r, v_c, record.regret_cum.tolist(), record.cv_cum.tolist(),
+                    lam, updates, wall))
+
+
+BLOCK = harness._BLOCK
+stretch_counts = st.one_of(st.integers(1, 3),
+                           st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1]))
+stretches = st.builds(Stretch, st.just(0), stretch_counts, cells, cells, cells, cells,
+                      counts, counts)
+CROSSING = [Stretch(0, 1, -0.0, 5e-324, 1.7976931348623157e308, 3.25, 0, 0),
+            Stretch(0, BLOCK + 2, 0.1, -0.0, 5e-324, 0.5, 4, 7),
+            Stretch(0, 2, 1.7976931348623157e308, 0.0, -0.0, 5e-324, 7, 9)]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(first=counts, stretches=st.lists(stretches, min_size=1, max_size=4),
+       pool=st.lists(cells, min_size=1, max_size=5))
+@example(first=2**62, stretches=CROSSING, pool=[-0.0, 5e-324, 1.7976931348623157e308, 0.1])
+def test_stretch_writer_writes_the_rows_of_every_episode(tmp_path, first, stretches, pool):
+    # the stretches tile k = first, first + 1, ...; regret_cum and cv_cum
+    # repeat the pool of drawn cells
+    starts = np.cumsum([first] + [s.count for s in stretches]).tolist()
+    stretches = tuple(s._replace(k=k) for s, k in zip(stretches, starts))
+    n = starts[-1] - first
+    rec = RunRecord({}, 0, "", 0.5, 0.6, 0.6, stretches, array("d", np.resize(pool, n)),
+                    array("d", np.resize(pool[::-1], n)))
+    rows = expand(rec)
+    write_run_csv(rec, tmp_path / "run.csv")
+    want = ",".join(CSV_COLUMNS) + "\n" + "".join(harness._ROW_TEMPLATE % row for row in rows)
+    assert (tmp_path / "run.csv").read_text() == want
+    back = read_run_csv(tmp_path / "run.csv")
+    assert len(back) == len(rows) == n
+    for row, got in zip(rows, back):
+        for name, x, y in zip(CSV_COLUMNS, row, got):
+            if isinstance(x, float):  # hex tells -0.0 from 0.0
+                assert type(y) is float and y.hex() == x.hex(), name
+            else:
+                assert type(y) is int and y == x, name
+
+
+def test_writer_writes_at_most_a_block_of_lines_at_a_time(tmp_path, monkeypatch):
+    n = 2 * BLOCK + 3
+    rec = RunRecord({}, 0, "", 0.5, 0.6, 0.6, (Stretch(0, n, 0.3, 0.0, 0.0, 0.0, 0, 1),),
+                    array("d", range(n)), array("d", [0.0]) * n)
+    writes, real_open = [], open
+
+    class Spy:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            writes.append(text.count("\n"))
+            return self.f.write(text)
+
+    monkeypatch.setattr(harness, "open", lambda *args: Spy(real_open(*args)), raising=False)
+    write_run_csv(rec, tmp_path / "run.csv")
+    assert sum(writes) == n + 1  # the header and every episode
+    assert max(writes) == BLOCK
+    monkeypatch.undo()
+    assert len(read_run_csv(tmp_path / "run.csv")) == n
+
+
+def test_report_memory_follows_the_stretches_not_the_episodes(chain, tmp_path):
+    # a 200,000-episode last stretch: the record holds two float64 columns
+    # per episode, and the writer streams run.csv a block at a time
+    m, exact = chain
+    cfg = derive_config("relaxed", 0.1, 0.1, m, bonus_scale=0.0, episodes=20, iters=10)
+    logs = run_learner(m, cfg, seed=1).episodes
+    logs[-1] = dataclasses.replace(logs[-1], count=200_000)
+    episodes = logs[-1].episode + 200_000
+    tracemalloc.start()
+    try:
+        rec = compute_metrics(fresh(m), exact, logs)
+        emit_report(rec, tmp_path, charts=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak / 2**20
+    assert rec.totals()["episodes"] == episodes
+    with open(tmp_path / "run.csv") as f:
+        assert sum(1 for _ in f) == episodes + 1
 
 
 def test_nine_column_csv_of_older_runs_still_loads(tmp_path, capsys):
@@ -486,7 +619,8 @@ def test_render_charts_from_read_back_rows(chain, tmp_path):
     rec = compute_metrics(m, exact, log_stream([safe_policy()] * 4))
     path = tmp_path / "run.csv"
     write_run_csv(rec, path)
-    out = render_charts(read_run_csv(path), tmp_path)
+    rows = read_run_csv(path)
+    out = render_charts(*zip(*((r.k, r.regret_cum, r.cv_cum) for r in rows)), tmp_path)
     assert sorted(out) == ["cv.svg", "regret.svg"]
     for p in out.values():
         assert "<svg" in Path(p).read_text()
@@ -554,13 +688,14 @@ def test_columns_and_charts_match_per_episode_reference(chain, case, tmp_path):
                     MixturePolicy.single(safe_policy()), exact.policy]
         logs = [EpisodeLog(k, mix, DualWalk((0.0,), (0.0,), (1,), 0, (0,)), k, 0.0)
                 for k, mix in enumerate(mixtures)]
-    rows = compute_metrics(m, exact, logs).rows
+    rec = compute_metrics(m, exact, logs)
+    rows = record_rows(rec)
     want = per_episode_rows(m, exact, logs)
     assert rows == tuple(want)
     assert [list(map(repr, r)) for r in rows] == [list(map(repr, r)) for r in want]  # bits
     if case == "violation_hits_zero":
         assert [r.cv_cum for r in rows] == [0.0, 0.4, 0.0, 0.0]
-    paths = render_charts(rows, tmp_path)
+    paths = emit_report(rec, tmp_path)
     for name, column in (("regret.svg", "regret_cum"), ("cv.svg", "cv_cum")):
         svg = Path(paths[name]).read_text()
         points = re.search(r'<polyline points="([^"]*)"', svg).group(1)

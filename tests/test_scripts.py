@@ -41,12 +41,15 @@ def test_learner_timing_prints_one_line_per_run(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [("1", "0", "20", "5"),
                                                         ("1", "1", "20", "5")]
-    assert proc.stdout.splitlines()[1].split()[5:10] == ["sweeps", "multipliers", "replans",
-                                                         "one_at_a_time", "metrics_s"]
+    assert proc.stdout.splitlines()[1].split()[5:12] == ["sweeps", "multipliers", "replans",
+                                                         "one_at_a_time", "metrics_s",
+                                                         "report_s", "peak_rss_mb"]
     for r in rows:  # every replan sweeps at least once; a sweep prices >= 1 multiplier
+        assert len(r) == 12
         assert float(r[4]) >= 0 and int(r[6]) >= int(r[5]) >= int(r[7]) >= 1
         assert 20 >= int(r[8]) >= int(r[7])  # a replan's episode is drawn on its own
-        assert float(r[9]) > 0 and float(r[10]) > 0  # metrics seconds, peak RSS
+        assert float(r[9]) > 0 and float(r[10]) > 0  # metrics and report seconds
+        assert float(r[11]) > 0  # peak RSS
 
 
 def test_output_digests_prints_one_line_per_output(tmp_path):
