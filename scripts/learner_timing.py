@@ -10,10 +10,11 @@ that replanned, the episodes drawn one at a time (sample_mixture_episode
 calls; the others were drawn in replay blocks), the metrics seconds
 (compute_metrics plus the final verdict, starting from the instance's empty
 prices, after an untimed exact solve), the report seconds (emit_report into
-a temporary directory, charts off: run.csv and summary.json), and the
-process's peak resident memory (ru_maxrss, which includes the interpreter
-and numpy, and so covers the report write). Runs go one after another, so
-their times do not compete.
+a temporary directory, charts off: run.csv and summary.json), the Monte
+Carlo microseconds per episode of the final mixture (monte_carlo_value over
+10^5 episodes, mc_us), and the process's peak resident memory (ru_maxrss,
+which includes the interpreter and numpy, and so covers the report write).
+Runs go one after another, so their times do not compete.
 
 Usage: python3 scripts/learner_timing.py [--seeds 1 4] [--bonus-scales 0 1]
            [-K episodes] [-T iters]
@@ -30,11 +31,13 @@ import numpy as np
 
 import cmdplab.learner as learner
 from cmdplab import (GenSpec, check_final_policy, compute_metrics, derive_config,
-                     emit_report, generate, run_learner, solve_cmdp_exact)
+                     emit_report, generate, monte_carlo_value, run_learner,
+                     solve_cmdp_exact)
 
 DIMS, ZETA = (10, 4, 8), 0.5
 MODE, EPSILON, DELTA = "relaxed", 1.0, 0.1
 LEARNER_SEED = 0
+MC_EPISODES = 100_000
 
 
 def one_run(instance_seed, bonus_scale, episodes, iters):
@@ -68,9 +71,13 @@ def one_run(instance_seed, bonus_scale, episodes, iters):
         t0 = time.perf_counter()
         emit_report(record, out, verdicts=[verdict], charts=False)
         report_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    monte_carlo_value(m, res.final_policy, MC_EPISODES, LEARNER_SEED)
+    mc_us = (time.perf_counter() - t0) * 1e6 / MC_EPISODES
     return {"K": cfg.episodes, "T": cfg.iters, "seconds": seconds,
             "sweeps": len(sizes), "multipliers": sum(sizes), "replans": replans,
             "one_at_a_time": len(samples), "metrics_s": metrics_s, "report_s": report_s,
+            "mc_us": mc_us,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -89,7 +96,7 @@ def main():
           f"zeta={ZETA} learner seed {LEARNER_SEED}")
     print(f"{'seed':>5} {'bonus':>6} {'K':>7} {'T':>8} {'seconds':>8} "
           f"{'sweeps':>8} {'multipliers':>11} {'replans':>8} {'one_at_a_time':>13} "
-          f"{'metrics_s':>9} {'report_s':>8} {'peak_rss_mb':>11}")
+          f"{'metrics_s':>9} {'report_s':>8} {'mc_us':>6} {'peak_rss_mb':>11}")
     spawn = multiprocessing.get_context("spawn")
     for seed in args.seeds:
         for bonus in args.bonus_scales:
@@ -99,7 +106,7 @@ def main():
             print(f"{seed:>5} {bonus:>6g} {r['K']:>7} {r['T']:>8} "
                   f"{r['seconds']:>8.2f} {r['sweeps']:>8} {r['multipliers']:>11} "
                   f"{r['replans']:>8} {r['one_at_a_time']:>13} {r['metrics_s']:>9.3f} "
-                  f"{r['report_s']:>8.4f} {r['peak_rss_mb']:>11.1f}",
+                  f"{r['report_s']:>8.4f} {r['mc_us']:>6.3f} {r['peak_rss_mb']:>11.1f}",
                   flush=True)
 
 

@@ -17,11 +17,13 @@ directory:
 - solve each preset (their dual bisections reach exact ties, such as
   lambda = 0.5 on two_state_chain);
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
-  solve run's optimal mixture (perfbench's evaluate_mc path: one-hot
-  components), a one-component policy whose rule is uniform over the 4
-  actions (stochastic draws) and an even mixture of a one-hot component and
-  that uniform one (one stochastic component keeps every action on the
-  categorical draw); the script writes the last three policy files;
+  bonus-0 and train_blocks runs' policies (291 and 2,052 one-hot
+  components, so component draws count past 255), the solve run's optimal
+  mixture (perfbench's evaluate_mc path: one-hot components), a
+  one-component policy whose rule is uniform over the 4 actions (stochastic
+  draws) and an even mixture of a one-hot component and that uniform one
+  (one stochastic component keeps every action on the categorical draw);
+  the script writes the last three policy files;
 - evaluate on the risky_shortcut preset, whose kernel rows end in
   zero-probability entries, two mixtures weighted (0.5, 0.5 - 1e-10, 0.0),
   so the weights' running sum stops growing before its end: one of three
@@ -75,6 +77,9 @@ RUNS = [
     ("train_blocks", ["train", *PLAN, "-K", "4100", "-T", "64", "--bonus-scale", "0.0001"]),
     ("evaluate", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                   "--policy", "{tmp}/train_plan_bonus0.1/policy.json"]),
+    *((f"evaluate_{run}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
+                           "--policy", f"{{tmp}}/{run}/policy.json"])
+      for run in ("train_plan_bonus0", "train_blocks")),  # 291 and 2,052 components
     *((f"evaluate_{name}", ["evaluate", "--instance", INSTANCE, "--episodes", "20000",
                             "--policy", "{out}/policy.json"])
       for name in ("optimal", "uniform", "mixed")),

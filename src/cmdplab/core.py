@@ -453,7 +453,7 @@ def _float_field(raw: dict, key: str) -> float:
 def _number_table(raw: dict, key: str) -> np.ndarray:
     """raw[key] as a float array; booleans, strings and ragged lists raise."""
     table = np.asarray(raw[key], dtype=object)  # a ragged list keeps list entries
-    if not all(type(x) in (int, float) for x in table.flat):
+    if not set(map(type, table.flat)) <= {int, float}:  # one C-level pass
         raise ValueError(f"field {key!r} must hold numbers in a regular array")
     return table.astype(float)
 
@@ -517,7 +517,9 @@ def _int_table(raw: dict, key: str) -> np.ndarray:
     """raw[key] as an int array, each entry typed like _int_field; booleans,
     strings, non-integral numbers and ragged lists raise."""
     table = np.asarray(raw[key], dtype=object)
-    if not all(type(x) is int or type(x) is float and x.is_integer() for x in table.flat):
+    types = set(map(type, table.flat))
+    if not types <= {int, float} or float in types and not all(
+            x.is_integer() for x in table.flat if type(x) is float):
         raise ValueError(f"field {key!r} must hold integers in a regular array")
     return table.astype(int)
 

@@ -81,7 +81,7 @@ import numpy as np
 
 from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction, _integer,
                    _real, slater_constant)
-from .simulate import (_BLOCK, _cdf_table, _draw, _one_hot_steps, _uniforms,
+from .simulate import (_BLOCK, _cdf_table, _draw, _kernel_rows, _one_hot_steps, _uniforms,
                        sample_mixture_episode)
 
 BONUS_C1 = 460.0 / 9.0
@@ -636,7 +636,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     logs = []  # one per replan; the last is the stretch being played
     rebuilds = 1  # the first episode plans, and a later one only after a row rebuild
     kernel_cdf = None  # the block draws' transition table, built on first use
-    action_rows: dict = {}  # Policy -> its raveled action table, for block draws
+    action_rows: dict = {}  # Policy -> its kernel rows (simulate._kernel_rows), for block draws
     k = 0
     while k < cfg.episodes:
         if rebuilds:
@@ -660,10 +660,10 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             u = table[::2, i:i + min(_GROWTH * played, len(rows) - i)]  # uniforms 0, 2 + 2h
             for _, p in mixture.components:
                 if p not in action_rows:
-                    action_rows[p] = np.ravel(p.actions)
-            actions = np.concatenate([action_rows[p] for _, p in mixture.components])
+                    action_rows[p] = _kernel_rows(env, p.actions)
+            mixture_rows = np.concatenate([action_rows[p] for _, p in mixture.components])
             kept, rebuilds = _fold_replays(model, *_one_hot_steps(
-                env, _draw(np.array(mixture.cumulative)[:, None], u[0]), actions, kernel_cdf,
+                env, _draw(np.array(mixture.cumulative)[:, None], u[0]), mixture_rows, kernel_cdf,
                 u[1:]))
         log.count += kept
         log.model_updates_cum += rebuilds

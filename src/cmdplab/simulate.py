@@ -40,10 +40,12 @@ The learner draws an episode on its own (sample_mixture_episode) by
 bisect_right over the tables their owners cache (MixturePolicy.cumulative,
 TabularCmdp.transition_cdf). monte_carlo_value draws a block of episodes at
 once, each draw as the count of a row's sums at or below u (_draw), which
-is bisect_right's index. When every component is one-hot it generates only
-the uniforms its draws read (_uniforms), 0 and 2 + 2h, and takes each
-action from the stacked action tables. The learner draws the blocks of a
-long replay stretch the same way (_one_hot_steps).
+is bisect_right's index, summed in the narrowest unsigned type that holds
+the row's length (no count exceeds it) and widened to intp. When every
+component is one-hot it generates only the uniforms its draws read
+(_uniforms), 0 and 2 + 2h, and reads each step's kernel row with one take
+from a table by (component, h, s) (_kernel_rows). The learner draws the
+blocks of a long replay stretch the same way (_one_hot_steps).
 """
 
 from __future__ import annotations
@@ -73,12 +75,12 @@ def mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 over a uint64 array, in place (array arithmetic wraps mod 2**64); returns z."""
-    z ^= z >> np.uint64(30)
+    """mix64 over a uint64 array, in place via one scratch array (mod 2**64); returns z."""
+    z ^= (t := z >> np.uint64(30))  # t: the scratch array every later shift reuses
     z *= np.uint64(0xBF58476D1CE4E5B9)
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= np.uint64(0x94D049BB133111EB)
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
     return z
 
 
@@ -106,27 +108,33 @@ def _cdf_table(probs) -> np.ndarray:
 
 
 def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """categorical for a batch, bit for bit: draw i is #{k : cdf[k, i] <= u[i]}.
-    The sums never decrease, so that count is the index of the first sum
-    above u, the fallback included (see the module docstring)."""
-    return (cdf <= u).sum(0)
+    """categorical for a batch, bit for bit: draw i is #{k : cdf[k, i] <= u[i]},
+    the index of the first sum above u, fallback included, as an intp (see
+    the module docstring)."""
+    return (cdf <= u).sum(0, dtype=np.min_scalar_type(len(cdf))).astype(np.intp)
 
 
-def _one_hot_steps(m: TabularCmdp, comp, actions, kernel_cdf, succ):
+def _kernel_rows(m: TabularCmdp, actions) -> np.ndarray:
+    """Action tables a raveled by (component, h, s) as m's kernel rows (h·S + s)·A + a."""
+    hs = m.horizon * m.num_states
+    return (np.arange(hs) * m.num_actions + np.reshape(actions, (-1, hs))).ravel()
+
+
+def _one_hot_steps(m: TabularCmdp, comp, rows, kernel_cdf, succ):
     """A block of one-hot mixture episodes from s1, drawn as
     sample_mixture_episode draws them: comp holds each episode's component,
-    actions the components' action tables raveled by (component, h, s),
-    kernel_cdf the _cdf_table of m's kernel rows by (h, s, a), and succ[h]
-    the successor uniforms of step h. Returns the (H, episodes) (h, s, a)
-    rows of the steps and their successors."""
-    h_, s_, a_ = m.horizon, m.num_states, m.num_actions
+    rows the components' _kernel_rows, kernel_cdf the _cdf_table of m's kernel
+    rows by (h, s, a), and succ[h] the successor uniforms of step h. Returns
+    the (H, episodes) kernel rows of the steps and their successors."""
+    at = comp * (m.horizon * m.num_states)  # comp·H·S + h·S at step h
     s = np.full(len(comp), m.initial_state)
-    rows, nexts = [], []
-    for h in range(h_):
-        rows.append((h * s_ + s) * a_ + actions.take((comp * h_ + h) * s_ + s))
-        s = _draw(kernel_cdf.take(rows[-1], 1), succ[h])
+    steps, nexts = [], []
+    for h in range(m.horizon):
+        steps.append(rows.take(at + s))
+        s = _draw(kernel_cdf.take(steps[-1], 1), succ[h])
         nexts.append(s)
-    return np.array(rows), np.array(nexts)
+        at += m.num_states
+    return np.array(steps), np.array(nexts)
 
 
 def categorical(probs, u: float) -> int:
@@ -168,13 +176,12 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     Episode i uses the uniforms of stream i of the seed, so estimates are
     reproducible and independent of evaluation order; each episode's totals
     equal the h-ordered sums over sample_mixture_episode's steps on that row,
-    bit for bit, though episodes are drawn _BLOCK at a time. When every
-    component is one-hot, actions come from the stacked action tables and
-    only the uniforms the draws read are generated; any stochastic component
-    puts every action on the categorical draw. episodes must be an integer
-    (int or numpy integer, not a bool) >= 1 and seed one of any sign and
-    size. Returns a dict with episodes as an int and means and standard
-    errors for both stages.
+    bit for bit, though episodes are drawn _BLOCK at a time (the module
+    docstring gives the one-hot path); any stochastic component puts every
+    action on the categorical draw. episodes must be an integer (int or
+    numpy integer, not a bool) >= 1 and seed one of any sign and size.
+    Returns a dict with episodes as an int and means and standard errors
+    for both stages.
     """
     episodes, seed = _integer("episodes", episodes), _integer("seed", seed, None)
     h_, s_, a_ = shape = (m.horizon, m.num_states, m.num_actions)
@@ -184,8 +191,8 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     weight_cdf = np.array(mix.cumulative)[:, None]
     tables = [p.actions for _, p in mix.components]
     one_hot = all(t is not None for t in tables)
-    if one_hot:  # uniforms 0 and 2 + 2h only; actions by (component, h, s)
-        actions = np.ravel(tables)
+    if one_hot:  # uniforms 0 and 2 + 2h only; kernel rows by (component, h, s)
+        rows = _kernel_rows(m, tables)
         draws = [0, *range(2, 2 + 2 * h_, 2)]
     else:  # rows by (component, h, s): take gathers contiguous (categories, count)
         rule_cdf = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
@@ -198,14 +205,15 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
         u = _uniforms(seed, start, count, draws)
         act, succ = (None, u[1:]) if one_hot else (u[1::2], u[2::2])
         comp = _draw(weight_cdf, u[0])
+        at = comp * (h_ * s_)  # comp·H·S + h·S at step h
         s = np.full(count, m.initial_state)
         total = np.zeros((2, count))
         for h in range(h_):  # totals add up in h order
-            row = (comp * h_ + h) * s_ + s
-            a = actions.take(row) if one_hot else _draw(rule_cdf.take(row, 1), act[h])
-            row = (h * s_ + s) * a_ + a
+            row = rows.take(at + s) if one_hot else (
+                (h * s_ + s) * a_ + _draw(rule_cdf.take(at + s, 1), act[h]))
             total += stages.take(row, 1)
             s = _draw(kernel_cdf.take(row, 1), succ[h])
+            at += s_
         totals[:, start:start + count] = total
     out = {"episodes": episodes}
     for name, x in zip(("reward", "cost"), totals):

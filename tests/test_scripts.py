@@ -41,15 +41,15 @@ def test_learner_timing_prints_one_line_per_run(tmp_path):
     rows = [line.split() for line in proc.stdout.splitlines()[2:]]
     assert [(r[0], r[1], r[2], r[3]) for r in rows] == [("1", "0", "20", "5"),
                                                         ("1", "1", "20", "5")]
-    assert proc.stdout.splitlines()[1].split()[5:12] == ["sweeps", "multipliers", "replans",
+    assert proc.stdout.splitlines()[1].split()[5:13] == ["sweeps", "multipliers", "replans",
                                                          "one_at_a_time", "metrics_s",
-                                                         "report_s", "peak_rss_mb"]
+                                                         "report_s", "mc_us", "peak_rss_mb"]
     for r in rows:  # every replan sweeps at least once; a sweep prices >= 1 multiplier
-        assert len(r) == 12
+        assert len(r) == 13
         assert float(r[4]) >= 0 and int(r[6]) >= int(r[5]) >= int(r[7]) >= 1
         assert 20 >= int(r[8]) >= int(r[7])  # a replan's episode is drawn on its own
         assert float(r[9]) > 0 and float(r[10]) > 0  # metrics and report seconds
-        assert float(r[11]) > 0  # peak RSS
+        assert float(r[11]) > 0 and float(r[12]) > 0  # Monte Carlo µs per episode, peak RSS
 
 
 def test_output_digests_prints_one_line_per_output(tmp_path):
@@ -66,7 +66,8 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
                    ("train_blocks", "run.csv"), ("train_blocks", "summary.json"),
                    ("generate", "instance.json"),
                    ("solve", "stdout"), ("solve_two_state_chain", "stdout"),
-                   ("evaluate", "stdout"), ("evaluate_optimal", "stdout"),
+                   ("evaluate", "stdout"), ("evaluate_train_plan_bonus0", "stdout"),
+                   ("evaluate_train_blocks", "stdout"), ("evaluate_optimal", "stdout"),
                    ("evaluate_uniform", "policy.json"), ("evaluate_mixed", "policy.json"),
                    ("evaluate_mixed", "stdout"), ("evaluate_risky_actions", "policy.json"),
                    ("evaluate_risky_actions", "stdout"), ("evaluate_risky_rule", "policy.json"),

@@ -484,6 +484,45 @@ def test_cdf_tables_draw_per_row():
     assert got.tolist() == want == [1, 2, 0, 2, 0]
 
 
+@pytest.mark.parametrize("categories", [255, 256, 257, 300])
+def test_draws_count_past_255_categories(categories):
+    # _draw counts in the narrowest unsigned type that holds the number of
+    # categories, so a draw past index 255 must not wrap; it returns intp
+    rng = np.random.default_rng(categories)
+    probs = rng.dirichlet(np.ones(categories), size=3)
+    probs[1, :250] = 0.0  # all mass from index 250 on
+    probs[1] /= probs[1].sum()
+    probs[2] = np.eye(categories)[-1]  # all mass on the last index
+    pick = np.repeat([0, 1, 2], 120)
+    u = np.random.default_rng(0).uniform(size=pick.size)
+    u[::7] = 1.0 - 2.0**-53
+    got = _draw(_cdf_table(probs).take(pick, 1), u)
+    want = [Scripted([x]).categorical(probs[r]) for r, x in zip(pick, u)]
+    assert got.dtype == np.intp
+    assert got.tolist() == want
+    assert max(want) == categories - 1 and sum(w > 250 for w in want) > 100
+
+
+@pytest.mark.parametrize("case", ["states", "components"])
+def test_monte_carlo_draws_past_255_categories(case):
+    # successor draws over 257 states, and component draws over a mixture of
+    # 300 one-hot components, land past index 255 and keep the reference bits
+    if case == "states":  # S = 257, A = 1, H = 2; half of every row's mass on state 256
+        m = random_instance(257, 1, 2, seed=257)
+        kernel = np.array(m.transition)
+        kernel[..., 256] += 1.0
+        m = replace(m, transition=kernel / kernel.sum(axis=-1, keepdims=True))
+        mix = MixturePolicy(((1.0, Policy.from_actions(np.zeros((2, 257), dtype=int), 1)),))
+    else:
+        m = random_instance(3, 2, 3, seed=300)
+        rng = np.random.default_rng(300)
+        weights = rng.dirichlet(np.ones(300))
+        assert weights[256:].sum() > 0.1
+        mix = MixturePolicy(tuple((w, Policy.from_actions(rng.integers(2, size=(3, 3)), 2))
+                                  for w in weights))
+    assert monte_carlo_value(m, mix, 300, 5) == reference_monte_carlo(m, mix, 300, 5)
+
+
 @st.composite
 def short_rows(draw):
     """A probability row with zeros, -0.0 and a total short of 1 within
