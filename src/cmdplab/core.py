@@ -192,6 +192,16 @@ class Policy:
             return best.tolist()
         return None
 
+    @cached_property
+    def flat_actions(self) -> np.ndarray | None:
+        """The one-hot rule's flat indices (h·S + s)·A + a, one per (h, s) in
+        order (read-only), if actions is not None, else None; built on first use."""
+        if self.actions is None:
+            return None
+        flat = np.flatnonzero(self.rule)
+        flat.flags.writeable = False
+        return flat
+
     @classmethod
     def uniform(cls, horizon: int, num_states: int, num_actions: int) -> "Policy":
         return cls(np.full((horizon, num_states, num_actions), 1.0 / num_actions))

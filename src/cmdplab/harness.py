@@ -223,9 +223,9 @@ def _templates(stretches):
 
 
 def write_run_csv(record: RunRecord, path) -> None:
-    """Write the header and one _ROW_TEMPLATE line per episode, at most
-    _BLOCK lines a write: an episode formats only its k, regret_cum and
-    cv_cum into its stretch's line template."""
+    """Write the header and one line per episode, at most _BLOCK lines a write:
+    an episode formats only its k, regret_cum and cv_cum into its stretch's
+    _STRETCH_TEMPLATE line (_ROW_TEMPLATE is test_harness.py's per-row reference)."""
     templates, ks = _templates(record.stretches), record.ks()
     with open(path, "w") as f:
         f.write(",".join(CSV_COLUMNS) + "\n")

@@ -81,8 +81,7 @@ import numpy as np
 
 from .core import (MixturePolicy, Policy, TabularCmdp, _backward_induction, _integer,
                    _real, slater_constant)
-from .simulate import (_BLOCK, _cdf_table, _draw, _kernel_rows, _one_hot_steps, _uniforms,
-                       sample_mixture_episode)
+from .simulate import _BLOCK, _block_steps, _cdf_table, _draw, _uniforms, sample_mixture_episode
 
 BONUS_C1 = 460.0 / 9.0
 BONUS_C2 = 544.0 / 9.0
@@ -563,7 +562,7 @@ _GROWTH = 4
 
 def _fold_replays(model: EmpiricalModel, rows, nexts) -> tuple:
     """Fold a block of episodes, given as the (H, count) (h, s, a) rows and
-    successors simulate._one_hot_steps returns, up to its first rebuild: the
+    successors of simulate._block_steps' steps, up to its first rebuild: the
     episodes before the one that rebuilds go into total and batch_counts by
     bincount, that one through record_transition, and the rest are dropped.
     Returns (episodes kept, rows the last of them rebuilt)."""
@@ -604,7 +603,7 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     _REPLAYS episodes one at a time (sample_mixture_episode, then H
     record_transition calls). Then, while no row rebuilds, it draws blocks
     of _GROWTH times its length so far, cut at K and at the end of the
-    current stream table (simulate._one_hot_steps), and _fold_replays folds
+    current stream table (simulate._block_steps), and _fold_replays folds
     each block up to its first rebuild and drops the rest. The run keeps the
     one-at-a-time bits: _draw over the same running sums is the bisect draw;
     episodes that only add counts commute; the first power-of-two lifetime
@@ -636,7 +635,6 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
     logs = []  # one per replan; the last is the stretch being played
     rebuilds = 1  # the first episode plans, and a later one only after a row rebuild
     kernel_cdf = None  # the block draws' transition table, built on first use
-    action_rows: dict = {}  # Policy -> its kernel rows (simulate._kernel_rows), for block draws
     k = 0
     while k < cfg.episodes:
         if rebuilds:
@@ -658,13 +656,9 @@ def run_learner(env: TabularCmdp, cfg: LearnerConfig, seed: int,
             if kernel_cdf is None:
                 kernel_cdf = _cdf_table(env.transition.reshape(-1, env.num_states))
             u = table[::2, i:i + min(_GROWTH * played, len(rows) - i)]  # uniforms 0, 2 + 2h
-            for _, p in mixture.components:
-                if p not in action_rows:
-                    action_rows[p] = _kernel_rows(env, p.actions)
-            mixture_rows = np.concatenate([action_rows[p] for _, p in mixture.components])
-            kept, rebuilds = _fold_replays(model, *_one_hot_steps(
-                env, _draw(np.array(mixture.cumulative)[:, None], u[0]), mixture_rows, kernel_cdf,
-                u[1:]))
+            kept, rebuilds = _fold_replays(model, *map(np.array, zip(*_block_steps(
+                env, _draw(np.array(mixture.cumulative)[:, None], u[0]), kernel_cdf, u,
+                np.concatenate([p.flat_actions for _, p in mixture.components])))))
         log.count += kept
         log.model_updates_cum += rebuilds
         if measure_time:

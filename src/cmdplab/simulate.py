@@ -38,14 +38,14 @@ action uniforms keep their positions but are never read: on an exactly
 one-hot row, categorical returns the row's argmax for every u in [0, 1).
 The learner draws an episode on its own (sample_mixture_episode) by
 bisect_right over the tables their owners cache (MixturePolicy.cumulative,
-TabularCmdp.transition_cdf). monte_carlo_value draws a block of episodes at
-once, each draw as the count of a row's sums at or below u (_draw), which
-is bisect_right's index, summed in the narrowest unsigned type that holds
-the row's length (no count exceeds it) and widened to intp. When every
-component is one-hot it generates only the uniforms its draws read
-(_uniforms), 0 and 2 + 2h, and reads each step's kernel row with one take
-from a table by (component, h, s) (_kernel_rows). The learner draws the
-blocks of a long replay stretch the same way (_one_hot_steps).
+TabularCmdp.transition_cdf). monte_carlo_value and the learner's long
+replay stretches draw blocks of episodes a step at a time (_block_steps),
+each draw as the count of a row's sums at or below u (_draw), which is
+bisect_right's index, summed in the narrowest unsigned type that holds the
+row's length (no count exceeds it) and widened to intp. When every
+component is one-hot they generate only the uniforms the draws read
+(_uniforms), 0 and 2 + 2h, and read each step's kernel row with one take
+from the components' concatenated tables (Policy.flat_actions).
 """
 
 from __future__ import annotations
@@ -114,27 +114,23 @@ def _draw(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return (cdf <= u).sum(0, dtype=np.min_scalar_type(len(cdf))).astype(np.intp)
 
 
-def _kernel_rows(m: TabularCmdp, actions) -> np.ndarray:
-    """Action tables a raveled by (component, h, s) as m's kernel rows (h·S + s)·A + a."""
-    hs = m.horizon * m.num_states
-    return (np.arange(hs) * m.num_actions + np.reshape(actions, (-1, hs))).ravel()
-
-
-def _one_hot_steps(m: TabularCmdp, comp, rows, kernel_cdf, succ):
-    """A block of one-hot mixture episodes from s1, drawn as
-    sample_mixture_episode draws them: comp holds each episode's component,
-    rows the components' _kernel_rows, kernel_cdf the _cdf_table of m's kernel
-    rows by (h, s, a), and succ[h] the successor uniforms of step h. Returns
-    the (H, episodes) kernel rows of the steps and their successors."""
+def _block_steps(m: TabularCmdp, comp, kernel_cdf, u, rows=None, rule_cdf=None):
+    """Walk a block of mixture episodes from s1 as sample_mixture_episode
+    draws them, yielding each step's (h, s, a) kernel rows and successors in
+    h order: comp holds each episode's component, kernel_cdf the _cdf_table
+    of m's kernel rows by (h, s, a) and u the block's uniforms by draw. With
+    rows (the components' concatenated flat_actions) every component is
+    one-hot and u holds draws 0 and 2 + 2h; otherwise rule_cdf holds the
+    components' rule rows by (component, h, s) and u every draw."""
+    act, succ = (None, u[1:]) if rule_cdf is None else (u[1::2], u[2::2])
     at = comp * (m.horizon * m.num_states)  # comp·H·S + h·S at step h
     s = np.full(len(comp), m.initial_state)
-    steps, nexts = [], []
     for h in range(m.horizon):
-        steps.append(rows.take(at + s))
-        s = _draw(kernel_cdf.take(steps[-1], 1), succ[h])
-        nexts.append(s)
+        row = rows.take(at + s) if rule_cdf is None else (
+            (h * m.num_states + s) * m.num_actions + _draw(rule_cdf.take(at + s, 1), act[h]))
+        s = _draw(kernel_cdf.take(row, 1), succ[h])
+        yield row, s
         at += m.num_states
-    return np.array(steps), np.array(nexts)
 
 
 def categorical(probs, u: float) -> int:
@@ -189,13 +185,13 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
         if policy.rule.shape != shape:
             raise ValueError(f"policy shape {policy.rule.shape} does not match instance {shape}")
     weight_cdf = np.array(mix.cumulative)[:, None]
-    tables = [p.actions for _, p in mix.components]
-    one_hot = all(t is not None for t in tables)
-    if one_hot:  # uniforms 0 and 2 + 2h only; kernel rows by (component, h, s)
-        rows = _kernel_rows(m, tables)
+    tables = [p.flat_actions for _, p in mix.components]
+    if all(t is not None for t in tables):  # uniforms 0 and 2 + 2h only
+        rows, rule_cdf = np.concatenate(tables), None
         draws = [0, *range(2, 2 + 2 * h_, 2)]
     else:  # rows by (component, h, s): take gathers contiguous (categories, count)
-        rule_cdf = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
+        rows, rule_cdf = None, _cdf_table(
+            np.reshape([p.rule for _, p in mix.components], (-1, a_)))
         draws = range(1 + 2 * h_)
     kernel_cdf = _cdf_table(m.transition.reshape(-1, s_))  # rows by (h, s, a)
     stages = m.stages.reshape(2, -1)
@@ -203,17 +199,9 @@ def monte_carlo_value(m: TabularCmdp, mix: MixturePolicy, episodes: int, seed: i
     for start in range(0, episodes, _BLOCK):
         count = min(_BLOCK, episodes - start)
         u = _uniforms(seed, start, count, draws)
-        act, succ = (None, u[1:]) if one_hot else (u[1::2], u[2::2])
-        comp = _draw(weight_cdf, u[0])
-        at = comp * (h_ * s_)  # comp·H·S + h·S at step h
-        s = np.full(count, m.initial_state)
         total = np.zeros((2, count))
-        for h in range(h_):  # totals add up in h order
-            row = rows.take(at + s) if one_hot else (
-                (h * s_ + s) * a_ + _draw(rule_cdf.take(at + s, 1), act[h]))
-            total += stages.take(row, 1)
-            s = _draw(kernel_cdf.take(row, 1), succ[h])
-            at += s_
+        for row, _ in _block_steps(m, _draw(weight_cdf, u[0]), kernel_cdf, u, rows, rule_cdf):
+            total += stages.take(row, 1)  # totals add up in h order
         totals[:, start:start + count] = total
     out = {"episodes": episodes}
     for name, x in zip(("reward", "cost"), totals):

@@ -340,6 +340,36 @@ def test_policy_from_actions_is_one_hot():
     assert pi.validate() == []
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 3), (3, 1, 2), (2, 3, 1), (4, 5, 3)])
+def test_policy_flat_actions_are_kernel_rows(monkeypatch, shape):
+    # flat_actions holds (h·S + s)·A + a for every (h, s), whenever actions
+    # is a table, and is None for a stochastic rule or a -0.0 entry
+    h_, s_, a_ = shape
+    calls, flatnonzero = [], np.flatnonzero
+
+    def counting(a):
+        calls.append(1)
+        return flatnonzero(a)
+
+    monkeypatch.setattr(np, "flatnonzero", counting)
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(5):
+        one_hot = Policy.from_actions(rng.integers(a_, size=(h_, s_)), a_)
+        for pi in (one_hot, Policy(one_hot.rule)):  # the second found one-hot by its bytes
+            calls.clear()
+            flat = pi.flat_actions
+            want = ((np.arange(h_)[:, None] * s_ + np.arange(s_)) * a_ + pi.actions).ravel()
+            assert flat.dtype == np.intp and flat.tolist() == want.tolist()
+            assert pi.flat_actions is flat and not flat.flags.writeable
+            assert calls == [1]  # computed once, on first use
+    # with one action the uniform rule is one-hot, and no entry can be -0.0
+    uniform = Policy.uniform(*shape)
+    assert (uniform.actions is None) == (uniform.flat_actions is None) == (a_ > 1)
+    if a_ > 1:
+        signed = Policy(np.where(one_hot.rule == 1.0, 1.0, -0.0))
+        assert signed.actions is None and signed.flat_actions is None
+
+
 def test_policy_from_actions_rejects_truncated_or_wrapped_actions():
     # int() truncated 1.7 to 1, and numpy's index wrapped -1 round to A - 1
     for actions in ([[1.7, 0], [0, 0]], np.zeros((2, 2)), [[True, False], [False, False]]):

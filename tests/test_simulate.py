@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from cmdplab import (MixturePolicy, Policy, TabularCmdp, evaluate_policy, monte_carlo_value,
                      preset, sample_mixture_episode, simulate)
 from cmdplab.core import PROB_TOL
-from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _cdf_table, _draw, _mix64_array,
-                              _stream_floats, _uniforms, categorical, mix64)
+from cmdplab.simulate import (_BLOCK, _GOLDEN, _MASK, _block_steps, _cdf_table, _draw,
+                              _mix64_array, _stream_floats, _uniforms, categorical, mix64)
 from conftest import random_instance
 from splitmix_reference import (Scripted, SplitMix64, episode_stream,
                                 sample_episode, sample_mixture_trajectory)
@@ -426,6 +426,68 @@ def test_sample_mixture_episode_matches_scalar_reference(case):
     rows[pick > 0.7] = 1.0 - 2.0**-53
     for row in rows.tolist():
         assert sample_mixture_episode(m, mix, row) == reference(Scripted(row))
+
+
+def walker_case(case):
+    """An instance and a mixture for the block walker's tests."""
+    if case == "one_hot":
+        return one_hot_case(31, lambda p: p)
+    if case == "stochastic":
+        m = random_instance(4, 3, 5, seed=32)
+        return m, random_mixture(m, 3, seed=32)
+    if case == "mixed":
+        m = random_instance(4, 3, 5, seed=33)
+        return m, mixed_mixture(m, seed=33)
+    if case == "components_300":  # component draws past index 255
+        m = random_instance(3, 2, 3, seed=34)
+        rng = np.random.default_rng(34)
+        return m, MixturePolicy(tuple(
+            (w, Policy.from_actions(rng.integers(2, size=(3, 3)), 2))
+            for w in rng.dirichlet(np.ones(300))))
+    # risky_shortcut's kernel rows end in zero-probability entries, and the
+    # weights' running sum stops growing before its end
+    m = preset("risky_shortcut")
+    rng = np.random.default_rng(35)
+    policies = [Policy.from_actions(rng.integers(2, size=(3, 3)), 2) for _ in range(3)]
+    if case == "risky_rule":
+        policies[1] = Policy.uniform(3, 3, 2)
+    return m, MixturePolicy(tuple(zip((0.5, 0.5 - 1e-10, 0.0), policies)))
+
+
+@pytest.mark.parametrize("case", ["one_hot", "stochastic", "mixed", "components_300",
+                                  "risky_actions", "risky_rule"])
+def test_block_steps_walk_as_sample_mixture_episode(case):
+    # the walker yields exactly H steps of (h, s, a) rows and successors, and
+    # episode i's column is sample_mixture_episode's steps on its uniforms:
+    # from the components' flat_actions on draws 0 and 2 + 2h (a one-hot
+    # block), or from their rule rows on every draw (a stochastic block)
+    m, mix = walker_case(case)
+    h_, s_, a_ = m.horizon, m.num_states, m.num_actions
+    tables = [p.flat_actions for _, p in mix.components]
+    one_hot = all(t is not None for t in tables)
+    assert one_hot == (case in ("one_hot", "components_300", "risky_actions"))
+    kernel_cdf = _cdf_table(m.transition.reshape(-1, s_))
+    rule_cdf = _cdf_table(np.reshape([p.rule for _, p in mix.components], (-1, a_)))
+    for seed, count, ends in ((3, 700, False), (-8, 1, False), (9, 500, True)):
+        u = _uniforms(seed, 0, count, range(1 + 2 * h_))
+        if ends:  # uniforms at the ends of [0, 1), 1 - 2**-53 past every short total
+            pick = np.random.default_rng(seed).uniform(size=u.shape)
+            u[pick < 0.2] = 0.0
+            u[pick > 0.7] = 1.0 - 2.0**-53
+        comp = _draw(np.array(mix.cumulative)[:, None], u[0])
+        assert case != "components_300" or count == 1 or comp.max() > 255
+        walks = [_block_steps(m, comp, kernel_cdf, u, rule_cdf=rule_cdf)]
+        if one_hot:
+            walks.append(_block_steps(m, comp, kernel_cdf, u[::2], np.concatenate(tables)))
+        for walk in walks:
+            steps = list(walk)
+            assert len(steps) == h_
+            rows, nexts = map(np.array, zip(*steps))
+            h, s, a = np.unravel_index(rows, (h_, s_, a_))
+            assert (h == np.arange(h_)[:, None]).all()
+            for i, row in enumerate(u.T.tolist()):
+                assert sample_mixture_episode(m, mix, row) == (
+                    comp[i], list(zip(s[:, i].tolist(), a[:, i].tolist(), nexts[:, i].tolist())))
 
 
 def test_array_finalizer_reproduces_reference_streams():
