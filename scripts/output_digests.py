@@ -16,6 +16,11 @@ directory:
   2048-episode stream tables and into a third;
 - solve each preset (their dual bisections reach exact ties, such as
   lambda = 0.5 on two_state_chain);
+- generate and solve 3x2x3, 10x4x8 and 30x5x10 instances at Dirichlet
+  alpha 1, and 10x4x8 at alpha 0.1, each at seeds 1 and 2 (labels
+  generate_<S>x<A>x<H>_alpha<alpha>_seed<seed> and solve_...): their
+  bisections skip every midpoint that lies in a bracket end's certified
+  interval, so these lines guard the certificate;
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
   bonus-0 and train_blocks runs' policies (291 and 2,052 one-hot
   components, so component draws count past 255), the solve run's optimal
@@ -66,6 +71,14 @@ RUNS = [
                   "--seed", "3", "--out", INSTANCE]),
     ("solve", ["solve", "--instance", INSTANCE]),
     *((f"solve_{name}", ["solve", "--preset", name]) for name in preset_names()),
+    *((f"{cmd}_{s}x{a}x{h}_alpha{alpha}_seed{seed}", argv)
+      for s, a, h, alpha in ((3, 2, 3, 1), (10, 4, 8, 1), (10, 4, 8, 0.1), (30, 5, 10, 1))
+      for seed in (1, 2)
+      for cmd, argv in (
+          ("generate", ["generate", "--S", str(s), "--A", str(a), "--H", str(h), "--alpha",
+                        str(alpha), "--seed", str(seed), "--out", "{out}/instance.json"]),
+          ("solve", ["solve", "--instance",
+                     f"{{tmp}}/generate_{s}x{a}x{h}_alpha{alpha}_seed{seed}/instance.json"]))),
     ("train_plan_bonus0", ["train", *PLAN, "-K", "300", "-T", "3", "--bonus-scale", "0"]),
     ("train_plan_bonus0.1", ["train", *PLAN, "-K", "300", "-T", "3",
                              "--bonus-scale", "0.1"]),

@@ -1,6 +1,7 @@
 """Exact constrained solver against enumeration and convex-duality identities."""
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -11,10 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmdplab import solver
-from cmdplab import (INFEASIBLE, OPTIMAL, MixturePolicy, Policy, TabularCmdp,
-                     brute_force_cmdp, dual_value, evaluate_mixture,
-                     evaluate_policy, greedy_backup, load_instance, preset,
-                     preset_names, solve_cmdp_exact)
+from cmdplab import (INFEASIBLE, OPTIMAL, ExactSolution, GenSpec, MixturePolicy,
+                     Policy, TabularCmdp, brute_force_cmdp, dual_value,
+                     evaluate_mixture, evaluate_policy, generate, greedy_backup,
+                     load_instance, preset, preset_names, slater_constant,
+                     solve_cmdp_exact)
 from cmdplab.solver import DegenerateInstanceError, InstanceTooLargeError
 from conftest import all_deterministic_policies, random_instance, tie_instances
 
@@ -41,6 +43,45 @@ def near_tie_instance(num_states, horizon):
     return TabularCmdp(num_states, 2, horizon, k, r, c, 0.5, 0)
 
 
+def adversarial_instance(rng):
+    """A small instance drawn to corner the bisection's certificate: any of a
+    deterministic kernel, half-integer tables (exact ties at dyadic lambda),
+    a zero-reward action, action 1 a 1e-15 near-tie of action 0 whose exact
+    tie sits at lambda = 1/2, 1 or 2, and a last action duplicating action 0."""
+    s_, a_, h_ = int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+    shape = (h_, s_, a_)
+    kernel = rng.dirichlet(np.ones(s_), size=shape)
+    if rng.random() < 0.25:
+        kernel = np.eye(s_)[rng.integers(0, s_, size=shape)]
+    reward, cost = rng.uniform(size=shape), rng.uniform(size=shape)
+    if rng.random() < 0.25:
+        reward, cost = np.round(2 * reward) / 2, np.round(2 * cost) / 2
+    if rng.random() < 0.3:
+        reward[..., rng.integers(0, a_)] = 0.0
+    if rng.random() < 0.4:
+        dc = rng.uniform(0.0, 0.5, size=shape[:2])
+        kernel[..., 1, :] = kernel[..., 0, :]
+        cost[..., 1] = cost[..., 0] + dc
+        reward[..., 1] = (reward[..., 0] + rng.choice([0.5, 1.0, 2.0]) * dc
+                          + rng.choice([-2e-15, -1e-15, 0.0, 1e-15, 2e-15], size=shape[:2]))
+    if rng.random() < 0.25:
+        for table in (kernel, reward, cost):
+            table[:, :, -1] = table[:, :, 0]
+    m = TabularCmdp(s_, a_, h_, kernel, reward, cost, 0.0, 0)
+    # mostly between the cheapest cost and the reward-greedy one, so the
+    # bisection runs; the margins leave some infeasible and unconstrained
+    cheapest, greedy = -slater_constant(m)[0], dual_value(m, 0.0)[2][1]
+    return replace(m, budget=cheapest + rng.uniform(-0.1, 1.1) * (greedy - cheapest))
+
+
+def _fingerprint(sol):
+    """Every bit of a solution: status, value, cost, lambda*, and each
+    component's weight and rule."""
+    comps = [] if sol.policy is None else sol.policy.components
+    return (sol.status, repr(sol.optimal_value), repr(sol.optimal_cost),
+            repr(sol.lambda_star), [(repr(w), p.rule.tobytes()) for w, p in comps])
+
+
 # ---------------------------------------------------------------------------
 # Unconstrained backbone and the dual function.
 
@@ -58,6 +99,22 @@ def test_unconstrained_dominates_enumeration():
 def test_dual_value_rejects_negative_lambda():
     with pytest.raises(ValueError):
         dual_value(preset("single_state_tradeoff"), -0.1)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -0.5, True, False, "1", None,
+                                 np.float64("nan"), np.float64("inf"), 10**400])
+def test_dual_value_rejects_lambda_that_is_not_a_finite_nonnegative_real(lam):
+    # NaN and inf used to return g = nan with an arbitrary action table,
+    # True ran as 1 and "1" raised a TypeError
+    with pytest.raises(ValueError, match="lambda"):
+        dual_value(preset("single_state_tradeoff"), lam)
+
+
+def test_dual_value_takes_ints_and_numpy_reals_as_their_floats():
+    m = preset("two_state_chain")
+    for lam, as_float in ((1, 1.0), (np.float64(0.375), 0.375), (np.int64(2), 2.0),
+                          (np.float32(0.25), 0.25)):
+        assert dual_value(m, lam) == dual_value(m, as_float)
 
 
 def test_dual_value_single_state_closed_form():
@@ -212,11 +269,6 @@ def test_brute_force_stacked_pricing_matches_a_per_policy_loop(dims, monkeypatch
     def per_policy(kernel, stages, policies):
         return np.stack([evaluate_policy(kernel, stages, p) for p in policies])
 
-    def fingerprint(sol):
-        comps = [] if sol.policy is None else sol.policy.components
-        return (sol.status, repr(sol.optimal_value), repr(sol.optimal_cost),
-                repr(sol.lambda_star), [(repr(w), p.rule.tobytes()) for w, p in comps])
-
     for seed, share in enumerate((0.3, 0.4, 0.45, 0.5, 1.0)):
         budget = dims[2] * share  # infeasible, mixed pairs and unconstrained
         m = random_instance(*dims, seed=seed, budget=budget)
@@ -224,7 +276,7 @@ def test_brute_force_stacked_pricing_matches_a_per_policy_loop(dims, monkeypatch
         with monkeypatch.context() as patch:
             patch.setattr(solver, "evaluate_policy", per_policy)
             looped = brute_force_cmdp(m)
-        assert fingerprint(stacked) == fingerprint(looped)
+        assert _fingerprint(stacked) == _fingerprint(looped)
 
 
 def test_degenerate_bracket_falls_back_to_enumeration():
@@ -278,20 +330,181 @@ def test_mixture_cost_pinned_to_budget_when_binding():
 
 
 # ---------------------------------------------------------------------------
+# Certified bisection: a midpoint inside an end's certified interval sweeps
+# nothing, and the solution keeps every bit of one sweep per midpoint.
+
+
+def _sweep_per_midpoint(m, tol=1e-8):
+    """solve_cmdp_exact with one dual_value sweep at every doubling and every
+    midpoint, as the solver ran before it certified policies."""
+    zeta, _ = slater_constant(m)
+    if zeta < 0:
+        return ExactSolution(INFEASIBLE, math.nan, math.nan, None, math.inf)
+    _, pi0, (r0, cost0) = lo = dual_value(m, 0.0)
+    if cost0 <= m.budget:
+        return ExactSolution(OPTIMAL, r0, cost0, MixturePolicy.single(pi0), 0.0)
+    cap = 4.0 * m.horizon / max(zeta, tol)
+    lam_lo, lam_hi = 0.0, 1.0
+    for _ in range(solver._MAX_DOUBLINGS):
+        hi = dual_value(m, lam_hi)
+        feasible = hi[2][1] <= m.budget
+        if feasible or not lam_hi <= cap:
+            break
+        lam_lo, lam_hi, lo = lam_hi, 2.0 * lam_hi, hi
+    if not feasible:
+        if m.num_actions ** (m.num_states * m.horizon) <= solver._BRUTE_FORCE_CAP:
+            return brute_force_cmdp(m)
+        raise DegenerateInstanceError("no feasible dual point below the cap")
+    while lam_hi - lam_lo > tol:
+        mid = 0.5 * (lam_lo + lam_hi)
+        if not lam_lo < mid < lam_hi:
+            break
+        got = dual_value(m, mid)
+        if got[2][1] <= m.budget:
+            lam_hi, hi = mid, got
+        else:
+            lam_lo, lo = mid, got
+    return solver._mix_two(m, hi[1:], lo[1:], 0.5 * (lam_lo + lam_hi))
+
+
+def _solve_fingerprints(m):
+    """(certified, one sweep per midpoint) fingerprints; a degenerate
+    instance too large for enumeration must raise in both."""
+    out = []
+    for solve in (solve_cmdp_exact, _sweep_per_midpoint):
+        try:
+            out.append(_fingerprint(solve(m)))
+        except DegenerateInstanceError:
+            out.append("degenerate")
+    return out
+
+
+_GENERATED_SIZES = [(2, 2, 2), (3, 2, 3), (2, 4, 5), (5, 3, 4), (10, 4, 8), (8, 6, 3),
+                    (20, 3, 6), (30, 5, 10)]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.1])
+@pytest.mark.parametrize("dims", _GENERATED_SIZES)
+def test_certified_bisection_matches_one_sweep_per_midpoint_on_generated(dims, alpha):
+    for seed in (1, 2):
+        for zeta in (0.5, 0.2 * dims[2]):
+            m = generate(GenSpec(*dims, zeta_target=zeta, dirichlet_alpha=alpha, seed=seed))
+            certified, swept = _solve_fingerprints(m)
+            assert certified == swept, (dims, alpha, seed, zeta)
+
+
+def test_certified_bisection_matches_one_sweep_per_midpoint_on_ties():
+    cases = [*tie_instances(), near_tie_instance(2, 2), near_tie_instance(3, 5),
+             infeasible_instance()]
+    cases += [replace(m, budget=b) for m in map(preset, preset_names())
+              for b in (0.1, 0.25, 0.5, 0.75, 1.0)]
+    for m in cases:
+        certified, swept = _solve_fingerprints(m)
+        assert certified == swept, m
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_certified_bisection_matches_one_sweep_per_midpoint_on_near_ties(chunk):
+    # 8 x 250 drawn instances with deterministic kernels, half-integer
+    # tables, zero-reward actions, 1e-15 near-ties and duplicated actions
+    rng = np.random.default_rng(5000 + chunk)
+    for i in range(250):
+        m = adversarial_instance(rng)
+        certified, swept = _solve_fingerprints(m)
+        assert certified == swept, (chunk, i)
+
+
+def _certified_span(m, lam):
+    """The policy a sweep returns at lam, its pair and its certified interval."""
+    _, pi, pair, v = solver._dual_point(m, lam)
+    return pi, pair, solver._certify(m, solver._margin(m), pi, v)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_certificate_is_sound_up_to_one_ulp_inside_its_ends(chunk):
+    # every lambda inside a certified interval, one ulp inside either end
+    # included, sweeps to the same policy with the same (V_r, V_c) bits
+    rng = np.random.default_rng(7000 + chunk)
+    checked = 0
+    for _ in range(150):
+        m = adversarial_instance(rng)
+        for lam0 in (0.0, 0.5, float(rng.uniform(0.0, 3.0))):
+            pi, pair, (lo, hi) = _certified_span(m, lam0)
+            low = max(lo, 0.0)
+            if not low < hi:
+                continue
+            lams = [0.0, np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf),
+                    *rng.uniform(low, min(hi, low + 4.0), 3)]
+            for lam in map(float, lams):
+                if lo < lam < hi and 0.0 <= lam < 1e6:
+                    _, got, got_pair = dual_value(m, lam)
+                    assert got == pi, (lam, lo, hi)
+                    assert np.array(got_pair).tobytes() == np.array(pair).tobytes()
+                    checked += 1
+    assert checked >= 300
+
+
+def test_exact_ties_are_never_certified():
+    # at an exact tie the sweep's pick follows the action order, so no
+    # interval may contain the tie: the presets' kinks, and any policy on an
+    # action whose byte-equal twin sits at a higher index
+    for name, tie in (("single_state_tradeoff", 1.0), ("two_state_chain", 0.5)):
+        for lam in (tie - 0.25, tie, tie + 0.25):
+            _, _, (lo, hi) = _certified_span(preset(name), lam)
+            assert not lo < tie < hi, (name, lam)
+    twins = [m for m in tie_instances() if m.num_actions == 4]  # actions 2, 3 copy 0, 1
+    assert twins
+    for m in twins:
+        for lam in (0.0, 0.5, 1.0, 3.0):
+            _, _, (lo, hi) = _certified_span(m, lam)
+            assert not lo < hi
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["transition", "reward", "cost"])
+def test_non_finite_tables_certify_nothing_and_warn_nothing(where, bad):
+    # tier-1 turns warnings into errors, so a RuntimeWarning would fail here
+    m = preset("two_state_chain")
+    _, pi, _, v = solver._dual_point(m, 0.25)
+    lo, hi = solver._certify(m, solver._margin(m), pi, v)
+    assert lo < 0.25 < hi  # certified when finite
+    table = np.array(getattr(m, where))
+    table[0, 0, 1] = bad
+    broken = replace(m, **{where: table})
+    lo, hi = solver._certify(broken, solver._margin(broken), pi, v)
+    assert not lo < hi
+    nan_v = np.array(v)
+    nan_v[0, 1, 0] = math.nan
+    lo, hi = solver._certify(m, solver._margin(m), pi, nan_v)
+    assert not lo < hi
+
+
+def test_bisection_sweeps_each_greedy_policy_about_once(monkeypatch):
+    # 10x4x8, seeds 1-20: one sweep per midpoint took 29.8 sweeps per solve
+    # to visit 7.6 distinct greedy policies
+    sweeps = _count_sweeps(monkeypatch)
+    for seed in range(1, 21):
+        solve_cmdp_exact(generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=seed)))
+    assert len(sweeps) <= 12 * 20
+
+
+# ---------------------------------------------------------------------------
 # Termination on non-finite and malformed input.
 
 
-def _count_dual_values(monkeypatch, limit=2000):
-    """Fail fast instead of hanging if the dual search stops terminating."""
+def _count_sweeps(monkeypatch, limit=2000):
+    """Count the solver's greedy sweeps (one per dual point it does not
+    certify); fail fast instead of hanging if the dual search stops
+    terminating."""
     calls = []
-    original = solver.dual_value
+    original = solver.greedy_backup
 
-    def counted(m, lam):
-        calls.append(lam)
+    def counted(kernel, stages):
+        calls.append(stages)
         assert len(calls) <= limit, "dual search does not terminate"
-        return original(m, lam)
+        return original(kernel, stages)
 
-    monkeypatch.setattr(solver, "dual_value", counted)
+    monkeypatch.setattr(solver, "greedy_backup", counted)
     return calls
 
 
@@ -299,7 +512,7 @@ def _count_dual_values(monkeypatch, limit=2000):
 def test_solver_terminates_on_nan_entries(monkeypatch, where):
     # built directly, past the loader: a NaN zeta makes the lambda cap NaN,
     # which used to keep the doubling loop going forever
-    calls = _count_dual_values(monkeypatch)
+    calls = _count_sweeps(monkeypatch)
     m = preset("two_state_chain")
     table = np.array(getattr(m, where))
     table[0, 0, 1] = np.nan
@@ -319,7 +532,7 @@ def test_tolerance_below_float_spacing_terminates(monkeypatch, name):
     # at tol=1e-320 the bracket reaches the float spacing around lambda*
     # first; the midpoint then equals one end, which used to loop forever
     want = solve_cmdp_exact(preset(name))
-    calls = _count_dual_values(monkeypatch)
+    calls = _count_sweeps(monkeypatch)
     got = solve_cmdp_exact(preset(name), tol=1e-320)
     assert len(calls) < 100
     assert got.status == want.status == OPTIMAL
