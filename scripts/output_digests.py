@@ -19,8 +19,12 @@ directory:
 - generate and solve 3x2x3, 10x4x8 and 30x5x10 instances at Dirichlet
   alpha 1, and 10x4x8 at alpha 0.1, each at seeds 1 and 2 (labels
   generate_<S>x<A>x<H>_alpha<alpha>_seed<seed> and solve_...): their
-  bisections skip every midpoint that lies in a bracket end's certified
-  interval, so these lines guard the certificate;
+  bisections keep a bracket end wherever its re-scored Q-tables pick its
+  own actions, so these lines guard that reuse;
+- solve the 3x2x3 seed-2 instance with every action written twice (label
+  solve_3x2x3_alpha1_seed2_twins; the script writes that instance file):
+  twins tie exactly at every lambda, where a bracket end is kept only if
+  the tie rule, lowest action first, picks it;
 - evaluate over 20,000 Monte Carlo episodes the bonus-0.1 run's policy, the
   bonus-0 and train_blocks runs' policies (291 and 2,052 one-hot
   components, so component draws count past 255), the solve run's optimal
@@ -79,6 +83,7 @@ RUNS = [
                         str(alpha), "--seed", str(seed), "--out", "{out}/instance.json"]),
           ("solve", ["solve", "--instance",
                      f"{{tmp}}/generate_{s}x{a}x{h}_alpha{alpha}_seed{seed}/instance.json"]))),
+    ("solve_3x2x3_alpha1_seed2_twins", ["solve", "--instance", "{out}/instance.json"]),
     ("train_plan_bonus0", ["train", *PLAN, "-K", "300", "-T", "3", "--bonus-scale", "0"]),
     ("train_plan_bonus0.1", ["train", *PLAN, "-K", "300", "-T", "3",
                              "--bonus-scale", "0.1"]),
@@ -151,6 +156,12 @@ def main_digests() -> None:
                 (out / "policy.json").write_text(json.dumps(optimal))
             elif label in POLICIES:
                 (out / "policy.json").write_text(json.dumps(POLICIES[label]))
+            elif label == "solve_3x2x3_alpha1_seed2_twins":  # each action twice
+                doc = json.loads((tmp / "generate_3x2x3_alpha1_seed2/instance.json").read_text())
+                doc["A"] *= 2
+                for key in ("P", "r", "c"):
+                    doc[key] = [[actions + actions for actions in step] for step in doc[key]]
+                (out / "instance.json").write_text(json.dumps(doc))
             stdout = stdouts[label] = call([a.format(tmp=tmp, out=out) for a in argv], tmp)
             for path in sorted(out.iterdir()):
                 print(digest(path.read_bytes()), label, path.name)

@@ -116,7 +116,10 @@ def _merge_train_options(args):
     from_file = {}
     if args.config:
         with open(args.config) as f:
-            doc = json.load(f)
+            try:
+                doc = json.load(f)
+            except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
+                raise ValueError(f"malformed config file {args.config}: {e}") from e
         if not isinstance(doc, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
         unknown = set(doc) - set(_TRAIN_OPTIONS)

@@ -8,11 +8,13 @@ values (harness.evaluate_mixture; the mixing draw happens once per episode, so
 the identity is exact). One backward-induction kernel serves evaluate_policy,
 greedy_backup and both of the learner's clipped sweeps; each returns its plain
 (k, H+1, S) value array, and a policy's (V_r, V_c) is v[:, 0, s1] of one sweep
-over the stack TabularCmdp.stages. greedy_backup maximizes its stack's first
-table and reads every table along the chosen actions. Leading axes stack P
-policies (evaluate_policy, PRICE_CHUNK per sweep where a caller prices many)
-or the learner's L greedy problems into one sweep, and each slice keeps the
-bits of its own sweep (see _expected_stage and _backward_induction).
+over the stack TabularCmdp.stages. greedy_backup maximizes a score of its
+stack's step Q-tables, the first table by default (the solver's dual point
+scores Q_r - lambda Q_c, as the learner does), and reads every table along
+the chosen actions. Leading axes stack P policies (evaluate_policy,
+PRICE_CHUNK per sweep where a caller prices many) or the learner's L greedy
+problems into one sweep, and each slice keeps the bits of its own sweep (see
+_expected_stage and _backward_induction).
 
 All indices (states, actions, steps) are 0-based internally. Step h runs
 0..H-1 and value tables carry an extra all-zero terminal row at index H.
@@ -391,12 +393,12 @@ def evaluate_policy(kernel: np.ndarray, stages: np.ndarray, policy) -> np.ndarra
     return v
 
 
-def greedy_backup(kernel: np.ndarray, stages: np.ndarray):
+def greedy_backup(kernel: np.ndarray, stages: np.ndarray, score=lambda q: q[0]):
     """evaluate_policy's greedy twin: the (H, S) actions that maximize
-    stages[0] of a (k, H, S, A) stack (ties go to the lowest action) and the
-    (k, H+1, S) values of every table along them, from one sweep."""
-    return _backward_induction(_expected_stage(kernel, stages), stages.shape[:3],
-                               score=lambda q: q[0])
+    score(q) of a (k, H, S, A) stack's step Q-tables q (the first table by
+    default; ties go to the lowest action) and the (k, H+1, S) values of
+    every table along them, from one sweep."""
+    return _backward_induction(_expected_stage(kernel, stages), stages.shape[:3], score=score)
 
 
 def slater_constant(m: TabularCmdp):
@@ -463,7 +465,7 @@ def _float_field(raw: dict, key: str) -> float:
 def _number_table(raw: dict, key: str) -> np.ndarray:
     """raw[key] as a float array; booleans, strings and ragged lists raise."""
     table = np.asarray(raw[key], dtype=object)  # a ragged list keeps list entries
-    if not set(map(type, table.flat)) <= {int, float}:  # one C-level pass
+    if not set(map(type, table.ravel())) <= {int, float}:  # .flat stops at 32 axes
         raise ValueError(f"field {key!r} must hold numbers in a regular array")
     return table.astype(float)
 
@@ -489,7 +491,7 @@ def load_instance(path) -> TabularCmdp:
             budget=_float_field(raw, "b"),
             initial_state=_int_field(raw, "s1"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ValueError(f"malformed instance file {path}: {e}") from e
     problems = validate_cmdp(m)
     if problems:
@@ -527,9 +529,9 @@ def _int_table(raw: dict, key: str) -> np.ndarray:
     """raw[key] as an int array, each entry typed like _int_field; booleans,
     strings, non-integral numbers and ragged lists raise."""
     table = np.asarray(raw[key], dtype=object)
-    types = set(map(type, table.flat))
+    types = set(map(type, table.ravel()))  # as in _number_table
     if not types <= {int, float} or float in types and not all(
-            x.is_integer() for x in table.flat if type(x) is float):
+            x.is_integer() for x in table.ravel() if type(x) is float):
         raise ValueError(f"field {key!r} must hold integers in a regular array")
     return table.astype(int)
 
@@ -570,7 +572,7 @@ def load_policy(path, m: TabularCmdp) -> MixturePolicy:
             doc = json.load(f)
         dims = tuple(_int_field(doc, k) for k in ("S", "A", "H"))
         comps = [_component(c) for c in doc["components"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as e:
         raise ValueError(f"malformed policy file {path}: {e}") from e
     want = (m.num_states, m.num_actions, m.horizon)
     if dims != want:

@@ -12,18 +12,13 @@ max V_r(s1) subject to V_c(s1) <= b:
   policies plus every feasible/infeasible two-policy mixing, exact up to
   floating point. Used as the ground-truth oracle for small instances.
 
-Each dual point is one greedy_backup sweep of (r - lambda c, r, c): g and the
-greedy policy's (V_r, V_c) are its rows, each with its own sweep's bits. The
-bisection sweeps each greedy policy about once. With Q = stage + P V on pi's
-(V_r, V_c) tables and dQ = Q(pi) - Q(a), a midpoint where dQ_r - lambda dQ_c
-> e (1 + lambda) at all (h, s) and a != pi keeps the end of that pi: a sweep
-there returns pi and, its actions fixed, the same (V_r, V_c). The margin e:
-u = 2^-53, M = max |stage| + 2^-1000, K = max(1, max |P| row sum), G = H K^H,
-gamma = (S+3) u / (1 - (S+3) u). If 6 gamma G <= 1, values lie below Z = G M,
-a step adds gamma (M + 2 Z) to K times the next one's error, and a computed Q
-errs by kappa = 3 gamma G Z, by (1 + lambda) kappa for r - lambda c. Certified
-dQ err by 3 kappa and rounded ends by 2 kappa, so pi's exact gap tops the
-2 kappa (1 + lambda) a sweep needs: e = 8 kappa. No tie or NaN is certified.
+Each dual point is one greedy_backup sweep of the (r, c) stack, scored like
+the learner's: argmax Q_r - lambda Q_c at each (h, s), ties to the lowest
+action. Its rows are the greedy policy's (V_r, V_c); g = V_r - lambda V_c +
+lambda b. By induction down from the zero row H, a sweep at lambda returns
+pi, with the same bits, exactly when pi's own Q-tables scored at lambda pick
+pi's actions at every step: a bisection point keeps a bracket end that
+passes this re-score (ties and NaN included) and sweeps otherwise.
 The enumeration prices policies with evaluate_policy over m.stages, one
 stacked sweep per PRICE_CHUNK policies, rows again bit-equal to single sweeps.
 
@@ -86,37 +81,27 @@ def dual_value(m: TabularCmdp, lam: float):
     Returns (g(lambda), maximizing deterministic policy pi, [V_r, V_c] of pi
     at s1) from one sweep. b - V_c is a subgradient of g at lambda.
     """
-    if not 0 <= _real("lambda", lam) < math.inf:
+    lam = _real("lambda", lam)
+    if not 0 <= lam < math.inf:
         raise ValueError(f"dual variable lambda must be finite and >= 0, got {lam}")
-    return _dual_point(m, float(lam))[:3]
+    _, pi, (v_r, v_c), _ = _dual_point(m, lam)
+    return v_r - lam * v_c + lam * m.budget, pi, [v_r, v_c]
 
 
 def _dual_point(m, lam):
-    """dual_value's sweep at a checked lam, also returning its (V_r, V_c) tables."""
-    stages = np.concatenate((m.stages[:1] - lam * m.stages[1:], m.stages))
-    actions, v = greedy_backup(m.transition, stages)
-    g, *pair = v[:, 0, m.initial_state].tolist()
-    return g + lam * m.budget, Policy.from_actions(actions, m.num_actions), pair, v[1:]
+    """dual_value's sweep at a checked lam: its actions, their Policy, its
+    [V_r, V_c] at s1 and its (2, H, S, A) Q-tables, rebuilt from its values
+    with the sweep's own matvec, so bit-equal to the tables it scored."""
+    actions, v = greedy_backup(m.transition, m.stages, lambda q: q[0] - lam * q[1])
+    q = m.stages + (m.transition @ v[:, 1:, None, :, None])[..., 0]
+    pi = Policy.from_actions(actions, m.num_actions)
+    return actions, pi, v[:, 0, m.initial_state].tolist(), q
 
 
-def _margin(m):
-    """The margin e = 24 gamma G^2 M of the module docstring; NaN or inf certify nothing."""
-    with np.errstate(all="ignore"):
-        gamma = 1 / (2.0**53 / (m.num_states + 3) - 1)
-        grow = m.horizon * np.maximum(1.0, np.abs(m.transition).sum(-1).max()) ** m.horizon
-        scale = np.abs(m.stages).max() + 2.0**-1000
-        return 24 * gamma * grow**2 * scale if 6 * gamma * grow <= 1 else np.nan
-
-
-def _certify(m, margin, pi, v):
-    """pi's certified lambda interval (lo, hi), open, from its (V_r, V_c) tables v."""
-    with np.errstate(all="ignore"):  # non-finite tables give NaN ends, silently
-        q = m.stages + (m.transition @ v[:, 1:, None, :, None])[..., 0]
-        d = q.reshape(2, -1)[:, pi.flat_actions].reshape(2, m.horizon, -1, 1) - q
-        num, den = d[0] - margin, d[1] + margin
-        num.flat[pi.flat_actions] = np.inf  # pi against itself bounds nothing
-        ratio = num / den  # a NaN den lands among the upper ends and makes hi NaN
-        return ratio[den < 0].max(initial=-np.inf), ratio[~(den < 0)].min(initial=np.inf)
+def _keeps(end, lam):
+    """Would a sweep at lam return this _dual_point's policy (see the module docstring)?"""
+    actions, _, _, q = end
+    return ((q[0] - lam * q[1]).argmax(-1) == actions).all()
 
 
 def _mix_two(m, feas, inf, lambda_star):
@@ -143,8 +128,8 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     The bracket [lam_lo, lam_hi] keeps cost(pi_lam_lo) > b >= cost(pi_lam_hi)
     and shrinks to width tol (0 < tol < inf), or until its midpoint is no
     longer strictly inside; lambda_star reports that midpoint. Each end
-    keeps its sweep, so the mixing solves nothing again, and a midpoint in
-    an end's certified interval sweeps nothing. If no feasible side appears
+    keeps its sweep, so the mixing solves nothing again, and neither does a
+    doubling or midpoint that keeps an end. If no feasible side appears
     below the cap 4H/max(zeta, tol) (or within _MAX_DOUBLINGS doublings, or
     the cap is NaN), the instance is numerically degenerate: fall back to
     brute force when small enough, otherwise raise DegenerateInstanceError.
@@ -163,7 +148,7 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
     lam_lo, lam_hi = 0.0, 1.0
     feasible = False
     for _ in range(_MAX_DOUBLINGS):
-        hi = _dual_point(m, lam_hi)
+        hi = lo if _keeps(lo, lam_hi) else _dual_point(m, lam_hi)
         feasible = hi[2][1] <= m.budget
         if feasible or not lam_hi <= cap:  # a NaN cap also ends the search
             break
@@ -174,16 +159,11 @@ def solve_cmdp_exact(m: TabularCmdp, tol: float = 1e-8) -> ExactSolution:
         raise DegenerateInstanceError(
             f"no feasible dual point below cap {cap:.3g} (zeta={zeta:.3g})")
 
-    margin, spans = _margin(m), {}  # spans: policy -> its certified (lo, hi)
-    def certified(end, lam):  # end = (g, pi, pair, v): would a sweep at lam return its pi?
-        lo_, hi_ = spans.get(end[1]) or spans.setdefault(end[1], _certify(m, margin, *end[1::2]))
-        return lo_ < lam < hi_
-
     while lam_hi - lam_lo > tol:
         mid = 0.5 * (lam_lo + lam_hi)
         if not lam_lo < mid < lam_hi:  # the bracket is down to float spacing
             break
-        got = lo if certified(lo, mid) else hi if certified(hi, mid) else _dual_point(m, mid)
+        got = lo if _keeps(lo, mid) else hi if _keeps(hi, mid) else _dual_point(m, mid)
         if got[2][1] <= m.budget:
             lam_hi, hi = mid, got
         else:

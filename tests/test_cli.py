@@ -179,6 +179,27 @@ def test_train_rejects_mistyped_config_values(tmp_path, doc, match):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("depth", [64, 100_000])
+@pytest.mark.parametrize("kind", ["instance", "policy", "config"])
+def test_deeply_nested_json_is_rejected_in_one_line(tmp_path, kind, depth):
+    # 100,000 levels raised RecursionError from json; an instance or policy
+    # table 33-64 levels deep raised RuntimeError from numpy's .flat, which
+    # stops at 32 axes
+    instance, path = tmp_path / "chain.json", tmp_path / f"{kind}.json"
+    save_instance(preset("two_state_chain"), instance)
+    doc = {"instance": {**json.loads(instance.read_text()), "P": "deep"},
+           "policy": {"S": 2, "A": 2, "H": 2, "components": [{"weight": 1.0, "actions": "deep"}]},
+           "config": "deep"}[kind]
+    path.write_text(json.dumps(doc).replace('"deep"', "[" * depth + "0" + "]" * depth))
+    argv = {"instance": ["solve", "--instance", str(path)],
+            "policy": ["evaluate", "--instance", str(instance), "--policy", str(path)],
+            "config": ["train", "--preset", "two_state_chain", "--config", str(path),
+                       "--out", str(tmp_path / "run")]}[kind]
+    with pytest.raises(SystemExit, match=f"^cmdplab {argv[0]}: ") as err:
+        main(argv)
+    assert "\n" not in str(err.value) and str(path) in str(err.value)
+
+
 def test_train_rejects_infeasible_instance_before_learning(tmp_path, monkeypatch):
     # the cheapest policy pays 1.0 against b = 0.6: relaxed train used to run
     # the learner and write regret_cum = nan and bare NaN into summary.json

@@ -72,6 +72,8 @@ def test_output_digests_prints_one_line_per_output(tmp_path):
                    ("generate_10x4x8_alpha0.1_seed2", "instance.json"),
                    ("solve_10x4x8_alpha0.1_seed2", "stdout"),
                    ("solve_30x5x10_alpha1_seed2", "stdout"),
+                   ("solve_3x2x3_alpha1_seed2_twins", "instance.json"),
+                   ("solve_3x2x3_alpha1_seed2_twins", "stdout"),
                    ("evaluate", "stdout"), ("evaluate_train_plan_bonus0", "stdout"),
                    ("evaluate_train_blocks", "stdout"), ("evaluate_optimal", "stdout"),
                    ("evaluate_uniform", "policy.json"), ("evaluate_mixed", "policy.json"),

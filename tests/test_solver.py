@@ -4,6 +4,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmdplab import solver
+from cmdplab import core, solver
 from cmdplab import (INFEASIBLE, OPTIMAL, ExactSolution, GenSpec, MixturePolicy,
                      Policy, TabularCmdp, brute_force_cmdp, dual_value,
                      evaluate_mixture, evaluate_policy, generate, greedy_backup,
                      load_instance, preset, preset_names, slater_constant,
                      solve_cmdp_exact)
+from cmdplab.core import _expected_stage
 from cmdplab.solver import DegenerateInstanceError, InstanceTooLargeError
 from conftest import all_deterministic_policies, random_instance, tie_instances
 
@@ -44,10 +46,11 @@ def near_tie_instance(num_states, horizon):
 
 
 def adversarial_instance(rng):
-    """A small instance drawn to corner the bisection's certificate: any of a
-    deterministic kernel, half-integer tables (exact ties at dyadic lambda),
-    a zero-reward action, action 1 a 1e-15 near-tie of action 0 whose exact
-    tie sits at lambda = 1/2, 1 or 2, and a last action duplicating action 0."""
+    """A small instance drawn to corner the bisection's reuse of its ends:
+    any of a deterministic kernel, half-integer tables (exact ties at dyadic
+    lambda), a zero-reward action, action 1 a 1e-15 near-tie of action 0
+    whose exact tie sits at lambda = 1/2, 1 or 2, and a last action
+    duplicating action 0."""
     s_, a_, h_ = int(rng.integers(1, 4)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
     shape = (h_, s_, a_)
     kernel = rng.dirichlet(np.ones(s_), size=shape)
@@ -135,15 +138,19 @@ def _two_sweep_dual_value(m, lam):
 
 
 def test_dual_value_bits_match_two_sweeps():
-    # one stacked sweep of (r - lam c, r, c) reads g and (V_r, V_c) with the
-    # bits of the two-sweep formula, at exact ties (dyadic lam) and off them
+    # one sweep of (r, c) scored by Q_r - lam Q_c picks the policy and reads
+    # (V_r, V_c) with the bits of the two-sweep formula, which chooses on its
+    # own r - lam c table, at exact ties (dyadic lam) and off them; g is
+    # V_r - lam V_c + lam b, within rounding of the two-sweep g
     rng = np.random.default_rng(7)
     lams = [0.0, 0.5, 1.0, 2.0, *(np.arange(1, 64) / 16.0), *rng.uniform(0.0, 5.0, 8)]
     for m in tie_instances() + [random_instance(4, 3, 5, seed=s) for s in range(4)]:
-        for lam in lams:
-            g, pi, pair = dual_value(m, float(lam))
-            want_g, want_pi, want_pair = _two_sweep_dual_value(m, float(lam))
-            assert (g, pi, pair) == (want_g, want_pi, want_pair), (m, lam)
+        for lam in map(float, lams):
+            g, pi, pair = dual_value(m, lam)
+            want_g, want_pi, want_pair = _two_sweep_dual_value(m, lam)
+            assert (pi, pair) == (want_pi, want_pair), (m, lam)
+            assert g == pair[0] - lam * pair[1] + lam * m.budget
+            assert g == pytest.approx(want_g, rel=1e-14, abs=1e-14)
             assert type(g) is float and all(type(x) is float for x in pair)
 
 
@@ -222,6 +229,43 @@ def test_bisection_matches_brute_force(seed):
         v_r, v_c = evaluate_mixture(m, sol.policy)
         assert v_r == pytest.approx(sol.optimal_value, abs=1e-9)
         assert v_c == pytest.approx(sol.optimal_cost, abs=1e-9)
+
+
+def _occupancy_lp_value(m, linprog, tolerance):
+    """V* from the occupancy-measure LP: maximize r.x over x_h(s, a) >= 0 with
+    one unit of mass at s1 at step 0, each step's mass flowing through P to
+    the next, and c.x <= b; solved by HiGHS at the given feasibility tolerance."""
+    h_, s_, a_ = m.horizon, m.num_states, m.num_actions
+    n = h_ * s_ * a_
+    flow = np.zeros((h_, s_, h_, s_, a_))  # row (h, s'): mass in at s' minus inflow
+    for h in range(h_):
+        flow[h, :, h] = np.eye(s_)[:, :, None]
+        if h:
+            flow[h, :, h - 1] = -m.transition[h - 1].transpose(2, 0, 1)
+    start = np.zeros((h_, s_))
+    start[0, m.initial_state] = 1.0
+    res = linprog(-m.reward.ravel(), A_ub=m.cost.reshape(1, n), b_ub=[m.budget],
+                  A_eq=flow.reshape(h_ * s_, n), b_eq=start.ravel(), bounds=(0, None),
+                  method="highs", options={"primal_feasibility_tolerance": tolerance,
+                                           "dual_feasibility_tolerance": tolerance})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+@pytest.mark.parametrize("dims", [(10, 4, 8), (30, 5, 10)])
+def test_bisection_matches_the_occupancy_lp(dims):
+    # an oracle independent of the dual. HiGHS stops with its primal and
+    # dual residuals within their feasibility tolerances (1e-7, its
+    # defaults); the occupancy carries one unit of mass per step, H in all,
+    # so V* agrees within H times the two tolerances
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    tolerance = 1e-7
+    for seed in range(1, 21):
+        m = generate(GenSpec(*dims, zeta_target=0.5, seed=seed))
+        sol = solve_cmdp_exact(m)
+        assert sol.status == OPTIMAL
+        lp = _occupancy_lp_value(m, linprog, tolerance)
+        assert abs(sol.optimal_value - lp) <= m.horizon * 2 * tolerance, seed
 
 
 def test_unconstrained_optimum_feasible_gives_zero_lambda():
@@ -330,13 +374,14 @@ def test_mixture_cost_pinned_to_budget_when_binding():
 
 
 # ---------------------------------------------------------------------------
-# Certified bisection: a midpoint inside an end's certified interval sweeps
-# nothing, and the solution keeps every bit of one sweep per midpoint.
+# Reuse in the bisection: a doubling or midpoint that a bracket end's
+# re-scored Q-tables keep sweeps nothing, and the solution keeps every bit of
+# one sweep per point.
 
 
 def _sweep_per_midpoint(m, tol=1e-8):
     """solve_cmdp_exact with one dual_value sweep at every doubling and every
-    midpoint, as the solver ran before it certified policies."""
+    midpoint, as the solver ran before it reused bracket ends."""
     zeta, _ = slater_constant(m)
     if zeta < 0:
         return ExactSolution(INFEASIBLE, math.nan, math.nan, None, math.inf)
@@ -368,7 +413,7 @@ def _sweep_per_midpoint(m, tol=1e-8):
 
 
 def _solve_fingerprints(m):
-    """(certified, one sweep per midpoint) fingerprints; a degenerate
+    """(reusing, one sweep per midpoint) fingerprints; a degenerate
     instance too large for enumeration must raise in both."""
     out = []
     for solve in (solve_cmdp_exact, _sweep_per_midpoint):
@@ -389,8 +434,8 @@ def test_certified_bisection_matches_one_sweep_per_midpoint_on_generated(dims, a
     for seed in (1, 2):
         for zeta in (0.5, 0.2 * dims[2]):
             m = generate(GenSpec(*dims, zeta_target=zeta, dirichlet_alpha=alpha, seed=seed))
-            certified, swept = _solve_fingerprints(m)
-            assert certified == swept, (dims, alpha, seed, zeta)
+            reused, swept = _solve_fingerprints(m)
+            assert reused == swept, (dims, alpha, seed, zeta)
 
 
 def test_certified_bisection_matches_one_sweep_per_midpoint_on_ties():
@@ -399,8 +444,8 @@ def test_certified_bisection_matches_one_sweep_per_midpoint_on_ties():
     cases += [replace(m, budget=b) for m in map(preset, preset_names())
               for b in (0.1, 0.25, 0.5, 0.75, 1.0)]
     for m in cases:
-        certified, swept = _solve_fingerprints(m)
-        assert certified == swept, m
+        reused, swept = _solve_fingerprints(m)
+        assert reused == swept, m
 
 
 @pytest.mark.parametrize("chunk", range(8))
@@ -410,82 +455,155 @@ def test_certified_bisection_matches_one_sweep_per_midpoint_on_near_ties(chunk):
     rng = np.random.default_rng(5000 + chunk)
     for i in range(250):
         m = adversarial_instance(rng)
-        certified, swept = _solve_fingerprints(m)
-        assert certified == swept, (chunk, i)
+        reused, swept = _solve_fingerprints(m)
+        assert reused == swept, (chunk, i)
 
 
-def _certified_span(m, lam):
-    """The policy a sweep returns at lam, its pair and its certified interval."""
-    _, pi, pair, v = solver._dual_point(m, lam)
-    return pi, pair, solver._certify(m, solver._margin(m), pi, v)
+def _check_reuse(m, end_lams, lams):
+    """For each end _dual_point(m, x), x in end_lams, and each lam in lams:
+    _keeps(end, lam) holds exactly when a sweep at lam returns end's policy,
+    and then that sweep's pair and Q-tables are end's, byte for byte.
+    Returns the number of (end, lam) checks and of those that kept the end."""
+    ends = [solver._dual_point(m, x) for x in end_lams]
+    checked = kept = 0
+    for lam in lams:
+        got = solver._dual_point(m, lam)
+        for end in ends:
+            keeps = solver._keeps(end, lam)
+            assert keeps == (got[1] == end[1]), (m, lam)
+            if keeps:
+                assert np.array(got[2]).tobytes() == np.array(end[2]).tobytes()
+                assert got[3].tobytes() == end[3].tobytes()
+            checked, kept = checked + 1, kept + bool(keeps)
+    return checked, kept
+
+
+def _near(lams):
+    """Each lambda with its neighbours one ulp below (if >= 0) and above."""
+    return [float(x) for lam in lams
+            for x in (np.nextafter(lam, -math.inf), lam, np.nextafter(lam, math.inf))
+            if x >= 0.0]
 
 
 @pytest.mark.parametrize("chunk", range(4))
 def test_certificate_is_sound_up_to_one_ulp_inside_its_ends(chunk):
-    # every lambda inside a certified interval, one ulp inside either end
-    # included, sweeps to the same policy with the same (V_r, V_c) bits
+    # the bisection's certificate is _keeps, an end's own Q-tables re-scored
+    # at lambda: on 4 x 150 drawn instances it is sound and complete at the
+    # dyadic lambda where half-integer tables and near-tie twins tie, one
+    # ulp either side of them, and at random lambda
     rng = np.random.default_rng(7000 + chunk)
-    checked = 0
+    checked = kept = 0
     for _ in range(150):
         m = adversarial_instance(rng)
-        for lam0 in (0.0, 0.5, float(rng.uniform(0.0, 3.0))):
-            pi, pair, (lo, hi) = _certified_span(m, lam0)
-            low = max(lo, 0.0)
-            if not low < hi:
-                continue
-            lams = [0.0, np.nextafter(lo, math.inf), np.nextafter(hi, -math.inf),
-                    *rng.uniform(low, min(hi, low + 4.0), 3)]
-            for lam in map(float, lams):
-                if lo < lam < hi and 0.0 <= lam < 1e6:
-                    _, got, got_pair = dual_value(m, lam)
-                    assert got == pi, (lam, lo, hi)
-                    assert np.array(got_pair).tobytes() == np.array(pair).tobytes()
-                    checked += 1
-    assert checked >= 300
+        ties = [0.0, 0.25, 0.5, 1.0, 1.5, 2.0]
+        lams = [*_near(ties), *rng.uniform(0.0, 3.0, 3)]
+        got = _check_reuse(m, [0.0, 0.5, float(rng.uniform(0.0, 3.0))], lams)
+        checked, kept = checked + got[0], kept + got[1]
+    assert checked == 150 * 3 * 20 and kept >= checked // 4
 
 
-def test_exact_ties_are_never_certified():
-    # at an exact tie the sweep's pick follows the action order, so no
-    # interval may contain the tie: the presets' kinks, and any policy on an
-    # action whose byte-equal twin sits at a higher index
+def test_exact_ties_keep_the_end_a_sweep_returns():
+    # at an exact tie a sweep picks the lowest tied action, and so does the
+    # re-score: the presets' kinks and the duplicated-action twins (which
+    # tie at every lambda) keep an end whenever a sweep would return it
+    checked = kept = 0
+    for m in tie_instances():
+        got = _check_reuse(m, [0.0, 0.5, 1.0, 3.0], _near(np.arange(33) / 8.0))
+        checked, kept = checked + got[0], kept + got[1]
+    assert checked >= 5000 and kept >= checked // 5
     for name, tie in (("single_state_tradeoff", 1.0), ("two_state_chain", 0.5)):
-        for lam in (tie - 0.25, tie, tie + 0.25):
-            _, _, (lo, hi) = _certified_span(preset(name), lam)
-            assert not lo < tie < hi, (name, lam)
-    twins = [m for m in tie_instances() if m.num_actions == 4]  # actions 2, 3 copy 0, 1
-    assert twins
-    for m in twins:
-        for lam in (0.0, 0.5, 1.0, 3.0):
-            _, _, (lo, hi) = _certified_span(m, lam)
-            assert not lo < hi
+        ends = [solver._dual_point(preset(name), x) for x in (tie - 0.25, tie + 0.25)]
+        assert any(solver._keeps(end, tie) for end in ends), name
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dual_point_q_tables_are_the_ones_its_sweep_scored(monkeypatch):
+    # _dual_point rebuilds its Q-tables from its values in one batched
+    # matvec; each step's slice must hold the sweep's own bits
+    scored = []
+
+    def recording(kernel, stages):
+        q_step = _expected_stage(kernel, stages)
+
+        def step(h, v):
+            q = q_step(h, v)
+            scored.append((h, q.copy()))
+            return q
+        return step
+
+    monkeypatch.setattr(core, "_expected_stage", recording)
+    rng = np.random.default_rng(11)
+    cases = [*tie_instances(), *(adversarial_instance(rng) for _ in range(200)),
+             generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=1)),
+             generate(GenSpec(30, 5, 10, zeta_target=0.5, seed=1))]
+    matched = 0
+    for m in cases:
+        for lam in (0.0, 0.5, 1.0, 2.0, *rng.uniform(0.0, 3.0, 2)):
+            scored.clear()
+            q = solver._dual_point(m, lam)[3]
+            assert sorted(h for h, _ in scored) == list(range(m.horizon))
+            for h, q_h in scored:
+                assert q[:, h].tobytes() == q_h.tobytes(), (m, lam, h)
+                matched += 1
+    assert matched >= 3000
+
+
+# what solving gave while the dual point chose on a separately swept
+# r - lambda c table: (status, value, cost, lambda*, each component's weight
+# and actions), or the operation whose invalid-value warning an entry of NaN
+# or +-inf raises
+_NON_FINITE_SOLVES = {
+    ("transition", "nan"): ("infeasible", "nan", "nan", "inf", []),
+    ("transition", "inf"): (RuntimeWarning, "matmul"),
+    ("transition", "-inf"): (RuntimeWarning, "matmul"),
+    ("reward", "nan"): ("optimal", "nan", "0.6", "0.4999999962747097",
+                        [(0.4, [[1, 1], [0, 0]]), (0.6, [[1, 1], [0, 1]])]),
+    ("reward", "inf"): ("optimal", "inf", "0.6", "0.4999999962747097",
+                        [(0.4, [[1, 1], [0, 0]]), (0.6, [[1, 1], [0, 1]])]),
+    ("reward", "-inf"): ("optimal", "0.32", "0.6", "0.19999999925494194",
+                         [(0.4, [[0, 1], [0, 1]]), (0.6, [[0, 1], [1, 1]])]),
+    ("cost", "nan"): ("infeasible", "nan", "nan", "inf", []),
+    ("cost", "inf"): (RuntimeWarning, "multiply"),
+    ("cost", "-inf"): (RuntimeWarning, "multiply"),
+}
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("where", ["transition", "reward", "cost"])
-def test_non_finite_tables_certify_nothing_and_warn_nothing(where, bad):
-    # tier-1 turns warnings into errors, so a RuntimeWarning would fail here
+def test_non_finite_tables_solve_as_before(where, bad):
+    # built past the loader: scoring Q_r - lambda Q_c raises the same
+    # warnings (as errors) and returns the same solutions as scoring a
+    # separately swept r - lambda c did
     m = preset("two_state_chain")
-    _, pi, _, v = solver._dual_point(m, 0.25)
-    lo, hi = solver._certify(m, solver._margin(m), pi, v)
-    assert lo < 0.25 < hi  # certified when finite
     table = np.array(getattr(m, where))
-    table[0, 0, 1] = bad
+    table[0, 0, 1] = float(bad)
     broken = replace(m, **{where: table})
-    lo, hi = solver._certify(broken, solver._margin(broken), pi, v)
-    assert not lo < hi
-    nan_v = np.array(v)
-    nan_v[0, 1, 0] = math.nan
-    lo, hi = solver._certify(m, solver._margin(m), pi, nan_v)
-    assert not lo < hi
+    want = _NON_FINITE_SOLVES[where, bad]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if want[0] is RuntimeWarning:
+            with pytest.raises(RuntimeWarning, match=f"^invalid value encountered in {want[1]}$"):
+                solve_cmdp_exact(broken)
+            return
+        sol = solve_cmdp_exact(broken)
+    comps = [] if sol.policy is None else sol.policy.components
+    assert (sol.status, repr(sol.optimal_value), repr(sol.optimal_cost), repr(sol.lambda_star),
+            [(w, p.actions) for w, p in comps]) == want
 
 
 def test_bisection_sweeps_each_greedy_policy_about_once(monkeypatch):
     # 10x4x8, seeds 1-20: one sweep per midpoint took 29.8 sweeps per solve
-    # to visit 7.6 distinct greedy policies
+    # to visit 7.6 distinct greedy policies; on the duplicated-action twins
+    # the re-score keeps ends at their exact ties (the float margin it
+    # replaced never did, at 5.7 sweeps a solve)
     sweeps = _count_sweeps(monkeypatch)
     for seed in range(1, 21):
         solve_cmdp_exact(generate(GenSpec(10, 4, 8, zeta_target=0.5, seed=seed)))
     assert len(sweeps) <= 12 * 20
+    twins = [m for m in tie_instances() if m.num_actions == 4]  # actions 2, 3 copy 0, 1
+    sweeps.clear()
+    for m in twins:
+        solve_cmdp_exact(m)
+    assert len(twins) == 6 and len(sweeps) <= 2 * len(twins)
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +611,16 @@ def test_bisection_sweeps_each_greedy_policy_about_once(monkeypatch):
 
 
 def _count_sweeps(monkeypatch, limit=2000):
-    """Count the solver's greedy sweeps (one per dual point it does not
-    certify); fail fast instead of hanging if the dual search stops
-    terminating."""
+    """Count the solver's greedy sweeps (one per dual point that keeps
+    neither bracket end); fail fast instead of hanging if the dual search
+    stops terminating."""
     calls = []
     original = solver.greedy_backup
 
-    def counted(kernel, stages):
+    def counted(kernel, stages, score):
         calls.append(stages)
         assert len(calls) <= limit, "dual search does not terminate"
-        return original(kernel, stages)
+        return original(kernel, stages, score)
 
     monkeypatch.setattr(solver, "greedy_backup", counted)
     return calls
